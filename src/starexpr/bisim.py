@@ -14,7 +14,7 @@ from __future__ import annotations
 from .errors import LimitExceededError, TheoryMismatchError
 from .semantics import State, System, TICK, reachable
 from .syntax import Expr
-from .theory import TheoryConfig, mval_map
+from .theory import TheoryConfig, mval_map, supp
 
 Partition = dict[str, int]
 
@@ -45,22 +45,72 @@ def _dense(sys: System, block: Partition) -> Partition:
     return out
 
 
+def _predecessors(sys: System) -> dict[str, list[str]]:
+    """For every state, the states with a transition into it."""
+    preds: dict[str, list[str]] = {x: [] for x in sys.states}
+    for x in sys.states:
+        for _, tgt in supp(sys.beta[x]):
+            if tgt is not TICK:
+                preds[tgt.sid].append(x)
+    return preds
+
+
 def refine(sys: System) -> Partition:
     """The coarsest partition closed under one-step behaviour, computed by
-    iterated splitting from the single-block partition."""
+    splitting from the single-block partition.
+
+    Splitting is incremental, processing the smaller half (Paige & Tarjan
+    1987; Valmari & Franceschinis 2010).  Only "dirty" states, whose
+    successors changed block since they were last signed, are re-signed;
+    the clean states of a block still share the block's last signature.
+    The largest part of a split block keeps its id, so a state moves at
+    most log2(n) times.  After a round that moved over half the states,
+    all states are re-signed, which is cheaper than walking predecessors.
+    For n states and m transitions the work is O((n + m) log n)."""
     block: Partition = {x: 0 for x in sys.states}
-    nblocks = 1
-    while True:
-        sig_ids: dict = {}
-        new: Partition = {}
-        for x in sys.states:
-            sig = (block[x], _mapped_value(sys, x, block))
-            if sig not in sig_ids:
-                sig_ids[sig] = len(sig_ids)
-            new[x] = sig_ids[sig]
-        if len(sig_ids) == nblocks:
-            return new
-        block, nblocks = new, len(sig_ids)
+    members: dict[int, set[str]] = {0: set(sys.states)}
+    sig: dict[int, object] = {}  # the signature the clean states of a block share
+    preds = None
+    dirty = dict.fromkeys(sys.states)
+    while dirty:
+        # sign every dirty state against the same partition before moving any
+        touched: dict[int, dict] = {}
+        for x in dirty:
+            groups = touched.setdefault(block[x], {})
+            groups.setdefault(_mapped_value(sys, x, block), []).append(x)
+        moved: list[str] = []
+        for b, groups in touched.items():
+            old = members[b]
+            clean = len(old) - sum(map(len, groups.values()))
+            # compared by equality: a dirty state may still match the clean
+            # ones, since weights of a semiring may cancel
+            clean_xs = groups.setdefault(sig[b], []) if clean else None
+            if len(groups) == 1:
+                sig[b] = next(iter(groups))
+                continue
+            sig[b], keep = max(groups.items(),
+                               key=lambda vx: len(vx[1]) + clean * (vx[1] is clean_xs))
+            for v, xs in groups.items():
+                if xs is keep:
+                    continue
+                if xs is clean_xs:
+                    xs = xs + [x for x in old if x not in dirty]
+                new = len(members)
+                members[new], sig[new] = set(xs), v
+                old.difference_update(xs)
+                for x in xs:
+                    block[x] = new
+                moved += xs
+        if not moved or len(members) == len(block):  # stable, or all singletons
+            break
+        if 2 * len(moved) > len(block):
+            # each state moves at most log2(n) times, so such rounds are few
+            dirty = dict.fromkeys(sys.states)
+            continue
+        if preds is None:
+            preds = _predecessors(sys)
+        dirty = dict.fromkeys(p for x in moved for p in preds[x])
+    return _dense(sys, block)
 
 
 def _partitions(items: list[str]):

@@ -392,6 +392,10 @@ def run(argv=None) -> int:
     except LimitExceededError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return BOUND_EXIT
+    except RecursionError:
+        print("error: input nests too deeply (recursion limit reached)",
+              file=_sys.stderr)
+        return BOUND_EXIT
     except (LayeringError, StarexprError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return USAGE_EXIT

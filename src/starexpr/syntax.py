@@ -92,7 +92,7 @@ class TOp(Expr):
         self._key = None
 
     def __eq__(self, other):
-        return type(other) is TOp and other._hash == self._hash \
+        return other is self or type(other) is TOp and other._hash == self._hash \
             and other.sym == self.sym and other.args == self.args
 
     __hash__ = Expr.__hash__
@@ -119,7 +119,7 @@ class Seq(Expr):
         self._key = None
 
     def __eq__(self, other):
-        return type(other) is Seq and other._hash == self._hash \
+        return other is self or type(other) is Seq and other._hash == self._hash \
             and other.left == self.left and other.right == self.right
 
     __hash__ = Expr.__hash__
@@ -147,7 +147,7 @@ class Star(Expr):
         self._key = None
 
     def __eq__(self, other):
-        return type(other) is Star and other._hash == self._hash \
+        return other is self or type(other) is Star and other._hash == self._hash \
             and other.body == self.body and other.loop == self.loop \
             and other.exit == self.exit
 

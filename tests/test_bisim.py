@@ -4,13 +4,17 @@ import pytest
 
 from conftest import brute_bisimilar, sl_system
 from starexpr import gen
+from starexpr import bisim
 from starexpr.bisim import (
-    bisimilar, brute_bisim, decide_equiv, minimize, refine,
+    bisimilar, brute_bisim, decide_equiv, disjoint_union, minimize, refine,
 )
 from starexpr.errors import LimitExceededError, TheoryMismatchError
-from starexpr.semantics import State, TICK, reachable, step
+from starexpr.semantics import State, System, TICK, reachable, step
 from starexpr.syntax import Seq, Star, parse
-from starexpr.theory import eta, mval_map, parse_selector, reify, term_variables
+from starexpr.theory import (
+    SEMIRINGS, Semiring, eta, mval_map, mval_smod, parse_selector, register_semiring,
+    reify, term_variables,
+)
 
 SL = parse_selector("sl")
 
@@ -44,6 +48,96 @@ def test_refine_equals_brute_on_random_systems(cfg, rng):
     for _ in range(80):
         sys_ = gen.rand_system(rng, cfg, rng.randint(1, 6))
         assert refine(sys_) == brute_bisim(sys_)
+
+
+def fixpoint_refine(sys_):
+    """Oracle beyond the brute-force bound: re-sign every state each round
+    until no block splits; ids in first-occurrence order like `refine`."""
+    block = {x: 0 for x in sys_.states}
+    while True:
+        ids = {}
+        new = {x: ids.setdefault((block[x], bisim._mapped_value(sys_, x, block)), len(ids))
+               for x in sys_.states}
+        if len(ids) == len(set(block.values())):
+            return new
+        block = new
+
+
+def test_refine_equals_fixpoint_on_random_systems(cfg, rng):
+    for i in range(60):
+        actions = ("a",) if i % 2 else ("a", "b", "c")
+        sys_ = gen.rand_system(rng, cfg, rng.randint(1, 40), actions)
+        assert refine(sys_) == fixpoint_refine(sys_)
+
+
+def test_refine_equals_fixpoint_on_reachable_unions(cfg):
+    systems = [reachable(cfg, e)[0] for e in gen.corpus(cfg, 30, 8, seed=11)]
+    for sys1, sys2 in zip(systems, systems[1:]):
+        union, _, _ = disjoint_union(sys1, sys2)
+        assert refine(union) == fixpoint_refine(union)
+
+
+@pytest.mark.parametrize("selector, unit", [
+    ("sl", "a"), ("sl", "a *{u+v} b"),
+    ("ca", "a (+1/2) b"), ("ca", "a *{u (+1/2) v} b"),
+    ("smod:nat", "2 . a"), ("smod:nat", "a *{u (+) v} b"),
+])
+def test_refine_equals_fixpoint_on_deep_chains(selector, unit):
+    cfg = parse_selector(selector)
+    chain = " ; ".join([f"({unit})"] * 150)
+    sys1, _ = reachable(cfg, parse(f"{chain} ; c", cfg))
+    sys2, _ = reachable(cfg, parse(f"{chain} ; d", cfg))
+    union, _, _ = disjoint_union(sys1, sys2)
+    assert len(sys1.states) >= 150
+    assert refine(sys1) == fixpoint_refine(sys1)
+    assert refine(union) == fixpoint_refine(union)
+
+
+@pytest.fixture
+def zint():
+    """Integers with negative weights: transitions can cancel each other."""
+    ring = register_semiring(Semiring(
+        "zint", 0, 1,
+        add=lambda a, b: a + b,
+        mul=lambda a, b: a * b,
+        parse=int,
+        fmt=str,
+        contains=lambda x: type(x) is int,
+        sample=lambda rng: rng.randint(-2, 2),
+    ))
+    yield parse_selector("smod:zint")
+    del SEMIRINGS[ring.name]
+
+
+def test_refine_with_cancelling_weights(zint, rng):
+    def val(pairs):
+        return mval_smod(zint, {("a", State(t)): w for t, w in pairs})
+
+    # y and z are equivalent, so x's two transitions cancel and x is dead like w
+    beta = {"x": val([("y", 1), ("z", -1)]), "y": val([("y", 2)]),
+            "z": val([("z", 2)]), "w": val([])}
+    sys_ = System(zint, ("x", "y", "z", "w"), beta)
+    assert refine(sys_) == brute_bisim(sys_) == {"x": 0, "y": 1, "z": 1, "w": 0}
+    for _ in range(60):
+        sys_ = gen.rand_system(rng, zint, rng.randint(1, 40), ("a",))
+        assert refine(sys_) == fixpoint_refine(sys_)
+
+
+def test_refine_work_is_near_linear_on_a_chain(monkeypatch):
+    n = 1600
+    chain = sl_system({f"s{i}": [("a", f"s{i + 1}" if i + 1 < n else TICK)]
+                       for i in range(n)})
+    calls = 0
+    mapped_value = bisim._mapped_value
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return mapped_value(*args)
+
+    monkeypatch.setattr(bisim, "_mapped_value", counting)
+    assert len(set(refine(chain).values())) == n
+    assert calls <= 4 * n
 
 
 def test_bisimilar_requires_matching_theories():

@@ -132,6 +132,14 @@ def test_guard_bound_exit_code(tmp_path, capsys):
     assert code == 3 and "limited" in err
 
 
+def test_deep_nesting_exits_bound_not_inequivalent(capsys):
+    deep = "(" * 600 + "a" + ")" * 600
+    code, out, err = invoke(capsys, "equiv", "--theory", "sl", deep, "a")
+    assert code == 3 and out == ""
+    assert err.startswith("error: input nests too deeply")
+    assert "Traceback" not in err
+
+
 def test_fuzz_reports_first_failing_case(capsys, monkeypatch):
     import starexpr.cli as cli
 
