@@ -12,7 +12,7 @@ decides provable equivalence of expressions.
 from __future__ import annotations
 
 from .errors import LimitExceededError, TheoryMismatchError
-from .semantics import State, System, TICK, reachable
+from .semantics import State, System, TICK, reachable_from
 from .syntax import Expr
 from .theory import TheoryConfig, mval_map, supp
 
@@ -229,7 +229,9 @@ def minimize(sys: System) -> tuple[System, dict[str, str]]:
 
 def decide_equiv(cfg: TheoryConfig, e1: Expr, e2: Expr) -> bool:
     """Decide provable equivalence of two expressions (equivalently, their
-    bisimilarity as states of the syntactic system)."""
-    sys1, root1 = reachable(cfg, e1)
-    sys2, root2 = reachable(cfg, e2)
-    return bisimilar(sys1, root1, sys2, root2)
+    bisimilarity as states of the syntactic system).  Both are explored in
+    one subsystem: it is closed under successors, so bisimilarity within it
+    is bisimilarity in the whole syntactic system."""
+    sys, (x1, x2) = reachable_from(cfg, (e1, e2))
+    part = refine(sys)
+    return part[x1] == part[x2]

@@ -12,13 +12,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import DocumentError
 from .syntax import Act, Expr, Seq, Star, TOp, print_expr
 from .theory import (
-    MVal, SOp, SVar, TheoryConfig, element_sort_key, eta, eval_term, mval_map,
-    mval_ca, mval_ga, mval_gc, mval_sl, mval_smod, parse_selector, supp,
+    MVal, SOp, SVar, TheoryConfig, _sorted_entries, element_sort_key, eta,
+    eval_term, mval_map, mval_ga, mval_sl, parse_selector, supp,
 )
 
 
@@ -155,19 +155,35 @@ def reachable(cfg: TheoryConfig, e: Expr) -> tuple[System, str]:
     States are interned expressions (structural equality); ids are assigned
     in breadth-first discovery order, so they are stable within a run.
     """
-    intern: dict[Expr, str] = {e: "s0"}
-    order: list[Expr] = [e]
+    sys, roots = reachable_from(cfg, (e,))
+    return sys, roots[0]
+
+
+def reachable_from(cfg: TheoryConfig, roots) -> tuple[System, list[str]]:
+    """The smallest subsystem of the syntactic system containing every root.
+
+    Roots are explored breadth-first in the given order, so the first root
+    is ``s0`` and is the system's root.  Returns the system and the state
+    id of each root (equal roots share one).
+    """
+    intern: dict[Expr, str] = {}
+    order: list[Expr] = []
     steps: dict[Expr, MVal] = {}
-    queue = deque([e])
-    while queue:
-        x = queue.popleft()
-        m = _step(cfg, x)
-        steps[x] = m
-        for _, tgt in sorted(supp(m), key=element_sort_key):
-            if tgt is not TICK and tgt not in intern:
-                intern[tgt] = f"s{len(intern)}"
-                order.append(tgt)
-                queue.append(tgt)
+    for r in roots:
+        if r in intern:
+            continue
+        intern[r] = f"s{len(intern)}"
+        order.append(r)
+        queue = deque([r])
+        while queue:
+            x = queue.popleft()
+            m = _step(cfg, x)
+            steps[x] = m
+            for _, tgt in _sorted_support(m):
+                if tgt is not TICK and tgt not in intern:
+                    intern[tgt] = f"s{len(intern)}"
+                    order.append(tgt)
+                    queue.append(tgt)
 
     def relabel(pair):
         action, tgt = pair
@@ -178,7 +194,7 @@ def reachable(cfg: TheoryConfig, e: Expr) -> tuple[System, str]:
     states = tuple(intern[x] for x in order)
     beta = {intern[x]: mval_map(relabel, steps[x]) for x in order}
     exprs = {intern[x]: x for x in order}
-    return System(cfg, states, beta, root="s0", exprs=exprs), "s0"
+    return System(cfg, states, beta, root="s0", exprs=exprs), [intern[r] for r in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +216,17 @@ def _mvalue_doc(cfg: TheoryConfig, m: MVal):
             for atom, entry in zip(cfg.atoms, m.data)
         }
     if kind == "ca":
-        return [{"p": str(mass), "a": e[0], "t": _target_doc(e[1])} for e, mass in m.data]
+        return _dist_doc(m.data)
     if kind == "gc":
-        return {
-            atom: [{"p": str(mass), "a": e[0], "t": _target_doc(e[1])} for e, mass in dist]
-            for atom, dist in zip(cfg.atoms, m.data)
-        }
+        return {atom: _dist_doc(dist) for atom, dist in zip(cfg.atoms, m.data)}
     sr = cfg.semiring
-    return [{"w": sr.format(w), "a": e[0], "t": _target_doc(e[1])} for e, w in m.data]
+    return [{"w": sr.format(w), "a": e[0], "t": _target_doc(e[1])}
+            for e, w in _sorted_entries(m.data)]
+
+
+def _dist_doc(dist):
+    return [{"p": str(mass), "a": e[0], "t": _target_doc(e[1])}
+            for e, mass in _sorted_entries(dist)]
 
 
 def export_system(sys: System) -> dict:
@@ -222,84 +241,95 @@ def export_system(sys: System) -> dict:
     return doc
 
 
-def _parse_target(raw, states: set[str]) -> Target:
-    if raw == "✓":
-        return TICK
-    if not isinstance(raw, str) or raw not in states:
-        raise DocumentError(f"dangling state reference: {raw!r}")
-    return State(raw)
+def _parse_target(raw, targets: dict[str, Target]) -> Target:
+    try:
+        return targets[raw]
+    except (KeyError, TypeError):
+        raise DocumentError(f"dangling state reference: {raw!r}") from None
 
 
-def _parse_pair(raw, states) -> tuple:
+def _parse_pair(raw, targets) -> tuple:
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2
             or not isinstance(raw[0], str)):
         raise DocumentError(f"expected [action, target], got {raw!r}")
-    return (raw[0], _parse_target(raw[1], states))
+    return (raw[0], _parse_target(raw[1], targets))
 
 
-def _parse_mvalue(cfg: TheoryConfig, raw, states: set[str]) -> MVal:
+def _parse_number(raw, parse, what: str):
+    """Parse a mass or weight; every way it can be malformed ends here."""
+    try:
+        return parse(raw)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise DocumentError(f"bad {what} {raw!r}: {exc}") from None
+
+
+def _parse_mass(raw) -> Fraction:
+    mass = Fraction(raw)
+    if mass <= 0:
+        raise ValueError("masses must be positive")
+    return mass
+
+
+def _parse_weight(sr, raw):
+    w = sr.parse(raw)
+    if not sr.contains(w):
+        raise ValueError(f"{w!r} is not a {sr.name} weight")
+    if w == sr.zero:
+        raise ValueError("zero weights must be left out")
+    return w
+
+
+def _parse_weighted(raw, targets, field: str, parse, what: str) -> dict:
+    """The {(action, target): weight} map of a list of weighted entries."""
+    if not isinstance(raw, list):
+        raise DocumentError(f"expected a list of weighted entries, got {raw!r}")
+    keys = {field, "a", "t"}
+    acc: dict = {}
+    for item in raw:
+        if not isinstance(item, dict) or item.keys() != keys:
+            raise DocumentError(f"expected {{'{field}','a','t'}} entry, got {item!r}")
+        w = _parse_number(item[field], parse, what)
+        action = item["a"]
+        if not isinstance(action, str):
+            raise DocumentError(f"action must be a string, got {item!r}")
+        pair = (action, _parse_target(item["t"], targets))
+        if pair in acc:
+            raise DocumentError(f"duplicate weighted pair: {item!r}")
+        acc[pair] = w
+    return acc
+
+
+def _parse_dist(raw, targets) -> frozenset:
+    acc = _parse_weighted(raw, targets, "p", _parse_mass, "probability")
+    total = sum(acc.values())
+    if total > 1:
+        raise DocumentError(f"total mass {total} exceeds 1")
+    return frozenset(acc.items())
+
+
+def _parse_mvalue(cfg: TheoryConfig, raw, targets: dict) -> MVal:
+    """Parse and validate one transition value.  The value is built
+    directly: the checks here are all its constructor would make."""
     kind = cfg.kind
     if kind == "sl":
         if not isinstance(raw, list):
             raise DocumentError(f"sl value must be a list, got {raw!r}")
-        pairs = [_parse_pair(item, states) for item in raw]
+        pairs = [_parse_pair(item, targets) for item in raw]
         if len(set(pairs)) != len(pairs):
             raise DocumentError("duplicate transition pair")
         return mval_sl(cfg, pairs)
+    if kind in ("ga", "gc") and (not isinstance(raw, dict) or raw.keys() != set(cfg.atoms)):
+        raise DocumentError(f"{kind} value must map every atom of {list(cfg.atoms)}")
     if kind == "ga":
-        if not isinstance(raw, dict) or set(raw) != set(cfg.atoms):
-            raise DocumentError(f"ga value must map every atom of {list(cfg.atoms)}")
         return mval_ga(cfg, tuple(
-            None if raw[atom] is None else _parse_pair(raw[atom], states)
+            None if raw[atom] is None else _parse_pair(raw[atom], targets)
             for atom in cfg.atoms))
     if kind == "ca":
-        return mval_ca(cfg, _parse_dist(raw, states))
+        return MVal(cfg, _parse_dist(raw, targets))
     if kind == "gc":
-        if not isinstance(raw, dict) or set(raw) != set(cfg.atoms):
-            raise DocumentError(f"gc value must map every atom of {list(cfg.atoms)}")
-        return mval_gc(cfg, tuple(_parse_dist(raw[atom], states) for atom in cfg.atoms))
-    if not isinstance(raw, list):
-        raise DocumentError(f"smod value must be a list, got {raw!r}")
-    sr = cfg.semiring
-    acc = {}
-    for item in raw:
-        if not isinstance(item, dict) or set(item) != {"w", "a", "t"}:
-            raise DocumentError(f"expected {{'w','a','t'}} entry, got {item!r}")
-        try:
-            w = sr.parse(item["w"])
-        except (ValueError, TypeError) as exc:
-            raise DocumentError(f"bad weight {item['w']!r}: {exc}") from None
-        if w == sr.zero:
-            raise DocumentError(f"zero weight present: {item!r}")
-        pair = (item["a"], _parse_target(item["t"], states))
-        if pair in acc:
-            raise DocumentError(f"duplicate weighted pair: {item!r}")
-        acc[pair] = w
-    return mval_smod(cfg, acc)
-
-
-def _parse_dist(raw, states) -> dict:
-    if not isinstance(raw, list):
-        raise DocumentError(f"distribution must be a list, got {raw!r}")
-    acc: dict = {}
-    total = Fraction(0)
-    for item in raw:
-        if not isinstance(item, dict) or set(item) != {"p", "a", "t"}:
-            raise DocumentError(f"expected {{'p','a','t'}} entry, got {item!r}")
-        try:
-            mass = Fraction(item["p"])
-        except (ValueError, ZeroDivisionError, TypeError):
-            raise DocumentError(f"bad probability {item['p']!r}") from None
-        if mass <= 0:
-            raise DocumentError(f"masses must be positive, got {item!r}")
-        pair = (item["a"], _parse_target(item["t"], states))
-        if pair in acc:
-            raise DocumentError(f"duplicate weighted pair: {item!r}")
-        acc[pair] = mass
-        total += mass
-    if total > 1:
-        raise DocumentError(f"total mass {total} exceeds 1")
-    return acc
+        return MVal(cfg, tuple(_parse_dist(raw[atom], targets) for atom in cfg.atoms))
+    parse = partial(_parse_weight, cfg.semiring)
+    return MVal(cfg, frozenset(_parse_weighted(raw, targets, "w", parse, "weight").items()))
 
 
 def load_system(doc) -> System:
@@ -323,7 +353,9 @@ def load_system(doc) -> System:
     raw_beta = doc["beta"]
     if not isinstance(raw_beta, dict) or set(raw_beta) != state_set:
         raise DocumentError("beta must be total on the declared states")
-    beta = {x: _parse_mvalue(cfg, raw_beta[x], state_set) for x in states}
+    targets: dict[str, Target] = {x: State(x) for x in states}
+    targets["✓"] = TICK
+    beta = {x: _parse_mvalue(cfg, raw_beta[x], targets) for x in states}
     root = doc.get("root")
     if root is not None and root not in state_set:
         raise DocumentError(f"root {root!r} is not a state")

@@ -14,6 +14,7 @@ All arithmetic is exact: probabilities and rational weights are
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -481,6 +482,13 @@ def _sorted_elements(elems):
     return sorted(elems, key=element_sort_key)
 
 
+def _sorted_entries(pairs):
+    """Weighted (element, weight) pairs in the canonical element order.
+    Values keep their pairs unordered; only output (reify, split, exports)
+    needs an order."""
+    return sorted(pairs, key=lambda kv: element_sort_key(kv[0]))
+
+
 # ---------------------------------------------------------------------------
 # normal-form values
 
@@ -491,12 +499,14 @@ class MVal:
     Internal data, canonical per kind:
       sl    frozenset of elements
       ga    tuple over atoms of element-or-None (None is the dead branch)
-      ca    sorted tuple of (element, mass) with mass > 0 and total <= 1
-      gc    tuple over atoms of ca-style tuples
-      smod  sorted tuple of (element, weight) with weight != 0
+      ca    frozenset of (element, mass) pairs, mass > 0 and total <= 1
+      gc    tuple over atoms of ca-style frozensets
+      smod  frozenset of (element, weight) pairs with weight != 0
 
-    Two values are equal iff their configs and data coincide; this equality
-    is the decision procedure for theory-equality of terms.
+    Each element occurs in at most one pair.  Two values are equal iff their
+    configs and data coincide; this equality is the decision procedure for
+    theory-equality of terms.  The data is hash-canonical, not ordered:
+    only `reify`, `split` and the document exports sort it.
     """
 
     __slots__ = ("cfg", "data", "_hash")
@@ -521,7 +531,27 @@ class MVal:
         return f"MVal({self.cfg.kind}, {self.data!r})"
 
 
-def _norm_ca(mapping: Mapping[Element, Fraction]) -> tuple:
+_ONE = Fraction(1)
+
+
+def _identity(e):
+    return e
+
+
+def _merge(pairs, f=_identity, add=operator.add, zero=None) -> frozenset:
+    """Relabel the elements of weighted pairs through f and add up the
+    weights of elements that meet; drop sums equal to ``zero`` (None: the
+    weights are positive masses, which never cancel)."""
+    acc: dict = {}
+    for e, w in pairs:
+        k = f(e)
+        acc[k] = add(acc[k], w) if k in acc else w
+    if zero is None:
+        return frozenset(acc.items())
+    return frozenset(kv for kv in acc.items() if kv[1] != zero)
+
+
+def _norm_ca(mapping: Mapping[Element, Fraction]) -> frozenset:
     entries = []
     total = Fraction(0)
     for elem, mass in mapping.items():
@@ -534,8 +564,7 @@ def _norm_ca(mapping: Mapping[Element, Fraction]) -> tuple:
         total += mass
     if total > 1:
         raise ValueError(f"total mass {total} exceeds 1")
-    entries.sort(key=lambda kv: element_sort_key(kv[0]))
-    return tuple(entries)
+    return frozenset(entries)
 
 
 def mval_sl(cfg: TheoryConfig, elems: Iterable[Element]) -> MVal:
@@ -569,20 +598,15 @@ def mval_smod(cfg: TheoryConfig, mapping: Mapping[Element, Any]) -> MVal:
         if w == sr.zero:
             continue
         entries.append((elem, w))
-    entries.sort(key=lambda kv: element_sort_key(kv[0]))
-    return MVal(cfg, tuple(entries))
+    return MVal(cfg, frozenset(entries))
 
 
 def zero_mval(cfg: TheoryConfig) -> MVal:
-    if cfg.kind == "sl":
-        return MVal(cfg, frozenset())
     if cfg.kind == "ga":
         return MVal(cfg, (None,) * len(cfg.atoms))
-    if cfg.kind == "ca":
-        return MVal(cfg, ())
     if cfg.kind == "gc":
-        return MVal(cfg, ((),) * len(cfg.atoms))
-    return MVal(cfg, ())
+        return MVal(cfg, (frozenset(),) * len(cfg.atoms))
+    return MVal(cfg, frozenset())
 
 
 def eta(cfg: TheoryConfig, x: Element) -> MVal:
@@ -592,10 +616,10 @@ def eta(cfg: TheoryConfig, x: Element) -> MVal:
     if cfg.kind == "ga":
         return MVal(cfg, (x,) * len(cfg.atoms))
     if cfg.kind == "ca":
-        return MVal(cfg, ((x, Fraction(1)),))
+        return MVal(cfg, frozenset(((x, _ONE),)))
     if cfg.kind == "gc":
-        return MVal(cfg, (((x, Fraction(1)),),) * len(cfg.atoms))
-    return MVal(cfg, ((x, cfg.semiring.one),))
+        return MVal(cfg, (frozenset(((x, _ONE),)),) * len(cfg.atoms))
+    return MVal(cfg, frozenset(((x, cfg.semiring.one),)))
 
 
 def supp(m: MVal) -> frozenset:
@@ -615,30 +639,15 @@ def mval_map(f: Callable[[Element], Element], m: MVal) -> MVal:
     cfg = m.cfg
     kind = cfg.kind
     if kind == "sl":
-        return MVal(cfg, frozenset(f(e) for e in m.data))
+        return MVal(cfg, frozenset(map(f, m.data)))
     if kind == "ga":
         return MVal(cfg, tuple(None if e is None else f(e) for e in m.data))
     if kind == "ca":
-        return MVal(cfg, _map_ca(f, m.data))
+        return MVal(cfg, _merge(m.data, f))
     if kind == "gc":
-        return MVal(cfg, tuple(_map_ca(f, dist) for dist in m.data))
-    acc: dict = {}
-    add = cfg.semiring.add
-    for e, w in m.data:
-        k = f(e)
-        acc[k] = add(acc[k], w) if k in acc else w
-    entries = [(e, w) for e, w in acc.items() if w != cfg.semiring.zero]
-    entries.sort(key=lambda kv: element_sort_key(kv[0]))
-    return MVal(cfg, tuple(entries))
-
-
-def _map_ca(f, dist):
-    acc: dict = {}
-    for e, mass in dist:
-        k = f(e)
-        acc[k] = acc.get(k, Fraction(0)) + mass
-    entries = sorted(acc.items(), key=lambda kv: element_sort_key(kv[0]))
-    return tuple(entries)
+        return MVal(cfg, tuple(_merge(dist, f) for dist in m.data))
+    sr = cfg.semiring
+    return MVal(cfg, _merge(m.data, f, sr.add, sr.zero))
 
 
 # ---------------------------------------------------------------------------
@@ -681,42 +690,26 @@ def eval_term(cfg: TheoryConfig, term: STerm, env: Mapping[Any, MVal]) -> MVal:
         return MVal(cfg, tuple(
             _convex(p, a, b) for a, b in zip(vals[0].data, vals[1].data)))
     if isinstance(sym, OplusSym):
-        acc = dict(vals[0].data)
-        add = cfg.semiring.add
-        zero = cfg.semiring.zero
-        for e, w in vals[1].data:
-            nw = add(acc[e], w) if e in acc else w
-            if nw == zero:
-                acc.pop(e, None)
-            else:
-                acc[e] = nw
-        entries = sorted(acc.items(), key=lambda kv: element_sort_key(kv[0]))
-        return MVal(cfg, tuple(entries))
+        sr = cfg.semiring
+        return MVal(cfg, _merge([*vals[0].data, *vals[1].data], add=sr.add, zero=sr.zero))
     if isinstance(sym, ScaleSym):
         w = sym.weight
         sr = cfg.semiring
         if not sr.contains(w):
             raise TheoryMismatchError(f"{w!r} is not a {sr.name} weight")
-        entries = []
-        for e, x in vals[0].data:
-            nx = sr.mul(w, x)
-            if nx != sr.zero:
-                entries.append((e, nx))
-        return MVal(cfg, tuple(entries))
+        scaled = ((e, sr.mul(w, x)) for e, x in vals[0].data)
+        return MVal(cfg, frozenset(kv for kv in scaled if kv[1] != sr.zero))
     raise TypeError(f"not an operator symbol: {sym!r}")
 
 
-def _convex(p: Fraction, left: tuple, right: tuple) -> tuple:
-    acc: dict = {}
-    if p != 0:
-        for e, mass in left:
-            acc[e] = acc.get(e, Fraction(0)) + p * mass
-    if p != 1:
-        q = 1 - p
-        for e, mass in right:
-            acc[e] = acc.get(e, Fraction(0)) + q * mass
-    entries = sorted(acc.items(), key=lambda kv: element_sort_key(kv[0]))
-    return tuple(entries)
+def _convex(p: Fraction, left: frozenset, right: frozenset) -> frozenset:
+    if p == 1:
+        return left
+    if p == 0:
+        return right
+    q = 1 - p
+    return _merge([(e, p * mass) for e, mass in left]
+                  + [(e, q * mass) for e, mass in right])
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +736,7 @@ def reify(m: MVal) -> STerm:
         return _ca_reify(m.data)
     if kind == "gc":
         return _guard_chain(cfg, [_ca_reify(dist) for dist in m.data])
-    entries = m.data
+    entries = _sorted_entries(m.data)
     if not entries:
         return SZERO
     t = SOp(ScaleSym(entries[-1][1]), (SVar(entries[-1][0]),))
@@ -752,11 +745,13 @@ def reify(m: MVal) -> STerm:
     return t
 
 
-def _ca_reify(dist: tuple) -> STerm:
-    """Left-nested convex chain with conditional probabilities; a trailing
-    choice against 0 carries any missing mass."""
+def _ca_reify(dist) -> STerm:
+    """Left-nested convex chain with conditional probabilities, over the
+    elements in canonical order; a trailing choice against 0 carries any
+    missing mass."""
     if not dist:
         return SZERO
+    dist = _sorted_entries(dist)
     total = sum(mass for _, mass in dist)
     t: STerm = SVar(dist[0][0])
     seen = dist[0][1]
@@ -821,12 +816,12 @@ def split(m: MVal, in_left: Callable[[Element], bool]) -> tuple[STerm, STerm, ST
         t2 = _guard_chain(cfg, [_ca_reify(p[2]) for p in parts])
         return s, t1, t2
     # smod
-    t1 = reify(MVal(cfg, tuple(kv for kv in m.data if kv[0] in left)))
-    t2 = reify(MVal(cfg, tuple(kv for kv in m.data if kv[0] not in left)))
+    t1 = reify(MVal(cfg, frozenset(kv for kv in m.data if kv[0] in left)))
+    t2 = reify(MVal(cfg, frozenset(kv for kv in m.data if kv[0] not in left)))
     return SOp(OPLUS, (U_VAR, V_VAR)), t1, t2
 
 
-def _split_dist(dist: tuple, left: frozenset):
+def _split_dist(dist: frozenset, left: frozenset):
     """One convex split: s over {u, v} plus the two conditional
     distributions (each with full mass 1, or empty when its side is)."""
     u_part = tuple(kv for kv in dist if kv[0] in left)

@@ -72,6 +72,33 @@ def sl_system(edges, root=None) -> System:
     return System(cfg, states, beta, root=root)
 
 
+# bad mass or weight entries a system document must reject
+BAD_ENTRIES = [
+    ("ca", {"p": "0", "a": "a", "t": "s0"}),
+    ("ca", {"p": "-1/2", "a": "a", "t": "s0"}),
+    ("ca", {"p": "1/0", "a": "a", "t": "s0"}),
+    ("ca", {"p": ["1"], "a": "a", "t": "s0"}),
+    ("ca", {"p": None, "a": "a", "t": "s0"}),
+    ("ca", {"p": float("inf"), "a": "a", "t": "s0"}),
+    ("ca", {"p": "1/2", "a": ["a"], "t": "s0"}),
+    ("smod:nat", {"w": "x", "a": "a", "t": "s0"}),
+    ("smod:nat", {"w": "1/2", "a": "a", "t": "s0"}),
+    ("smod:nat", {"w": ["1"], "a": "a", "t": "s0"}),
+    ("smod:rat", {"w": float("inf"), "a": "a", "t": "s0"}),
+    ("smod:rat", {"w": "0", "a": "a", "t": "s0"}),
+    ("smod:nat", {"w": "1", "a": {"a": 1}, "t": "s0"}),
+]
+
+
+def bad_entry_doc(selector, entry):
+    """A document whose only bad part is ``entry``, which follows good
+    entries."""
+    good = {"p": "1/4", "a": "b", "t": "s0"} if selector == "ca" else \
+        {"w": "1", "a": "b", "t": "s0"}
+    return {"theory": selector, "states": ["s0", "s1"],
+            "beta": {"s0": [good], "s1": [good, entry]}}
+
+
 def brute_bisimilar(sys1, x1, sys2, x2) -> bool:
     """Independent equivalence oracle: enumerate partitions on the union."""
     union, left, right = disjoint_union(sys1, sys2)

@@ -10,6 +10,7 @@ from starexpr.bisim import (
 )
 from starexpr.errors import LimitExceededError, TheoryMismatchError
 from starexpr.semantics import State, System, TICK, reachable, step
+from starexpr.solve import roundtrip
 from starexpr.syntax import Seq, Star, parse
 from starexpr.theory import (
     SEMIRINGS, Semiring, eta, mval_map, mval_smod, parse_selector, register_semiring,
@@ -232,6 +233,34 @@ def test_decide_equiv_is_equivalence_relation(cfg, rng):
             for e3 in exprs[:4]:
                 if decide_equiv(cfg, e1, e2) and decide_equiv(cfg, e2, e3):
                     assert decide_equiv(cfg, e1, e3)
+
+
+def _two_system_verdict(cfg, e1, e2):
+    """The verdict through two separate reachable systems and their union."""
+    sys1, root1 = reachable(cfg, e1)
+    sys2, root2 = reachable(cfg, e2)
+    return bisimilar(sys1, root1, sys2, root2)
+
+
+def test_decide_equiv_matches_two_system_path(cfg):
+    exprs = list(gen.corpus(cfg, 24, 6, seed=19))
+    pairs = list(zip(exprs, exprs[1:])) + [(e, roundtrip(cfg, e)) for e in exprs[:8]]
+    verdicts = [decide_equiv(cfg, e1, e2) for e1, e2 in pairs]
+    assert verdicts == [_two_system_verdict(cfg, e1, e2) for e1, e2 in pairs]
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("selector, unit", [("sl", "a"), ("ca", "(a (+1/2) b)")])
+def test_decide_equiv_on_long_chains_parsed_twice(selector, unit):
+    cfg = parse_selector(selector)
+    chain = " ; ".join([unit] * 450)
+    e1, e2 = parse(chain, cfg), parse(chain, cfg)
+    other = parse(" ; ".join([unit] * 449 + ["c"]), cfg)
+    assert e1 is not e2
+    assert decide_equiv(cfg, e1, e2)
+    assert not decide_equiv(cfg, e1, other)
+    assert not decide_equiv(cfg, other, e2)
+    assert not _two_system_verdict(cfg, e1, other)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 
+from conftest import BAD_ENTRIES, bad_entry_doc
 from starexpr.cli import run
 from starexpr.semantics import load_system
 from starexpr.syntax import parse
@@ -161,3 +162,12 @@ def test_fuzz_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.count("ok ") == 6
+
+
+def test_bad_document_values_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for selector, entry in BAD_ENTRIES:
+        path.write_text(json.dumps(bad_entry_doc(selector, entry)))
+        code, out, err = invoke(capsys, "minimize", str(path))
+        assert (code, out) == (2, ""), (selector, entry)
+        assert err.startswith("error: ")

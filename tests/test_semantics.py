@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sl_system
+from conftest import BAD_ENTRIES, bad_entry_doc, sl_system
 from starexpr import gen
 from starexpr.errors import DocumentError
 from starexpr.semantics import (
@@ -13,7 +13,8 @@ from starexpr.semantics import (
 )
 from starexpr.syntax import Act, Seq, compute_U, parse, print_expr
 from starexpr.theory import (
-    eta, eval_term, mval_ca, mval_map, mval_sl, parse_selector, reify, supp,
+    SEMIRINGS, Semiring, eta, eval_term, mval_ca, mval_map, mval_sl, parse_selector,
+    register_semiring, reify, supp,
 )
 
 SL = parse_selector("sl")
@@ -154,6 +155,39 @@ def test_load_rejects_zero_weight():
            "beta": {"s0": [{"w": "0", "a": "a", "t": "✓"}]}}
     with pytest.raises(DocumentError):
         load_system(doc)
+
+
+@pytest.mark.parametrize("selector, entry", BAD_ENTRIES)
+def test_load_rejects_bad_masses_and_weights(selector, entry):
+    with pytest.raises(DocumentError):
+        load_system(bad_entry_doc(selector, entry))
+
+
+def test_load_checks_weights_against_the_semiring():
+    # parse accepts any integer, but only even ones are weights
+    ring = register_semiring(Semiring(
+        "even", 0, 2, add=lambda a, b: a + b, mul=lambda a, b: a * b // 2,
+        parse=int, fmt=str, contains=lambda x: type(x) is int and x % 2 == 0,
+        sample=lambda rng: 2 * rng.randint(0, 2)))
+    def doc(w):
+        return {"theory": "smod:even", "states": ["s0"],
+                "beta": {"s0": [{"w": w, "a": "a", "t": "s0"}]}}
+
+    try:
+        assert dict(load_system(doc("4")).beta["s0"].data) == {("a", State("s0")): 4}
+        with pytest.raises(DocumentError, match="not a"):
+            load_system(doc("3"))
+    finally:
+        del SEMIRINGS[ring.name]
+
+
+@pytest.mark.parametrize("selector, key", [("ca", "p"), ("smod:nat", "w")])
+def test_load_rejects_duplicate_weighted_pairs(selector, key):
+    entry = {key: "1/4" if key == "p" else "1", "a": "a", "t": "s0"}
+    doc = {"theory": selector, "states": ["s0"], "beta": {"s0": [entry, dict(entry)]}}
+    with pytest.raises(DocumentError) as err:
+        load_system(doc)
+    assert "duplicate" in str(err.value)
 
 
 def test_load_rejects_partial_beta_and_missing_atoms():
