@@ -17,7 +17,7 @@ from functools import lru_cache, partial
 from .errors import DocumentError
 from .syntax import Act, Expr, Seq, Star, TOp, print_expr
 from .theory import (
-    MVal, SOp, SVar, TheoryConfig, _sorted_entries, element_sort_key, eta,
+    MVal, SOp, SVar, TheoryConfig, eta,
     eval_term, mval_map, mval_ga, mval_sl, parse_selector, supp,
 )
 
@@ -145,8 +145,19 @@ class System:
         return triples
 
 
+def _pair_key(pair):
+    """The order `element_sort_key` gives (action, target) pairs, computed
+    flat: actions are strings and targets are `Tick`, `State` or `Expr`."""
+    action, tgt = pair
+    return (action, type(tgt).__name__, tgt.sort_key())
+
+
+def _entry_key(entry):
+    return _pair_key(entry[0])
+
+
 def _sorted_support(m: MVal):
-    return sorted(supp(m), key=element_sort_key)
+    return sorted(supp(m), key=_pair_key)
 
 
 def reachable(cfg: TheoryConfig, e: Expr) -> tuple[System, str]:
@@ -221,12 +232,12 @@ def _mvalue_doc(cfg: TheoryConfig, m: MVal):
         return {atom: _dist_doc(dist) for atom, dist in zip(cfg.atoms, m.data)}
     sr = cfg.semiring
     return [{"w": sr.format(w), "a": e[0], "t": _target_doc(e[1])}
-            for e, w in _sorted_entries(m.data)]
+            for e, w in sorted(m.data, key=_entry_key)]
 
 
 def _dist_doc(dist):
     return [{"p": str(mass), "a": e[0], "t": _target_doc(e[1])}
-            for e, mass in _sorted_entries(dist)]
+            for e, mass in sorted(dist, key=_entry_key)]
 
 
 def export_system(sys: System) -> dict:

@@ -455,31 +455,73 @@ _BRANCH, _SCALE, _SEQ, _STAR, _ATOM = range(5)
 
 
 def print_expr(e: Expr) -> str:
-    """Minimal-parenthesization text; parsing it back yields an equal tree."""
-    return _print(e, _BRANCH)
+    """Minimal-parenthesization text; parsing it back yields an equal tree.
+
+    Each node object met more than once is rendered once per call, so the
+    cost follows the expression's DAG plus the length of its text."""
+    return _print(e, _BRANCH, _shared_nodes(e))
 
 
-def _print(e: Expr, minlevel: int) -> str:
+def _shared_nodes(root: Expr) -> dict:
+    """{id(node): None} for each node reached along more than one parent
+    edge.  Only their texts are worth keeping: keeping every node's text
+    would cost a text's length once per level of nesting above it."""
+    seen: set[int] = set()
+    shared: dict[int, None] = {}
+    stack = [root]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, TOp):
+            kids = e.args
+        elif isinstance(e, Seq):
+            kids = (e.left, e.right)
+        elif isinstance(e, Star):
+            kids = (e.body, e.exit)
+        else:
+            continue
+        for k in kids:
+            if id(k) in seen:
+                shared[id(k)] = None
+            else:
+                seen.add(id(k))
+                stack.append(k)
+    return shared
+
+
+def _print(e: Expr, minlevel: int, memo: dict) -> str:
+    # memo: id(shared node) -> None until rendered, then (unparenthesized
+    # text, precedence level); each parent adds the parentheses its own
+    # position needs.  The check stays in this one function, after the leaf
+    # cases: a wrapper would double the frames per level, and a builtin call
+    # at a leaf costs one more.
     if isinstance(e, Act):
         return e.name
-    if isinstance(e, TOp):
+    if isinstance(e, TOp) and isinstance(e.sym, ZeroSym):
+        return "0"
+    key = id(e)
+    done = memo.get(key)
+    if done is not None:
+        text, level = done
+    elif isinstance(e, TOp):
         sym = e.sym
-        if isinstance(sym, ZeroSym):
-            return "0"
         if isinstance(sym, ScaleSym):
-            text = f"{_weight_text(sym.weight)} . {_print(e.args[0], _SCALE)}"
+            text = f"{_weight_text(sym.weight)} . {_print(e.args[0], _SCALE, memo)}"
             level = _SCALE
         else:
-            text = f"{_print(e.args[0], _SCALE)} {sym.text()} {_print(e.args[1], _SCALE)}"
+            text = (f"{_print(e.args[0], _SCALE, memo)} {sym.text()} "
+                    f"{_print(e.args[1], _SCALE, memo)}")
             level = _BRANCH
     elif isinstance(e, Seq):
-        text = f"{_print(e.left, _STAR)} ; {_print(e.right, _SEQ)}"
+        text = f"{_print(e.left, _STAR, memo)} ; {_print(e.right, _SEQ, memo)}"
         level = _SEQ
     elif isinstance(e, Star):
-        text = f"{_print(e.body, _STAR)} *{{{term_text(e.loop)}}} {_print(e.exit, _ATOM)}"
+        text = (f"{_print(e.body, _STAR, memo)} *{{{term_text(e.loop)}}} "
+                f"{_print(e.exit, _ATOM, memo)}")
         level = _STAR
     else:
         raise TypeError(f"not an expression: {e!r}")
+    if done is None and key in memo:
+        memo[key] = (text, level)
     return f"({text})" if level < minlevel else text
 
 

@@ -18,6 +18,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import TheoryMismatchError, UnboundVariableError
@@ -268,7 +269,8 @@ def atom_expr(cfg: TheoryConfig, atom: str) -> BoolExpr:
 
 def atoms_expr(cfg: TheoryConfig, atoms: Iterable[str]) -> BoolExpr:
     """Disjunction of atom conjunctions; false if empty."""
-    chosen = [a for a in cfg.atoms if a in set(atoms)]
+    atoms = set(atoms)
+    chosen = [a for a in cfg.atoms if a in atoms]
     if not chosen:
         return BFalse()
     out: BoolExpr = atom_expr(cfg, chosen[0])
@@ -324,17 +326,22 @@ class PlusSym:
 
 class GuardSym:
     """Guarded choice +_b.  Two guard symbols are equal when their guards
-    agree on every atom, regardless of how the guard was written."""
+    agree on every atom, regardless of how the guard was written.  The
+    text is computed on first use; it is the same every time, so sharing
+    one symbol between threads is safe."""
 
-    __slots__ = ("expr", "sat")
+    __slots__ = ("expr", "sat", "_text")
     arity = 2
 
     def __init__(self, expr: BoolExpr, sat: frozenset[str]):
         self.expr = expr
         self.sat = sat
+        self._text = None
 
     def text(self):
-        return f"+[{bool_text(self.expr)}]"
+        if self._text is None:
+            self._text = f"+[{bool_text(self.expr)}]"
+        return self._text
 
     def __repr__(self):
         return f"GuardSym({bool_text(self.expr)})"
@@ -766,10 +773,18 @@ def _ca_reify(dist) -> STerm:
 def _guard_chain(cfg: TheoryConfig, slots: list[STerm]) -> STerm:
     """Right-nested guarded chain over the canonical atom order; the guard at
     position i selects exactly atom i, the final slot needs no guard."""
+    guards = _atom_guards(cfg)
     t = slots[-1]
     for i in range(len(slots) - 2, -1, -1):
-        t = SOp(guard_sym(cfg, atom_expr(cfg, cfg.atoms[i])), (slots[i], t))
+        t = SOp(guards[i], (slots[i], t))
     return t
+
+
+@lru_cache
+def _atom_guards(cfg: TheoryConfig) -> tuple[GuardSym, ...]:
+    """One guard symbol per atom, selecting exactly that atom; shared by
+    every chain of the theory, so printing renders each guard once."""
+    return tuple(guard_sym(cfg, atom_expr(cfg, atom)) for atom in cfg.atoms)
 
 
 # ---------------------------------------------------------------------------

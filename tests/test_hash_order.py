@@ -54,15 +54,18 @@ def test_load_and_refine_sort_nothing(monkeypatch):
     sys_ = gen.rand_system(random.Random(5), cfg, 200)
     text = json.dumps(export_system(sys_))
     calls = 0
-    sort_key = theory.element_sort_key
 
-    def counting(x):
-        nonlocal calls
-        calls += 1
-        return sort_key(x)
+    def counted(f):
+        def counting(x):
+            nonlocal calls
+            calls += 1
+            return f(x)
+        return counting
 
-    monkeypatch.setattr(theory, "element_sort_key", counting)
-    monkeypatch.setattr(semantics, "element_sort_key", counting)
+    # the generic key and the flat key that exports use for (action, target)
+    # pairs
+    monkeypatch.setattr(theory, "element_sort_key", counted(theory.element_sort_key))
+    monkeypatch.setattr(semantics, "_pair_key", counted(semantics._pair_key))
     loaded = load_system(json.loads(text))
     part = refine(loaded)
     assert loaded.beta == sys_.beta and len(part) == 200

@@ -9,12 +9,13 @@ from conftest import BAD_ENTRIES, bad_entry_doc, sl_system
 from starexpr import gen
 from starexpr.errors import DocumentError
 from starexpr.semantics import (
-    State, System, TICK, export_dot, export_system, load_system, reachable, step,
+    State, System, TICK, _pair_key, export_dot, export_system, load_system, reachable,
+    step,
 )
 from starexpr.syntax import Act, Seq, compute_U, parse, print_expr
 from starexpr.theory import (
-    SEMIRINGS, Semiring, eta, eval_term, mval_ca, mval_map, mval_sl, parse_selector,
-    register_semiring, reify, supp,
+    SEMIRINGS, Semiring, element_sort_key, eta, eval_term, mval_ca, mval_map, mval_sl,
+    parse_selector, register_semiring, reify, supp,
 )
 
 SL = parse_selector("sl")
@@ -106,6 +107,18 @@ def test_step_term_substitution_agrees_with_relabelling(cfg, rng):
         u_val = eval_term(cfg, t, env)
         expected = eval_term(cfg, s, {"u": u_val, "v": step(cfg, e2)})
         assert expected == step(cfg, star)
+
+
+def test_flat_pair_key_orders_as_element_sort_key(cfg):
+    # successors of corpus expressions and of every state reachable from
+    # them: Expr and Tick targets, then State targets
+    for e in gen.corpus(cfg, 60, 8, seed=13):
+        sys_, _ = reachable(cfg, e)
+        for x in sys_.states:
+            for m in (step(cfg, sys_.exprs[x]), sys_.beta[x]):
+                pairs = list(supp(m))
+                assert len({_pair_key(p) for p in pairs}) == len(pairs)
+                assert sorted(pairs, key=_pair_key) == sorted(pairs, key=element_sort_key)
 
 
 # ---------------------------------------------------------------------------

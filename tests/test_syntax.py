@@ -1,16 +1,17 @@
 """Grammar, printing, and structural measures."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from starexpr import gen
+from starexpr import gen, theory
 from starexpr.errors import ParseError
 from starexpr.syntax import (
     Act, Seq, Star, TOp, compute_U, parse, print_expr, star_height,
 )
 from starexpr.theory import (
-    ChoiceSym, PLUS, SOp, SVar, SZERO, parse_selector,
+    BAnd, BTest, ChoiceSym, PLUS, SOp, SVar, SZERO, guard_sym, parse_selector,
 )
 
 
@@ -125,6 +126,73 @@ def test_print_parse_round_trip_random(cfg, rng):
         e = gen.rand_expr(rng, cfg, 1 + i % 9)
         text = print_expr(e)
         assert parse(text, cfg) == e, text
+
+
+def _unshared(e):
+    """A structurally equal tree that shares no node object."""
+    if isinstance(e, Act):
+        return Act(e.name)
+    if isinstance(e, TOp):
+        return TOp(e.sym, [_unshared(a) for a in e.args])
+    if isinstance(e, Seq):
+        return Seq(_unshared(e.left), _unshared(e.right))
+    return Star(_unshared(e.body), e.loop, _unshared(e.exit))
+
+
+def test_print_shared_node_parenthesized_per_parent():
+    # one node, first met as a branch argument (no parentheses), then as a
+    # Seq left child, a Star body and a Star exit (parentheses)
+    shared = Seq(Act("a"), TOp(PLUS, (Act("b"), Act("c"))))
+    loop = SOp(PLUS, (SVar("u"), SVar("v")))
+    dag = TOp(PLUS, (shared, Seq(shared, Star(shared, loop, shared))))
+    text = print_expr(dag)
+    assert text == "a ; (b + c) + (a ; (b + c)) ; (a ; (b + c)) *{u + v} (a ; (b + c))"
+    assert text == print_expr(_unshared(dag))
+    assert parse(text, SL) == dag
+
+
+def test_print_renders_a_shared_guard_once(monkeypatch):
+    ga = parse_selector("ga:tests=p,q")
+    e = TOp(guard_sym(ga, BAnd(BTest("p"), BTest("q"))), (Act("a"), Act("b")))
+    for _ in range(16):
+        e = Seq(e, e)
+    calls = 0
+    bool_text = theory.bool_text
+
+    def counting(b):
+        nonlocal calls
+        calls += 1
+        return bool_text(b)
+
+    monkeypatch.setattr(theory, "bool_text", counting)
+    text = print_expr(e)
+    assert calls == 1
+    assert text == print_expr(_unshared(e))
+
+
+def test_print_keeps_no_text_per_nesting_level():
+    # a shared subexpression under 800 unshared levels: keeping every
+    # level's text would take about 800 times the output's length
+    x = TOp(PLUS, (Act("a"), Act("b")))
+    for _ in range(13):
+        x = Seq(x, x)
+    e = x
+    for _ in range(800):
+        e = Seq(Act("a"), e)
+    tracemalloc.start()
+    try:
+        text = print_expr(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * len(text)
+
+
+def test_print_long_seq_chain():
+    e = Act("a")
+    for _ in range(899):
+        e = Seq(Act("a"), e)
+    assert print_expr(e) == " ; ".join(["a"] * 900)
 
 
 def test_star_height_examples():

@@ -8,7 +8,7 @@ from starexpr import gen
 from starexpr.errors import TheoryMismatchError, UnboundVariableError
 from starexpr.theory import (
     BAnd, BNot, BTest, ChoiceSym, OPLUS, PLUS, SEMIRINGS, SOp, SVar,
-    SZERO, ScaleSym, element_sort_key, eta, eval_term, guard_sym,
+    SZERO, ScaleSym, atoms_expr, bool_text, element_sort_key, eta, eval_term, guard_sym,
     mval_ca, mval_ga, mval_sl, mval_smod, mval_map, parse_selector,
     reify, split, supp, term_variables,
 )
@@ -117,6 +117,12 @@ def test_guard_symbols_compare_by_atom_semantics():
     rhs = guard_sym(ga, BNot(BNot(BTest("p"))))
     assert lhs == rhs and hash(lhs) == hash(rhs)
     assert lhs != guard_sym(ga, BAnd(BTest("p"), BTest("q")))
+
+
+def test_atoms_expr_reads_an_iterator_once():
+    ga = parse_selector("ga:tests=p,q")
+    assert bool_text(atoms_expr(ga, (a for a in ["01", "10"]))) == "!p & q | p & !q"
+    assert bool_text(atoms_expr(ga, [])) == "false"
 
 
 # ---------------------------------------------------------------------------
