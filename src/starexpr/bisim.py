@@ -14,7 +14,7 @@ from __future__ import annotations
 from .errors import LimitExceededError, TheoryMismatchError
 from .semantics import State, System, TICK, reachable_from
 from .syntax import Expr
-from .theory import TheoryConfig, mval_map, supp
+from .theory import TheoryConfig, flat_signer, mval_map, supp
 
 Partition = dict[str, int]
 
@@ -31,6 +31,10 @@ def _mapped_value(sys: System, x: str, block: Partition):
         return (action, block[tgt.sid])
 
     return mval_map(relabel, sys.beta[x])
+
+
+def _target_key(tgt):
+    return tgt if tgt is TICK else tgt.sid
 
 
 def _dense(sys: System, block: Partition) -> Partition:
@@ -66,8 +70,16 @@ def refine(sys: System) -> Partition:
     The largest part of a split block keeps its id, so a state moves at
     most log2(n) times.  After a round that moved over half the states,
     all states are re-signed, which is cheaper than walking predecessors.
-    For n states and m transitions the work is O((n + m) log n)."""
-    block: Partition = {x: 0 for x in sys.states}
+    For n states and m transitions the work is O((n + m) log n).
+
+    A state is signed from a flat row of its transitions, built once per
+    call by the theory's `flat_signer`: targets are looked up in ``block``,
+    where the tick target has its own block -1."""
+    n = len(sys.states)
+    rows, sign = flat_signer(sys.cfg, (sys.beta[x] for x in sys.states), _target_key)
+    row = dict(zip(sys.states, rows))
+    block: dict = {x: 0 for x in sys.states}
+    block[TICK] = -1
     members: dict[int, set[str]] = {0: set(sys.states)}
     sig: dict[int, object] = {}  # the signature the clean states of a block share
     preds = None
@@ -77,7 +89,7 @@ def refine(sys: System) -> Partition:
         touched: dict[int, dict] = {}
         for x in dirty:
             groups = touched.setdefault(block[x], {})
-            groups.setdefault(_mapped_value(sys, x, block), []).append(x)
+            groups.setdefault(sign(row[x], block), []).append(x)
         moved: list[str] = []
         for b, groups in touched.items():
             old = members[b]
@@ -101,9 +113,9 @@ def refine(sys: System) -> Partition:
                 for x in xs:
                     block[x] = new
                 moved += xs
-        if not moved or len(members) == len(block):  # stable, or all singletons
+        if not moved or len(members) == n:  # stable, or all singletons
             break
-        if 2 * len(moved) > len(block):
+        if 2 * len(moved) > n:
             # each state moves at most log2(n) times, so such rounds are few
             dirty = dict.fromkeys(sys.states)
             continue

@@ -179,12 +179,18 @@ def _body_returns(src, dst, body_adj) -> bool:
     return False
 
 
+def _body_graph(sys: System, lab: Labelling) -> dict:
+    """Adjacency lists of the body transitions, each sorted."""
+    return _pair_graph({(x, y) for x, _, y in set(sys.state_transitions()) - lab.entry})
+
+
 def loops_around(sys: System, lab: Labelling) -> frozenset[tuple[str, str]]:
     """x loops around to y: an entry step from x followed by body steps,
     never revisiting x, ends at y."""
-    triples = sys.state_transitions()
-    body_pairs = {(x, y) for x, _, y in set(triples) - set(lab.entry)}
-    body_adj = _pair_graph(body_pairs)
+    return _loops_around(sys, lab, _body_graph(sys, lab))
+
+
+def _loops_around(sys: System, lab: Labelling, body_adj: dict) -> frozenset[tuple[str, str]]:
     out = set()
     for x in sys.states:
         targets = {y for (src, _, y) in lab.entry if src == x and y != x}
@@ -218,7 +224,7 @@ def check_well_layered(sys: System, lab: Labelling) -> LayerVerdict:
         if x != y and not _body_returns(x, y, body_adj):
             return LayerVerdict(False, 2, (x, y))
 
-    loops = loops_around(sys, lab)
+    loops = _loops_around(sys, lab, body_adj)
     loop_adj = _pair_graph(loops)
     cycle = _find_cycle(sys.states, loop_adj)
     if cycle is not None:
@@ -263,12 +269,16 @@ def measures(sys: System, lab: Labelling) -> dict[str, tuple[int, int]]:
     Both are finite exactly when the labelling is well layered; a cycle in
     either graph raises LayeringError.
     """
-    triples = set(sys.state_transitions())
-    body_adj = _pair_graph({(x, y) for x, _, y in triples - lab.entry})
-    loop_adj = _pair_graph(loops_around(sys, lab))
+    return _loops_and_measures(sys, lab)[1]
+
+
+def _loops_and_measures(sys: System, lab: Labelling):
+    """`loops_around` and `measures` from one body graph."""
+    body_adj = _body_graph(sys, lab)
+    loops = _loops_around(sys, lab, body_adj)
     bo = _longest_paths(sys.states, body_adj, "body transitions")
-    en = _longest_paths(sys.states, loop_adj, "the loops-around relation")
-    return {x: (en[x], bo[x]) for x in sys.states}
+    en = _longest_paths(sys.states, _pair_graph(loops), "the loops-around relation")
+    return loops, {x: (en[x], bo[x]) for x in sys.states}
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +331,15 @@ def _subsets_by_weight(weights: list[int]):
         yield from rec(0, target, ())
 
 
+def _entry_candidates(pairs) -> list[tuple[str, str]]:
+    """The pairs that entry sets choose from, in order: no self-loops (they
+    are forced entry), and no pair whose target cannot reach its source,
+    since such an entry pair fails condition 2 in every entry set.  Dropping
+    them keeps the order of the remaining entry sets."""
+    adj = _pair_graph(pairs)
+    return [(x, y) for x, y in pairs if x != y and _body_returns(x, y, adj)]
+
+
 def search_labelling(sys: System) -> Labelling | None:
     """Find some well-layered labelling by exhaustive search, or None.
 
@@ -340,7 +359,7 @@ def search_labelling(sys: System) -> Labelling | None:
         pair_triples.setdefault((x, y), []).append((x, a, y))
     pairs = sorted(pair_triples)
     forced = frozenset(p for p in pairs if p[0] == p[1])
-    optional = [p for p in pairs if p[0] != p[1]]
+    optional = _entry_candidates(pairs)
     weights = [len(pair_triples[p]) for p in optional]
     all_pairs = frozenset(pairs)
     accepts = {x: sys.accepts(x) for x in sys.states}

@@ -18,7 +18,7 @@ from .errors import DocumentError
 from .syntax import Act, Expr, Seq, Star, TOp, print_expr
 from .theory import (
     MVal, SOp, SVar, TheoryConfig, eta,
-    eval_term, mval_map, mval_ga, mval_sl, parse_selector, supp,
+    eval_term, mval_map, mval_ga, mval_sl, parse_rational, parse_selector, supp,
 )
 
 
@@ -275,7 +275,7 @@ def _parse_number(raw, parse, what: str):
 
 
 def _parse_mass(raw) -> Fraction:
-    mass = Fraction(raw)
+    mass = parse_rational(raw)
     if mass <= 0:
         raise ValueError("masses must be positive")
     return mass

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .bisim import decide_equiv, minimize
 from .errors import LayeringError, LimitExceededError, StarexprError
 from .layering import (
-    Labelling, check_well_layered, loops_around, measures, search_labelling,
+    Labelling, _loops_and_measures, check_well_layered, search_labelling,
     syntactic_labelling,
 )
 from .semantics import System, TICK, reachable
@@ -50,8 +50,7 @@ class _Solver:
     def __init__(self, sys: System, lab: Labelling):
         self.sys = sys
         self.lab = lab
-        self.loops = loops_around(sys, lab)
-        self.meas = measures(sys, lab)  # raises on ill-layered input
+        self.loops, self.meas = _loops_and_measures(sys, lab)  # raises on ill-layered input
         self.tau_memo: dict[tuple[str, str], Expr] = {}
         self.tau_running: set[tuple[str, str]] = set()
 

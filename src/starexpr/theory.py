@@ -76,8 +76,22 @@ def _parse_bool_weight(text: str) -> bool:
     raise ValueError(f"boolean weight must be 0 or 1, got {text!r}")
 
 
+def parse_rational(raw) -> Fraction:
+    """``Fraction(raw)``, with plain ASCII ``m`` and ``m/n`` strings read
+    directly as ``Fraction(int(m), int(n))``; every other input goes to
+    ``Fraction(raw)`` unchanged, so values and exceptions are the same."""
+    if type(raw) is str and raw.isascii():
+        num, slash, den = raw.partition("/")
+        if num.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isdigit():
+                return Fraction(int(num), int(den))
+    return Fraction(raw)
+
+
 def _parse_nonneg_rational(text: str) -> Fraction:
-    value = Fraction(text)
+    value = parse_rational(text)
     if value < 0:
         raise ValueError(f"negative weight: {text!r}")
     return value
@@ -140,6 +154,8 @@ class TheoryConfig:
     tests: tuple[str, ...] = ()
     semiring: Semiring | None = None
     atoms: tuple[str, ...] = field(init=False, compare=False)
+    # every value hashes its config, so the hash is computed once
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -162,6 +178,10 @@ class TheoryConfig:
         elif self.semiring is not None:
             raise ValueError(f"theory {self.kind} takes no semiring")
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "_hash", hash((self.kind, self.tests, self.semiring)))
+
+    def __hash__(self):
+        return self._hash
 
     def selector(self) -> str:
         """Render the selector string that `parse_selector` accepts."""
@@ -655,6 +675,101 @@ def mval_map(f: Callable[[Element], Element], m: MVal) -> MVal:
         return MVal(cfg, tuple(_merge(dist, f) for dist in m.data))
     sr = cfg.semiring
     return MVal(cfg, _merge(m.data, f, sr.add, sr.zero))
+
+
+# ---------------------------------------------------------------------------
+# flat signatures
+
+
+def weight_key(w):
+    """An exact key for a weight: two keys are equal exactly when the
+    weights are ``==``.  Numbers key as (numerator, denominator), so ``1``
+    and ``Fraction(1)`` meet, and a key hashes without the modular inverse
+    that `Fraction.__hash__` computes.  Any other weight is its own key, so
+    a semiring must not mix it with equal weights of another type (``1.0``
+    and ``1``)."""
+    if type(w) is Fraction:  # read the slots; the properties are Python calls
+        return (w._numerator, w._denominator)
+    if isinstance(w, (int, Fraction)):
+        return (w.numerator, w.denominator)
+    return w
+
+
+def flat_signer(cfg: TheoryConfig, values: Iterable[MVal],
+                key: Callable[[Any], Any]) -> tuple[list, Callable]:
+    """Flatten values over (label, target) pairs once, for repeated signing.
+
+    Returns one row per value, in order, and ``sign(row, labels)``: a
+    hashable signature of the value with each target ``t`` relabelled to
+    ``labels[key(t)]``.  Two signatures are equal exactly when the values
+    relabelled by `mval_map` are.  Signatures are plain tuples and
+    frozensets; weights appear as `weight_key`s computed once per entry, and
+    the weights of pairs that meet are added with the theory's addition,
+    keyed again, and dropped when they sum to zero, as `mval_map` does.
+    `gc` signs its per-atom distributions as one, tagging labels by atom.
+    """
+    kind = cfg.kind
+    if kind == "sl":
+        return [_pair_row(m.data, key) for m in values], _sign_set
+    if kind == "ga":
+        return [_pair_row(m.data, key) for m in values], _sign_table
+    if kind == "ca":
+        return [_weighted_row(m.data, key) for m in values], _sign_weighted
+    if kind == "gc":
+        rows = [_weighted_row([(((i, a), t), w) for i, dist in enumerate(m.data)
+                              for (a, t), w in dist], key)
+                for m in values]
+        return rows, _sign_weighted
+    sr = cfg.semiring
+    add, zero = sr.add, sr.zero
+
+    def sign(row, labels):
+        return _sign_weighted(row, labels, add, zero)
+
+    rows = [_weighted_row([kv for kv in m.data if kv[1] != zero], key) for m in values]
+    return rows, sign
+
+
+def _pair_row(elems, key) -> tuple[tuple, tuple]:
+    """(labels, target keys); a dead `ga` branch (None) keeps None in both."""
+    if None in elems:
+        acts = tuple([None if e is None else e[0] for e in elems])
+        return acts, tuple([None if e is None else key(e[1]) for e in elems])
+    if not elems:
+        return (), ()
+    acts, targets = zip(*elems)
+    return acts, tuple(map(key, targets))
+
+
+def _weighted_row(pairs, key) -> tuple:
+    """(labels, target keys, weights, weight keys, whether the labels are
+    distinct: then no two pairs can meet)."""
+    if not pairs:
+        return (), (), (), (), True
+    elems, weights = zip(*pairs)
+    acts, targets = zip(*elems)
+    return (acts, tuple(map(key, targets)), weights, tuple(map(weight_key, weights)),
+            len(set(acts)) == len(acts))
+
+
+def _sign_set(row, labels) -> frozenset:
+    acts, keys = row
+    return frozenset(zip(acts, map(labels.__getitem__, keys)))
+
+
+def _sign_table(row, labels) -> tuple:
+    acts, keys = row
+    return tuple(zip(acts, map(labels.get, keys)))  # labels.get(None) is None
+
+
+def _sign_weighted(row, labels, add=operator.add, zero=None) -> frozenset:
+    """A frozenset of (label, target label, weight key) triples."""
+    acts, keys, weights, wkeys, distinct = row
+    tlabels = list(map(labels.__getitem__, keys))
+    if distinct or len(set(zip(acts, tlabels))) == len(acts):
+        return frozenset(zip(acts, tlabels, wkeys))
+    merged = _merge(zip(zip(acts, tlabels), weights), add=add, zero=zero)
+    return frozenset((a, b, weight_key(w)) for (a, b), w in merged)
 
 
 # ---------------------------------------------------------------------------

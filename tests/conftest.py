@@ -90,6 +90,20 @@ BAD_ENTRIES = [
 ]
 
 
+# mass and weight strings at the edge of plain "m" and "m/n": the first five
+# are rational numbers, the rest are not
+RATIONAL_EDGES = ["007/014", " 1/2", "1.5", "1_0/3", "\u0663/4"]
+NOT_RATIONAL_EDGES = ["\u00b2", "1/0", "", "/", "1/"]
+
+
+def weighted_doc(selector, raw):
+    """A one-state document whose only entry carries the mass or weight
+    ``raw``."""
+    key = "p" if selector == "ca" else "w"
+    return {"theory": selector, "states": ["s0"],
+            "beta": {"s0": [{key: raw, "a": "a", "t": "s0"}]}}
+
+
 def bad_entry_doc(selector, entry):
     """A document whose only bad part is ``entry``, which follows good
     entries."""

@@ -1,5 +1,7 @@
 """Partition refinement, the enumeration oracle, minimization, equivalence."""
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import brute_bisimilar, sl_system
@@ -13,8 +15,8 @@ from starexpr.semantics import State, System, TICK, reachable, step
 from starexpr.solve import roundtrip
 from starexpr.syntax import Seq, Star, parse
 from starexpr.theory import (
-    SEMIRINGS, Semiring, eta, mval_map, mval_smod, parse_selector, register_semiring,
-    reify, term_variables,
+    SEMIRINGS, MVal, Semiring, eta, flat_signer, mval_map, mval_smod, parse_selector,
+    register_semiring, reify, term_variables,
 )
 
 SL = parse_selector("sl")
@@ -129,16 +131,76 @@ def test_refine_work_is_near_linear_on_a_chain(monkeypatch):
     chain = sl_system({f"s{i}": [("a", f"s{i + 1}" if i + 1 < n else TICK)]
                        for i in range(n)})
     calls = 0
-    mapped_value = bisim._mapped_value
+    flat_signer = bisim.flat_signer
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return mapped_value(*args)
+    def counting_signer(*args):
+        rows, sign = flat_signer(*args)
 
-    monkeypatch.setattr(bisim, "_mapped_value", counting)
+        def counting(*sign_args):
+            nonlocal calls
+            calls += 1
+            return sign(*sign_args)
+
+        return rows, counting
+
+    monkeypatch.setattr(bisim, "flat_signer", counting_signer)
     assert len(set(refine(chain).values())) == n
-    assert calls <= 4 * n
+    assert n <= calls <= 4 * n
+
+
+def _weighted_system(cfg, edges):
+    """A system from {state: {(action, 'state' | TICK): weight}}; values are
+    built directly, so weights keep their numeric types."""
+    beta = {x: MVal(cfg, frozenset(((a, TICK if t is TICK else State(t)), w)
+                                   for (a, t), w in pairs.items()))
+            for x, pairs in edges.items()}
+    return System(cfg, tuple(edges), beta)
+
+
+@pytest.mark.parametrize("selector", ["ca", "smod:rat"])
+def test_refine_adds_the_weights_of_pairs_that_meet(selector):
+    cfg = parse_selector(selector)
+    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    sys_ = _weighted_system(cfg, {
+        "x": {("a", "y1"): third, ("a", "y2"): sixth},
+        "z": {("a", "y1"): half},
+        "w": {("a", "y1"): third},
+        "y1": {("b", TICK): half},
+        "y2": {("b", TICK): half},
+    })
+    part = refine(sys_)
+    assert part == brute_bisim(sys_) == {"x": 0, "z": 0, "w": 1, "y1": 2, "y2": 2}
+
+
+@pytest.mark.parametrize("selector", ["ca", "smod:rat"])
+def test_refine_compares_weights_across_numeric_types(selector):
+    cfg = parse_selector(selector)
+    sys_ = _weighted_system(cfg, {
+        "x": {("a", "y"): 1},
+        "z": {("a", "y"): Fraction(1)},
+        "u": {("a", "y"): Fraction(1, 2), ("a", "v"): Fraction(1, 2)},
+        "w": {("a", "y"): Fraction(1, 2)},
+        "y": {("b", TICK): True},
+        "v": {("b", TICK): Fraction(1)},
+    })
+    assert sys_.beta["x"] == sys_.beta["z"]
+    part = refine(sys_)
+    assert part == brute_bisim(sys_) == {"x": 0, "z": 0, "u": 0, "w": 1, "y": 2, "v": 2}
+
+
+def test_flat_signatures_agree_with_mapped_values(cfg, rng):
+    for _ in range(40):
+        sys_ = gen.rand_system(rng, cfg, rng.randint(1, 12), ("a", "b"))
+        rows, sign = flat_signer(cfg, (sys_.beta[x] for x in sys_.states),
+                                 bisim._target_key)
+        row = dict(zip(sys_.states, rows))
+        # few blocks, so that pairs meet and their weights add up
+        block = {x: rng.randint(0, 2) for x in sys_.states}
+        labels = {**block, TICK: -1}
+        for x in sys_.states:
+            for y in sys_.states:
+                same = bisim._mapped_value(sys_, x, block) == bisim._mapped_value(sys_, y, block)
+                assert (sign(row[x], labels) == sign(row[y], labels)) == same
 
 
 def test_bisimilar_requires_matching_theories():

@@ -2,7 +2,7 @@
 
 import json
 
-from conftest import BAD_ENTRIES, bad_entry_doc
+from conftest import BAD_ENTRIES, NOT_RATIONAL_EDGES, bad_entry_doc, weighted_doc
 from starexpr.cli import run
 from starexpr.semantics import load_system
 from starexpr.syntax import parse
@@ -171,3 +171,13 @@ def test_bad_document_values_exit_2(tmp_path, capsys):
         code, out, err = invoke(capsys, "minimize", str(path))
         assert (code, out) == (2, ""), (selector, entry)
         assert err.startswith("error: ")
+
+
+def test_masses_that_are_not_rationals_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for selector in ("ca", "smod:rat"):
+        for raw in NOT_RATIONAL_EDGES:
+            path.write_text(json.dumps(weighted_doc(selector, raw)))
+            code, out, err = invoke(capsys, "minimize", str(path))
+            assert (code, out) == (2, ""), (selector, raw)
+            assert err.startswith("error: bad ")

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import all_valid_labellings, corpus, sl_system
+from starexpr import gen, layering
 from starexpr.bisim import minimize
 from starexpr.errors import LayeringError, LimitExceededError
 from starexpr.layering import (
@@ -222,6 +223,34 @@ def test_search_succeeds_on_minimized_corpus(cfg):
         lab = search_labelling(msys)
         assert lab is not None, print_expr(e)
         assert check_well_layered(msys, lab).ok
+
+
+def test_search_finds_what_the_unfiltered_enumeration_finds(cfg, rng, monkeypatch):
+    systems = []
+    for e in corpus(cfg.selector()):
+        sys_, _ = reachable(cfg, e)
+        systems += [sys_, minimize(sys_)[0]]
+    systems = [s for s in systems if len(s.state_transitions()) <= 20]
+    # random systems are often not well layered, so the search runs through
+    # every entry set; few transitions keep that quick
+    randoms = (gen.rand_system(rng, cfg, rng.randint(2, 6), ("a", "b")) for _ in range(30))
+    systems += [s for s in randoms if len(s.state_transitions()) <= 12]
+    checks = 0
+    pair_level_ok = layering._pair_level_ok
+
+    def counting(*args):
+        nonlocal checks
+        checks += 1
+        return pair_level_ok(*args)
+
+    monkeypatch.setattr(layering, "_pair_level_ok", counting)
+    found = [search_labelling(s) for s in systems]
+    filtered_checks, checks = checks, 0
+    monkeypatch.setattr(layering, "_entry_candidates",
+                        lambda pairs: [(x, y) for x, y in pairs if x != y])
+    assert [search_labelling(s) for s in systems] == found
+    assert filtered_checks <= checks
+    assert any(lab is not None for lab in found)
 
 
 def test_labelling_documents_round_trip():

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import BAD_ENTRIES, bad_entry_doc, sl_system
+from conftest import (
+    BAD_ENTRIES, NOT_RATIONAL_EDGES, RATIONAL_EDGES, bad_entry_doc, sl_system, weighted_doc,
+)
 from starexpr import gen
 from starexpr.errors import DocumentError
 from starexpr.semantics import (
@@ -174,6 +176,19 @@ def test_load_rejects_zero_weight():
 def test_load_rejects_bad_masses_and_weights(selector, entry):
     with pytest.raises(DocumentError):
         load_system(bad_entry_doc(selector, entry))
+
+
+@pytest.mark.parametrize("raw", NOT_RATIONAL_EDGES + ["-1/2"])
+@pytest.mark.parametrize("selector", ["ca", "smod:rat"])
+def test_load_rejects_strings_that_are_not_positive_rationals(selector, raw):
+    with pytest.raises(DocumentError):
+        load_system(weighted_doc(selector, raw))
+
+
+@pytest.mark.parametrize("raw", RATIONAL_EDGES)
+def test_load_reads_rational_weights_as_fraction_does(raw):
+    sys_ = load_system(weighted_doc("smod:rat", raw))
+    assert dict(sys_.beta["s0"].data) == {("a", State("s0")): Fraction(raw)}
 
 
 def test_load_checks_weights_against_the_semiring():

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import NOT_RATIONAL_EDGES, RATIONAL_EDGES
 from starexpr import gen
 from starexpr.errors import TheoryMismatchError, UnboundVariableError
 from starexpr.theory import (
     BAnd, BNot, BTest, ChoiceSym, OPLUS, PLUS, SEMIRINGS, SOp, SVar,
     SZERO, ScaleSym, atoms_expr, bool_text, element_sort_key, eta, eval_term, guard_sym,
-    mval_ca, mval_ga, mval_sl, mval_smod, mval_map, parse_selector,
-    reify, split, supp, term_variables,
+    mval_ca, mval_ga, mval_sl, mval_smod, mval_map, parse_rational, parse_selector,
+    reify, split, supp, term_variables, weight_key,
 )
 
 
@@ -36,6 +37,30 @@ def test_bad_selectors_rejected():
     for text in ["xyz", "sl:tests=p", "smod", "smod:float", "ca:tests=p"]:
         with pytest.raises(ValueError):
             parse_selector(text)
+
+
+def _outcome(parse, raw):
+    try:
+        return parse(raw)
+    except Exception as exc:  # the exception type is the outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize("raw", RATIONAL_EDGES + NOT_RATIONAL_EDGES + [
+    "-1/2", "12", "0/5", "1 /2", "+1", None, 2, 1.5, ["1"],
+    pytest.param("9" * 5000, id="5000-digits"),
+    pytest.param("1/" + "9" * 5000, id="5000-digit-denominator")])
+def test_parse_rational_matches_fraction(raw):
+    expected, got = _outcome(Fraction, raw), _outcome(parse_rational, raw)
+    assert got == expected and type(got) is type(expected)
+
+
+def test_weight_keys_meet_exactly_when_weights_are_equal():
+    weights = [0, 1, 2, True, False, Fraction(0), Fraction(1), Fraction(1, 2),
+               Fraction(2, 4), Fraction(3, 2), -1, Fraction(-1)]
+    for v in weights:
+        for w in weights:
+            assert (weight_key(v) == weight_key(w)) == (v == w), (v, w)
 
 
 def test_semiring_laws_on_random_elements(rng):
