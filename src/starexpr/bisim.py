@@ -12,9 +12,9 @@ decides provable equivalence of expressions.
 from __future__ import annotations
 
 from .errors import LimitExceededError, TheoryMismatchError
-from .semantics import State, System, TICK, reachable_from
+from .semantics import System, TICK, reachable_from
 from .syntax import Expr
-from .theory import TheoryConfig, flat_signer, mval_map, supp
+from .theory import TheoryConfig, mval_map, relabel_row, row_signer
 
 Partition = dict[str, int]
 
@@ -33,29 +33,19 @@ def _mapped_value(sys: System, x: str, block: Partition):
     return mval_map(relabel, sys.beta[x])
 
 
-def _target_key(tgt):
-    return tgt if tgt is TICK else tgt.sid
-
-
-def _dense(sys: System, block: Partition) -> Partition:
+def _dense(sys: System, block: list[int]) -> Partition:
     """Renumber blocks to 0..k-1 by first occurrence in state order."""
     ids: dict[int, int] = {}
-    out = {}
-    for x in sys.states:
-        b = block[x]
-        if b not in ids:
-            ids[b] = len(ids)
-        out[x] = ids[b]
-    return out
+    return {x: ids.setdefault(b, len(ids)) for x, b in zip(sys.states, block)}
 
 
-def _predecessors(sys: System) -> dict[str, list[str]]:
+def _predecessors(sys: System) -> list[list[int]]:
     """For every state, the states with a transition into it."""
-    preds: dict[str, list[str]] = {x: [] for x in sys.states}
-    for x in sys.states:
-        for _, tgt in supp(sys.beta[x]):
-            if tgt is not TICK:
-                preds[tgt.sid].append(x)
+    preds: list[list[int]] = [[] for _ in sys.states]
+    for x, row in enumerate(sys.rows):
+        for t in row[1]:
+            if t >= 0:
+                preds[t].append(x)
     return preds
 
 
@@ -72,25 +62,23 @@ def refine(sys: System) -> Partition:
     all states are re-signed, which is cheaper than walking predecessors.
     For n states and m transitions the work is O((n + m) log n).
 
-    A state is signed from a flat row of its transitions, built once per
-    call by the theory's `flat_signer`: targets are looked up in ``block``,
-    where the tick target has its own block -1."""
+    States are signed from the system's rows by the theory's `row_signer`:
+    targets are looked up in the list ``block``, whose last entry, at the
+    tick target's index -1, is the tick's own block -1."""
     n = len(sys.states)
-    rows, sign = flat_signer(sys.cfg, (sys.beta[x] for x in sys.states), _target_key)
-    row = dict(zip(sys.states, rows))
-    block: dict = {x: 0 for x in sys.states}
-    block[TICK] = -1
-    members: dict[int, set[str]] = {0: set(sys.states)}
+    rows, sign = sys.rows, row_signer(sys.cfg)
+    block = [0] * n + [-1]
+    members: dict[int, set[int]] = {0: set(range(n))}
     sig: dict[int, object] = {}  # the signature the clean states of a block share
     preds = None
-    dirty = dict.fromkeys(sys.states)
+    dirty = dict.fromkeys(range(n))
     while dirty:
         # sign every dirty state against the same partition before moving any
         touched: dict[int, dict] = {}
         for x in dirty:
             groups = touched.setdefault(block[x], {})
-            groups.setdefault(sign(row[x], block), []).append(x)
-        moved: list[str] = []
+            groups.setdefault(sign(rows[x], block), []).append(x)
+        moved: list[int] = []
         for b, groups in touched.items():
             old = members[b]
             clean = len(old) - sum(map(len, groups.values()))
@@ -117,7 +105,7 @@ def refine(sys: System) -> Partition:
             break
         if 2 * len(moved) > n:
             # each state moves at most log2(n) times, so such rounds are few
-            dirty = dict.fromkeys(sys.states)
+            dirty = dict.fromkeys(range(n))
             continue
         if preds is None:
             preds = _predecessors(sys)
@@ -179,7 +167,7 @@ def brute_bisim(sys: System) -> Partition:
     good.sort(key=lambda p: len(set(p.values())))
     for cand in good:
         if all(_coarser_eq(cand, other, states) for other in good):
-            return _dense(sys, cand)
+            return _dense(sys, [cand[x] for x in sys.states])
     raise AssertionError("no coarsest behavioural partition; functor misbehaves")
 
 
@@ -191,19 +179,12 @@ def disjoint_union(sys1: System, sys2: System) -> tuple[System, dict, dict]:
             f"cannot combine {sys1.cfg.selector()} with {sys2.cfg.selector()}")
     left = {x: f"l:{x}" for x in sys1.states}
     right = {x: f"r:{x}" for x in sys2.states}
-
-    def relabel(names):
-        def f(pair):
-            action, tgt = pair
-            if tgt is TICK:
-                return (action, TICK)
-            return (action, State(names[tgt.sid]))
-        return f
-
-    states = tuple(left[x] for x in sys1.states) + tuple(right[x] for x in sys2.states)
-    beta = {left[x]: mval_map(relabel(left), sys1.beta[x]) for x in sys1.states}
-    beta.update({right[x]: mval_map(relabel(right), sys2.beta[x]) for x in sys2.states})
-    return System(sys1.cfg, states, beta), left, right
+    states = tuple(left.values()) + tuple(right.values())
+    n = len(sys1.states)
+    # targets sit at index 1 of every row layout; tick stays -1
+    shifted = [(row[0], tuple([t + n if t >= 0 else t for t in row[1]]), *row[2:])
+               for row in sys2.rows]
+    return System.from_rows(sys1.cfg, states, sys1.rows + shifted), left, right
 
 
 def bisimilar(sys1: System, x1: str, sys2: System, x2: str) -> bool:
@@ -217,26 +198,20 @@ def minimize(sys: System) -> tuple[System, dict[str, str]]:
     """Quotient by behavioural equivalence.
 
     Returns the quotient system and the quotient map h, which is a system
-    homomorphism; in the result, equivalence of states is equality.
+    homomorphism; in the result, equivalence of states is equality.  Each
+    block's row is the row of its first state with targets relabelled to
+    blocks, merging the weights of pairs that meet.
     """
     part = refine(sys)
     h = {x: f"b{part[x]}" for x in sys.states}
-
-    def relabel(pair):
-        action, tgt = pair
-        if tgt is TICK:
-            return (action, TICK)
-        return (action, State(h[tgt.sid]))
-
-    states: list[str] = []
-    beta = {}
-    for x in sys.states:
-        bx = h[x]
-        if bx not in beta:
-            states.append(bx)
-            beta[bx] = mval_map(relabel, sys.beta[x])
+    labels = [part[x] for x in sys.states] + [-1]
+    first: dict[int, int] = {}  # block id -> its first state; ids are dense
+    for x, b in enumerate(labels[:-1]):
+        first.setdefault(b, x)
+    rows = [relabel_row(sys.cfg, sys.rows[x], labels) for x in first.values()]
+    states = tuple(f"b{b}" for b in first)
     root = h[sys.root] if sys.root is not None else None
-    return System(sys.cfg, tuple(states), beta, root=root), h
+    return System.from_rows(sys.cfg, states, rows, root=root), h
 
 
 def decide_equiv(cfg: TheoryConfig, e1: Expr, e2: Expr) -> bool:

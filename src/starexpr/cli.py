@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success / equivalent; 1 inequivalent verdicts or fuzz
-failures; 2 usage and parse errors; 3 exceeded guard bounds.
+failures; 2 usage and parse errors; 3 exceeded guard bounds; 4 internal
+errors (a defect in starexpr, reported in one line and never as 1).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .theory import (
     TheoryConfig, eta, eval_term, mval_map, parse_selector, reify, split, supp,
 )
 
-USAGE_EXIT, VERDICT_EXIT, BOUND_EXIT = 2, 1, 3
+USAGE_EXIT, VERDICT_EXIT, BOUND_EXIT, INTERNAL_EXIT = 2, 1, 3, 4
 
 
 def _cfg(args) -> TheoryConfig:
@@ -46,11 +47,14 @@ class _Usage(Exception):
 
 
 def _read_doc(path: str):
-    if path == "-":
-        text = _sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    try:
+        if path == "-":
+            text = _sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except OSError as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -399,6 +403,9 @@ def run(argv=None) -> int:
     except (LayeringError, StarexprError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return USAGE_EXIT
+    except Exception as exc:  # a defect: exit 1 would read as a verdict
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=_sys.stderr)
+        return INTERNAL_EXIT
 
 
 def main() -> None:

@@ -389,7 +389,8 @@ def labelling_from_doc(doc, sys: System) -> Labelling:
     present = set(sys.state_transitions())
     entry = set()
     for item in raw:
-        if not isinstance(item, list) or len(item) != 3:
+        if (not isinstance(item, list) or len(item) != 3
+                or not all(isinstance(v, str) for v in item)):
             raise DocumentError(f"bad entry triple: {item!r}")
         triple = tuple(item)
         if triple not in present:

@@ -12,13 +12,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 from .errors import DocumentError
 from .syntax import Act, Expr, Seq, Star, TOp, print_expr
 from .theory import (
-    MVal, SOp, SVar, TheoryConfig, eta,
-    eval_term, mval_map, mval_ga, mval_sl, parse_rational, parse_selector, supp,
+    MVal, SOp, SVar, TheoryConfig, eta, eval_term, flat_rows, mval_map, pair_row,
+    parse_rational, parse_selector, row_support, row_value, supp, weighted_row,
 )
 
 
@@ -54,9 +54,6 @@ class State:
 
     def __repr__(self):
         return f"State({self.sid})"
-
-
-Target = Tick | State
 
 
 # ---------------------------------------------------------------------------
@@ -108,41 +105,65 @@ def _push(cont: Expr):
 # finite systems
 
 
-@dataclass
 class System:
     """A finite system: ordered states and a total transition map.
+
+    States are dense indices into ``states``.  The transition map is stored
+    once, as one flat row per state in the layout of `theory.flat_rows`,
+    with state targets as indices and the tick target as -1; refinement,
+    minimization and the exports read the rows directly.  ``beta`` is a view
+    of the rows as values over (action, State | TICK) pairs, built on first
+    read and cached.
 
     ``exprs`` carries expression provenance when the system was built by
     `reachable`; imported or minimized systems have none.  Treat instances
     as immutable after construction.
     """
 
-    cfg: TheoryConfig
-    states: tuple[str, ...]
-    beta: dict[str, MVal]
-    root: str | None = None
-    exprs: dict[str, Expr] | None = None
+    def __init__(self, cfg: TheoryConfig, states, beta: dict[str, MVal],
+                 root: str | None = None, exprs: dict[str, Expr] | None = None):
+        """A system from values over (action, State | TICK) pairs, which are
+        flattened into rows once."""
+        index = {x: i for i, x in enumerate(states)}
 
-    def actions(self) -> tuple[str, ...]:
-        seen = set()
-        for m in self.beta.values():
-            seen.update(a for a, _ in supp(m))
-        return tuple(sorted(seen))
+        def key(tgt):
+            return -1 if tgt is TICK else index[tgt.sid]
+
+        rows = flat_rows(cfg, [beta[x] for x in states], key)
+        self.cfg, self.states, self.rows, self.root, self.exprs = \
+            cfg, tuple(states), rows, root, exprs
+
+    @classmethod
+    def from_rows(cls, cfg: TheoryConfig, states: tuple[str, ...], rows: list,
+                  root: str | None = None, exprs: dict[str, Expr] | None = None) -> System:
+        """A system from rows laid out as by `theory.flat_rows`."""
+        sys = cls.__new__(cls)
+        sys.cfg, sys.states, sys.rows, sys.root, sys.exprs = cfg, states, rows, root, exprs
+        return sys
+
+    # The views below are computed on first read; computing one twice gives
+    # equal results, so sharing a system between threads stays safe.
+
+    @cached_property
+    def beta(self) -> dict[str, MVal]:
+        targets = [State(x) for x in self.states] + [TICK]
+        return {x: row_value(self.cfg, row, targets) for x, row in zip(self.states, self.rows)}
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {x: i for i, x in enumerate(self.states)}
 
     def accepts(self, x: str) -> bool:
-        return any(tgt is TICK for _, tgt in supp(self.beta[x]))
+        return -1 in self.rows[self.index[x]][1]
 
     def state_transitions(self) -> list[tuple[str, str, str]]:
         """All state-to-state transitions (src, action, dst), canonically
         ordered; tick transitions are not included."""
-        index = {x: i for i, x in enumerate(self.states)}
-        triples = []
-        for x in self.states:
-            for a, tgt in supp(self.beta[x]):
-                if tgt is not TICK:
-                    triples.append((x, a, tgt.sid))
-        triples.sort(key=lambda t: (index[t[0]], t[1], index[t[2]]))
-        return triples
+        triples = [(i, a, t) for i, row in enumerate(self.rows)
+                   for a, t in row_support(self.cfg, row) if t >= 0]
+        triples.sort()
+        states = self.states
+        return [(states[i], a, states[t]) for i, a, t in triples]
 
 
 def _pair_key(pair):
@@ -150,14 +171,6 @@ def _pair_key(pair):
     flat: actions are strings and targets are `Tick`, `State` or `Expr`."""
     action, tgt = pair
     return (action, type(tgt).__name__, tgt.sort_key())
-
-
-def _entry_key(entry):
-    return _pair_key(entry[0])
-
-
-def _sorted_support(m: MVal):
-    return sorted(supp(m), key=_pair_key)
 
 
 def reachable(cfg: TheoryConfig, e: Expr) -> tuple[System, str]:
@@ -175,69 +188,77 @@ def reachable_from(cfg: TheoryConfig, roots) -> tuple[System, list[str]]:
 
     Roots are explored breadth-first in the given order, so the first root
     is ``s0`` and is the system's root.  Returns the system and the state
-    id of each root (equal roots share one).
+    id of each root (equal roots share one).  Successors are interned as
+    state indices straight into the rows.
     """
-    intern: dict[Expr, str] = {}
+    intern: dict[Expr, int] = {}
     order: list[Expr] = []
-    steps: dict[Expr, MVal] = {}
+    steps: list[MVal] = []
     for r in roots:
         if r in intern:
             continue
-        intern[r] = f"s{len(intern)}"
+        intern[r] = len(order)
         order.append(r)
         queue = deque([r])
         while queue:
-            x = queue.popleft()
-            m = _step(cfg, x)
-            steps[x] = m
-            for _, tgt in _sorted_support(m):
+            m = _step(cfg, queue.popleft())
+            steps.append(m)
+            for _, tgt in sorted(supp(m), key=_pair_key):
                 if tgt is not TICK and tgt not in intern:
-                    intern[tgt] = f"s{len(intern)}"
+                    intern[tgt] = len(order)
                     order.append(tgt)
                     queue.append(tgt)
 
-    def relabel(pair):
-        action, tgt = pair
-        if tgt is TICK:
-            return (action, TICK)
-        return (action, State(intern[tgt]))
+    def key(tgt):
+        return -1 if tgt is TICK else intern[tgt]
 
-    states = tuple(intern[x] for x in order)
-    beta = {intern[x]: mval_map(relabel, steps[x]) for x in order}
-    exprs = {intern[x]: x for x in order}
-    return System(cfg, states, beta, root="s0", exprs=exprs), [intern[r] for r in roots]
+    states = tuple(f"s{i}" for i in range(len(order)))
+    sys = System.from_rows(cfg, states, flat_rows(cfg, steps, key), root="s0",
+                           exprs=dict(zip(states, order)))
+    return sys, [states[intern[r]] for r in roots]
 
 
 # ---------------------------------------------------------------------------
 # documents
 
 
-def _target_doc(tgt: Target) -> str:
-    return "✓" if tgt is TICK else tgt.sid
+def _doc_key(entry):
+    """The export order of (action, target id, ...) entries: by action,
+    then state targets before tick ("✓", never a state id), then by id
+    string."""
+    return (entry[0], entry[1] == "✓", entry[1])
 
 
-def _mvalue_doc(cfg: TheoryConfig, m: MVal):
+def _row_doc(cfg: TheoryConfig, row, names):
+    """The document form of a row; ``names[t]`` is the id of target t."""
     kind = cfg.kind
+    acts, targets = row[0], [names[t] for t in row[1]]
     if kind == "sl":
-        pairs = _sorted_support(m)
-        return [[a, _target_doc(t)] for a, t in pairs]
+        return [[a, t] for a, t in sorted(zip(acts, targets), key=_doc_key)]
     if kind == "ga":
-        return {
-            atom: (None if entry is None else [entry[0], _target_doc(entry[1])])
-            for atom, entry in zip(cfg.atoms, m.data)
-        }
+        doc = dict.fromkeys(cfg.atoms)
+        for (i, a), t in zip(acts, targets):
+            doc[cfg.atoms[i]] = [a, t]
+        return doc
     if kind == "ca":
-        return _dist_doc(m.data)
+        return _dist_doc(zip(acts, targets, row[2]))
     if kind == "gc":
-        return {atom: _dist_doc(dist) for atom, dist in zip(cfg.atoms, m.data)}
-    sr = cfg.semiring
-    return [{"w": sr.format(w), "a": e[0], "t": _target_doc(e[1])}
-            for e, w in sorted(m.data, key=_entry_key)]
+        dists: list[list] = [[] for _ in cfg.atoms]
+        for (i, a), t, mass in zip(acts, targets, row[2]):
+            dists[i].append((a, t, mass))
+        return {atom: _dist_doc(dist) for atom, dist in zip(cfg.atoms, dists)}
+    fmt = cfg.semiring.format
+    return [{"w": fmt(w), "a": a, "t": t}
+            for a, t, w in sorted(zip(acts, targets, row[2]), key=_doc_key)]
 
 
-def _dist_doc(dist):
-    return [{"p": str(mass), "a": e[0], "t": _target_doc(e[1])}
-            for e, mass in sorted(dist, key=_entry_key)]
+def _dist_doc(entries):
+    return [{"p": str(mass), "a": a, "t": t} for a, t, mass in sorted(entries, key=_doc_key)]
+
+
+def _target_names(sys: System) -> list[str]:
+    """Target ids by index; the tick target, -1, is "✓"."""
+    return [*sys.states, "✓"]
 
 
 def export_system(sys: System) -> dict:
@@ -248,11 +269,12 @@ def export_system(sys: System) -> dict:
     }
     if sys.root is not None:
         doc["root"] = sys.root
-    doc["beta"] = {x: _mvalue_doc(sys.cfg, sys.beta[x]) for x in sys.states}
+    names = _target_names(sys)
+    doc["beta"] = {x: _row_doc(sys.cfg, row, names) for x, row in zip(sys.states, sys.rows)}
     return doc
 
 
-def _parse_target(raw, targets: dict[str, Target]) -> Target:
+def _parse_target(raw, targets: dict[str, int]) -> int:
     try:
         return targets[raw]
     except (KeyError, TypeError):
@@ -290,12 +312,16 @@ def _parse_weight(sr, raw):
     return w
 
 
-def _parse_weighted(raw, targets, field: str, parse, what: str) -> dict:
-    """The {(action, target): weight} map of a list of weighted entries."""
+def _parse_weighted(raw, targets, field: str, parse, what: str) -> tuple[list, list, list]:
+    """The parallel actions, targets and weights of a list of weighted
+    entries."""
     if not isinstance(raw, list):
         raise DocumentError(f"expected a list of weighted entries, got {raw!r}")
     keys = {field, "a", "t"}
-    acc: dict = {}
+    acts: list = []
+    tgts: list = []
+    weights: list = []
+    seen: set = set()
     for item in raw:
         if not isinstance(item, dict) or item.keys() != keys:
             raise DocumentError(f"expected {{'{field}','a','t'}} entry, got {item!r}")
@@ -304,23 +330,26 @@ def _parse_weighted(raw, targets, field: str, parse, what: str) -> dict:
         if not isinstance(action, str):
             raise DocumentError(f"action must be a string, got {item!r}")
         pair = (action, _parse_target(item["t"], targets))
-        if pair in acc:
+        if pair in seen:
             raise DocumentError(f"duplicate weighted pair: {item!r}")
-        acc[pair] = w
-    return acc
+        seen.add(pair)
+        acts.append(action)
+        tgts.append(pair[1])
+        weights.append(w)
+    return acts, tgts, weights
 
 
-def _parse_dist(raw, targets) -> frozenset:
-    acc = _parse_weighted(raw, targets, "p", _parse_mass, "probability")
-    total = sum(acc.values())
+def _parse_dist(raw, targets) -> tuple[list, list, list]:
+    acts, tgts, masses = _parse_weighted(raw, targets, "p", _parse_mass, "probability")
+    total = sum(masses)
     if total > 1:
         raise DocumentError(f"total mass {total} exceeds 1")
-    return frozenset(acc.items())
+    return acts, tgts, masses
 
 
-def _parse_mvalue(cfg: TheoryConfig, raw, targets: dict) -> MVal:
-    """Parse and validate one transition value.  The value is built
-    directly: the checks here are all its constructor would make."""
+def _parse_row(cfg: TheoryConfig, raw, targets: dict[str, int]) -> tuple:
+    """Parse and validate one transition value into its row.  The checks
+    here are all the value's constructor would make."""
     kind = cfg.kind
     if kind == "sl":
         if not isinstance(raw, list):
@@ -328,19 +357,25 @@ def _parse_mvalue(cfg: TheoryConfig, raw, targets: dict) -> MVal:
         pairs = [_parse_pair(item, targets) for item in raw]
         if len(set(pairs)) != len(pairs):
             raise DocumentError("duplicate transition pair")
-        return mval_sl(cfg, pairs)
+        return pair_row(pairs)
     if kind in ("ga", "gc") and (not isinstance(raw, dict) or raw.keys() != set(cfg.atoms)):
         raise DocumentError(f"{kind} value must map every atom of {list(cfg.atoms)}")
     if kind == "ga":
-        return mval_ga(cfg, tuple(
-            None if raw[atom] is None else _parse_pair(raw[atom], targets)
-            for atom in cfg.atoms))
+        pairs = [(i, _parse_pair(raw[atom], targets)) for i, atom in enumerate(cfg.atoms)
+                 if raw[atom] is not None]
+        return pair_row([((i, a), t) for i, (a, t) in pairs])
     if kind == "ca":
-        return MVal(cfg, _parse_dist(raw, targets))
+        return weighted_row(*_parse_dist(raw, targets))
     if kind == "gc":
-        return MVal(cfg, tuple(_parse_dist(raw[atom], targets) for atom in cfg.atoms))
+        acts, tgts, masses = [], [], []
+        for i, atom in enumerate(cfg.atoms):
+            dist = _parse_dist(raw[atom], targets)
+            acts += [(i, a) for a in dist[0]]
+            tgts += dist[1]
+            masses += dist[2]
+        return weighted_row(acts, tgts, masses)
     parse = partial(_parse_weight, cfg.semiring)
-    return MVal(cfg, frozenset(_parse_weighted(raw, targets, "w", parse, "weight").items()))
+    return weighted_row(*_parse_weighted(raw, targets, "w", parse, "weight"))
 
 
 def load_system(doc) -> System:
@@ -362,15 +397,15 @@ def load_system(doc) -> System:
     states = tuple(raw_states)
     state_set = set(states)
     raw_beta = doc["beta"]
-    if not isinstance(raw_beta, dict) or set(raw_beta) != state_set:
+    if not isinstance(raw_beta, dict) or raw_beta.keys() != state_set:
         raise DocumentError("beta must be total on the declared states")
-    targets: dict[str, Target] = {x: State(x) for x in states}
-    targets["✓"] = TICK
-    beta = {x: _parse_mvalue(cfg, raw_beta[x], targets) for x in states}
+    targets = {x: i for i, x in enumerate(states)}
+    targets["✓"] = -1
+    rows = [_parse_row(cfg, raw_beta[x], targets) for x in states]
     root = doc.get("root")
-    if root is not None and root not in state_set:
+    if root is not None and (not isinstance(root, str) or root not in state_set):
         raise DocumentError(f"root {root!r} is not a state")
-    return System(cfg, states, beta, root=root)
+    return System.from_rows(cfg, states, rows, root=root)
 
 
 # ---------------------------------------------------------------------------
@@ -381,25 +416,26 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _edge_label(cfg: TheoryConfig, m: MVal, pair) -> str:
-    action, tgt = pair
+def _edge_labels(cfg: TheoryConfig, row, names) -> dict:
+    """One label per support pair (action, target id) of a row."""
     kind = cfg.kind
+    acts, targets = row[0], [names[t] for t in row[1]]
     if kind == "sl":
-        return action
-    if kind == "ga":
-        atoms = [a for a, e in zip(cfg.atoms, m.data) if e == pair]
-        return f"{action} [{','.join(atoms)}]"
+        return {(a, t): a for a, t in zip(acts, targets)}
     if kind == "ca":
-        mass = dict(m.data)[pair]
-        return f"{action} {mass}"
-    if kind == "gc":
-        parts = []
-        for atom, dist in zip(cfg.atoms, m.data):
-            for e, mass in dist:
-                if e == pair:
-                    parts.append(f"{atom}:{mass}")
-        return f"{action} [{','.join(parts)}]"
-    return f"{action} w={cfg.semiring.format(dict(m.data)[pair])}"
+        return {(a, t): f"{a} {mass}" for a, t, mass in zip(acts, targets, row[2])}
+    if kind == "smod":
+        fmt = cfg.semiring.format
+        return {(a, t): f"{a} w={fmt(w)}" for a, t, w in zip(acts, targets, row[2])}
+    # ga and gc: a pair may occur at several atoms; rows are in atom order
+    parts: dict = {}
+    if kind == "ga":
+        for (i, a), t in zip(acts, targets):
+            parts.setdefault((a, t), []).append(cfg.atoms[i])
+    else:
+        for (i, a), t, mass in zip(acts, targets, row[2]):
+            parts.setdefault((a, t), []).append(f"{cfg.atoms[i]}:{mass}")
+    return {(a, t): f"{a} [{','.join(p)}]" for (a, t), p in parts.items()}
 
 
 def export_dot(sys: System) -> str:
@@ -408,32 +444,31 @@ def export_dot(sys: System) -> str:
     lines = ["digraph system {", "  rankdir=LR;"]
     if sys.root is not None:
         lines.append("  __start [shape=point];")
-    has_tick = any(sys.accepts(x) for x in sys.states)
-    if has_tick:
+    if any(-1 in row[1] for row in sys.rows):
         lines.append('  "✓" [shape=doublecircle];')
     for x in sys.states:
-        shape = "circle"
-        lines.append(f"  {_dot_quote(x)} [shape={shape}];")
+        lines.append(f"  {_dot_quote(x)} [shape=circle];")
     if sys.root is not None:
         lines.append(f"  __start -> {_dot_quote(sys.root)};")
-    for x in sys.states:
-        m = sys.beta[x]
-        for pair in _sorted_support(m):
-            label = _edge_label(sys.cfg, m, pair)
-            tgt = "✓" if pair[1] is TICK else pair[1].sid
-            lines.append(
-                f"  {_dot_quote(x)} -> {_dot_quote(tgt)} [label={_dot_quote(label)}];")
+    names = _target_names(sys)
+    for x, row in zip(sys.states, sys.rows):
+        labels = _edge_labels(sys.cfg, row, names)
+        for pair in sorted(labels, key=_doc_key):
+            lines.append(f"  {_dot_quote(x)} -> {_dot_quote(pair[1])} "
+                         f"[label={_dot_quote(labels[pair])}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def step_doc(cfg: TheoryConfig, m: MVal) -> object:
     """Render a step value with expression targets as printed text."""
+    names: list[str] = []
 
-    def relabel(pair):
-        action, tgt = pair
+    def key(tgt):
         if tgt is TICK:
-            return (action, TICK)
-        return (action, State(print_expr(tgt)))
+            return -1
+        names.append(print_expr(tgt))
+        return len(names) - 1
 
-    return _mvalue_doc(cfg, mval_map(relabel, m))
+    (row,) = flat_rows(cfg, [m], key)
+    return _row_doc(cfg, row, names + ["✓"])

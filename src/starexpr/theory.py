@@ -569,13 +569,18 @@ def _merge(pairs, f=_identity, add=operator.add, zero=None) -> frozenset:
     """Relabel the elements of weighted pairs through f and add up the
     weights of elements that meet; drop sums equal to ``zero`` (None: the
     weights are positive masses, which never cancel)."""
+    return frozenset(_merged(pairs, f, add, zero))
+
+
+def _merged(pairs, f=_identity, add=operator.add, zero=None) -> list:
+    """`_merge` as a list, in the order elements first occur."""
     acc: dict = {}
     for e, w in pairs:
         k = f(e)
         acc[k] = add(acc[k], w) if k in acc else w
     if zero is None:
-        return frozenset(acc.items())
-    return frozenset(kv for kv in acc.items() if kv[1] != zero)
+        return list(acc.items())
+    return [kv for kv in acc.items() if kv[1] != zero]
 
 
 def _norm_ca(mapping: Mapping[Element, Fraction]) -> frozenset:
@@ -678,7 +683,7 @@ def mval_map(f: Callable[[Element], Element], m: MVal) -> MVal:
 
 
 # ---------------------------------------------------------------------------
-# flat signatures
+# flat rows
 
 
 def weight_key(w):
@@ -695,61 +700,112 @@ def weight_key(w):
     return w
 
 
-def flat_signer(cfg: TheoryConfig, values: Iterable[MVal],
-                key: Callable[[Any], Any]) -> tuple[list, Callable]:
-    """Flatten values over (label, target) pairs once, for repeated signing.
+def flat_rows(cfg: TheoryConfig, values: Iterable[MVal],
+              key: Callable[[Any], Any]) -> list:
+    """Flatten values over (label, target) pairs into one row each.
 
-    Returns one row per value, in order, and ``sign(row, labels)``: a
-    hashable signature of the value with each target ``t`` relabelled to
-    ``labels[key(t)]``.  Two signatures are equal exactly when the values
-    relabelled by `mval_map` are.  Signatures are plain tuples and
-    frozensets; weights appear as `weight_key`s computed once per entry, and
-    the weights of pairs that meet are added with the theory's addition,
-    keyed again, and dropped when they sum to zero, as `mval_map` does.
-    `gc` signs its per-atom distributions as one, tagging labels by atom.
+    Each target ``t`` becomes ``key(t)``; systems key states by index and
+    the tick target by -1.  The layout, per kind:
+
+      sl    (labels, targets)
+      ga    (atom-tagged labels, targets): one (atom index, label) entry per
+            live atom, in atom order
+      ca    (labels, targets, weights, weight keys, whether the labels are
+            distinct: then no two pairs can meet)
+      gc    as ca, with atom-tagged labels in atom order
+      smod  as ca; zero weights are left out
+
+    Rows are plain tuples: `row_signer` signs them, `relabel_row` maps their
+    targets, `row_value` and `row_support` read them back.
     """
     kind = cfg.kind
     if kind == "sl":
-        return [_pair_row(m.data, key) for m in values], _sign_set
+        return [pair_row([(a, key(t)) for a, t in m.data]) for m in values]
     if kind == "ga":
-        return [_pair_row(m.data, key) for m in values], _sign_table
-    if kind == "ca":
-        return [_weighted_row(m.data, key) for m in values], _sign_weighted
-    if kind == "gc":
-        rows = [_weighted_row([(((i, a), t), w) for i, dist in enumerate(m.data)
-                              for (a, t), w in dist], key)
+        return [pair_row([((i, e[0]), key(e[1])) for i, e in enumerate(m.data)
+                          if e is not None])
                 for m in values]
-        return rows, _sign_weighted
+    if kind == "ca":
+        return [_weighted_row([(a, key(t), w) for (a, t), w in m.data]) for m in values]
+    if kind == "gc":
+        return [_weighted_row([((i, a), key(t), w) for i, dist in enumerate(m.data)
+                               for (a, t), w in dist])
+                for m in values]
+    zero = cfg.semiring.zero
+    return [_weighted_row([(a, key(t), w) for (a, t), w in m.data if w != zero])
+            for m in values]
+
+
+def pair_row(pairs) -> tuple[tuple, tuple]:
+    """The (labels, targets) row of (label, target) pairs."""
+    if not pairs:
+        return (), ()
+    return tuple(zip(*pairs))
+
+
+def weighted_row(labels, targets, weights) -> tuple:
+    """The row of parallel labels, targets and nonzero weights."""
+    labels = tuple(labels)
+    return (labels, tuple(targets), tuple(weights), tuple(map(weight_key, weights)),
+            len(set(labels)) == len(labels))
+
+
+def _weighted_row(entries) -> tuple:
+    if not entries:
+        return (), (), (), (), True
+    return weighted_row(*zip(*entries))
+
+
+def row_support(cfg: TheoryConfig, row) -> set:
+    """The (label, target) pairs of a row's support."""
+    if cfg.kind == "ga" or cfg.kind == "gc":
+        return {(a, t) for (_, a), t in zip(row[0], row[1])}
+    return set(zip(row[0], row[1]))
+
+
+def row_value(cfg: TheoryConfig, row, targets) -> MVal:
+    """The value a row stands for, with each target ``t`` read as
+    ``targets[t]``."""
+    kind = cfg.kind
+    pairs = zip(row[0], map(targets.__getitem__, row[1]))
+    if kind == "sl":
+        return MVal(cfg, frozenset(pairs))
+    if kind == "ga":
+        data = [None] * len(cfg.atoms)
+        for (i, a), t in pairs:
+            data[i] = (a, t)
+        return MVal(cfg, tuple(data))
+    if kind != "gc":
+        return MVal(cfg, frozenset(zip(pairs, row[2])))
+    dists: list[list] = [[] for _ in cfg.atoms]
+    for ((i, a), t), w in zip(pairs, row[2]):
+        dists[i].append(((a, t), w))
+    return MVal(cfg, tuple(map(frozenset, dists)))
+
+
+def row_signer(cfg: TheoryConfig) -> Callable:
+    """``sign(row, labels)``: a hashable signature of a row with each
+    target ``t`` relabelled to ``labels[t]``.  Two signatures are equal
+    exactly when the values relabelled by `mval_map` are.  Signatures are
+    plain tuples and frozensets; weights appear as their `weight_key`s, and
+    the weights of pairs that meet are added with the theory's addition,
+    keyed again, and dropped when they sum to zero, as `mval_map` does.
+    `gc` signs its per-atom distributions as one, with atom-tagged labels.
+    """
+    kind = cfg.kind
+    if kind == "sl":
+        return _sign_set
+    if kind == "ga":
+        return _sign_table
+    if kind == "ca" or kind == "gc":
+        return _sign_weighted
     sr = cfg.semiring
     add, zero = sr.add, sr.zero
 
     def sign(row, labels):
         return _sign_weighted(row, labels, add, zero)
 
-    rows = [_weighted_row([kv for kv in m.data if kv[1] != zero], key) for m in values]
-    return rows, sign
-
-
-def _pair_row(elems, key) -> tuple[tuple, tuple]:
-    """(labels, target keys); a dead `ga` branch (None) keeps None in both."""
-    if None in elems:
-        acts = tuple([None if e is None else e[0] for e in elems])
-        return acts, tuple([None if e is None else key(e[1]) for e in elems])
-    if not elems:
-        return (), ()
-    acts, targets = zip(*elems)
-    return acts, tuple(map(key, targets))
-
-
-def _weighted_row(pairs, key) -> tuple:
-    """(labels, target keys, weights, weight keys, whether the labels are
-    distinct: then no two pairs can meet)."""
-    if not pairs:
-        return (), (), (), (), True
-    elems, weights = zip(*pairs)
-    acts, targets = zip(*elems)
-    return (acts, tuple(map(key, targets)), weights, tuple(map(weight_key, weights)),
-            len(set(acts)) == len(acts))
+    return sign
 
 
 def _sign_set(row, labels) -> frozenset:
@@ -758,8 +814,9 @@ def _sign_set(row, labels) -> frozenset:
 
 
 def _sign_table(row, labels) -> tuple:
+    # one entry per live atom, in atom order, so a tuple is canonical
     acts, keys = row
-    return tuple(zip(acts, map(labels.get, keys)))  # labels.get(None) is None
+    return tuple(zip(acts, map(labels.__getitem__, keys)))
 
 
 def _sign_weighted(row, labels, add=operator.add, zero=None) -> frozenset:
@@ -770,6 +827,26 @@ def _sign_weighted(row, labels, add=operator.add, zero=None) -> frozenset:
         return frozenset(zip(acts, tlabels, wkeys))
     merged = _merge(zip(zip(acts, tlabels), weights), add=add, zero=zero)
     return frozenset((a, b, weight_key(w)) for (a, b), w in merged)
+
+
+def relabel_row(cfg: TheoryConfig, row, labels) -> tuple:
+    """The row of the value relabelled through ``labels`` (target ``t`` to
+    ``labels[t]``), merging pairs that meet as `mval_map` does.  Entries
+    keep their order, so tagged rows stay in atom order."""
+    kind = cfg.kind
+    if kind == "sl":
+        return pair_row(_sign_set(row, labels))
+    targets = tuple(map(labels.__getitem__, row[1]))
+    if kind == "ga":
+        return row[0], targets
+    acts, _, weights, wkeys, distinct = row
+    if distinct or len(set(zip(acts, targets))) == len(acts):
+        return acts, targets, weights, wkeys, distinct
+    add, zero = operator.add, None
+    if kind == "smod":
+        add, zero = cfg.semiring.add, cfg.semiring.zero
+    return _weighted_row([(a, b, w) for (a, b), w in
+                          _merged(zip(zip(acts, targets), weights), add=add, zero=zero)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Partition refinement, the enumeration oracle, minimization, equivalence."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,14 @@ from starexpr.bisim import (
     bisimilar, brute_bisim, decide_equiv, disjoint_union, minimize, refine,
 )
 from starexpr.errors import LimitExceededError, TheoryMismatchError
-from starexpr.semantics import State, System, TICK, reachable, step
+from starexpr.semantics import (
+    State, System, TICK, export_system, load_system, reachable, step,
+)
 from starexpr.solve import roundtrip
 from starexpr.syntax import Seq, Star, parse
 from starexpr.theory import (
-    SEMIRINGS, MVal, Semiring, eta, flat_signer, mval_map, mval_smod, parse_selector,
-    register_semiring, reify, term_variables,
+    SEMIRINGS, MVal, Semiring, eta, mval_map, mval_smod, parse_selector,
+    register_semiring, reify, row_signer, term_variables,
 )
 
 SL = parse_selector("sl")
@@ -131,19 +134,18 @@ def test_refine_work_is_near_linear_on_a_chain(monkeypatch):
     chain = sl_system({f"s{i}": [("a", f"s{i + 1}" if i + 1 < n else TICK)]
                        for i in range(n)})
     calls = 0
-    flat_signer = bisim.flat_signer
 
-    def counting_signer(*args):
-        rows, sign = flat_signer(*args)
+    def counting_signer(cfg):
+        sign = row_signer(cfg)
 
         def counting(*sign_args):
             nonlocal calls
             calls += 1
             return sign(*sign_args)
 
-        return rows, counting
+        return counting
 
-    monkeypatch.setattr(bisim, "flat_signer", counting_signer)
+    monkeypatch.setattr(bisim, "row_signer", counting_signer)
     assert len(set(refine(chain).values())) == n
     assert n <= calls <= 4 * n
 
@@ -191,12 +193,11 @@ def test_refine_compares_weights_across_numeric_types(selector):
 def test_flat_signatures_agree_with_mapped_values(cfg, rng):
     for _ in range(40):
         sys_ = gen.rand_system(rng, cfg, rng.randint(1, 12), ("a", "b"))
-        rows, sign = flat_signer(cfg, (sys_.beta[x] for x in sys_.states),
-                                 bisim._target_key)
-        row = dict(zip(sys_.states, rows))
+        sign = row_signer(cfg)
+        row = dict(zip(sys_.states, sys_.rows))
         # few blocks, so that pairs meet and their weights add up
         block = {x: rng.randint(0, 2) for x in sys_.states}
-        labels = {**block, TICK: -1}
+        labels = [block[x] for x in sys_.states] + [-1]
         for x in sys_.states:
             for y in sys_.states:
                 same = bisim._mapped_value(sys_, x, block) == bisim._mapped_value(sys_, y, block)
@@ -257,6 +258,55 @@ def test_minimize_homomorphism_equation(cfg, rng):
         assert len(set(part.values())) == len(msys.states)
         again, h2 = minimize(msys)
         assert len(again.states) == len(msys.states)
+
+
+def _row_entries(row):
+    """A row's entries in a fixed order, and its distinct-labels flag: rows
+    built from frozensets list their entries in hash order."""
+    return sorted(zip(*row[:4])), row[4:]
+
+
+def _check_quotient_and_documents(sys_):
+    """Oracle for the row path: each quotient row's value is the state's
+    value mapped through h, and a document round trip keeps the rows and
+    the values."""
+    msys, h = minimize(sys_)
+
+    def relabel(pair):
+        action, tgt = pair
+        return pair if tgt is TICK else (action, State(h[tgt.sid]))
+
+    for x in sys_.states:
+        assert msys.beta[h[x]] == mval_map(relabel, sys_.beta[x])
+    for s in (sys_, msys):
+        back = load_system(json.loads(json.dumps(export_system(s))))
+        assert [_row_entries(r) for r in back.rows] == [_row_entries(r) for r in s.rows]
+        assert back.beta == s.beta
+    return msys, h
+
+
+def test_quotient_rows_agree_with_mapped_values(cfg, rng):
+    merged = 0
+    for i in range(30):
+        # one action and many states, so that blocks merge and pairs meet
+        actions = ("a",) if i % 2 else ("a", "b")
+        sys_ = gen.rand_system(rng, cfg, rng.randint(1, 30), actions)
+        msys, _ = _check_quotient_and_documents(sys_)
+        merged += len(msys.states) < len(sys_.states)
+    assert merged > 0
+
+
+def test_quotient_rows_with_cancelling_weights(zint, rng):
+    def val(pairs):
+        return mval_smod(zint, {("a", State(t)): w for t, w in pairs})
+
+    beta = {"x": val([("y", 1), ("z", -1)]), "y": val([("y", 2)]),
+            "z": val([("z", 2)]), "w": val([])}
+    msys, h = _check_quotient_and_documents(System(zint, ("x", "y", "z", "w"), beta))
+    # y and z merge, so x's two transitions cancel in its quotient row
+    assert h["x"] == h["w"] and msys.rows[msys.index[h["x"]]] == ((), (), (), (), True)
+    for _ in range(30):
+        _check_quotient_and_documents(gen.rand_system(rng, zint, rng.randint(1, 30), ("a",)))
 
 
 def test_minimize_star_idempotence_example():

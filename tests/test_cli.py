@@ -181,3 +181,30 @@ def test_masses_that_are_not_rationals_exit_2(tmp_path, capsys):
             code, out, err = invoke(capsys, "minimize", str(path))
             assert (code, out) == (2, ""), (selector, raw)
             assert err.startswith("error: bad ")
+
+
+def test_unexpected_exceptions_exit_4_in_one_line(capsys, monkeypatch):
+    import starexpr.cli as cli
+
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_parse", broken)
+    code, out, err = invoke(capsys, "parse", "--theory", "sl", "a")
+    assert (code, out) == (4, "")
+    assert err == "error: internal error: KeyError: 'boom'\n"
+
+
+def test_unreadable_and_malformed_documents_exit_2(tmp_path, capsys):
+    code, out, err = invoke(capsys, "minimize", str(tmp_path / "missing.json"))
+    assert (code, out) == (2, "") and err.startswith("error: cannot read ")
+    doc = {"theory": "sl", "states": ["s0"], "beta": {"s0": [["a", "s0"]]}}
+    path = tmp_path / "doc.json"
+    # an unhashable root, and an unhashable labelling entry
+    for extra, argv in (({"root": ["s0"]}, ["minimize"]),
+                        ({"labelling": {"entry": [[["s0"], "a", "s0"]]}}, ["solve"]),
+                        ({"labelling": {"entry": [[["s0"], "a", "s0"]]}}, ["label", "--check"])):
+        path.write_text(json.dumps({**doc, **extra}))
+        code, out, err = invoke(capsys, *argv, str(path))
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "internal" not in err
