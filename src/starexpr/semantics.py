@@ -13,11 +13,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
+from math import gcd
 
 from .errors import DocumentError
 from .syntax import Act, Expr, Seq, Star, TOp, print_expr
 from .theory import (
-    MVal, SOp, SVar, TheoryConfig, eta, eval_term, flat_rows, mval_map, pair_row,
+    MVal, TheoryConfig, apply_sym, eta, eval_term, flat_rows, mval_map, pair_row,
     parse_rational, parse_selector, row_support, row_value, supp, weighted_row,
 )
 
@@ -75,9 +76,7 @@ def _step(cfg: TheoryConfig, e: Expr) -> MVal:
     if isinstance(e, Act):
         return eta(cfg, (e.name, TICK))
     if isinstance(e, TOp):
-        term = SOp(e.sym, tuple(SVar(i) for i in range(len(e.args))))
-        env = {i: _step(cfg, child) for i, child in enumerate(e.args)}
-        return eval_term(cfg, term, env)
+        return apply_sym(cfg, e.sym, [_step(cfg, child) for child in e.args])
     if isinstance(e, Seq):
         return mval_map(_push(e.right), _step(cfg, e.left))
     if isinstance(e, Star):
@@ -203,7 +202,10 @@ def reachable_from(cfg: TheoryConfig, roots) -> tuple[System, list[str]]:
         while queue:
             m = _step(cfg, queue.popleft())
             steps.append(m)
-            for _, tgt in sorted(supp(m), key=_pair_key):
+            succ = supp(m)
+            if len(succ) > 1:  # one successor needs no sort key
+                succ = sorted(succ, key=_pair_key)
+            for _, tgt in succ:
                 if tgt is not TICK and tgt not in intern:
                     intern[tgt] = len(order)
                     order.append(tgt)
@@ -298,7 +300,7 @@ def _parse_number(raw, parse, what: str):
 
 def _parse_mass(raw) -> Fraction:
     mass = parse_rational(raw)
-    if mass <= 0:
+    if mass._numerator <= 0:  # normalized: the sign is the numerator's
         raise ValueError("masses must be positive")
     return mass
 
@@ -341,9 +343,17 @@ def _parse_weighted(raw, targets, field: str, parse, what: str) -> tuple[list, l
 
 def _parse_dist(raw, targets) -> tuple[list, list, list]:
     acts, tgts, masses = _parse_weighted(raw, targets, "p", _parse_mass, "probability")
-    total = sum(masses)
-    if total > 1:
-        raise DocumentError(f"total mass {total} exceeds 1")
+    # the total num/den in integers; a Fraction only for the message
+    num, den = 0, 1
+    for mass in masses:
+        n, d = mass._numerator, mass._denominator
+        if d == den:
+            num += n
+        else:
+            lcm = den // gcd(den, d) * d
+            num, den = num * (lcm // den) + n * (lcm // d), lcm
+    if num > den:
+        raise DocumentError(f"total mass {Fraction(num, den)} exceeds 1")
     return acts, tgts, masses
 
 

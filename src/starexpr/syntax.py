@@ -237,6 +237,9 @@ class _Parser:
         self.cfg = cfg
         self.toks = _tokenize(text)
         self.pos = 0
+        # one guard symbol per distinct guard expression: computing a
+        # symbol evaluates its guard at every atom
+        self.guards: dict = {}
 
     def peek(self):
         return self.toks[self.pos]
@@ -359,7 +362,10 @@ class _Parser:
                 raise ParseError(f"guarded choice is not in the {cfgkind} signature", pos)
             b = self.parse_bool()
             self.expect("]")
-            return guard_sym(self.cfg, b)
+            sym = self.guards.get(b)
+            if sym is None:
+                sym = self.guards[b] = guard_sym(self.cfg, b)
+            return sym
         if value == "(+":
             if cfgkind not in ("ca", "gc"):
                 raise ParseError(f"convex choice is not in the {cfgkind} signature", pos)

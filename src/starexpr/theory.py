@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import TheoryMismatchError, UnboundVariableError
+from .errors import LimitExceededError, TheoryMismatchError, UnboundVariableError
 
 Element = Any  # any hashable value; systems use (action, target) pairs
 
@@ -147,8 +147,11 @@ class TheoryConfig:
     ``tests`` is the ordered test set for ``ga``/``gc``; atoms are all
     2^len(tests) truth assignments, encoded as bitstrings in test order
     ("10" means the first test holds and the second fails), enumerated in
-    binary counting order.
+    binary counting order.  A value holds one entry per atom, so at most
+    ``MAX_TESTS`` tests are accepted (4096 atoms).
     """
+
+    MAX_TESTS = 12
 
     kind: str
     tests: tuple[str, ...] = ()
@@ -167,6 +170,10 @@ class TheoryConfig:
                 if not _IDENT.match(t):
                     raise ValueError(f"bad test name: {t!r}")
             n = len(self.tests)
+            if n > self.MAX_TESTS:
+                raise LimitExceededError(
+                    f"{n} tests exceed the limit of {self.MAX_TESTS} "
+                    f"({2 ** self.MAX_TESTS} atoms)")
             atoms = tuple(format(i, f"0{n}b") if n else "" for i in range(2 ** n))
         else:
             if self.tests:
@@ -350,13 +357,14 @@ class GuardSym:
     text is computed on first use; it is the same every time, so sharing
     one symbol between threads is safe."""
 
-    __slots__ = ("expr", "sat", "_text")
+    __slots__ = ("expr", "sat", "_text", "_hash")
     arity = 2
 
     def __init__(self, expr: BoolExpr, sat: frozenset[str]):
         self.expr = expr
         self.sat = sat
         self._text = None
+        self._hash = hash(("guard", sat))
 
     def text(self):
         if self._text is None:
@@ -370,7 +378,7 @@ class GuardSym:
         return isinstance(other, GuardSym) and other.sat == self.sat
 
     def __hash__(self):
-        return hash(("guard", self.sat))
+        return self._hash
 
 
 def guard_sym(cfg: TheoryConfig, expr: BoolExpr) -> GuardSym:
@@ -384,10 +392,16 @@ class ChoiceSym:
 
     prob: Fraction
     arity = 2
+    # hashing a Fraction takes a modular inverse, so it is done once
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (0 <= self.prob <= 1):
             raise ValueError(f"probability outside [0,1]: {self.prob}")
+        object.__setattr__(self, "_hash", hash((self.prob,)))
+
+    def __hash__(self):
+        return self._hash
 
     def text(self):
         return f"(+{self.prob})"
@@ -437,11 +451,17 @@ class SVar:
 class SOp:
     sym: OpSym
     args: tuple["STerm", ...] = ()
+    # computed once: every `Star` hashes its loop term
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.args) != self.sym.arity:
             raise ValueError(
                 f"operator {self.sym!r} expects {self.sym.arity} arguments, got {len(self.args)}")
+        object.__setattr__(self, "_hash", hash((self.sym, self.args)))
+
+    def __hash__(self):
+        return self._hash
 
 
 STerm = SVar | SOp
@@ -868,12 +888,15 @@ def eval_term(cfg: TheoryConfig, term: STerm, env: Mapping[Any, MVal]) -> MVal:
             raise TheoryMismatchError(
                 f"value for {term.name!r} belongs to {val.cfg.selector()}, expected {cfg.selector()}")
         return val
-    sym = term.sym
+    return apply_sym(cfg, term.sym, [eval_term(cfg, a, env) for a in term.args])
+
+
+def apply_sym(cfg: TheoryConfig, sym: OpSym, vals: list[MVal]) -> MVal:
+    """The theory's operation ``sym`` applied to values in normal form."""
     if not allowed_symbol(cfg, sym):
         raise TheoryMismatchError(f"operator {sym!r} is not in the {cfg.kind} signature")
     if isinstance(sym, ZeroSym):
         return zero_mval(cfg)
-    vals = [eval_term(cfg, a, env) for a in term.args]
     if isinstance(sym, PlusSym):
         return MVal(cfg, vals[0].data | vals[1].data)
     if isinstance(sym, GuardSym):
@@ -917,7 +940,9 @@ def _convex(p: Fraction, left: frozenset, right: frozenset) -> frozenset:
 
 def reify(m: MVal) -> STerm:
     """A term over supp(m) that evaluates back to m under the identity
-    environment.  Deterministic: elements in the canonical order."""
+    environment.  Deterministic: elements in the canonical order.  Guarded
+    values (``ga``, ``gc``) become reduced decision trees over the declared
+    tests (see `_decision_tree`)."""
     cfg = m.cfg
     kind = cfg.kind
     if kind == "sl":
@@ -929,12 +954,11 @@ def reify(m: MVal) -> STerm:
             t = SOp(PLUS, (SVar(e), t))
         return t
     if kind == "ga":
-        slots = [SZERO if e is None else SVar(e) for e in m.data]
-        return _guard_chain(cfg, slots)
+        return _decision_tree(cfg, _once(_ga_slot, m.data))
     if kind == "ca":
         return _ca_reify(m.data)
     if kind == "gc":
-        return _guard_chain(cfg, [_ca_reify(dist) for dist in m.data])
+        return _decision_tree(cfg, _once(_ca_reify, m.data))
     entries = _sorted_entries(m.data)
     if not entries:
         return SZERO
@@ -942,6 +966,10 @@ def reify(m: MVal) -> STerm:
     for e, w in reversed(entries[:-1]):
         t = SOp(OPLUS, (SOp(ScaleSym(w), (SVar(e),)), t))
     return t
+
+
+def _ga_slot(e) -> STerm:
+    return SZERO if e is None else SVar(e)
 
 
 def _ca_reify(dist) -> STerm:
@@ -962,21 +990,48 @@ def _ca_reify(dist) -> STerm:
     return t
 
 
-def _guard_chain(cfg: TheoryConfig, slots: list[STerm]) -> STerm:
-    """Right-nested guarded chain over the canonical atom order; the guard at
-    position i selects exactly atom i, the final slot needs no guard."""
-    guards = _atom_guards(cfg)
-    t = slots[-1]
-    for i in range(len(slots) - 2, -1, -1):
-        t = SOp(guards[i], (slots[i], t))
-    return t
+def _once(f: Callable, entries) -> list:
+    """``[f(x) for x in entries]``, calling f once per distinct entry, so
+    equal entries get one object."""
+    memo: dict = {}
+    return [memo[x] if x in memo else memo.setdefault(x, f(x)) for x in entries]
+
+
+def _decision_tree(cfg: TheoryConfig, slots: list[STerm]) -> STerm:
+    """The reduced ordered decision tree over the declared tests whose leaf
+    at each atom is that atom's slot.
+
+    Atoms are bitstrings in test order, so the first half of an atom range
+    is "its first test fails" and the second half "it holds".  A node
+    ``on +[t] off`` tests one test; a test whose two halves give the same
+    term is skipped, so no node has equal branches and each path tests each
+    test at most once, in declared order.  Equal slots and equal subtrees
+    are one object, which makes that check an identity test and the result
+    a DAG.  Built bottom up: two neighbouring ranges differ in the last
+    test not yet decided.
+    """
+    leaves: dict = {}
+    level = [leaves.setdefault(t, t) for t in slots]
+    for guard in reversed(_test_guards(cfg)):
+        nodes: dict = {}
+        halves = iter(level)
+        level = []
+        for off, on in zip(halves, halves):
+            if on is not off:
+                key = (id(on), id(off))
+                node = nodes.get(key)
+                if node is None:
+                    node = nodes[key] = SOp(guard, (on, off))
+                off = node
+            level.append(off)
+    return level[0]
 
 
 @lru_cache
-def _atom_guards(cfg: TheoryConfig) -> tuple[GuardSym, ...]:
-    """One guard symbol per atom, selecting exactly that atom; shared by
-    every chain of the theory, so printing renders each guard once."""
-    return tuple(guard_sym(cfg, atom_expr(cfg, atom)) for atom in cfg.atoms)
+def _test_guards(cfg: TheoryConfig) -> tuple[GuardSym, ...]:
+    """One guard symbol ``+[t]`` per test, shared by every decision tree of
+    the theory, so printing renders each guard once."""
+    return tuple(guard_sym(cfg, BTest(t)) for t in cfg.tests)
 
 
 # ---------------------------------------------------------------------------
@@ -993,7 +1048,10 @@ def split(m: MVal, in_left: Callable[[Element], bool]) -> tuple[STerm, STerm, ST
     Returns (s, t1, t2) with s a term over {u, v}, t1 a term over the
     elements satisfying ``in_left``, t2 over the rest, such that evaluating
     s with u = t1's value and v = t2's value reproduces m exactly.  s may be
-    degenerate (mention only one variable, or neither).
+    degenerate (mention only one variable, or neither).  For ``ga`` and
+    ``gc`` all three are reduced decision trees over the tests: s has the
+    per-atom slots of the split (``u``, ``v`` or ``0`` for ``ga``), t1 and
+    t2 the per-atom parts.
     """
     cfg = m.cfg
     universe = supp(m)
@@ -1004,11 +1062,8 @@ def split(m: MVal, in_left: Callable[[Element], bool]) -> tuple[STerm, STerm, ST
         t2 = reify(MVal(cfg, frozenset(m.data - left)))
         return SOp(PLUS, (U_VAR, V_VAR)), t1, t2
     if kind == "ga":
-        in_u = [a for a, e in zip(cfg.atoms, m.data) if e is not None and e in left]
-        in_v = [a for a, e in zip(cfg.atoms, m.data) if e is not None and e not in left]
-        s = SOp(guard_sym(cfg, atoms_expr(cfg, in_u)),
-                (U_VAR,
-                 SOp(guard_sym(cfg, atoms_expr(cfg, in_v)), (V_VAR, SZERO))))
+        s = _decision_tree(cfg, [SZERO if e is None else U_VAR if e in left else V_VAR
+                                 for e in m.data])
         t1 = reify(MVal(cfg, tuple(e if e in left else None for e in m.data)))
         t2 = reify(MVal(cfg, tuple(e if e is not None and e not in left else None
                                    for e in m.data)))
@@ -1017,10 +1072,10 @@ def split(m: MVal, in_left: Callable[[Element], bool]) -> tuple[STerm, STerm, ST
         s, d1, d2 = _split_dist(m.data, left)
         return s, _ca_reify(d1), _ca_reify(d2)
     if kind == "gc":
-        parts = [_split_dist(dist, left) for dist in m.data]
-        s = _guard_chain(cfg, [p[0] for p in parts])
-        t1 = _guard_chain(cfg, [_ca_reify(p[1]) for p in parts])
-        t2 = _guard_chain(cfg, [_ca_reify(p[2]) for p in parts])
+        parts = _once(lambda dist: _split_dist(dist, left), m.data)
+        s = _decision_tree(cfg, [p[0] for p in parts])
+        t1 = _decision_tree(cfg, _once(_ca_reify, [p[1] for p in parts]))
+        t2 = _decision_tree(cfg, _once(_ca_reify, [p[2] for p in parts]))
         return s, t1, t2
     # smod
     t1 = reify(MVal(cfg, frozenset(kv for kv in m.data if kv[0] in left)))

@@ -208,3 +208,29 @@ def test_unreadable_and_malformed_documents_exit_2(tmp_path, capsys):
         code, out, err = invoke(capsys, *argv, str(path))
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and "internal" not in err
+
+
+GA_PROBE = "(a +[p0] b) *{u +[p1] v} c"
+
+
+def test_guarded_roundtrip_output_does_not_grow_with_the_tests(capsys):
+    outputs = set()
+    for n in (4, 10, 12):
+        tests = ",".join(f"p{i}" for i in range(n))
+        code, out, err = invoke(capsys, "roundtrip", "--theory", f"ga:tests={tests}", GA_PROBE)
+        assert code == 0, err
+        assert len(out.encode("utf-8")) < 1000
+        outputs.add(out)
+    assert outputs == {"((a +[p1] 0) +[p0] (b +[p1] 0)) *{u +[p1] v} (0 +[p1] c)\n"
+                       "verified: bisimilar\n"}
+
+
+def test_too_many_tests_exit_3(tmp_path, capsys):
+    tests = ",".join(f"p{i}" for i in range(13))
+    code, out, err = invoke(capsys, "roundtrip", "--theory", f"ga:tests={tests}", GA_PROBE)
+    assert (code, out) == (3, "") and "limit of 12" in err
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"theory": f"gc:tests={tests}", "states": ["s0"],
+                                "beta": {"s0": {}}}))
+    code, out, err = invoke(capsys, "minimize", str(path))
+    assert (code, out) == (3, "") and "limit of 12" in err

@@ -11,13 +11,13 @@ from conftest import (
 from starexpr import gen
 from starexpr.errors import DocumentError
 from starexpr.semantics import (
-    State, System, TICK, _pair_key, export_dot, export_system, load_system, reachable,
-    step,
+    State, System, TICK, _pair_key, _step, export_dot, export_system, load_system,
+    reachable, step,
 )
 from starexpr.syntax import Act, Seq, compute_U, parse, print_expr
 from starexpr.theory import (
-    SEMIRINGS, Semiring, element_sort_key, eta, eval_term, mval_ca, mval_map, mval_sl,
-    parse_selector, register_semiring, reify, supp,
+    SEMIRINGS, SOp, SVar, Semiring, element_sort_key, eta, eval_term, mval_ca, mval_map,
+    mval_sl, parse_selector, register_semiring, reify, supp,
 )
 
 SL = parse_selector("sl")
@@ -123,6 +123,48 @@ def test_flat_pair_key_orders_as_element_sort_key(cfg):
                 assert sorted(pairs, key=_pair_key) == sorted(pairs, key=element_sort_key)
 
 
+TOP_HEAVY = {
+    "sl": "((a + b) + (c + 0)) *{u + v} ((a ; b) + (0 + c))",
+    "ga:tests=p,q": "((a +[p] b) +[!q] (c +[p & q] 0)) *{u +[q] v} (a +[p] (b +[q] c))",
+    "ca": "((a (+1/2) b) (+1/3) (c (+1/4) 0)) *{u (+1/2) v} (a (+2/3) b)",
+    "gc:tests=p": "((a (+1/2) b) +[p] (c (+1/4) 0)) *{u (+1/3) (u +[p] v)} (a +[p] b)",
+    "smod:nat": "(2 . a (+) (b (+) 3 . c)) *{u (+) 2 . v} (a (+) (b (+) 0))",
+}
+
+
+def _count_constructions(monkeypatch, classes):
+    counts = dict.fromkeys(classes, 0)
+    for cls in classes:
+        def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            counts[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+@pytest.mark.parametrize("selector", sorted(TOP_HEAVY))
+def test_step_builds_no_terms(selector, monkeypatch):
+    cfg = parse_selector(selector)
+    e = parse(TOP_HEAVY[selector], cfg)
+    _step.cache_clear()
+    counts = _count_constructions(monkeypatch, (SOp, SVar))
+    m = step(cfg, e)
+    assert counts == {SOp: 0, SVar: 0}
+    reify(m)  # positive control: reifying builds both
+    assert counts[SOp] > 0 and counts[SVar] > 0
+
+
+def test_exploration_sorts_only_branching_successors(monkeypatch):
+    import starexpr.semantics as semantics
+
+    calls = []
+    monkeypatch.setattr(semantics, "_pair_key", lambda p: calls.append(p) or _pair_key(p))
+    reachable(SL, parse("a ; b ; c ; d", SL))
+    assert calls == []
+    reachable(SL, parse("(a + b) ; c", SL))  # positive control
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # documents
 
@@ -163,6 +205,26 @@ def test_load_rejects_excess_mass():
     with pytest.raises(DocumentError) as err:
         load_system(doc)
     assert "mass" in str(err.value)
+
+
+@pytest.mark.parametrize("masses, total", [
+    (["1/2", "1/3", "1/4"], "13/12"),
+    (["2/4", "3/6", "1/100"], "101/100"),
+    (["1", "1"], "2"),
+    (["1/2", "1/3", "1/6"], None),
+    (["1/3", "2/6", "3/9"], None),
+    (["7/10", "3/10"], None),
+])
+def test_total_mass_is_checked_exactly(masses, total):
+    entries = [{"p": m, "a": f"a{i}", "t": "s0"} for i, m in enumerate(masses)]
+    for selector, value in (("ca", entries), ("gc:tests=p", {"0": entries, "1": []})):
+        doc = {"theory": selector, "states": ["s0"], "beta": {"s0": value}}
+        if total is None:
+            load_system(doc)
+            continue
+        with pytest.raises(DocumentError) as err:
+            load_system(doc)
+        assert str(err.value) == f"total mass {total} exceeds 1"
 
 
 def test_load_rejects_zero_weight():

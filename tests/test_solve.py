@@ -215,6 +215,32 @@ def test_roundtrip_random(cfg, rng):
         assert decide_equiv(cfg, out, e), print_expr(e)
 
 
+def _tree_nodes(e) -> int:
+    """Node count of the expression's tree, with shared nodes counted once
+    per occurrence."""
+    memo = {}
+
+    def go(x):
+        if id(x) not in memo:
+            kids = [getattr(x, f) for f in ("left", "right", "body", "exit") if hasattr(x, f)]
+            memo[id(x)] = 1 + sum(map(go, kids + list(getattr(x, "args", ()))))
+        return memo[id(x)]
+
+    return go(e)
+
+
+def test_guarded_roundtrip_output_stays_small():
+    # a size-16 input whose output tree had 23.5 million nodes when each
+    # guarded value was a chain with one guard per atom
+    ga = parse_selector("ga:tests=p,q")
+    e = parse("(((((b ; a) *{u +[q] v} a +[p | p | (q | true)] b) ; (a ; a ; a +[!p] 0)) ; "
+              "c +[p & !false] c) ; a) *{u +[q] 0} b", ga)
+    out = roundtrip(ga, e)
+    assert _tree_nodes(out) < 1000
+    assert decide_equiv(ga, out, e)
+    assert parse(print_expr(out), ga) == out
+
+
 def test_roundtrip_falls_back_past_the_search_bound():
     # wide loop: the minimized system has more transitions than the search
     # guard allows, so the image of the derived labelling takes over

@@ -170,6 +170,36 @@ def test_print_renders_a_shared_guard_once(monkeypatch):
     assert text == print_expr(_unshared(e))
 
 
+def test_parse_builds_one_guard_symbol_per_written_guard(monkeypatch):
+    import starexpr.syntax as syntax
+
+    ga = parse_selector("ga:tests=p,q")
+    calls = []
+    monkeypatch.setattr(syntax, "guard_sym",
+                        lambda cfg, b: calls.append(b) or guard_sym(cfg, b))
+    text = "((a +[p & q] b) +[!!p] (a +[p & q] c)) *{u +[p & q] (v +[p] 0)} (a +[p] b)"
+    e = parse(text, ga)
+    # one symbol per distinct written guard; equal guards written
+    # differently keep their own text
+    assert len(calls) == 3
+    assert print_expr(e) == text
+    assert e.body.args[0].sym is e.body.args[1].sym is e.loop.sym
+    assert e.body.sym == e.exit.sym and e.body.sym is not e.exit.sym
+
+
+def test_symbols_hash_once(monkeypatch):
+    p = Fraction(1, 3)
+    choice = ChoiceSym(p)
+    loop = SOp(choice, (SVar("u"), SVar("v")))
+    calls = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda f: calls.append(f) or fraction_hash(f))
+    assert hash(choice) == hash((p,))
+    assert hash(loop) == hash((choice, (SVar("u"), SVar("v"))))
+    Star(Act("a"), loop, Act("b"))
+    assert calls == [p]  # only the reference hash of (p,) above
+
+
 def test_print_keeps_no_text_per_nesting_level():
     # a shared subexpression under 800 unshared levels: keeping every
     # level's text would take about 800 times the output's length

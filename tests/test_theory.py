@@ -1,17 +1,18 @@
 """Free-algebra values: units, evaluation, support, reification, splitting."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from conftest import NOT_RATIONAL_EDGES, RATIONAL_EDGES
 from starexpr import gen
-from starexpr.errors import TheoryMismatchError, UnboundVariableError
+from starexpr.errors import LimitExceededError, TheoryMismatchError, UnboundVariableError
 from starexpr.theory import (
-    BAnd, BNot, BTest, ChoiceSym, OPLUS, PLUS, SEMIRINGS, SOp, SVar,
-    SZERO, ScaleSym, atoms_expr, bool_text, element_sort_key, eta, eval_term, guard_sym,
-    mval_ca, mval_ga, mval_sl, mval_smod, mval_map, parse_rational, parse_selector,
-    reify, split, supp, term_variables, weight_key,
+    BAnd, BNot, BTest, ChoiceSym, GuardSym, OPLUS, PLUS, SEMIRINGS, SOp, SVar,
+    SZERO, ScaleSym, TheoryConfig, atoms_expr, bool_text, element_sort_key, eta,
+    eval_term, guard_sym, mval_ca, mval_ga, mval_gc, mval_sl, mval_smod, mval_map,
+    parse_rational, parse_selector, reify, split, supp, term_variables, weight_key,
 )
 
 
@@ -37,6 +38,17 @@ def test_bad_selectors_rejected():
     for text in ["xyz", "sl:tests=p", "smod", "smod:float", "ca:tests=p"]:
         with pytest.raises(ValueError):
             parse_selector(text)
+
+
+def test_test_count_is_bounded_at_its_edge():
+    names = [f"t{i}" for i in range(TheoryConfig.MAX_TESTS + 1)]
+    assert len(parse_selector("ga:tests=" + ",".join(names[:-1])).atoms) == 4096
+    for kind in ("ga", "gc"):
+        with pytest.raises(LimitExceededError):
+            parse_selector(f"{kind}:tests=" + ",".join(names))
+    # refused before any atom is built
+    with pytest.raises(LimitExceededError):
+        TheoryConfig("ga", tests=tuple(f"t{i}" for i in range(64)))
 
 
 def _outcome(parse, raw):
@@ -384,3 +396,91 @@ def test_element_order_is_total_on_mixed_elements():
     keys = [element_sort_key(i) for i in items]
     assert len(set(keys)) == len(keys)
     assert sorted(keys) == sorted(keys, reverse=True)[::-1]
+
+
+# ---------------------------------------------------------------------------
+# guarded values as reduced decision trees
+
+
+def _check_decision_tree(cfg, t, after=-1):
+    """No guard node has equal branches, every guard is ``+[t]`` for one
+    test t, and each root-to-leaf path tests each test at most once, in
+    declared order; no guard occurs below a leaf."""
+    if isinstance(t, SVar):
+        return
+    if isinstance(t.sym, GuardSym):
+        i = cfg.tests.index(t.sym.expr.name)
+        assert i > after, "tests out of declared order on a path"
+        assert t.sym.sat == frozenset(a for a in cfg.atoms if a[i] == "1")
+        on, off = t.args
+        assert on != off, "guard node with equal branches"
+        _check_decision_tree(cfg, on, i)
+        _check_decision_tree(cfg, off, i)
+        return
+    for a in t.args:
+        _check_decision_tree(cfg, a, len(cfg.tests))
+
+
+def _left_sets(m):
+    elems = sorted(supp(m))
+    for r in range(len(elems) + 1):
+        for left in itertools.combinations(elems, r):
+            yield frozenset(left)
+
+
+def _check_reify_and_splits(cfg, m):
+    env = {e: eta(cfg, e) for e in supp(m)}
+    t = reify(m)
+    _check_decision_tree(cfg, t)
+    assert eval_term(cfg, t, env) == m
+    for left in _left_sets(m):
+        s, t1, t2 = split(m, lambda e: e in left)
+        # ga's parts are reified values, checked where they are enumerated
+        for term in (s,) if cfg.kind == "ga" else (s, t1, t2):
+            _check_decision_tree(cfg, term)
+        assert term_variables(s) <= {"u", "v"}
+        assert term_variables(t1) <= left and term_variables(t2) <= supp(m) - left
+        got = eval_term(cfg, s, {"u": eval_term(cfg, t1, env),
+                                 "v": eval_term(cfg, t2, env)})
+        assert got == m
+
+
+def test_ga_reify_and_split_on_every_value_of_three_tests():
+    cfg = parse_selector("ga:tests=p,q,r")
+    for data in itertools.product((None, "x", "y"), repeat=len(cfg.atoms)):
+        _check_reify_and_splits(cfg, mval_ga(cfg, data))
+
+
+def test_gc_reify_and_split_on_every_value_of_two_tests():
+    cfg = parse_selector("gc:tests=p,q")
+    dists = [{}, {"x": Fraction(1)}, {"y": Fraction(1, 2)},
+             {"x": Fraction(1, 2), "y": Fraction(1, 2)}, {"x": Fraction(1, 3), "y": Fraction(1, 3)}]
+    for per_atom in itertools.product(dists, repeat=len(cfg.atoms)):
+        _check_reify_and_splits(cfg, mval_gc(cfg, per_atom))
+
+
+@pytest.mark.parametrize("selector", ["ga:tests=", "ga:tests=p", "ga:tests=p,q",
+                                      "gc:tests=p", "gc:tests=p,q"])
+def test_units_reify_to_their_variable(selector, rng):
+    cfg = parse_selector(selector)
+    assert reify(eta(cfg, "x")) == SVar("x")
+    s, t1, t2 = split(eta(cfg, "x"), lambda e: True)
+    assert (t1, t2) == (SVar("x"), SZERO) and "v" not in term_variables(s)
+    for _ in range(50):
+        _check_reify_and_splits(cfg, gen.rand_mval(rng, cfg, ["x", "y", "z"]))
+
+
+def test_decision_tree_size_follows_the_tests_it_reads():
+    # a value that depends on the first test only reifies to one guard,
+    # whatever the number of tests
+    for n in (1, 4, 8, 12):
+        cfg = parse_selector("ga:tests=" + ",".join(f"t{i}" for i in range(n)))
+        half = len(cfg.atoms) // 2
+        m = mval_ga(cfg, ["x"] * half + ["y"] * half)
+        t = reify(m)
+        assert t == SOp(guard_sym(cfg, BTest("t0")), (SVar("y"), SVar("x")))
+        s, t1, t2 = split(m, lambda e: e == "x")
+        assert (s, t1, t2) == (
+            SOp(t.sym, (SVar("v"), SVar("u"))),
+            SOp(t.sym, (SZERO, SVar("x"))),
+            SOp(t.sym, (SVar("y"), SZERO)))
