@@ -7,6 +7,13 @@ transition to a different state can return to its source through body
 transitions, (3) the loops-around relation is acyclic, and (4) no state that
 something loops around to can accept.  Well-layered systems are exactly the
 ones the solver can turn back into expressions.
+
+Checking, loops-around, the measures, every candidate of the search and
+the solver share one integer core (`_layers`): per state index, its entry
+and body targets in id order, read once from `System.rows`.  Its passes are
+iterative and linear in the system, except the loops-around relation, which
+costs its own size.  The search stays exhaustive, up to 2ⁿ entry sets for
+n candidate transitions, and is bounded at `SEARCH_TRANSITION_BOUND`.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 from .errors import DocumentError, LayeringError, LimitExceededError
 from .semantics import System, TICK, step
 from .syntax import Expr, Seq, Star
-from .theory import TheoryConfig, supp
+from .theory import TheoryConfig, row_support, supp
 
 SEARCH_TRANSITION_BOUND = 20
 
@@ -118,149 +125,219 @@ def _terminates(cfg, e, cache) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# checking
+# the integer core
+#
+# Checking, loops-around, the measures, the labelling search and the solver
+# all run on one integer form of a labelled system: per state index, its
+# distinct entry targets and body targets, each list in id-string order so
+# that traversals and witnesses follow the ids.  It is read once from
+# `System.rows`.  Every pass below is iterative and touches each state and
+# each transition a bounded number of times, except the loops-around
+# relation, whose cost is its own size.
 
 
-def _pair_graph(pairs) -> dict:
-    adj: dict = {}
-    for x, y in pairs:
-        adj.setdefault(x, []).append(y)
-    for x in adj:
-        adj[x].sort()
-    return adj
+def _ranks(states) -> list[int]:
+    """Each state's position in id-string order."""
+    ranks = [0] * len(states)
+    for r, i in enumerate(sorted(range(len(states)), key=states.__getitem__)):
+        ranks[i] = r
+    return ranks
 
 
-def _find_cycle(nodes, adj):
-    """A cycle as a node list, or None."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {x: WHITE for x in nodes}
-    parent: dict = {}
-    for start in nodes:
-        if colour[start] != WHITE:
+@dataclass
+class _Layers:
+    """A labelled system by state index: entry and body targets (distinct,
+    ordered by ``rank``), acceptance, and the entry steps (action, target)
+    leaving each state that has any."""
+
+    entry: list
+    body: list
+    accepts: list
+    rank: list
+    steps: dict
+
+
+def _layers(sys: System, lab: Labelling) -> _Layers:
+    """The integer form of a labelled system; ValueError when the labelling
+    marks a transition the system does not have."""
+    index, rows = sys.index, sys.rows
+    steps: dict[int, set] = {}
+    extra = []
+    for x, a, y in lab.entry:
+        i, j = index.get(x), index.get(y)
+        if i is None or j is None:
+            extra.append((x, a, y))
+        else:
+            steps.setdefault(i, set()).add((a, j))
+    for i, here in steps.items():
+        support = row_support(sys.cfg, rows[i])
+        extra += [(sys.states[i], a, sys.states[j]) for a, j in here if (a, j) not in support]
+    if extra:
+        raise ValueError(f"entry labels transitions absent from the system: {sorted(extra)}")
+    rank = _ranks(sys.states)
+    key = rank.__getitem__
+    entry, body = [], []
+    for i, row in enumerate(rows):
+        here = steps.get(i)
+        if here is None:
+            entry.append(())
+            body.append(sorted({t for t in row[1] if t >= 0}, key=key))
+        else:
+            entry.append(sorted({t for _, t in here}, key=key))
+            body.append(sorted({t for a, t in row_support(sys.cfg, row)
+                                if t >= 0 and (a, t) not in here}, key=key))
+    return _Layers(entry, body, [-1 in row[1] for row in rows], rank, steps)
+
+
+def _dfs(succ):
+    """Depth-first search from every node in index order, successors in
+    list order: (post-order, None) when the graph is acyclic, else (None,
+    the first cycle met as a closed path ``[y, ..., y]``)."""
+    colour = [0] * len(succ)  # 0 unseen, 1 on the path, 2 done
+    post = []
+    for start in range(len(succ)):
+        if colour[start]:
             continue
-        stack = [(start, iter(adj.get(start, ())))]
-        colour[start] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if colour.get(nxt, BLACK) == WHITE:
-                    colour[nxt] = GREY
-                    parent[nxt] = node
-                    stack.append((nxt, iter(adj.get(nxt, ()))))
-                    advanced = True
+        if not succ[start]:
+            colour[start] = 2
+            post.append(start)
+            continue
+        colour[start] = 1
+        path, its = [start], [iter(succ[start])]
+        while its:
+            for nxt in its[-1]:
+                c = colour[nxt]
+                if not c:
+                    colour[nxt] = 1
+                    path.append(nxt)
+                    its.append(iter(succ[nxt]))
                     break
-                if colour.get(nxt) == GREY:
-                    cycle = [nxt, node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                colour[node] = BLACK
-                stack.pop()
-    return None
+                if c == 1:
+                    return None, path[path.index(nxt):] + [nxt]
+            else:
+                node = path.pop()
+                its.pop()
+                colour[node] = 2
+                post.append(node)
+    return post, None
 
 
-def _body_returns(src, dst, body_adj) -> bool:
-    """Whether dst reaches src through one or more body transitions."""
-    seen = set()
-    queue = deque(body_adj.get(dst, ()))
-    while queue:
-        x = queue.popleft()
-        if x == src:
-            return True
-        if x in seen:
+def _loops(layers: _Layers) -> list:
+    """Per state x, the states x loops around to, ordered by rank: those an
+    entry step from x followed by body steps reaches without revisiting x."""
+    entry, body = layers.entry, layers.body
+    key = layers.rank.__getitem__
+    mark = [-1] * len(entry)
+    out: list = [()] * len(entry)
+    for x, targets in enumerate(entry):
+        if not targets:
             continue
-        seen.add(x)
-        queue.extend(body_adj.get(x, ()))
-    return False
+        mark[x] = x
+        members = []
+        stack = list(targets)
+        while stack:
+            y = stack.pop()
+            if mark[y] != x:
+                mark[y] = x
+                members.append(y)
+                stack += body[y]
+        if members:
+            members.sort(key=key)
+            out[x] = members
+    return out
 
 
-def _body_graph(sys: System, lab: Labelling) -> dict:
-    """Adjacency lists of the body transitions, each sorted."""
-    return _pair_graph({(x, y) for x, _, y in set(sys.state_transitions()) - lab.entry})
+def _violation(layers: _Layers):
+    """The first violated condition with its witness in state indices, or
+    None when the labelling is well layered."""
+    post, cycle = _dfs(layers.body)
+    if cycle is not None:
+        return 1, cycle
+    rank, body = layers.rank, layers.body
+    loops = _loops(layers)
+    if not any(loops):
+        return None
+    # condition 2: a loop member returns to x when a body step leads to x or
+    # to a member that returns; successors come first in post-order
+    pos = [0] * len(post)
+    for p, v in enumerate(post):
+        pos[v] = p
+    returns = [False] * len(post)
+    failed = []
+    for x, members in enumerate(loops):
+        if not members:
+            continue
+        for v in sorted(members, key=pos.__getitem__):
+            back = False
+            for w in body[v]:
+                if w == x or returns[w]:
+                    back = True
+                    break
+            returns[v] = back
+        failed += [(rank[x], rank[y], x, y) for y in layers.entry[x]
+                   if y != x and not returns[y]]
+    if failed:
+        return 2, min(failed)[2:]
+    _, cycle = _dfs(loops)
+    if cycle is not None:
+        return 3, cycle
+    pair = _accepting_loop(layers, loops)
+    return None if pair is None else (4, pair)
+
+
+def _accepting_loop(layers: _Layers, loops):
+    """The first pair (x, y) in id order where x loops around to an
+    accepting y (condition 4 fails), or None."""
+    rank, accepts = layers.rank, layers.accepts
+    failed = [(rank[x], rank[y], x, y) for x, members in enumerate(loops)
+              for y in members if accepts[y]]
+    return min(failed)[2:] if failed else None
+
+
+def _depths(succ, names, what: str) -> list[int]:
+    """Longest path lengths from every node; a cycle raises LayeringError."""
+    post, cycle = _dfs(succ)
+    if cycle is not None:
+        raise LayeringError(
+            f"cycle through {names[cycle[0]]!r} in {what}; labelling is not well-layered")
+    depth = [0] * len(succ)
+    for v in post:
+        d = 0
+        for w in succ[v]:
+            if depth[w] >= d:
+                d = depth[w] + 1
+        depth[v] = d
+    return depth
+
+
+def _measured(layers: _Layers, names):
+    """The loops-around lists with the body-path and loops-around depths."""
+    loops = _loops(layers)
+    return (loops, _depths(layers.body, names, "body transitions"),
+            _depths(loops, names, "the loops-around relation") if any(loops)
+            else [0] * len(loops))
+
+
+# ---------------------------------------------------------------------------
+# checking and measures
 
 
 def loops_around(sys: System, lab: Labelling) -> frozenset[tuple[str, str]]:
     """x loops around to y: an entry step from x followed by body steps,
     never revisiting x, ends at y."""
-    return _loops_around(sys, lab, _body_graph(sys, lab))
-
-
-def _loops_around(sys: System, lab: Labelling, body_adj: dict) -> frozenset[tuple[str, str]]:
-    out = set()
-    for x in sys.states:
-        targets = {y for (src, _, y) in lab.entry if src == x and y != x}
-        seen = set()
-        queue = deque(targets)
-        while queue:
-            y = queue.popleft()
-            if y in seen or y == x:
-                continue
-            seen.add(y)
-            queue.extend(body_adj.get(y, ()))
-        out.update((x, y) for y in seen)
-    return frozenset(out)
+    names = sys.states
+    return frozenset((names[x], names[y])
+                     for x, members in enumerate(_loops(_layers(sys, lab))) for y in members)
 
 
 def check_well_layered(sys: System, lab: Labelling) -> LayerVerdict:
     """Check the four well-layeredness conditions, reporting the first
     violated one with a witness."""
-    triples = set(sys.state_transitions())
-    extra = lab.entry - triples
-    if extra:
-        raise ValueError(f"entry labels transitions absent from the system: {sorted(extra)}")
-    body_pairs = sorted({(x, y) for x, _, y in triples - lab.entry})
-    body_adj = _pair_graph(body_pairs)
-
-    cycle = _find_cycle(sys.states, body_adj)
-    if cycle is not None:
-        return LayerVerdict(False, 1, tuple(cycle))
-
-    for x, y in sorted(lab.entry_pairs()):
-        if x != y and not _body_returns(x, y, body_adj):
-            return LayerVerdict(False, 2, (x, y))
-
-    loops = _loops_around(sys, lab, body_adj)
-    loop_adj = _pair_graph(loops)
-    cycle = _find_cycle(sys.states, loop_adj)
-    if cycle is not None:
-        return LayerVerdict(False, 3, tuple(cycle))
-
-    for x, y in sorted(loops):
-        if sys.accepts(y):
-            return LayerVerdict(False, 4, (x, y))
-
-    return LayerVerdict(True)
-
-
-# ---------------------------------------------------------------------------
-# measures
-
-
-def _longest_paths(nodes, adj, what: str) -> dict:
-    out: dict = {}
-    on_path: set = set()
-
-    def depth(x) -> int:
-        if x in out:
-            return out[x]
-        if x in on_path:
-            raise LayeringError(f"cycle through {x!r} in {what}; labelling is not well-layered")
-        on_path.add(x)
-        best = 0
-        for y in adj.get(x, ()):
-            best = max(best, 1 + depth(y))
-        on_path.discard(x)
-        out[x] = best
-        return best
-
-    for x in nodes:
-        depth(x)
-    return out
+    found = _violation(_layers(sys, lab))
+    if found is None:
+        return LayerVerdict(True)
+    condition, witness = found
+    return LayerVerdict(False, condition, tuple(sys.states[i] for i in witness))
 
 
 def measures(sys: System, lab: Labelling) -> dict[str, tuple[int, int]]:
@@ -269,75 +346,55 @@ def measures(sys: System, lab: Labelling) -> dict[str, tuple[int, int]]:
     Both are finite exactly when the labelling is well layered; a cycle in
     either graph raises LayeringError.
     """
-    return _loops_and_measures(sys, lab)[1]
-
-
-def _loops_and_measures(sys: System, lab: Labelling):
-    """`loops_around` and `measures` from one body graph."""
-    body_adj = _body_graph(sys, lab)
-    loops = _loops_around(sys, lab, body_adj)
-    bo = _longest_paths(sys.states, body_adj, "body transitions")
-    en = _longest_paths(sys.states, _pair_graph(loops), "the loops-around relation")
-    return loops, {x: (en[x], bo[x]) for x in sys.states}
+    _, body, loop = _measured(_layers(sys, lab), sys.states)
+    return {x: (loop[i], body[i]) for i, x in enumerate(sys.states)}
 
 
 # ---------------------------------------------------------------------------
 # search
 
 
-def _pair_level_ok(states, accepts, all_pairs, entry_pairs) -> bool:
-    body = all_pairs - entry_pairs
-    body_adj = _pair_graph(body)
-    if _find_cycle(states, body_adj) is not None:
-        return False
-    for x, y in entry_pairs:
-        if x != y and not _body_returns(x, y, body_adj):
-            return False
-    loops = set()
-    for x in states:
-        targets = {y for (src, y) in entry_pairs if src == x and y != x}
-        seen = set()
-        queue = deque(targets)
-        while queue:
-            y = queue.popleft()
-            if y in seen or y == x:
-                continue
-            seen.add(y)
-            queue.extend(body_adj.get(y, ()))
-        loops.update((x, y) for y in seen)
-    if _find_cycle(states, _pair_graph(loops)) is not None:
-        return False
-    return all(not accepts[y] for _, y in loops)
-
-
 def _subsets_by_weight(weights: list[int]):
-    """All index subsets, ordered by total weight (ties: deterministic DFS)."""
+    """All index subsets as bitmasks, ordered by total weight; within a
+    weight, in the order of a depth-first search that leaves an index out
+    before taking it.  Weights are positive."""
     n = len(weights)
     suffix = [0] * (n + 1)
     for i in reversed(range(n)):
         suffix[i] = suffix[i + 1] + weights[i]
-
-    def rec(i: int, left: int, chosen: tuple):
-        if left == 0 and i == n:
-            yield chosen
-            return
-        if i == n or suffix[i] < left:
-            return
-        yield from rec(i + 1, left, chosen)
-        if weights[i] <= left:
-            yield from rec(i + 1, left - weights[i], chosen + (i,))
-
     for target in range(suffix[0] + 1):
-        yield from rec(0, target, ())
+        stack = [(0, target, 0)]
+        while stack:
+            i, left, chosen = stack.pop()
+            if left == 0:
+                yield chosen
+            elif suffix[i] >= left:
+                if weights[i] <= left:
+                    stack.append((i + 1, left - weights[i], chosen | 1 << i))
+                stack.append((i + 1, left, chosen))
 
 
-def _entry_candidates(pairs) -> list[tuple[str, str]]:
+def _entry_candidates(pairs) -> list[tuple[int, int]]:
     """The pairs that entry sets choose from, in order: no self-loops (they
     are forced entry), and no pair whose target cannot reach its source,
     since such an entry pair fails condition 2 in every entry set.  Dropping
     them keeps the order of the remaining entry sets."""
-    adj = _pair_graph(pairs)
-    return [(x, y) for x, y in pairs if x != y and _body_returns(x, y, adj)]
+    succ: dict = {}
+    for x, y in pairs:
+        succ.setdefault(x, []).append(y)
+
+    def returns(x, y):
+        seen, stack = {y}, [y]
+        while stack:
+            for z in succ.get(stack.pop(), ()):
+                if z == x:
+                    return True
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+        return False
+
+    return [(x, y) for x, y in pairs if x != y and returns(x, y)]
 
 
 def search_labelling(sys: System) -> Labelling | None:
@@ -347,28 +404,55 @@ def search_labelling(sys: System) -> Labelling | None:
     search works at source/target-pair granularity: making a partially-entry
     pair all-body never invalidates a labelling, so pair-pure labellings are
     enough for both existence and minimality.  Self-loops are forced entry
-    (a body self-loop always breaks condition 1).
+    (a body self-loop always breaks condition 1).  The number of entry sets
+    is exponential in the transitions, hence the bound; each is checked by
+    the integer core in time linear in the system.
     """
-    triples = sys.state_transitions()
-    if len(triples) > SEARCH_TRANSITION_BOUND:
+    actions: dict[tuple[int, int], list] = {}
+    for i, row in enumerate(sys.rows):
+        for a, t in row_support(sys.cfg, row):
+            if t >= 0:
+                actions.setdefault((i, t), []).append(a)
+    count = sum(map(len, actions.values()))
+    if count > SEARCH_TRANSITION_BOUND:
         raise LimitExceededError(
             f"labelling search is limited to {SEARCH_TRANSITION_BOUND} transitions, "
-            f"got {len(triples)}")
-    pair_triples: dict[tuple[str, str], list] = {}
-    for x, a, y in triples:
-        pair_triples.setdefault((x, y), []).append((x, a, y))
-    pairs = sorted(pair_triples)
-    forced = frozenset(p for p in pairs if p[0] == p[1])
+            f"got {count}")
+    rank = _ranks(sys.states)
+    pairs = sorted(actions, key=lambda p: (rank[p[0]], rank[p[1]]))
     optional = _entry_candidates(pairs)
-    weights = [len(pair_triples[p]) for p in optional]
-    all_pairs = frozenset(pairs)
-    accepts = {x: sys.accepts(x) for x in sys.states}
-    for subset in _subsets_by_weight(weights):
-        entry_pairs = forced | {optional[i] for i in subset}
-        if _pair_level_ok(sys.states, accepts, all_pairs, entry_pairs):
-            entry = frozenset(
-                t for p in entry_pairs for t in pair_triples[p])
-            return Labelling(entry)
+    weights = [len(actions[p]) for p in optional]
+    # An entry set differs from the next only at the states it chooses
+    # optional pairs from, so each state's (entry, body) lists are built once
+    # per choice there; a state's optional pairs are neighbours in the list.
+    n = len(sys.states)
+    succ: list = [[] for _ in range(n)]
+    entry: list = [[] for _ in range(n)]
+    body: list = [[] for _ in range(n)]
+    for x, y in pairs:
+        succ[x].append(y)
+        (entry if x == y else body)[x].append(y)
+    choosing: dict[int, list] = {}
+    for i, (x, _) in enumerate(optional):
+        choosing.setdefault(x, []).append(i)
+    choices = [(x, idx[0], (1 << len(idx)) - 1, {}) for x, idx in choosing.items()]
+    accepts = [-1 in row[1] for row in sys.rows]
+    for chosen in _subsets_by_weight(weights):
+        for x, low, width, built in choices:
+            mask = chosen >> low & width
+            lists = built.get(mask)
+            if lists is None:
+                picked = {optional[low + k][1] for k in range(width.bit_length())
+                          if mask >> k & 1}
+                lists = built[mask] = (
+                    [y for y in succ[x] if y == x or y in picked],
+                    [y for y in succ[x] if y != x and y not in picked])
+            entry[x], body[x] = lists
+        if _violation(_Layers(entry, body, accepts, rank, {})) is None:
+            names = sys.states
+            return Labelling(frozenset(
+                (names[x], a, names[y]) for x, y in pairs
+                if y in entry[x] for a in actions[x, y]))
     return None
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import DocumentError
@@ -305,15 +305,6 @@ def _parse_mass(raw) -> Fraction:
     return mass
 
 
-def _parse_weight(sr, raw):
-    w = sr.parse(raw)
-    if not sr.contains(w):
-        raise ValueError(f"{w!r} is not a {sr.name} weight")
-    if w == sr.zero:
-        raise ValueError("zero weights must be left out")
-    return w
-
-
 def _parse_weighted(raw, targets, field: str, parse, what: str) -> tuple[list, list, list]:
     """The parallel actions, targets and weights of a list of weighted
     entries."""
@@ -384,8 +375,7 @@ def _parse_row(cfg: TheoryConfig, raw, targets: dict[str, int]) -> tuple:
             tgts += dist[1]
             masses += dist[2]
         return weighted_row(acts, tgts, masses)
-    parse = partial(_parse_weight, cfg.semiring)
-    return weighted_row(*_parse_weighted(raw, targets, "w", parse, "weight"))
+    return weighted_row(*_parse_weighted(raw, targets, "w", cfg.semiring.parse_weight, "weight"))
 
 
 def load_system(doc) -> System:

@@ -6,6 +6,10 @@ acceptance).  The loop part becomes the body of a star, threaded through the
 split's two-variable term; entry targets contribute detour expressions that
 run until the loop closes.  The result is a solution: every state's
 expression is provably equivalent to its one-step unfolding.
+
+The solver reads each state's row and entry steps by index (`split_row`),
+so it builds no values and reads the labelling once; its cost is linear in
+the system plus the loops-around relation, without recursion.
 """
 
 from __future__ import annotations
@@ -13,12 +17,12 @@ from __future__ import annotations
 from .bisim import decide_equiv, minimize
 from .errors import LayeringError, LimitExceededError, StarexprError
 from .layering import (
-    Labelling, _loops_and_measures, check_well_layered, search_labelling,
+    Labelling, _accepting_loop, _layers, _measured, _ranks, check_well_layered, search_labelling,
     syntactic_labelling,
 )
-from .semantics import System, TICK, reachable
+from .semantics import State, System, TICK, reachable
 from .syntax import Act, Expr, Seq, Star, TOp
-from .theory import STerm, SVar, TheoryConfig, reify, split, term_variables
+from .theory import STerm, SVar, TheoryConfig, reify, row_support, split_row, term_variables
 
 SolutionMap = dict[str, Expr]
 
@@ -37,80 +41,116 @@ def factorize(sys: System, lab: Labelling, x: str) -> tuple[STerm, STerm, STerm]
     entry target of x; body targets and acceptance go right.  Classification
     follows the labelling per action, not just the target state.
     """
-    entry_here = {(a, dst) for (src, a, dst) in lab.entry if src == x}
+    i = sys.index[x]
+    left = {(a, sys.index[dst]) for src, a, dst in lab.entry if src == x}
+    left.update((a, t) for a, t in row_support(sys.cfg, sys.rows[i]) if t == i)
+    return split_row(sys.cfg, sys.rows[i], _order(_ranks(sys.states)), left,
+                     [State(y) for y in sys.states] + [TICK])
 
-    def in_left(pair):
-        action, tgt = pair
-        return tgt is not TICK and (tgt.sid == x or (action, tgt.sid) in entry_here)
 
-    return split(sys.beta[x], in_left)
+def _order(ranks: list[int]) -> list[int]:
+    """The order of row targets that `element_sort_key` gives the elements
+    they stand for: states by id string (their ranks), then tick (-1)."""
+    return ranks + [len(ranks)]
 
 
 class _Solver:
+    """The canonical solution on state indices.  Each state's row is split
+    directly, along its entry steps, with (action, target index) pairs as
+    term variables; no value is built and the labelling is read once."""
+
     def __init__(self, sys: System, lab: Labelling):
         self.sys = sys
-        self.lab = lab
-        self.loops, self.meas = _loops_and_measures(sys, lab)  # raises on ill-layered input
-        self.tau_memo: dict[tuple[str, str], Expr] = {}
-        self.tau_running: set[tuple[str, str]] = set()
+        layers = _layers(sys, lab)
+        self.steps = layers.steps
+        # raises on cycles, as an ill-layered labelling may have; without a
+        # body cycle, every self-loop is an entry step
+        self.loops, self.depth, _ = _measured(layers, sys.states)
+        pair = _accepting_loop(layers, self.loops)
+        if pair is not None:
+            x, y = (sys.states[i] for i in pair)
+            raise LayeringError(f"{y!r} accepts although {x!r} loops around to it")
+        self.order = _order(layers.rank)
+        self.tau_memo: dict[tuple[int, int], Expr] = {}
 
-    def tau(self, y: str, x: str) -> Expr:
-        """The detour from y back around to x."""
-        if (x, y) not in self.loops:
-            raise LayeringError(f"tau({y!r}, {x!r}) needs {x!r} to loop around to {y!r}")
-        key = (y, x)
-        if key in self.tau_memo:
-            return self.tau_memo[key]
-        if key in self.tau_running:
-            raise LayeringError(
-                f"cyclic recursion at tau({y!r}, {x!r}); labelling is not well-layered")
-        self.tau_running.add(key)
-        s, t1, t2 = factorize(self.sys, self.lab, y)
-        env = {}
-        for pair in term_variables(t1):
-            action, tgt = pair
-            env[pair] = Act(action) if tgt.sid == y \
-                else Seq(Act(action), self.tau(tgt.sid, y))
-        for pair in term_variables(t2):
-            action, tgt = pair
-            if tgt is TICK:
-                raise LayeringError(
-                    f"{y!r} accepts although {x!r} loops around to it")
-            env[pair] = Act(action) if tgt.sid == x \
-                else Seq(Act(action), self.tau(tgt.sid, x))
-        out = Star(sterm_to_expr(t1, env), s, sterm_to_expr(t2, env))
-        self.tau_running.discard(key)
-        self.tau_memo[key] = out
-        return out
+    def _star(self, i: int, left, right) -> Star:
+        """State i's split as a star, each loop-side support pair (a, t)
+        bound to ``left(a, t)`` and each exit-side one to ``right(a, t)``."""
+        cfg, row = self.sys.cfg, self.sys.rows[i]
+        here = self.steps.get(i, ())
+        s, t1, t2 = split_row(cfg, row, self.order, here)
+        env = {pair: left(*pair) if pair in here else right(*pair)
+               for pair in row_support(cfg, row)}
+        return Star(sterm_to_expr(t1, env), s, sterm_to_expr(t2, env))
+
+    def tau(self, y: int, x: int) -> Expr:
+        """The detour from y back around to x; x loops around to y.
+
+        A detour needs the detours of y's loop-side steps back to y and of
+        its exit-side steps back to x first.  They are built bottom up from
+        an explicit stack, so nested detours set no recursion depth."""
+        memo = self.tau_memo
+        root = (y, x)
+        stack = [root]
+        running = set()  # detours waiting for the ones above them
+        while stack:
+            y, x = key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            if key not in running:
+                here = self.steps.get(y, ())
+                needs = []
+                for a, t in row_support(self.sys.cfg, self.sys.rows[y]):
+                    back = y if (a, t) in here else x
+                    if t != back and t >= 0 and (t, back) not in memo:
+                        needs.append((t, back))
+                if needs:
+                    if not running.isdisjoint(needs):
+                        names = self.sys.states
+                        raise LayeringError(
+                            f"cyclic recursion at tau({names[y]!r}, {names[x]!r}); "
+                            "labelling is not well-layered")
+                    running.add(key)
+                    stack += needs
+                    continue
+            # y is no accepting state: x loops around to it
+            memo[key] = self._star(
+                y, lambda a, t: Act(a) if t == y else Seq(Act(a), memo[t, y]),
+                lambda a, t: Act(a) if t == x else Seq(Act(a), memo[t, x]))
+            running.discard(key)
+            stack.pop()
+        return memo[root]
 
     def solve(self) -> SolutionMap:
-        phi: SolutionMap = {}
-        for x in sorted(self.sys.states, key=lambda s: (self.meas[s][1], self.sys.states.index(s))):
-            s, t1, t2 = factorize(self.sys, self.lab, x)
-            env = {}
-            for pair in term_variables(t1):
-                action, tgt = pair
-                env[pair] = Act(action) if tgt.sid == x \
-                    else Seq(Act(action), self.tau(tgt.sid, x))
-            for pair in term_variables(t2):
-                action, tgt = pair
-                env[pair] = Act(action) if tgt is TICK \
-                    else Seq(Act(action), phi[tgt.sid])
-            phi[x] = Star(sterm_to_expr(t1, env), s, sterm_to_expr(t2, env))
-        return phi
+        phi: list = [None] * len(self.sys.states)
+        order = sorted(range(len(phi)), key=self.depth.__getitem__)
+        for x in order:
+            phi[x] = self._star(
+                x, lambda a, t: Act(a) if t == x else Seq(Act(a), self.tau(t, x)),
+                lambda a, t: Act(a) if t < 0 else Seq(Act(a), phi[t]))
+        names = self.sys.states
+        return {names[x]: phi[x] for x in order}
 
 
 def tau(sys: System, lab: Labelling, y: str, x: str) -> Expr:
     """Detour expression for a loops-around pair; x must loop around to y."""
-    return _Solver(sys, lab).tau(y, x)
+    solver = _Solver(sys, lab)
+    i, j = sys.index[x], sys.index[y]
+    if j not in solver.loops[i]:
+        raise LayeringError(f"tau({y!r}, {x!r}) needs {x!r} to loop around to {y!r}")
+    return solver.tau(j, i)
 
 
 def canonical_solution(sys: System, lab: Labelling) -> SolutionMap:
     """The canonical solution of a well-layered labelled system.
 
     States are processed by ascending body-path depth, so exit parts only
-    refer to already-solved states; detours recurse along the lexicographic
-    (loop depth, body depth) descent and are memoized.
+    refer to already-solved states; detours follow the lexicographic (loop
+    depth, body depth) descent, built bottom up and memoized.  Every state's
+    row is split once, and each detour's once: with the integer core of
+    `layering`, the cost is linear in the system plus the loops-around
+    relation, and no recursion grows with the system.
     """
     return _Solver(sys, lab).solve()
 

@@ -39,9 +39,14 @@ class Semiring:
 
     The three built-in tables live in `SEMIRINGS`; new ones can be added with
     `register_semiring` as long as the operations satisfy the semiring laws.
+    ``parse_weight`` reads a document weight: a nonzero member, or
+    ValueError/TypeError.  By default it is ``parse`` followed by the
+    ``contains`` and zero checks; a table may pass one that checks less
+    where its ``parse`` already guarantees more.
     """
 
-    def __init__(self, name, zero, one, add, mul, parse, fmt, contains, sample):
+    def __init__(self, name, zero, one, add, mul, parse, fmt, contains, sample,
+                 parse_weight=None):
         self.name = name
         self.zero = zero
         self.one = one
@@ -51,6 +56,15 @@ class Semiring:
         self.format = fmt
         self.contains = contains
         self.sample = sample
+        self.parse_weight = parse_weight or self._checked_weight
+
+    def _checked_weight(self, raw):
+        w = self.parse(raw)
+        if not self.contains(w):
+            raise ValueError(f"{w!r} is not a {self.name} weight")
+        if w == self.zero:
+            raise ValueError("zero weights must be left out")
+        return w
 
     def __repr__(self):
         return f"Semiring({self.name})"
@@ -63,9 +77,16 @@ class Semiring:
 
 
 def _parse_nat(text: str) -> int:
-    if not re.fullmatch(r"\d+", text):
+    # str.isdecimal is the regular expression \d+ on a string: one or more
+    # Unicode decimal digits, which int() reads; other inputs fail as that
+    # expression's fullmatch does
+    if isinstance(text, str):
+        if text.isdecimal():
+            return int(text)
         raise ValueError(f"not a natural number: {text!r}")
-    return int(text)
+    if isinstance(text, (bytes, bytearray, memoryview)):
+        raise TypeError("cannot use a string pattern on a bytes-like object")
+    raise TypeError(f"expected string or bytes-like object, got {type(text).__name__!r}")
 
 
 def _parse_bool_weight(text: str) -> bool:
@@ -95,6 +116,17 @@ def _parse_nonneg_rational(text: str) -> Fraction:
     if value < 0:
         raise ValueError(f"negative weight: {text!r}")
     return value
+
+
+def _parse_rat_weight(raw) -> Fraction:
+    """`Semiring._checked_weight` for ``rat`` with one comparison: a parsed
+    Fraction is normalized, so its numerator alone says negative, zero or
+    positive, and a positive one is a member."""
+    value = parse_rational(raw)
+    num = value._numerator
+    if num > 0:
+        return value
+    raise ValueError(f"negative weight: {raw!r}" if num else "zero weights must be left out")
 
 
 SEMIRINGS: dict[str, Semiring] = {}
@@ -133,6 +165,7 @@ register_semiring(Semiring(
     fmt=str,
     contains=lambda x: isinstance(x, Fraction) and x >= 0,
     sample=lambda rng: Fraction(rng.randint(0, 6), rng.randint(1, 4)),
+    parse_weight=_parse_rat_weight,
 ))
 
 
@@ -945,23 +978,44 @@ def reify(m: MVal) -> STerm:
     tests (see `_decision_tree`)."""
     cfg = m.cfg
     kind = cfg.kind
-    if kind == "sl":
-        elems = _sorted_elements(m.data)
-        if not elems:
-            return SZERO
-        t: STerm = SVar(elems[-1])
-        for e in reversed(elems[:-1]):
-            t = SOp(PLUS, (SVar(e), t))
-        return t
+    data = _ordered(cfg, m.data)
     if kind == "ga":
-        return _decision_tree(cfg, _once(_ga_slot, m.data))
-    if kind == "ca":
-        return _ca_reify(m.data)
+        return _decision_tree(cfg, _once(_ga_slot, data))
     if kind == "gc":
-        return _decision_tree(cfg, _once(_ca_reify, m.data))
-    entries = _sorted_entries(m.data)
+        return _decision_tree(cfg, _once(_ca_chain, data))
+    return _chain(kind, data)
+
+
+def _ordered(cfg: TheoryConfig, data):
+    """A value's data in the form `reify` and `split` build terms from: a
+    sorted list of elements (``sl``) or of (element, weight) pairs (``ca``,
+    ``smod``); for ``gc`` one sorted tuple per atom, and for ``ga`` the
+    atom-ordered slots, with equal ones as one object (see `_once`)."""
+    kind = cfg.kind
+    if kind == "sl":
+        return _sorted_elements(data)
+    memo: dict = {}
+    if kind == "ga":
+        return [memo.setdefault(e, e) for e in data]
+    if kind == "gc":
+        return [memo[d] if d in memo else memo.setdefault(d, tuple(_sorted_entries(d)))
+                for d in data]
+    return _sorted_entries(data)
+
+
+def _chain(kind: str, entries) -> STerm:
+    """The term of ordered ``sl``, ``ca`` or ``smod`` entries: a right-nested
+    sum, a convex chain (`_ca_chain`), or a right-nested sum of scaled
+    variables."""
+    if kind == "ca":
+        return _ca_chain(entries)
     if not entries:
         return SZERO
+    if kind == "sl":
+        t: STerm = SVar(entries[-1])
+        for e in reversed(entries[:-1]):
+            t = SOp(PLUS, (SVar(e), t))
+        return t
     t = SOp(ScaleSym(entries[-1][1]), (SVar(entries[-1][0]),))
     for e, w in reversed(entries[:-1]):
         t = SOp(OPLUS, (SOp(ScaleSym(w), (SVar(e),)), t))
@@ -972,29 +1026,43 @@ def _ga_slot(e) -> STerm:
     return SZERO if e is None else SVar(e)
 
 
-def _ca_reify(dist) -> STerm:
-    """Left-nested convex chain with conditional probabilities, over the
-    elements in canonical order; a trailing choice against 0 carries any
-    missing mass."""
-    if not dist:
-        return SZERO
-    dist = _sorted_entries(dist)
-    total = sum(mass for _, mass in dist)
-    t: STerm = SVar(dist[0][0])
-    seen = dist[0][1]
-    for e, mass in dist[1:]:
-        t = SOp(ChoiceSym(seen / (seen + mass)), (t, SVar(e)))
-        seen += mass
-    if total != 1:
+def _ca_chain(dist) -> STerm:
+    """A ``ca`` distribution of ordered (element, mass) pairs as a convex
+    chain; a trailing choice against 0 carries any missing mass."""
+    t, total = _convex_chain(dist)
+    if dist and total != 1:
         t = SOp(ChoiceSym(total), (t, SZERO))
     return t
 
 
+def _convex_chain(dist) -> tuple[STerm, Any]:
+    """The left-nested convex chain over ordered (element, mass) pairs, its
+    probabilities conditional on the masses so far, and the masses' total.
+    The chain depends only on the masses' ratios."""
+    if not dist:
+        return SZERO, 0
+    t: STerm = SVar(dist[0][0])
+    seen = dist[0][1]
+    for e, mass in dist[1:]:
+        total = seen + mass
+        t = SOp(ChoiceSym(seen / total), (t, SVar(e)))
+        seen = total
+    return t, seen
+
+
 def _once(f: Callable, entries) -> list:
-    """``[f(x) for x in entries]``, calling f once per distinct entry, so
-    equal entries get one object."""
+    """``[f(x) for x in entries]``, calling f once per entry object, so
+    entries that are one object get one result.  Callers pass equal
+    entries as one object (`_ordered`, `split_row`): keyed by identity, the
+    memo never hashes weights or states."""
     memo: dict = {}
-    return [memo[x] if x in memo else memo.setdefault(x, f(x)) for x in entries]
+    out = []
+    for x in entries:
+        k = id(x)
+        if k not in memo:
+            memo[k] = f(x)
+        out.append(memo[k])
+    return out
 
 
 def _decision_tree(cfg: TheoryConfig, slots: list[STerm]) -> STerm:
@@ -1053,53 +1121,91 @@ def split(m: MVal, in_left: Callable[[Element], bool]) -> tuple[STerm, STerm, ST
     per-atom slots of the split (``u``, ``v`` or ``0`` for ``ga``), t1 and
     t2 the per-atom parts.
     """
-    cfg = m.cfg
-    universe = supp(m)
-    left = frozenset(e for e in universe if in_left(e))
+    left = frozenset(e for e in supp(m) if in_left(e))
+    return _split(m.cfg, _ordered(m.cfg, m.data), left.__contains__)
+
+
+def split_row(cfg: TheoryConfig, row, order, left, targets=None) -> tuple[STerm, STerm, STerm]:
+    """`split` of the value a row stands for, read from the row itself.
+
+    ``order[t]`` orders row targets as `element_sort_key` orders the
+    targets they stand for (for systems: states by id string, then tick),
+    and ``left`` holds the support pairs (label, t) that go left.  The
+    element of pair (label, t) is ``(label, targets[t])``, or the pair
+    itself without ``targets``.  With the targets a system's values use,
+    the terms equal those of `split` on `row_value`, and they are built
+    without the value.
+    """
+    kind = cfg.kind
+    sides: dict = {}
+
+    def elem(a, t):
+        e = (a, t) if targets is None else (a, targets[t])
+        sides[e] = (a, t) in left
+        return e
+
+    if kind == "ga":
+        data: list = [None] * len(cfg.atoms)
+        elems: dict = {}
+        for (i, a), t in zip(row[0], row[1]):
+            if (a, t) not in elems:
+                elems[a, t] = elem(a, t)
+            data[i] = elems[a, t]
+    elif kind == "gc":
+        dists: list[list] = [[] for _ in cfg.atoms]
+        for (i, a), t, w, k in zip(row[0], row[1], row[2], row[3]):
+            dists[i].append((a, order[t], t, k, w))
+        elems = {}
+        data = []
+        for dist in dists:
+            dist.sort()  # (label, order) is unique within an atom
+            key = tuple((a, t, k) for a, _, t, k, _ in dist)
+            d = elems.get(key)
+            if d is None:
+                d = elems[key] = tuple((elem(a, t), w) for a, _, t, _, w in dist)
+            data.append(d)
+    elif kind == "sl":
+        data = [elem(a, t) for a, _, t in
+                sorted([(a, order[t], t) for a, t in zip(row[0], row[1])])]
+    else:
+        data = [(elem(a, t), w) for a, _, t, w in
+                sorted([(a, order[t], t, w) for a, t, w in zip(row[0], row[1], row[2])])]
+    return _split(cfg, data, sides.__getitem__)
+
+
+def _split(cfg: TheoryConfig, data, is_left: Callable[[Element], bool]):
+    """`split` of ordered data (see `_ordered`) along ``is_left``."""
     kind = cfg.kind
     if kind == "sl":
-        t1 = reify(MVal(cfg, frozenset(m.data & left)))
-        t2 = reify(MVal(cfg, frozenset(m.data - left)))
-        return SOp(PLUS, (U_VAR, V_VAR)), t1, t2
+        return (SOp(PLUS, (U_VAR, V_VAR)), _chain(kind, [e for e in data if is_left(e)]),
+                _chain(kind, [e for e in data if not is_left(e)]))
     if kind == "ga":
-        s = _decision_tree(cfg, [SZERO if e is None else U_VAR if e in left else V_VAR
-                                 for e in m.data])
-        t1 = reify(MVal(cfg, tuple(e if e in left else None for e in m.data)))
-        t2 = reify(MVal(cfg, tuple(e if e is not None and e not in left else None
-                                   for e in m.data)))
+        sides = [None if e is None else is_left(e) for e in data]
+        s = _decision_tree(cfg, [SZERO if side is None else U_VAR if side else V_VAR
+                                 for side in sides])
+        t1 = _decision_tree(cfg, _once(_ga_slot, [e if side else None
+                                                  for e, side in zip(data, sides)]))
+        t2 = _decision_tree(cfg, _once(_ga_slot, [e if side is False else None
+                                                  for e, side in zip(data, sides)]))
         return s, t1, t2
     if kind == "ca":
-        s, d1, d2 = _split_dist(m.data, left)
-        return s, _ca_reify(d1), _ca_reify(d2)
+        return _split_dist(data, is_left)
     if kind == "gc":
-        parts = _once(lambda dist: _split_dist(dist, left), m.data)
-        s = _decision_tree(cfg, [p[0] for p in parts])
-        t1 = _decision_tree(cfg, _once(_ca_reify, [p[1] for p in parts]))
-        t2 = _decision_tree(cfg, _once(_ca_reify, [p[2] for p in parts]))
-        return s, t1, t2
-    # smod
-    t1 = reify(MVal(cfg, frozenset(kv for kv in m.data if kv[0] in left)))
-    t2 = reify(MVal(cfg, frozenset(kv for kv in m.data if kv[0] not in left)))
-    return SOp(OPLUS, (U_VAR, V_VAR)), t1, t2
+        parts = _once(lambda dist: _split_dist(dist, is_left), data)
+        return tuple(_decision_tree(cfg, [p[k] for p in parts]) for k in range(3))
+    return (SOp(OPLUS, (U_VAR, V_VAR)), _chain(kind, [kv for kv in data if is_left(kv[0])]),
+            _chain(kind, [kv for kv in data if not is_left(kv[0])]))
 
 
-def _split_dist(dist: frozenset, left: frozenset):
-    """One convex split: s over {u, v} plus the two conditional
-    distributions (each with full mass 1, or empty when its side is)."""
-    u_part = tuple(kv for kv in dist if kv[0] in left)
-    v_part = tuple(kv for kv in dist if kv[0] not in left)
-    r = sum((mass for _, mass in dist), Fraction(0))
-    if r == 0:
-        return SZERO, (), ()
-    pu = sum((mass for _, mass in u_part), Fraction(0))
-    if not v_part:
-        return SOp(ChoiceSym(r), (U_VAR, SZERO)), _rescale(u_part, pu), ()
-    if not u_part:
-        return SOp(ChoiceSym(r), (V_VAR, SZERO)), (), _rescale(v_part, r)
-    p = pu / r
-    s = SOp(ChoiceSym(r), (SOp(ChoiceSym(p), (U_VAR, V_VAR)), SZERO))
-    return s, _rescale(u_part, pu), _rescale(v_part, r - pu)
-
-
-def _rescale(dist: tuple, total: Fraction) -> tuple:
-    return tuple((e, mass / total) for e, mass in dist)
+def _split_dist(dist, is_left: Callable[[Element], bool]):
+    """One convex split of ordered (element, mass) pairs: s over {u, v},
+    and each side's conditional distribution, which has full mass 1, as a
+    chain (0 when the side is empty)."""
+    t1, pu = _convex_chain(tuple(kv for kv in dist if is_left(kv[0])))
+    t2, pv = _convex_chain(tuple(kv for kv in dist if not is_left(kv[0])))
+    if not pv:
+        return (SOp(ChoiceSym(pu), (U_VAR, SZERO)) if pu else SZERO), t1, t2
+    if not pu:
+        return SOp(ChoiceSym(pv), (V_VAR, SZERO)), t1, t2
+    r = pu + pv
+    return SOp(ChoiceSym(r), (SOp(ChoiceSym(pu / r), (U_VAR, V_VAR)), SZERO)), t1, t2

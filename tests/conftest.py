@@ -113,6 +113,34 @@ def bad_entry_doc(selector, entry):
             "beta": {"s0": [good], "s1": [good, entry]}}
 
 
+def sl_chain_doc(n):
+    """A labelled document of the chain s0 -a-> s1 -a-> ... -a-> ✓, with
+    no entry transitions."""
+    states = [f"s{i}" for i in range(n)]
+    beta = {x: [["a", states[i + 1] if i + 1 < n else "✓"]] for i, x in enumerate(states)}
+    return {"theory": "sl", "states": states, "root": "s0", "beta": beta,
+            "labelling": {"entry": []}}
+
+
+def loop_chain_doc(units, selector="sl"):
+    """A labelled document of ``(a ; c) *{u + v} b ; ...`` with ``units``
+    loops in sequence (``u (+1/2) v`` for ``ca``): state s(2k) enters the
+    loop on a to s(2k+1), which returns on c, and leaves on b."""
+    states = [f"s{i}" for i in range(2 * units)]
+    beta, entry = {}, []
+    for k in range(units):
+        x, y = states[2 * k], states[2 * k + 1]
+        nxt = states[2 * k + 2] if k + 1 < units else "✓"
+        if selector == "sl":
+            beta[x], beta[y] = [["a", y], ["b", nxt]], [["c", x]]
+        else:
+            beta[x] = [{"p": "1/2", "a": "a", "t": y}, {"p": "1/2", "a": "b", "t": nxt}]
+            beta[y] = [{"p": "1", "a": "c", "t": x}]
+        entry.append([x, "a", y])
+    return {"theory": selector, "states": states, "root": "s0", "beta": beta,
+            "labelling": {"entry": entry}}
+
+
 def brute_bisimilar(sys1, x1, sys2, x2) -> bool:
     """Independent equivalence oracle: enumerate partitions on the union."""
     union, left, right = disjoint_union(sys1, sys2)

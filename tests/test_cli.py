@@ -2,7 +2,9 @@
 
 import json
 
-from conftest import BAD_ENTRIES, NOT_RATIONAL_EDGES, bad_entry_doc, weighted_doc
+from conftest import (
+    BAD_ENTRIES, NOT_RATIONAL_EDGES, bad_entry_doc, loop_chain_doc, sl_chain_doc, weighted_doc,
+)
 from starexpr.cli import run
 from starexpr.semantics import load_system
 from starexpr.syntax import parse
@@ -139,6 +141,19 @@ def test_deep_nesting_exits_bound_not_inequivalent(capsys):
     assert code == 3 and out == ""
     assert err.startswith("error: input nests too deeply")
     assert "Traceback" not in err
+
+
+def test_long_chains_check_and_solve_up_to_printing(tmp_path, capsys):
+    # checking and solving are iterative; printing the solution's deep
+    # expressions is what still hits the recursion limit (exit 3)
+    for name, doc in (("sl", sl_chain_doc(5000)), ("loop", loop_chain_doc(1600))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = invoke(capsys, "label", "--check", str(path))
+        assert (code, out) == (0, "ok\n")
+        code, out, err = invoke(capsys, "solve", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: input nests too deeply")
 
 
 def test_fuzz_reports_first_failing_case(capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Output does not depend on the hash seed and matches a pinned digest,
+"""Output does not depend on the hash seed and matches pinned digests,
 loading plus refining a document sorts nothing, and the system path works
 on rows alone: values are hash-canonical, ordered only for output."""
 
@@ -10,11 +10,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-from starexpr import bisim, gen, semantics, theory
+from starexpr import bisim, gen, layering, semantics, theory
 from starexpr.bisim import minimize, refine
-from starexpr.semantics import (
-    State, System, export_dot, export_system, load_system, reachable, step, step_doc,
+from starexpr.layering import (
+    Labelling, check_well_layered, labelling_doc, loops_around, measures,
+    search_labelling, syntactic_labelling,
 )
+from starexpr.semantics import (
+    State, System, TICK, export_dot, export_system, load_system, reachable, step, step_doc,
+)
+from starexpr.solve import canonical_solution, roundtrip
+from starexpr.syntax import print_expr
 from starexpr.theory import parse_selector
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -158,3 +164,119 @@ def test_load_minimize_export_build_no_values(monkeypatch):
     assert counts["flat_rows"] == 1
     bisim._mapped_value(loaded, loaded.states[0], part)
     assert counts["mval_map"] == 1
+
+
+# SHA-256 of `_synthesis_outputs()`, taken before labellings were checked
+# and solved on integer rows; outputs must stay byte-identical
+SYNTHESIS_OUTPUTS_SHA256 = "194fe2e9afe857adb97735bf0a3b8bfba6e520f4ff4d363fa6c946d4cfe6f7e0"
+
+
+def _sparse_system(rng, cfg, n):
+    """A chain s0 -> s1 -> ... with random back edges and exits."""
+    states = tuple(f"s{k}" for k in range(n))
+    beta = {}
+    for k, x in enumerate(states):
+        pool = [("a", State(states[k + 1]) if k + 1 < n else TICK),
+                ("b", State(states[rng.randrange(k + 1)])), ("c", TICK)]
+        beta[x] = gen.rand_mval(rng, cfg, pool)
+    return System(cfg, states, beta, root="s0")
+
+
+def _two_loop_system(rng, cfg):
+    """x and y step into p and q, which step back to either: labelled with
+    every step of x and y as entry, the loops-around relation can cycle."""
+    pools = {x: [(a, State(t)) for a, t in steps] + [("t", TICK)] for x, steps in {
+        "x": [("a", "p"), ("a", "q")], "y": [("b", "q"), ("b", "p")],
+        "p": [("c", "x"), ("d", "y")], "q": [("e", "x"), ("f", "y")]}.items()}
+    return System(cfg, tuple(pools), {x: gen.rand_mval(rng, cfg, pool)
+                                       for x, pool in pools.items()})
+
+
+def _synthesis_outputs() -> str:
+    """In every standard theory: printed roundtrips of a seeded corpus;
+    `label --search` documents of minimized and of sparse 11-14-state
+    systems; `solve` documents (with loops-around and measures) for the
+    syntactic and the searched labellings; and `check_well_layered`
+    descriptions with loops-around for random labellings, mostly ill
+    layered, so that every condition and its witness occurs.  Systems of
+    11 states or more order ids differently from indices ("s10" < "s2")."""
+    out = []
+    conditions = set()
+    for i, selector in enumerate(gen.STANDARD_CONFIGS):
+        cfg = parse_selector(selector)
+        rng = random.Random(700 + i)
+        exprs = gen.corpus(cfg, 40, 24, seed=11)
+        for e in exprs:
+            out.append(print_expr(roundtrip(cfg, e)))
+        systems = []
+        for e in exprs:
+            sys_, _ = reachable(cfg, e)
+            systems.append((sys_, syntactic_labelling(cfg, e, sys_)))
+            msys = minimize(sys_)[0]
+            if len(msys.state_transitions()) <= 20:
+                found = search_labelling(msys)
+                doc = export_system(msys)
+                doc["labelling"] = None if found is None else labelling_doc(found)
+                out.append(json.dumps(doc))
+                if found is not None:
+                    systems.append((msys, found))
+        for e in [e for e in gen.corpus(cfg, 60, 48, seed=5)
+                  if len(reachable(cfg, e)[0].states) >= 11][:2]:
+            sys_, _ = reachable(cfg, e)
+            systems.append((sys_, syntactic_labelling(cfg, e, sys_)))
+        for _ in range(10):
+            sys_ = _sparse_system(rng, cfg, rng.randint(11, 14))
+            if len(sys_.state_transitions()) > 20:
+                continue
+            found = search_labelling(sys_)
+            doc = export_system(sys_)
+            doc["labelling"] = None if found is None else labelling_doc(found)
+            out.append(json.dumps(doc))
+            if found is not None:
+                systems.append((sys_, found))
+        for sys_, lab in systems:
+            phi = canonical_solution(sys_, lab)
+            doc = export_system(sys_)
+            doc["labelling"] = labelling_doc(lab)
+            doc["solution"] = {x: print_expr(phi[x]) for x in sys_.states}
+            doc["loops"] = sorted(loops_around(sys_, lab))
+            doc["measures"] = measures(sys_, lab)
+            out.append(json.dumps(doc))
+        for _ in range(60):
+            sys_ = gen.rand_system(rng, cfg, rng.randint(2, 14), ("a", "b"))
+            triples = sys_.state_transitions()
+            lab = Labelling(frozenset(t for t in triples if rng.random() < 0.3))
+            verdict = check_well_layered(sys_, lab)
+            conditions.add(verdict.condition)
+            out.append(verdict.describe())
+            out.append(json.dumps(sorted(loops_around(sys_, lab))))
+        for _ in range(20):
+            sys_ = _two_loop_system(rng, cfg)
+            lab = Labelling(frozenset(t for t in sys_.state_transitions() if t[0] in "xy"))
+            verdict = check_well_layered(sys_, lab)
+            conditions.add(verdict.condition)
+            out.append(verdict.describe())
+            out.append(json.dumps(sorted(loops_around(sys_, lab))))
+    assert conditions == {None, 1, 2, 3, 4}
+    return "\n".join(out)
+
+
+def _synthesis_digest() -> str:
+    return hashlib.sha256(_synthesis_outputs().encode()).hexdigest()
+
+
+def test_synthesis_outputs_match_the_pinned_digest():
+    assert _synthesis_digest() == SYNTHESIS_OUTPUTS_SHA256
+
+
+def test_synthesis_digest_sees_the_id_order(monkeypatch):
+    # positive control: ranking ids by length ("s2" before "s10") changes
+    # traversal order, witnesses and the order of solved terms
+    def by_length(states):
+        ranks = [0] * len(states)
+        for r, i in enumerate(sorted(range(len(states)), key=lambda i: len(states[i]))):
+            ranks[i] = r
+        return ranks
+
+    monkeypatch.setattr(layering, "_ranks", by_length)
+    assert _synthesis_digest() != SYNTHESIS_OUTPUTS_SHA256

@@ -1,8 +1,10 @@
 """Entry/body labellings: derivation, checking, loops, measures, search."""
 
+import sys
+
 import pytest
 
-from conftest import all_valid_labellings, corpus, sl_system
+from conftest import all_valid_labellings, corpus, loop_chain_doc, sl_chain_doc, sl_system
 from starexpr import gen, layering
 from starexpr.bisim import minimize
 from starexpr.errors import LayeringError, LimitExceededError
@@ -170,6 +172,29 @@ def test_measures_decrease_along_edges(cfg):
             assert meas[y][0] < meas[x][0]
 
 
+@pytest.mark.parametrize("doc", [sl_chain_doc(5000), loop_chain_doc(1600),
+                                 loop_chain_doc(1600, "ca")],
+                         ids=["sl-5000", "loop-sl-1600", "loop-ca-1600"])
+def test_checks_and_measures_run_on_long_chains(doc):
+    # a recursive longest-path search raised RecursionError from about 1000
+    # chain states; every pass of the integer core is iterative
+    assert sys.getrecursionlimit() <= 1000
+    sys_ = load_system(doc)
+    lab = labelling_from_doc(doc["labelling"], sys_)
+    assert check_well_layered(sys_, lab).ok
+    meas = measures(sys_, lab)
+    loops = loops_around(sys_, lab)
+    n = len(sys_.states)
+    if doc["labelling"]["entry"]:
+        # s(2k) loops around to s(2k+1) only; the body path from s1 runs
+        # back to s0 and then along every b
+        assert loops == {(f"s{2 * k}", f"s{2 * k + 1}") for k in range(n // 2)}
+        assert meas["s0"] == (1, n // 2 - 1) and meas["s1"] == (0, n // 2)
+    else:
+        assert loops == frozenset()
+        assert meas["s0"] == (0, n - 1)
+
+
 # ---------------------------------------------------------------------------
 # search
 
@@ -236,14 +261,14 @@ def test_search_finds_what_the_unfiltered_enumeration_finds(cfg, rng, monkeypatc
     randoms = (gen.rand_system(rng, cfg, rng.randint(2, 6), ("a", "b")) for _ in range(30))
     systems += [s for s in randoms if len(s.state_transitions()) <= 12]
     checks = 0
-    pair_level_ok = layering._pair_level_ok
+    violation = layering._violation
 
     def counting(*args):
         nonlocal checks
         checks += 1
-        return pair_level_ok(*args)
+        return violation(*args)
 
-    monkeypatch.setattr(layering, "_pair_level_ok", counting)
+    monkeypatch.setattr(layering, "_violation", counting)
     found = [search_labelling(s) for s in systems]
     filtered_checks, checks = checks, 0
     monkeypatch.setattr(layering, "_entry_candidates",

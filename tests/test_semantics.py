@@ -1,6 +1,9 @@
 """One-step behaviour, reachable systems, and document round-trips."""
 
+import fractions
 import json
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -269,6 +272,77 @@ def test_load_checks_weights_against_the_semiring():
             load_system(doc("3"))
     finally:
         del SEMIRINGS[ring.name]
+
+
+def _weight_in_three_checks(ring, raw):
+    """The document weight check as separate steps: the semiring's parse
+    (for ``nat`` the regular expression ``\\d+``), its membership test and
+    a comparison with its zero."""
+    if ring.name == "nat":
+        if not re.fullmatch(r"\d+", raw):
+            raise ValueError(f"not a natural number: {raw!r}")
+        w = int(raw)
+    else:
+        w = Fraction(raw)
+        if w < 0:
+            raise ValueError(f"negative weight: {raw!r}")
+    if not ring.contains(w):
+        raise ValueError(f"{w!r} is not a {ring.name} weight")
+    if w == ring.zero:
+        raise ValueError("zero weights must be left out")
+    return w
+
+
+def _outcome(f, raw):
+    try:
+        w = f(raw)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared whole
+        return type(exc), str(exc)
+    return type(w), w
+
+
+WEIGHT_EDGES = ["0", "1", "007", "12", "\u0663", "\u0663\u0664", "\uff11", "\u00b2", "",
+                " 1", "1 ", "1\n", "-1", "-0", "+1", "1/0", "0/5", "-1/2", "1/2", "3/6",
+                "1.5", "1_0", "1e3", "nan", 0, 3, -1, 1.5, 0.0, None, [1], {}, True, False]
+
+
+@pytest.mark.parametrize("name", ["nat", "rat"])
+def test_weights_parse_as_three_separate_checks_do(name):
+    ring = SEMIRINGS[name]
+    for raw in WEIGHT_EDGES:
+        expected = _outcome(lambda r: _weight_in_three_checks(ring, r), raw)
+        assert _outcome(ring.parse_weight, raw) == expected, raw
+        doc = {"theory": f"smod:{name}", "states": ["s0"],
+               "beta": {"s0": [{"w": raw, "a": "a", "t": "s0"}]}}
+        if isinstance(expected[0], type) and issubclass(expected[0], Exception):
+            with pytest.raises(DocumentError) as err:
+                load_system(doc)
+            assert str(err.value) == f"bad weight {raw!r}: {expected[1]}"
+        else:
+            w = load_system(doc).rows[0][2][0]
+            assert (type(w), w) == expected
+
+
+def test_rational_weights_load_without_fraction_comparisons(monkeypatch):
+    counts = {"compare": 0}
+
+    def counted(name):
+        f = getattr(Fraction, name)
+
+        def counting(*args):
+            counts["compare"] += 1
+            return f(*args)
+        return counting
+
+    cfg = parse_selector("smod:rat")
+    doc = export_system(gen.rand_system(random.Random(3), cfg, 200, ("a", "b")))
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        monkeypatch.setattr(fractions.Fraction, name, counted(name))
+    sys_ = load_system(doc)
+    assert sum(len(row[0]) for row in sys_.rows) > 200 and counts["compare"] == 0
+    # positive control: the generic check compares each weight three times
+    SEMIRINGS["rat"]._checked_weight("1/2")
+    assert counts["compare"] == 3
 
 
 @pytest.mark.parametrize("selector, key", [("ca", "p"), ("smod:nat", "w")])

@@ -1,23 +1,27 @@
 """Canonical solutions: factorization, detours, solving, round-trips."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import all_valid_labellings, brute_bisimilar, corpus, sl_system
+from conftest import (
+    all_valid_labellings, brute_bisimilar, corpus, loop_chain_doc, sl_chain_doc, sl_system,
+)
+from starexpr import semantics, solve
 from starexpr.bisim import decide_equiv, minimize
 from starexpr.errors import LayeringError
 from starexpr.layering import (
-    Labelling, check_well_layered, search_labelling, syntactic_labelling,
+    Labelling, check_well_layered, labelling_from_doc, search_labelling, syntactic_labelling,
 )
-from starexpr.semantics import State, System, TICK, reachable
+from starexpr.semantics import State, System, TICK, load_system, reachable
 from starexpr.solve import (
     canonical_solution, check_solution, factorize, image_labelling, roundtrip,
     simplify, tau,
 )
 from starexpr.syntax import Act, Seq, parse, print_expr
 from starexpr.theory import (
-    ChoiceSym, PLUS, SOp, SVar, SZERO, mval_ca, parse_selector,
+    ChoiceSym, PLUS, SOp, SVar, SZERO, mval_ca, parse_selector, row_value,
 )
 
 SL = parse_selector("sl")
@@ -197,6 +201,87 @@ def test_solution_pullback_through_minimize():
     phi = canonical_solution(msys, lab)
     pulled = {x: phi[h[x]] for x in sys_.states}
     assert check_solution(sys_, pulled)
+
+
+@pytest.mark.parametrize("doc", [sl_chain_doc(5000), loop_chain_doc(1600),
+                                 loop_chain_doc(1600, "ca")],
+                         ids=["sl-5000", "loop-sl-1600", "loop-ca-1600"])
+def test_canonical_solution_runs_on_long_chains(doc):
+    assert sys.getrecursionlimit() <= 1000
+    sys_ = load_system(doc)
+    phi = canonical_solution(sys_, labelling_from_doc(doc["labelling"], sys_))
+    assert set(phi) == set(sys_.states)
+    # the root's solution exits into the next state's along the chain
+    assert phi["s0"].exit.right is phi["s2" if doc["labelling"]["entry"] else "s1"]
+
+
+@pytest.mark.parametrize("n", [4, 2000])
+def test_canonical_solution_runs_on_a_long_loop(n):
+    # s0 enters a loop of n steps that returns to it: each detour needs the
+    # next one, which a recursive construction nested once per step
+    states = [f"s{i}" for i in range(n + 1)]
+    beta = {"s0": [["a", "s1"], ["b", "✓"]]}
+    beta.update({states[i]: [["a", states[(i + 1) % (n + 1)]]] for i in range(1, n + 1)})
+    sys_ = load_system({"theory": "sl", "states": states, "beta": beta})
+    lab = labelling_from_doc({"entry": [["s0", "a", "s1"]]}, sys_)
+    phi = canonical_solution(sys_, lab)
+    assert set(phi) == set(states)
+    if n == 4:
+        assert check_solution(sys_, phi)
+        assert decide_equiv(SL, phi["s0"], parse("(a ; a ; a ; a ; a) *{u + v} b", SL))
+
+
+def test_chain_solutions_are_equivalent_to_their_expression():
+    for selector, loop in (("sl", "u + v"), ("ca", "u (+1/2) v")):
+        doc = loop_chain_doc(4, selector)
+        sys_ = load_system(doc)
+        phi = canonical_solution(sys_, labelling_from_doc(doc["labelling"], sys_))
+        cfg = sys_.cfg
+        e = parse(" ; ".join([f"(a ; c) *{{{loop}}} b"] * 4), cfg)
+        assert decide_equiv(cfg, phi["s0"], e)
+        assert check_solution(sys_, phi)
+
+
+class _CountingEntries(frozenset):
+    """A labelling's entry set that counts the passes over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        _CountingEntries.passes += 1
+        return super().__iter__()
+
+
+def test_roundtrip_reads_rows_and_the_labelling_once(monkeypatch):
+    # the solver splits rows directly: no value is built from a row (which
+    # `System.beta` does per state), and the labelling is read once, not
+    # once per state
+    built = []
+    monkeypatch.setattr(semantics, "row_value",
+                        lambda *args: built.append(args) or row_value(*args))
+    labelled = []
+
+    def search(msys):
+        lab = Labelling(_CountingEntries(search_labelling(msys).entry))
+        labelled.append((msys, lab))
+        return lab
+
+    monkeypatch.setattr(solve, "search_labelling", search)
+    _CountingEntries.passes = 0
+    e = parse("(a ; (b + c ; d)) *{u + v} (e ; (f ; g) *{u + v} h)", SL)
+    out = roundtrip(SL, e)
+    (msys, lab), = labelled
+    assert len(msys.states) >= 5 and len(lab.entry) >= 2
+    assert built == [] and _CountingEntries.passes == 1
+    # positive controls: checking the solution reads values, and the
+    # public factorize reads the labelling once per call
+    phi = canonical_solution(msys, lab)
+    assert decide_equiv(SL, out, e) and check_solution(msys, phi)
+    assert len(built) == len(msys.states)
+    _CountingEntries.passes = 0
+    for x in msys.states:
+        factorize(msys, lab, x)
+    assert _CountingEntries.passes == len(msys.states)
 
 
 # ---------------------------------------------------------------------------
