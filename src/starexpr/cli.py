@@ -24,7 +24,7 @@ from .layering import (
 from .semantics import (
     System, export_dot, export_system, load_system, reachable, step, step_doc,
 )
-from .solve import canonical_solution, roundtrip, simplify, sterm_to_expr
+from .solve import canonical_solution, roundtrip, sterm_to_expr
 from .syntax import Seq, Star, compute_U, parse, print_expr
 from .theory import (
     TheoryConfig, eta, eval_term, mval_map, parse_selector, reify, split, supp,
@@ -158,8 +158,6 @@ def _cmd_solve(args):
     if not verdict.ok:
         raise LayeringError(f"labelling is not well-layered: {verdict.describe()}")
     phi = canonical_solution(sys_, lab)
-    if args.simplify:
-        phi = {x: simplify(e) for x, e in phi.items()}
     out = export_system(sys_)
     out["labelling"] = labelling_doc(lab)
     out["solution"] = {x: print_expr(phi[x]) for x in sys_.states}
@@ -171,8 +169,6 @@ def _cmd_roundtrip(args):
     cfg = _cfg(args)
     e = parse(args.expr, cfg)
     out = roundtrip(cfg, e)
-    if args.simplify:
-        out = simplify(out)
     print(print_expr(out))
     if decide_equiv(cfg, out, e):
         print("verified: bisimilar")
@@ -366,12 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="canonical solution of a labelled system document")
     p.add_argument("document", help="system+labelling document path, or - for stdin")
-    p.add_argument("--simplify", action="store_true", help="apply the unrolling clean-up")
     p.set_defaults(fn=_cmd_solve)
 
     p = with_theory(sub.add_parser("roundtrip", help="minimize, solve, and verify an expression"))
     p.add_argument("expr")
-    p.add_argument("--simplify", action="store_true", help="apply the unrolling clean-up")
     p.set_defaults(fn=_cmd_roundtrip)
 
     p = with_theory(sub.add_parser("fuzz", help="run the property suites"))

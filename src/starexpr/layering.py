@@ -406,7 +406,8 @@ def search_labelling(sys: System) -> Labelling | None:
     enough for both existence and minimality.  Self-loops are forced entry
     (a body self-loop always breaks condition 1).  The number of entry sets
     is exponential in the transitions, hence the bound; each is checked by
-    the integer core in time linear in the system.
+    the integer core in time linear in the system, except those that keep
+    all pairs of a body cycle found earlier, which fail unchecked.
     """
     actions: dict[tuple[int, int], list] = {}
     for i, row in enumerate(sys.rows):
@@ -437,7 +438,14 @@ def search_labelling(sys: System) -> Labelling | None:
         choosing.setdefault(x, []).append(i)
     choices = [(x, idx[0], (1 << len(idx)) - 1, {}) for x, idx in choosing.items()]
     accepts = [-1 in row[1] for row in sys.rows]
+    # A body cycle is made of optional pairs (a self-loop is entry, a pair
+    # off every cycle is no candidate), and every later entry set that
+    # takes none of them as entry keeps that cycle: it is skipped unchecked.
+    position = {p: i for i, p in enumerate(optional)}
+    cycles: list[int] = []
     for chosen in _subsets_by_weight(weights):
+        if any(not chosen & cycle for cycle in cycles):
+            continue
         for x, low, width, built in choices:
             mask = chosen >> low & width
             lists = built.get(mask)
@@ -448,11 +456,15 @@ def search_labelling(sys: System) -> Labelling | None:
                     [y for y in succ[x] if y == x or y in picked],
                     [y for y in succ[x] if y != x and y not in picked])
             entry[x], body[x] = lists
-        if _violation(_Layers(entry, body, accepts, rank, {})) is None:
+        found = _violation(_Layers(entry, body, accepts, rank, {}))
+        if found is None:
             names = sys.states
             return Labelling(frozenset(
                 (names[x], a, names[y]) for x, y in pairs
                 if y in entry[x] for a in actions[x, y]))
+        condition, witness = found
+        if condition == 1:
+            cycles.append(sum(1 << position[p] for p in zip(witness, witness[1:])))
     return None
 
 

@@ -4,8 +4,10 @@ Each state's transition value is split along its labelling into a loop part
 (self-loops and entry transitions) and an exit part (body transitions and
 acceptance).  The loop part becomes the body of a star, threaded through the
 split's two-variable term; entry targets contribute detour expressions that
-run until the loop closes.  The result is a solution: every state's
-expression is provably equivalent to its one-step unfolding.
+run until the loop closes.  A state without entry transitions is no loop
+entry and gets no star: its expression is its one-step unfolding.  The
+result is a solution: every state's expression is provably equivalent to
+its one-step unfolding.
 
 The solver reads each state's row and entry steps by index (`split_row`),
 so it builds no values and reads the labelling once; its cost is linear in
@@ -22,7 +24,9 @@ from .layering import (
 )
 from .semantics import State, System, TICK, reachable
 from .syntax import Act, Expr, Seq, Star, TOp
-from .theory import STerm, SVar, TheoryConfig, reify, row_support, split_row, term_variables
+from .theory import (
+    STerm, SVar, TheoryConfig, reify, reify_row, row_support, split_row, term_variables,
+)
 
 SolutionMap = dict[str, Expr]
 
@@ -73,11 +77,18 @@ class _Solver:
         self.order = _order(layers.rank)
         self.tau_memo: dict[tuple[int, int], Expr] = {}
 
-    def _star(self, i: int, left, right) -> Star:
+    def _star(self, i: int, left, right) -> Expr:
         """State i's split as a star, each loop-side support pair (a, t)
-        bound to ``left(a, t)`` and each exit-side one to ``right(a, t)``."""
+        bound to ``left(a, t)`` and each exit-side one to ``right(a, t)``.
+
+        Without loop-side pairs the star would be ``0 *{s} t2``; its one
+        step, the term `reify` gives state i's value with every pair bound
+        to ``right``, has the same step value and is returned instead."""
         cfg, row = self.sys.cfg, self.sys.rows[i]
-        here = self.steps.get(i, ())
+        here = self.steps.get(i)
+        if not here:
+            env = {pair: right(*pair) for pair in row_support(cfg, row)}
+            return sterm_to_expr(reify_row(cfg, row, self.order), env)
         s, t1, t2 = split_row(cfg, row, self.order, here)
         env = {pair: left(*pair) if pair in here else right(*pair)
                for pair in row_support(cfg, row)}
@@ -145,6 +156,10 @@ def tau(sys: System, lab: Labelling, y: str, x: str) -> Expr:
 def canonical_solution(sys: System, lab: Labelling) -> SolutionMap:
     """The canonical solution of a well-layered labelled system.
 
+    Solutions are reduced: only a state or detour with entry steps is a
+    star, and the terms of `split` and `reify` carry no unit weights and no
+    full-mass choices against 0.
+
     States are processed by ascending body-path depth, so exit parts only
     refer to already-solved states; detours follow the lexicographic (loop
     depth, body depth) descent, built bottom up and memoized.  Every state's
@@ -206,15 +221,45 @@ def roundtrip(cfg: TheoryConfig, e: Expr) -> Expr:
 
 def simplify(e: Expr) -> Expr:
     """Cosmetic post-pass: a star whose loop term never takes the loop
-    variable unrolls to its exit side.  Justified by the unrolling axiom."""
-    if isinstance(e, TOp):
-        return TOp(e.sym, tuple(simplify(a) for a in e.args))
-    if isinstance(e, Seq):
-        return Seq(simplify(e.left), simplify(e.right))
-    if isinstance(e, Star):
-        body = simplify(e.body)
-        exit_ = simplify(e.exit)
-        if "u" not in term_variables(e.loop):
-            return sterm_to_expr(e.loop, {"v": exit_})
-        return Star(body, e.loop, exit_)
-    return e
+    variable unrolls to its exit side.  Justified by the unrolling axiom.
+    The solver's reduced solutions have no such star, so they come back
+    unchanged.
+
+    Iterative, and memoized by node identity: a node shared in the input
+    is simplified once and its result is shared in the output, so the cost
+    follows the expression's DAG, not its tree.  A node whose children come
+    back unchanged is returned itself."""
+    done: dict[int, Expr] = {}
+    stack = [e]
+    while stack:
+        x = stack[-1]
+        if id(x) in done:
+            stack.pop()
+            continue
+        if isinstance(x, TOp):
+            kids = x.args
+        elif isinstance(x, Seq):
+            kids = (x.left, x.right)
+        elif isinstance(x, Star):
+            kids = (x.body, x.exit)
+        else:
+            done[id(x)] = x
+            stack.pop()
+            continue
+        pending = [k for k in kids if id(k) not in done]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        new = tuple(done[id(k)] for k in kids)
+        if isinstance(x, Star) and "u" not in term_variables(x.loop):
+            done[id(x)] = sterm_to_expr(x.loop, {"v": new[1]})
+        elif all(a is b for a, b in zip(new, kids)):
+            done[id(x)] = x
+        elif isinstance(x, TOp):
+            done[id(x)] = TOp(x.sym, new)
+        elif isinstance(x, Seq):
+            done[id(x)] = Seq(*new)
+        else:
+            done[id(x)] = Star(new[0], x.loop, new[1])
+    return done[id(e)]

@@ -973,17 +973,21 @@ def _convex(p: Fraction, left: frozenset, right: frozenset) -> frozenset:
 
 def reify(m: MVal) -> STerm:
     """A term over supp(m) that evaluates back to m under the identity
-    environment.  Deterministic: elements in the canonical order.  Guarded
+    environment.  Deterministic: elements in the canonical order.  Reduced:
+    no unit weight ``1 .`` and no choice of full mass against 0.  Guarded
     values (``ga``, ``gc``) become reduced decision trees over the declared
     tests (see `_decision_tree`)."""
-    cfg = m.cfg
+    return _reify(m.cfg, _ordered(m.cfg, m.data))
+
+
+def _reify(cfg: TheoryConfig, data) -> STerm:
+    """`reify` of ordered data (see `_ordered`)."""
     kind = cfg.kind
-    data = _ordered(cfg, m.data)
     if kind == "ga":
         return _decision_tree(cfg, _once(_ga_slot, data))
     if kind == "gc":
         return _decision_tree(cfg, _once(_ca_chain, data))
-    return _chain(kind, data)
+    return _chain(cfg, data)
 
 
 def _ordered(cfg: TheoryConfig, data):
@@ -1003,10 +1007,12 @@ def _ordered(cfg: TheoryConfig, data):
     return _sorted_entries(data)
 
 
-def _chain(kind: str, entries) -> STerm:
+def _chain(cfg: TheoryConfig, entries) -> STerm:
     """The term of ordered ``sl``, ``ca`` or ``smod`` entries: a right-nested
     sum, a convex chain (`_ca_chain`), or a right-nested sum of scaled
-    variables."""
+    variables, where a variable of the semiring's unit weight stays
+    unscaled."""
+    kind = cfg.kind
     if kind == "ca":
         return _ca_chain(entries)
     if not entries:
@@ -1016,9 +1022,11 @@ def _chain(kind: str, entries) -> STerm:
         for e in reversed(entries[:-1]):
             t = SOp(PLUS, (SVar(e), t))
         return t
-    t = SOp(ScaleSym(entries[-1][1]), (SVar(entries[-1][0]),))
-    for e, w in reversed(entries[:-1]):
-        t = SOp(OPLUS, (SOp(ScaleSym(w), (SVar(e),)), t))
+    one = cfg.semiring.one
+    terms = [SVar(e) if w == one else SOp(ScaleSym(w), (SVar(e),)) for e, w in entries]
+    t = terms[-1]
+    for x in reversed(terms[:-1]):
+        t = SOp(OPLUS, (x, t))
     return t
 
 
@@ -1030,9 +1038,13 @@ def _ca_chain(dist) -> STerm:
     """A ``ca`` distribution of ordered (element, mass) pairs as a convex
     chain; a trailing choice against 0 carries any missing mass."""
     t, total = _convex_chain(dist)
-    if dist and total != 1:
-        t = SOp(ChoiceSym(total), (t, SZERO))
-    return t
+    return _with_mass(t, total) if dist else t
+
+
+def _with_mass(t: STerm, mass) -> STerm:
+    """t taken with probability ``mass``: t itself at full mass, else a
+    choice of t against 0."""
+    return t if mass == 1 else SOp(ChoiceSym(mass), (t, SZERO))
 
 
 def _convex_chain(dist) -> tuple[STerm, Any]:
@@ -1116,10 +1128,12 @@ def split(m: MVal, in_left: Callable[[Element], bool]) -> tuple[STerm, STerm, ST
     Returns (s, t1, t2) with s a term over {u, v}, t1 a term over the
     elements satisfying ``in_left``, t2 over the rest, such that evaluating
     s with u = t1's value and v = t2's value reproduces m exactly.  s may be
-    degenerate (mention only one variable, or neither).  For ``ga`` and
-    ``gc`` all three are reduced decision trees over the tests: s has the
-    per-atom slots of the split (``u``, ``v`` or ``0`` for ``ga``), t1 and
-    t2 the per-atom parts.
+    degenerate (mention only one variable, or neither).  The terms are
+    reduced as `reify`'s are: a convex s chooses against 0 only for a mass
+    below 1, and an ``smod`` side scales no variable by the unit.  For
+    ``ga`` and ``gc`` all three are reduced decision trees over the tests:
+    s has the per-atom slots of the split (``u``, ``v`` or ``0`` for
+    ``ga``), t1 and t2 the per-atom parts.
     """
     left = frozenset(e for e in supp(m) if in_left(e))
     return _split(m.cfg, _ordered(m.cfg, m.data), left.__contains__)
@@ -1136,7 +1150,6 @@ def split_row(cfg: TheoryConfig, row, order, left, targets=None) -> tuple[STerm,
     the terms equal those of `split` on `row_value`, and they are built
     without the value.
     """
-    kind = cfg.kind
     sides: dict = {}
 
     def elem(a, t):
@@ -1144,6 +1157,23 @@ def split_row(cfg: TheoryConfig, row, order, left, targets=None) -> tuple[STerm,
         sides[e] = (a, t) in left
         return e
 
+    return _split(cfg, _row_data(cfg, row, order, elem), sides.__getitem__)
+
+
+def reify_row(cfg: TheoryConfig, row, order) -> STerm:
+    """`reify` of the value a row stands for, read from the row itself as
+    `split_row` reads it, with the support pairs (label, t) as elements."""
+    return _reify(cfg, _row_data(cfg, row, order, _pair))
+
+
+def _pair(a, t):
+    return a, t
+
+
+def _row_data(cfg: TheoryConfig, row, order, elem: Callable):
+    """The ordered data (see `_ordered`) of the value a row stands for,
+    with ``elem(label, t)`` as the element of support pair (label, t)."""
+    kind = cfg.kind
     if kind == "ga":
         data: list = [None] * len(cfg.atoms)
         elems: dict = {}
@@ -1151,7 +1181,8 @@ def split_row(cfg: TheoryConfig, row, order, left, targets=None) -> tuple[STerm,
             if (a, t) not in elems:
                 elems[a, t] = elem(a, t)
             data[i] = elems[a, t]
-    elif kind == "gc":
+        return data
+    if kind == "gc":
         dists: list[list] = [[] for _ in cfg.atoms]
         for (i, a), t, w, k in zip(row[0], row[1], row[2], row[3]):
             dists[i].append((a, order[t], t, k, w))
@@ -1164,21 +1195,20 @@ def split_row(cfg: TheoryConfig, row, order, left, targets=None) -> tuple[STerm,
             if d is None:
                 d = elems[key] = tuple((elem(a, t), w) for a, _, t, _, w in dist)
             data.append(d)
-    elif kind == "sl":
-        data = [elem(a, t) for a, _, t in
+        return data
+    if kind == "sl":
+        return [elem(a, t) for a, _, t in
                 sorted([(a, order[t], t) for a, t in zip(row[0], row[1])])]
-    else:
-        data = [(elem(a, t), w) for a, _, t, w in
-                sorted([(a, order[t], t, w) for a, t, w in zip(row[0], row[1], row[2])])]
-    return _split(cfg, data, sides.__getitem__)
+    return [(elem(a, t), w) for a, _, t, w in
+            sorted([(a, order[t], t, w) for a, t, w in zip(row[0], row[1], row[2])])]
 
 
 def _split(cfg: TheoryConfig, data, is_left: Callable[[Element], bool]):
     """`split` of ordered data (see `_ordered`) along ``is_left``."""
     kind = cfg.kind
     if kind == "sl":
-        return (SOp(PLUS, (U_VAR, V_VAR)), _chain(kind, [e for e in data if is_left(e)]),
-                _chain(kind, [e for e in data if not is_left(e)]))
+        return (SOp(PLUS, (U_VAR, V_VAR)), _chain(cfg, [e for e in data if is_left(e)]),
+                _chain(cfg, [e for e in data if not is_left(e)]))
     if kind == "ga":
         sides = [None if e is None else is_left(e) for e in data]
         s = _decision_tree(cfg, [SZERO if side is None else U_VAR if side else V_VAR
@@ -1193,19 +1223,20 @@ def _split(cfg: TheoryConfig, data, is_left: Callable[[Element], bool]):
     if kind == "gc":
         parts = _once(lambda dist: _split_dist(dist, is_left), data)
         return tuple(_decision_tree(cfg, [p[k] for p in parts]) for k in range(3))
-    return (SOp(OPLUS, (U_VAR, V_VAR)), _chain(kind, [kv for kv in data if is_left(kv[0])]),
-            _chain(kind, [kv for kv in data if not is_left(kv[0])]))
+    return (SOp(OPLUS, (U_VAR, V_VAR)), _chain(cfg, [kv for kv in data if is_left(kv[0])]),
+            _chain(cfg, [kv for kv in data if not is_left(kv[0])]))
 
 
 def _split_dist(dist, is_left: Callable[[Element], bool]):
     """One convex split of ordered (element, mass) pairs: s over {u, v},
-    and each side's conditional distribution, which has full mass 1, as a
-    chain (0 when the side is empty)."""
+    with a choice against 0 only for mass below 1, and each side's
+    conditional distribution, which has full mass 1, as a chain (0 when the
+    side is empty)."""
     t1, pu = _convex_chain(tuple(kv for kv in dist if is_left(kv[0])))
     t2, pv = _convex_chain(tuple(kv for kv in dist if not is_left(kv[0])))
     if not pv:
-        return (SOp(ChoiceSym(pu), (U_VAR, SZERO)) if pu else SZERO), t1, t2
+        return (_with_mass(U_VAR, pu) if pu else SZERO), t1, t2
     if not pu:
-        return SOp(ChoiceSym(pv), (V_VAR, SZERO)), t1, t2
+        return _with_mass(V_VAR, pv), t1, t2
     r = pu + pv
-    return SOp(ChoiceSym(r), (SOp(ChoiceSym(pu / r), (U_VAR, V_VAR)), SZERO)), t1, t2
+    return _with_mass(SOp(ChoiceSym(pu / r), (U_VAR, V_VAR)), r), t1, t2

@@ -1,6 +1,12 @@
 """Command line behaviour: outputs, document flows, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from conftest import (
     BAD_ENTRIES, NOT_RATIONAL_EDGES, bad_entry_doc, loop_chain_doc, sl_chain_doc, weighted_doc,
@@ -126,6 +132,13 @@ def test_roundtrip_verdict(capsys):
     parse(lines[0], sl)
 
 
+@pytest.mark.parametrize("selector, text", [("smod:nat", "2 . a ; b (+) c"),
+                                            ("ca", "a ; b (+1/2) c")])
+def test_loop_free_roundtrips_print_their_input(capsys, selector, text):
+    code, out, _ = invoke(capsys, "roundtrip", "--theory", selector, text)
+    assert (code, out) == (0, f"{text}\nverified: bisimilar\n")
+
+
 def test_guard_bound_exit_code(tmp_path, capsys):
     beta = {f"s{i}": [[a, f"s{(i + 1) % 5}"] for a in "abcde"] for i in range(5)}
     doc = {"theory": "sl", "states": [f"s{i}" for i in range(5)], "beta": beta}
@@ -154,6 +167,24 @@ def test_long_chains_check_and_solve_up_to_printing(tmp_path, capsys):
         code, out, err = invoke(capsys, "solve", str(path))
         assert (code, out) == (3, "")
         assert err.startswith("error: input nests too deeply")
+
+
+def test_loop_free_chains_solve_until_printing_nests_too_deeply(tmp_path):
+    # a loop-free state solves to its one step, not to a star around it, so
+    # printing nests once per state; a fresh process, as the command runs,
+    # has the whole default recursion limit
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for n, expected in ((990, 0), (1100, 3)):
+        path = tmp_path / f"sl-{n}.json"
+        path.write_text(json.dumps(sl_chain_doc(n)))
+        done = subprocess.run([sys.executable, "-m", "starexpr.cli", "solve", str(path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == expected, done.stderr
+        if expected == 0:
+            assert json.loads(done.stdout)["solution"]["s0"] == " ; ".join(["a"] * n)
+        else:
+            assert done.stderr.startswith("error: input nests too deeply")
 
 
 def test_fuzz_reports_first_failing_case(capsys, monkeypatch):

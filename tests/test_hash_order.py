@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from starexpr import bisim, gen, layering, semantics, theory
-from starexpr.bisim import minimize, refine
+from starexpr.bisim import decide_equiv, minimize, refine
 from starexpr.layering import (
     Labelling, check_well_layered, labelling_doc, loops_around, measures,
     search_labelling, syntactic_labelling,
@@ -19,7 +19,7 @@ from starexpr.layering import (
 from starexpr.semantics import (
     State, System, TICK, export_dot, export_system, load_system, reachable, step, step_doc,
 )
-from starexpr.solve import canonical_solution, roundtrip
+from starexpr.solve import canonical_solution, check_solution, roundtrip
 from starexpr.syntax import print_expr
 from starexpr.theory import parse_selector
 
@@ -166,9 +166,18 @@ def test_load_minimize_export_build_no_values(monkeypatch):
     assert counts["mval_map"] == 1
 
 
-# SHA-256 of `_synthesis_outputs()`, taken before labellings were checked
-# and solved on integer rows; outputs must stay byte-identical
-SYNTHESIS_OUTPUTS_SHA256 = "194fe2e9afe857adb97735bf0a3b8bfba6e520f4ff4d363fa6c946d4cfe6f7e0"
+# SHA-256 of each part of `_synthesis_parts()`.  The `label --search`
+# documents and the `check_well_layered` descriptions were taken before
+# labellings were checked and solved on integer rows, and must stay
+# byte-identical; the roundtrip and `solve` parts were re-pinned when
+# solutions became reduced (no empty star, no full-mass choice against 0, no
+# unit weight), and each of their outputs is verified as well.
+SYNTHESIS_SHA256 = {
+    "roundtrip": "7d565d6acc2ccfc884359e2bce6d412cfbb56268c2ad7977b507f3565442c34c",
+    "search": "c3a1a078de487d374141b1f949ad7ae0960c835d2305bb49293c4f248afc88b2",
+    "solve": "df986ce4340d6d80b56ae58d01b19a4f65b23a15aa64b0e0000464ff53d68d20",
+    "check": "c5d674ab93511397e0412d2241bc8ff9e8b025c15a8d61588c287a41dc05c740",
+}
 
 
 def _sparse_system(rng, cfg, n):
@@ -192,22 +201,28 @@ def _two_loop_system(rng, cfg):
                                        for x, pool in pools.items()})
 
 
-def _synthesis_outputs() -> str:
+def _synthesis_parts():
     """In every standard theory: printed roundtrips of a seeded corpus;
     `label --search` documents of minimized and of sparse 11-14-state
     systems; `solve` documents (with loops-around and measures) for the
     syntactic and the searched labellings; and `check_well_layered`
     descriptions with loops-around for random labellings, mostly ill
     layered, so that every condition and its witness occurs.  Systems of
-    11 states or more order ids differently from indices ("s10" < "s2")."""
-    out = []
+    11 states or more order ids differently from indices ("s10" < "s2").
+
+    Returns the four parts' texts by name, with the (cfg, input, output)
+    of every roundtrip and the (system, solution) of every `solve`."""
+    parts: dict = {"roundtrip": [], "search": [], "solve": [], "check": []}
+    roundtrips, solutions = [], []
     conditions = set()
     for i, selector in enumerate(gen.STANDARD_CONFIGS):
         cfg = parse_selector(selector)
         rng = random.Random(700 + i)
         exprs = gen.corpus(cfg, 40, 24, seed=11)
         for e in exprs:
-            out.append(print_expr(roundtrip(cfg, e)))
+            out = roundtrip(cfg, e)
+            roundtrips.append((cfg, e, out))
+            parts["roundtrip"].append(print_expr(out))
         systems = []
         for e in exprs:
             sys_, _ = reachable(cfg, e)
@@ -217,7 +232,7 @@ def _synthesis_outputs() -> str:
                 found = search_labelling(msys)
                 doc = export_system(msys)
                 doc["labelling"] = None if found is None else labelling_doc(found)
-                out.append(json.dumps(doc))
+                parts["search"].append(json.dumps(doc))
                 if found is not None:
                     systems.append((msys, found))
         for e in [e for e in gen.corpus(cfg, 60, 48, seed=5)
@@ -231,47 +246,53 @@ def _synthesis_outputs() -> str:
             found = search_labelling(sys_)
             doc = export_system(sys_)
             doc["labelling"] = None if found is None else labelling_doc(found)
-            out.append(json.dumps(doc))
+            parts["search"].append(json.dumps(doc))
             if found is not None:
                 systems.append((sys_, found))
         for sys_, lab in systems:
             phi = canonical_solution(sys_, lab)
+            solutions.append((sys_, phi))
             doc = export_system(sys_)
             doc["labelling"] = labelling_doc(lab)
             doc["solution"] = {x: print_expr(phi[x]) for x in sys_.states}
             doc["loops"] = sorted(loops_around(sys_, lab))
             doc["measures"] = measures(sys_, lab)
-            out.append(json.dumps(doc))
+            parts["solve"].append(json.dumps(doc))
         for _ in range(60):
             sys_ = gen.rand_system(rng, cfg, rng.randint(2, 14), ("a", "b"))
             triples = sys_.state_transitions()
             lab = Labelling(frozenset(t for t in triples if rng.random() < 0.3))
             verdict = check_well_layered(sys_, lab)
             conditions.add(verdict.condition)
-            out.append(verdict.describe())
-            out.append(json.dumps(sorted(loops_around(sys_, lab))))
+            parts["check"].append(verdict.describe())
+            parts["check"].append(json.dumps(sorted(loops_around(sys_, lab))))
         for _ in range(20):
             sys_ = _two_loop_system(rng, cfg)
             lab = Labelling(frozenset(t for t in sys_.state_transitions() if t[0] in "xy"))
             verdict = check_well_layered(sys_, lab)
             conditions.add(verdict.condition)
-            out.append(verdict.describe())
-            out.append(json.dumps(sorted(loops_around(sys_, lab))))
+            parts["check"].append(verdict.describe())
+            parts["check"].append(json.dumps(sorted(loops_around(sys_, lab))))
     assert conditions == {None, 1, 2, 3, 4}
-    return "\n".join(out)
+    return {name: "\n".join(lines) for name, lines in parts.items()}, roundtrips, solutions
 
 
-def _synthesis_digest() -> str:
-    return hashlib.sha256(_synthesis_outputs().encode()).hexdigest()
+def _digests(parts) -> dict:
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in parts.items()}
 
 
 def test_synthesis_outputs_match_the_pinned_digest():
-    assert _synthesis_digest() == SYNTHESIS_OUTPUTS_SHA256
+    parts, roundtrips, solutions = _synthesis_parts()
+    assert _digests(parts) == SYNTHESIS_SHA256
+    for cfg, e, out in roundtrips:
+        assert decide_equiv(cfg, out, e), print_expr(e)
+    for sys_, phi in solutions:
+        assert check_solution(sys_, phi)
 
 
 def test_synthesis_digest_sees_the_id_order(monkeypatch):
     # positive control: ranking ids by length ("s2" before "s10") changes
-    # traversal order, witnesses and the order of solved terms
+    # traversal order and witnesses
     def by_length(states):
         ranks = [0] * len(states)
         for r, i in enumerate(sorted(range(len(states)), key=lambda i: len(states[i]))):
@@ -279,4 +300,6 @@ def test_synthesis_digest_sees_the_id_order(monkeypatch):
         return ranks
 
     monkeypatch.setattr(layering, "_ranks", by_length)
-    assert _synthesis_digest() != SYNTHESIS_OUTPUTS_SHA256
+    changed = {name for name, digest in _digests(_synthesis_parts()[0]).items()
+               if digest != SYNTHESIS_SHA256[name]}
+    assert "check" in changed

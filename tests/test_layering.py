@@ -278,6 +278,39 @@ def test_search_finds_what_the_unfiltered_enumeration_finds(cfg, rng, monkeypatc
     assert any(lab is not None for lab in found)
 
 
+def test_search_skips_entry_sets_that_keep_a_body_cycle(monkeypatch):
+    # the heaviest system of a seeded roundtrip corpus: most entry sets
+    # leave a cycle all-body, and every later set that keeps that cycle's
+    # pairs body fails as well, so it is skipped without a check
+    e = parse("(a ; a + ((c ; c + b) ; a) *{u + v} b) *{u + v} b *{v + u} c", SL)
+    msys = minimize(reachable(SL, e)[0])[0]
+    checks = 0
+    violation = layering._violation
+
+    def counting(*args):
+        nonlocal checks
+        checks += 1
+        return violation(*args)
+
+    monkeypatch.setattr(layering, "_violation", counting)
+    found = search_labelling(msys)
+    assert checks == 4150  # 14678 when every entry set was checked
+    # the same labelling as the first well-layered entry set in search order
+    actions: dict = {}
+    for x, a, y in msys.state_transitions():
+        actions.setdefault((x, y), []).append(a)
+    rank = {x: r for r, x in enumerate(sorted(msys.states))}
+    pairs = sorted(actions, key=lambda p: (rank[p[0]], rank[p[1]]))
+    loops = {(x, a, y) for (x, y), acts in actions.items() if x == y for a in acts}
+    optional = layering._entry_candidates(pairs)
+    for chosen in layering._subsets_by_weight([len(actions[p]) for p in optional]):
+        entry = loops | {(x, a, y) for k, (x, y) in enumerate(optional)
+                         if chosen >> k & 1 for a in actions[x, y]}
+        if check_well_layered(msys, Labelling(frozenset(entry))):
+            break
+    assert found == Labelling(frozenset(entry))
+
+
 def test_labelling_documents_round_trip():
     sys_, root, lab = reach_with_labelling("(a;b) *{u+v} c")
     doc = labelling_doc(lab)

@@ -19,9 +19,9 @@ from starexpr.solve import (
     canonical_solution, check_solution, factorize, image_labelling, roundtrip,
     simplify, tau,
 )
-from starexpr.syntax import Act, Seq, parse, print_expr
+from starexpr.syntax import Act, Seq, Star, TOp, parse, print_expr
 from starexpr.theory import (
-    ChoiceSym, PLUS, SOp, SVar, SZERO, mval_ca, parse_selector, row_value,
+    ChoiceSym, PLUS, SOp, SVar, SZERO, ScaleSym, ZeroSym, mval_ca, parse_selector, row_value,
 )
 
 SL = parse_selector("sl")
@@ -63,8 +63,8 @@ def test_factorize_convex_state():
     sys_ = System(ca, ("x",), beta)
     lab = Labelling(frozenset({("x", "a", "x")}))
     s, t1, t2 = factorize(sys_, lab, "x")
-    inner = SOp(ChoiceSym(Fraction(1, 2)), (SVar("u"), SVar("v")))
-    assert s == SOp(ChoiceSym(Fraction(1)), (inner, SZERO))
+    # full mass: no choice against 0 around the split
+    assert s == SOp(ChoiceSym(Fraction(1, 2)), (SVar("u"), SVar("v")))
     assert t1 == SVar(("a", State("x")))
     assert t2 == SVar(("b", TICK))
 
@@ -140,7 +140,7 @@ def test_one_state_convex_solution():
     sys_ = System(ca, ("x",), beta)
     lab = Labelling(frozenset({("x", "a", "x")}))
     phi = canonical_solution(sys_, lab)
-    assert phi["x"] == parse("a *{(u (+1/2) v) (+1) 0} b", ca)
+    assert phi["x"] == parse("a *{u (+1/2) v} b", ca)
     assert decide_equiv(ca, phi["x"], parse("a *{u (+1/2) v} b", ca))
 
 
@@ -211,8 +211,12 @@ def test_canonical_solution_runs_on_long_chains(doc):
     sys_ = load_system(doc)
     phi = canonical_solution(sys_, labelling_from_doc(doc["labelling"], sys_))
     assert set(phi) == set(sys_.states)
-    # the root's solution exits into the next state's along the chain
-    assert phi["s0"].exit.right is phi["s2" if doc["labelling"]["entry"] else "s1"]
+    # the root's solution exits into the next state's along the chain: a
+    # loop entry through its star's exit, a loop-free state directly
+    if doc["labelling"]["entry"]:
+        assert phi["s0"].exit.right is phi["s2"]
+    else:
+        assert phi["s0"].right is phi["s1"]
 
 
 @pytest.mark.parametrize("n", [4, 2000])
@@ -356,12 +360,87 @@ def test_image_labelling_fallback_agrees():
     assert decide_equiv(SL, phi[h[root]], e)
 
 
+# ---------------------------------------------------------------------------
+# reduced solutions
+
+
+@pytest.mark.parametrize("selector, text", [("smod:nat", "2 . a ; b (+) c"),
+                                            ("ca", "a ; b (+1/2) c")])
+def test_loop_free_roundtrips_are_their_input(selector, text):
+    # no empty star around a loop-free state, no unit weight `1 .` and no
+    # full-mass choice `(+1) 0`
+    cfg = parse_selector(selector)
+    e = parse(text, cfg)
+    assert roundtrip(cfg, e) == e
+
+
+def _unreduced_forms(cfg, e) -> list:
+    """The forms a reduced solution never has, in e and its loop terms: a
+    star of body 0, a full-mass choice against 0, a scaling by the unit."""
+    def zero(x):
+        return isinstance(x, (TOp, SOp)) and isinstance(x.sym, ZeroSym)
+
+    found, seen, stack = [], set(), [e]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, Star):
+            if zero(x.body):
+                found.append("star of 0")
+            stack += [x.body, x.loop, x.exit]
+        elif isinstance(x, Seq):
+            stack += [x.left, x.right]
+        elif isinstance(x, (TOp, SOp)):
+            sym = x.sym
+            if isinstance(sym, ChoiceSym) and sym.prob == 1 and zero(x.args[1]):
+                found.append("(+1) 0")
+            if isinstance(sym, ScaleSym) and sym.weight == cfg.semiring.one:
+                found.append("1 .")
+            stack += x.args
+    return found
+
+
+def test_unreduced_forms_are_seen():
+    # positive control for the walk below
+    smod, ca = parse_selector("smod:nat"), parse_selector("ca")
+    assert _unreduced_forms(smod, parse("0 *{u (+) v} (1 . a)", smod)) == ["star of 0", "1 ."]
+    assert _unreduced_forms(ca, parse("a *{(u (+1/2) v) (+1) 0} b", ca)) == ["(+1) 0"]
+    assert _unreduced_forms(ca, parse("(a (+1) 0) ; b", ca)) == ["(+1) 0"]
+
+
+def test_solutions_are_reduced(cfg):
+    for e in corpus(cfg.selector(), count=40):
+        sys_, _ = reachable(cfg, e)
+        phi = canonical_solution(sys_, syntactic_labelling(cfg, e, sys_))
+        for out in [roundtrip(cfg, e), *phi.values()]:
+            assert _unreduced_forms(cfg, out) == [], print_expr(e)
+            assert simplify(out) == out
+
+
 def test_simplify_drops_unenterable_loops():
     e = parse("a *{v} b", SL)
     assert simplify(e) == Act("b")
     assert simplify(parse("a *{0} b", SL)) == parse("0", SL)
     kept = parse("a *{u + v} b", SL)
     assert simplify(kept) == kept
+
+
+def test_simplify_keeps_shared_nodes_shared():
+    # a 22-level `x + x` DAG of 23 nodes stands for a tree of 2^23 - 1 nodes
+    e = parse("a *{v} b", SL)
+    for _ in range(22):
+        e = TOp(PLUS, (e, e))
+    out = simplify(e)
+    for _ in range(22):
+        assert out.args[0] is out.args[1]
+        out = out.args[0]
+    assert out == Act("b")
+    kept = parse("a *{u + v} b", SL)
+    for _ in range(22):
+        kept = TOp(PLUS, (kept, kept))
+    assert simplify(kept) is kept
 
 
 def test_simplified_roundtrip_stays_equivalent(cfg):
