@@ -18,8 +18,9 @@ from math import gcd
 from .errors import DocumentError
 from .syntax import Act, Expr, Seq, Star, TOp, print_expr
 from .theory import (
-    MVal, TheoryConfig, apply_sym, eta, eval_term, flat_rows, mval_map, pair_row,
-    parse_rational, parse_selector, row_support, row_value, supp, weighted_row,
+    GuardSym, MVal, SVar, TheoryConfig, apply_sym, eta, eval_term, flat_rows, mask_atoms, mask_row,
+    mval_map, pair_row, parse_rational, parse_selector, row_support, row_value, supp,
+    weight_key, weighted_row,
 )
 
 
@@ -68,21 +69,60 @@ def step(cfg: TheoryConfig, e: Expr) -> MVal:
     the continuation into every target; the loop former ties its body's
     accepting branches back to itself through the loop term.
     """
-    return _step(cfg, e)
+    return _step(cfg, _Syntax(e))
+
+
+class _Syntax:
+    """An expression as a key of the step cache, equal only to the same
+    syntax.  Expressions are equal when their guards hold at the same
+    atoms, however the guards are written, but a step's targets are built
+    from the expression stepped, so the cache must not serve the step of
+    ``a +[p] b`` for ``a +[p & p] b``."""
+
+    __slots__ = ("e",)
+
+    def __init__(self, e: Expr):
+        self.e = e
+
+    def __hash__(self):
+        return self.e._hash
+
+    def __eq__(self, other):
+        return _same_syntax(self.e, other.e)
+
+
+def _same_syntax(a, b) -> bool:
+    """Whether two expressions or loop terms are equal with their guards
+    written alike: equal, and print alike."""
+    if a is b:
+        return True
+    if type(a) is not type(b) or hash(a) != hash(b):
+        return False
+    if isinstance(a, (Act, SVar)):
+        return a == b
+    if isinstance(a, Seq):
+        return _same_syntax(a.left, b.left) and _same_syntax(a.right, b.right)
+    if isinstance(a, Star):
+        return (_same_syntax(a.body, b.body) and _same_syntax(a.loop, b.loop)
+                and _same_syntax(a.exit, b.exit))
+    # TOp and SOp: an operator symbol and its arguments
+    return (a.sym == b.sym and (type(a.sym) is not GuardSym or a.sym.expr == b.sym.expr)
+            and all(map(_same_syntax, a.args, b.args)))
 
 
 @lru_cache(maxsize=1 << 17)
-def _step(cfg: TheoryConfig, e: Expr) -> MVal:
+def _step(cfg: TheoryConfig, key: _Syntax) -> MVal:
+    e = key.e
     if isinstance(e, Act):
         return eta(cfg, (e.name, TICK))
     if isinstance(e, TOp):
-        return apply_sym(cfg, e.sym, [_step(cfg, child) for child in e.args])
+        return apply_sym(cfg, e.sym, [_step(cfg, _Syntax(child)) for child in e.args])
     if isinstance(e, Seq):
-        return mval_map(_push(e.right), _step(cfg, e.left))
+        return mval_map(_push(e.right), _step(cfg, _Syntax(e.left)))
     if isinstance(e, Star):
         env = {
-            "u": mval_map(_push(e), _step(cfg, e.body)),
-            "v": _step(cfg, e.exit),
+            "u": mval_map(_push(e), _step(cfg, _Syntax(e.body))),
+            "v": _step(cfg, _Syntax(e.exit)),
         }
         return eval_term(cfg, e.loop, env)
     raise TypeError(f"not an expression: {e!r}")
@@ -200,7 +240,7 @@ def reachable_from(cfg: TheoryConfig, roots) -> tuple[System, list[str]]:
         order.append(r)
         queue = deque([r])
         while queue:
-            m = _step(cfg, queue.popleft())
+            m = _step(cfg, _Syntax(queue.popleft()))
             steps.append(m)
             succ = supp(m)
             if len(succ) > 1:  # one successor needs no sort key
@@ -237,18 +277,24 @@ def _row_doc(cfg: TheoryConfig, row, names):
     acts, targets = row[0], [names[t] for t in row[1]]
     if kind == "sl":
         return [[a, t] for a, t in sorted(zip(acts, targets), key=_doc_key)]
+    atoms = cfg.atoms
     if kind == "ga":
-        doc = dict.fromkeys(cfg.atoms)
-        for (i, a), t in zip(acts, targets):
-            doc[cfg.atoms[i]] = [a, t]
+        doc = dict.fromkeys(atoms)
+        for a, t, mask in zip(acts, targets, row[2]):
+            for i in mask_atoms(mask):
+                doc[atoms[i]] = [a, t]
         return doc
     if kind == "ca":
         return _dist_doc(zip(acts, targets, row[2]))
     if kind == "gc":
-        dists: list[list] = [[] for _ in cfg.atoms]
-        for (i, a), t, mass in zip(acts, targets, row[2]):
-            dists[i].append((a, t, mass))
-        return {atom: _dist_doc(dist) for atom, dist in zip(cfg.atoms, dists)}
+        dists: dict = {}
+        for (mask, a), t, mass in zip(acts, targets, row[2]):
+            dists.setdefault(mask, []).append((a, t, mass))
+        doc = {atom: [] for atom in atoms}
+        for mask, dist in dists.items():
+            for i in mask_atoms(mask):
+                doc[atoms[i]] = _dist_doc(dist)
+        return doc
     fmt = cfg.semiring.format
     return [{"w": fmt(w), "a": a, "t": t}
             for a, t, w in sorted(zip(acts, targets, row[2]), key=_doc_key)]
@@ -361,17 +407,29 @@ def _parse_row(cfg: TheoryConfig, raw, targets: dict[str, int]) -> tuple:
         return pair_row(pairs)
     if kind in ("ga", "gc") and (not isinstance(raw, dict) or raw.keys() != set(cfg.atoms)):
         raise DocumentError(f"{kind} value must map every atom of {list(cfg.atoms)}")
+    # guarded values: the atoms that take one branch are grouped into a mask
     if kind == "ga":
-        pairs = [(i, _parse_pair(raw[atom], targets)) for i, atom in enumerate(cfg.atoms)
-                 if raw[atom] is not None]
-        return pair_row([((i, a), t) for i, (a, t) in pairs])
+        masks: dict = {}
+        for i, atom in enumerate(cfg.atoms):
+            if raw[atom] is not None:
+                pair = _parse_pair(raw[atom], targets)
+                masks[pair] = masks.get(pair, 0) | 1 << i
+        return mask_row([a for a, _ in masks], [t for _, t in masks], masks.values())
     if kind == "ca":
         return weighted_row(*_parse_dist(raw, targets))
     if kind == "gc":
-        acts, tgts, masses = [], [], []
+        branches: dict = {}
         for i, atom in enumerate(cfg.atoms):
             dist = _parse_dist(raw[atom], targets)
-            acts += [(i, a) for a in dist[0]]
+            if dist[0]:
+                key = frozenset(zip(dist[0], dist[1], map(weight_key, dist[2])))
+                if key in branches:
+                    branches[key][0] |= 1 << i
+                else:
+                    branches[key] = [1 << i, dist]
+        acts, tgts, masses = [], [], []
+        for mask, dist in branches.values():
+            acts += [(mask, a) for a in dist[0]]
             tgts += dist[1]
             masses += dist[2]
         return weighted_row(acts, tgts, masses)
@@ -427,15 +485,16 @@ def _edge_labels(cfg: TheoryConfig, row, names) -> dict:
     if kind == "smod":
         fmt = cfg.semiring.format
         return {(a, t): f"{a} w={fmt(w)}" for a, t, w in zip(acts, targets, row[2])}
-    # ga and gc: a pair may occur at several atoms; rows are in atom order
-    parts: dict = {}
+    # ga and gc: a pair may occur at several atoms, listed in atom order
+    atoms = cfg.atoms
     if kind == "ga":
-        for (i, a), t in zip(acts, targets):
-            parts.setdefault((a, t), []).append(cfg.atoms[i])
-    else:
-        for (i, a), t, mass in zip(acts, targets, row[2]):
-            parts.setdefault((a, t), []).append(f"{cfg.atoms[i]}:{mass}")
-    return {(a, t): f"{a} [{','.join(p)}]" for (a, t), p in parts.items()}
+        return {(a, t): f"{a} [{','.join(atoms[i] for i in mask_atoms(mask))}]"
+                for a, t, mask in zip(acts, targets, row[2])}
+    parts: dict = {}
+    for (mask, a), t, mass in zip(acts, targets, row[2]):
+        parts.setdefault((a, t), []).extend((i, f"{atoms[i]}:{mass}") for i in mask_atoms(mask))
+    return {(a, t): f"{a} [{','.join(text for _, text in sorted(p))}]"
+            for (a, t), p in parts.items()}
 
 
 def export_dot(sys: System) -> str:

@@ -180,8 +180,11 @@ class TheoryConfig:
     ``tests`` is the ordered test set for ``ga``/``gc``; atoms are all
     2^len(tests) truth assignments, encoded as bitstrings in test order
     ("10" means the first test holds and the second fails), enumerated in
-    binary counting order.  A value holds one entry per atom, so at most
-    ``MAX_TESTS`` tests are accepted (4096 atoms).
+    binary counting order.  A set of atoms is an int mask whose bit i stands
+    for atom i; ``full`` is the mask of every atom.  A guarded value holds
+    one (branch, mask) pair per distinct branch, so its size does not grow
+    with the atoms; but documents, exports and per-atom constructors list
+    every atom, so at most ``MAX_TESTS`` tests are accepted (4096 atoms).
     """
 
     MAX_TESTS = 12
@@ -190,6 +193,7 @@ class TheoryConfig:
     tests: tuple[str, ...] = ()
     semiring: Semiring | None = None
     atoms: tuple[str, ...] = field(init=False, compare=False)
+    full: int = field(init=False, compare=False, repr=False)
     # every value hashes its config, so the hash is computed once
     _hash: int = field(init=False, compare=False, repr=False)
 
@@ -218,6 +222,7 @@ class TheoryConfig:
         elif self.semiring is not None:
             raise ValueError(f"theory {self.kind} takes no semiring")
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "full", (1 << len(atoms)) - 1)
         object.__setattr__(self, "_hash", hash((self.kind, self.tests, self.semiring)))
 
     def __hash__(self):
@@ -294,21 +299,46 @@ class BOr:
 BoolExpr = BTrue | BFalse | BTest | BNot | BAnd | BOr
 
 
-def bool_holds(b: BoolExpr, atom: str, tests: tuple[str, ...]) -> bool:
-    """Evaluate a guard at an atom (a truth-assignment bitstring)."""
+def guard_mask(cfg: TheoryConfig, b: BoolExpr) -> int:
+    """The mask of the atoms at which a guard holds, built from the tests'
+    masks with bit operations."""
     if isinstance(b, BTrue):
-        return True
+        return cfg.full
     if isinstance(b, BFalse):
-        return False
+        return 0
     if isinstance(b, BTest):
-        return atom[tests.index(b.name)] == "1"
+        return _test_masks(cfg)[cfg.tests.index(b.name)]
     if isinstance(b, BNot):
-        return not bool_holds(b.arg, atom, tests)
+        return cfg.full ^ guard_mask(cfg, b.arg)
     if isinstance(b, BAnd):
-        return bool_holds(b.left, atom, tests) and bool_holds(b.right, atom, tests)
+        return guard_mask(cfg, b.left) & guard_mask(cfg, b.right)
     if isinstance(b, BOr):
-        return bool_holds(b.left, atom, tests) or bool_holds(b.right, atom, tests)
+        return guard_mask(cfg, b.left) | guard_mask(cfg, b.right)
     raise TypeError(f"not a boolean expression: {b!r}")
+
+
+@lru_cache
+def _test_masks(cfg: TheoryConfig) -> tuple[int, ...]:
+    """The mask of the atoms at which each test holds.  Test j is bit
+    n-1-j of an atom's index, so its atoms repeat with period 2h, where
+    h = 2^(n-1-j): h atoms where it fails, then h where it holds."""
+    n = len(cfg.tests)
+    out = []
+    for j in range(n):
+        half = 1 << (n - 1 - j)
+        out.append((((1 << half) - 1) << half) * (cfg.full // ((1 << 2 * half) - 1)))
+    return tuple(out)
+
+
+def mask_atoms(mask: int) -> list[int]:
+    """The indices of the atoms in a mask, ascending."""
+    bits = bin(mask)[:1:-1]  # bit i is character i
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
 
 
 def atom_expr(cfg: TheoryConfig, atom: str) -> BoolExpr:
@@ -385,38 +415,46 @@ class PlusSym:
 
 
 class GuardSym:
-    """Guarded choice +_b.  Two guard symbols are equal when their guards
-    agree on every atom, regardless of how the guard was written.  The
-    text is computed on first use; it is the same every time, so sharing
-    one symbol between threads is safe."""
+    """Guarded choice +_b.  ``mask`` holds the atoms at which b holds; two
+    guard symbols are equal when their masks are, regardless of how the
+    guard was written.  The text and the sort key are computed on first
+    use; they are the same every time, so sharing one symbol between
+    threads is safe."""
 
-    __slots__ = ("expr", "sat", "_text", "_hash")
+    __slots__ = ("expr", "mask", "_text", "_key", "_hash")
     arity = 2
 
-    def __init__(self, expr: BoolExpr, sat: frozenset[str]):
+    def __init__(self, expr: BoolExpr, mask: int):
         self.expr = expr
-        self.sat = sat
+        self.mask = mask
         self._text = None
-        self._hash = hash(("guard", sat))
+        self._key = None
+        self._hash = hash(("guard", mask))
 
     def text(self):
         if self._text is None:
             self._text = f"+[{bool_text(self.expr)}]"
         return self._text
 
+    def sort_key(self) -> tuple[int, ...]:
+        """The indices of the guard's atoms, ascending: guards order as the
+        sorted tuples of their atoms' bitstrings do."""
+        if self._key is None:
+            self._key = tuple(mask_atoms(self.mask))
+        return self._key
+
     def __repr__(self):
         return f"GuardSym({bool_text(self.expr)})"
 
     def __eq__(self, other):
-        return isinstance(other, GuardSym) and other.sat == self.sat
+        return isinstance(other, GuardSym) and other.mask == self.mask
 
     def __hash__(self):
         return self._hash
 
 
 def guard_sym(cfg: TheoryConfig, expr: BoolExpr) -> GuardSym:
-    sat = frozenset(a for a in cfg.atoms if bool_holds(expr, a, cfg.tests))
-    return GuardSym(expr, sat)
+    return GuardSym(expr, guard_mask(cfg, expr))
 
 
 @dataclass(frozen=True)
@@ -523,7 +561,7 @@ def _sym_sort_key(sym: OpSym):
     if isinstance(sym, PlusSym):
         return (1,)
     if isinstance(sym, GuardSym):
-        return (2, tuple(sorted(sym.sat)))
+        return (2, sym.sort_key())
     if isinstance(sym, ChoiceSym):
         return (3, sym.prob)
     if isinstance(sym, OplusSym):
@@ -578,15 +616,20 @@ class MVal:
 
     Internal data, canonical per kind:
       sl    frozenset of elements
-      ga    tuple over atoms of element-or-None (None is the dead branch)
+      ga    frozenset of (element, mask) pairs: the atoms of the int mask
+            take that element; atoms of no mask take the dead branch 0
       ca    frozenset of (element, mass) pairs, mass > 0 and total <= 1
-      gc    tuple over atoms of ca-style frozensets
+      gc    frozenset of (distribution, mask) pairs, each distribution a
+            nonempty ca-style frozenset; atoms of no mask take the empty one
       smod  frozenset of (element, weight) pairs with weight != 0
 
-    Each element occurs in at most one pair.  Two values are equal iff their
-    configs and data coincide; this equality is the decision procedure for
-    theory-equality of terms.  The data is hash-canonical, not ordered:
-    only `reify`, `split` and the document exports sort it.
+    Each element (each distribution for ``gc``) occurs in at most one pair,
+    and the masks of a guarded value are nonzero and disjoint, so a guarded
+    value holds one pair per distinct branch, however many atoms take it.
+    Two values are equal iff their configs and data coincide; this equality
+    is the decision procedure for theory-equality of terms.  The data is
+    hash-canonical, not ordered: only `reify`, `split` and the document
+    exports sort it.
     """
 
     __slots__ = ("cfg", "data", "_hash")
@@ -621,7 +664,7 @@ def _identity(e):
 def _merge(pairs, f=_identity, add=operator.add, zero=None) -> frozenset:
     """Relabel the elements of weighted pairs through f and add up the
     weights of elements that meet; drop sums equal to ``zero`` (None: the
-    weights are positive masses, which never cancel)."""
+    weights are positive masses or masks, which never cancel)."""
     return frozenset(_merged(pairs, f, add, zero))
 
 
@@ -634,6 +677,11 @@ def _merged(pairs, f=_identity, add=operator.add, zero=None) -> list:
     if zero is None:
         return list(acc.items())
     return [kv for kv in acc.items() if kv[1] != zero]
+
+
+def _partition(pairs) -> frozenset:
+    """(branch, mask) pairs with the masks of equal branches joined."""
+    return _merge(pairs, add=operator.or_)
 
 
 def _norm_ca(mapping: Mapping[Element, Fraction]) -> frozenset:
@@ -657,10 +705,11 @@ def mval_sl(cfg: TheoryConfig, elems: Iterable[Element]) -> MVal:
 
 
 def mval_ga(cfg: TheoryConfig, per_atom: Iterable[Element | None]) -> MVal:
+    """The ``ga`` value with one element, or None, per atom."""
     data = tuple(per_atom)
     if len(data) != len(cfg.atoms):
         raise ValueError("one entry per atom required")
-    return MVal(cfg, data)
+    return MVal(cfg, _partition((x, 1 << i) for i, x in enumerate(data) if x is not None))
 
 
 def mval_ca(cfg: TheoryConfig, mapping: Mapping[Element, Fraction]) -> MVal:
@@ -668,10 +717,11 @@ def mval_ca(cfg: TheoryConfig, mapping: Mapping[Element, Fraction]) -> MVal:
 
 
 def mval_gc(cfg: TheoryConfig, per_atom: Iterable[Mapping[Element, Fraction]]) -> MVal:
-    dists = tuple(_norm_ca(m) for m in per_atom)
+    """The ``gc`` value with one distribution per atom."""
+    dists = [_norm_ca(m) for m in per_atom]
     if len(dists) != len(cfg.atoms):
         raise ValueError("one distribution per atom required")
-    return MVal(cfg, dists)
+    return MVal(cfg, _partition((d, 1 << i) for i, d in enumerate(dists) if d))
 
 
 def mval_smod(cfg: TheoryConfig, mapping: Mapping[Element, Any]) -> MVal:
@@ -687,10 +737,6 @@ def mval_smod(cfg: TheoryConfig, mapping: Mapping[Element, Any]) -> MVal:
 
 
 def zero_mval(cfg: TheoryConfig) -> MVal:
-    if cfg.kind == "ga":
-        return MVal(cfg, (None,) * len(cfg.atoms))
-    if cfg.kind == "gc":
-        return MVal(cfg, (frozenset(),) * len(cfg.atoms))
     return MVal(cfg, frozenset())
 
 
@@ -699,11 +745,11 @@ def eta(cfg: TheoryConfig, x: Element) -> MVal:
     if cfg.kind == "sl":
         return MVal(cfg, frozenset((x,)))
     if cfg.kind == "ga":
-        return MVal(cfg, (x,) * len(cfg.atoms))
+        return MVal(cfg, frozenset(((x, cfg.full),)))
     if cfg.kind == "ca":
         return MVal(cfg, frozenset(((x, _ONE),)))
     if cfg.kind == "gc":
-        return MVal(cfg, (frozenset(((x, _ONE),)),) * len(cfg.atoms))
+        return MVal(cfg, frozenset(((frozenset(((x, _ONE),)), cfg.full),)))
     return MVal(cfg, frozenset(((x, cfg.semiring.one),)))
 
 
@@ -712,25 +758,24 @@ def supp(m: MVal) -> frozenset:
     kind = m.cfg.kind
     if kind == "sl":
         return frozenset(m.data)
-    if kind == "ga":
-        return frozenset(e for e in m.data if e is not None)
-    if kind == "ca" or kind == "smod":
-        return frozenset(e for e, _ in m.data)
-    return frozenset(e for dist in m.data for e, _ in dist)
+    if kind == "gc":
+        return frozenset(e for dist, _ in m.data for e, _ in dist)
+    return frozenset(e for e, _ in m.data)
 
 
 def mval_map(f: Callable[[Element], Element], m: MVal) -> MVal:
-    """Relabel elements through f, re-normalizing merged elements."""
+    """Relabel elements through f, re-normalizing merged elements and
+    joining the masks of branches that become equal."""
     cfg = m.cfg
     kind = cfg.kind
     if kind == "sl":
         return MVal(cfg, frozenset(map(f, m.data)))
     if kind == "ga":
-        return MVal(cfg, tuple(None if e is None else f(e) for e in m.data))
+        return MVal(cfg, _partition((f(e), mask) for e, mask in m.data))
     if kind == "ca":
         return MVal(cfg, _merge(m.data, f))
     if kind == "gc":
-        return MVal(cfg, tuple(_merge(dist, f) for dist in m.data))
+        return MVal(cfg, _partition((_merge(dist, f), mask) for dist, mask in m.data))
     sr = cfg.semiring
     return MVal(cfg, _merge(m.data, f, sr.add, sr.zero))
 
@@ -761,27 +806,27 @@ def flat_rows(cfg: TheoryConfig, values: Iterable[MVal],
     the tick target by -1.  The layout, per kind:
 
       sl    (labels, targets)
-      ga    (atom-tagged labels, targets): one (atom index, label) entry per
-            live atom, in atom order
       ca    (labels, targets, weights, weight keys, whether the labels are
             distinct: then no two pairs can meet)
-      gc    as ca, with atom-tagged labels in atom order
       smod  as ca; zero weights are left out
+      ga    as ca, with each pair's atom mask as its weight and its key
+      gc    as ca, with each label tagged with its branch's mask: the
+            entries of one tag are that branch's distribution
 
-    Rows are plain tuples: `row_signer` signs them, `relabel_row` maps their
-    targets, `row_value` and `row_support` read them back.
+    A guarded row has one entry per pair of each distinct branch, however
+    many atoms take the branch.  Rows are plain tuples: `row_signer` signs
+    them, `relabel_row` maps their targets, `row_value` and `row_support`
+    read them back.
     """
     kind = cfg.kind
     if kind == "sl":
         return [pair_row([(a, key(t)) for a, t in m.data]) for m in values]
     if kind == "ga":
-        return [pair_row([((i, e[0]), key(e[1])) for i, e in enumerate(m.data)
-                          if e is not None])
-                for m in values]
+        return [_mask_row([(a, key(t), mask) for (a, t), mask in m.data]) for m in values]
     if kind == "ca":
         return [_weighted_row([(a, key(t), w) for (a, t), w in m.data]) for m in values]
     if kind == "gc":
-        return [_weighted_row([((i, a), key(t), w) for i, dist in enumerate(m.data)
+        return [_weighted_row([((mask, a), key(t), w) for dist, mask in m.data
                                for (a, t), w in dist])
                 for m in values]
     zero = cfg.semiring.zero
@@ -803,15 +848,28 @@ def weighted_row(labels, targets, weights) -> tuple:
             len(set(labels)) == len(labels))
 
 
+def mask_row(labels, targets, masks) -> tuple:
+    """The ``ga`` row of parallel labels, targets and disjoint nonzero atom
+    masks; a mask is its own key."""
+    labels, masks = tuple(labels), tuple(masks)
+    return labels, tuple(targets), masks, masks, len(set(labels)) == len(labels)
+
+
 def _weighted_row(entries) -> tuple:
     if not entries:
         return (), (), (), (), True
     return weighted_row(*zip(*entries))
 
 
+def _mask_row(entries) -> tuple:
+    if not entries:
+        return (), (), (), (), True
+    return mask_row(*zip(*entries))
+
+
 def row_support(cfg: TheoryConfig, row) -> set:
     """The (label, target) pairs of a row's support."""
-    if cfg.kind == "ga" or cfg.kind == "gc":
+    if cfg.kind == "gc":
         return {(a, t) for (_, a), t in zip(row[0], row[1])}
     return set(zip(row[0], row[1]))
 
@@ -823,35 +881,34 @@ def row_value(cfg: TheoryConfig, row, targets) -> MVal:
     pairs = zip(row[0], map(targets.__getitem__, row[1]))
     if kind == "sl":
         return MVal(cfg, frozenset(pairs))
-    if kind == "ga":
-        data = [None] * len(cfg.atoms)
-        for (i, a), t in pairs:
-            data[i] = (a, t)
-        return MVal(cfg, tuple(data))
     if kind != "gc":
         return MVal(cfg, frozenset(zip(pairs, row[2])))
-    dists: list[list] = [[] for _ in cfg.atoms]
-    for ((i, a), t), w in zip(pairs, row[2]):
-        dists[i].append(((a, t), w))
-    return MVal(cfg, tuple(map(frozenset, dists)))
+    dists: dict = {}
+    for ((mask, a), t), w in zip(pairs, row[2]):
+        dists.setdefault(mask, []).append(((a, t), w))
+    return MVal(cfg, frozenset((frozenset(d), mask) for mask, d in dists.items()))
 
 
 def row_signer(cfg: TheoryConfig) -> Callable:
     """``sign(row, labels)``: a hashable signature of a row with each
     target ``t`` relabelled to ``labels[t]``.  Two signatures are equal
     exactly when the values relabelled by `mval_map` are.  Signatures are
-    plain tuples and frozensets; weights appear as their `weight_key`s, and
-    the weights of pairs that meet are added with the theory's addition,
-    keyed again, and dropped when they sum to zero, as `mval_map` does.
-    `gc` signs its per-atom distributions as one, with atom-tagged labels.
+    plain frozensets; weights appear as their `weight_key`s, and the
+    weights of pairs that meet are added with the theory's addition, keyed
+    again, and dropped when they sum to zero, as `mval_map` does.  ``ga``
+    signs its atom masks as weights that add by union; ``gc`` signs each
+    (label, target label, weight key) with the union of the masks of the
+    branches it occurs in (see `_sign_guarded`).
     """
     kind = cfg.kind
     if kind == "sl":
         return _sign_set
     if kind == "ga":
-        return _sign_table
-    if kind == "ca" or kind == "gc":
+        return _sign_masks
+    if kind == "ca":
         return _sign_weighted
+    if kind == "gc":
+        return _sign_guarded
     sr = cfg.semiring
     add, zero = sr.add, sr.zero
 
@@ -866,35 +923,82 @@ def _sign_set(row, labels) -> frozenset:
     return frozenset(zip(acts, map(labels.__getitem__, keys)))
 
 
-def _sign_table(row, labels) -> tuple:
-    # one entry per live atom, in atom order, so a tuple is canonical
-    acts, keys = row
-    return tuple(zip(acts, map(labels.__getitem__, keys)))
-
-
-def _sign_weighted(row, labels, add=operator.add, zero=None) -> frozenset:
+def _sign_weighted(row, labels, add=operator.add, zero=None, key=weight_key) -> frozenset:
     """A frozenset of (label, target label, weight key) triples."""
     acts, keys, weights, wkeys, distinct = row
     tlabels = list(map(labels.__getitem__, keys))
     if distinct or len(set(zip(acts, tlabels))) == len(acts):
         return frozenset(zip(acts, tlabels, wkeys))
     merged = _merge(zip(zip(acts, tlabels), weights), add=add, zero=zero)
-    return frozenset((a, b, weight_key(w)) for (a, b), w in merged)
+    return frozenset((a, b, key(w)) for (a, b), w in merged)
+
+
+def _sign_masks(row, labels) -> frozenset:
+    """`_sign_weighted` of a ``ga`` row: pairs that meet join their masks."""
+    return _sign_weighted(row, labels, operator.or_, None, _identity)
+
+
+def _sign_guarded(row, labels) -> frozenset:
+    """A frozenset of ((mask, label), target label, weight key) triples,
+    one per (label, target label, weight) of the relabelled value, with the
+    union of the masks of the branches it occurs in: this names the value,
+    and branches that become equal need no matching up.  When no two
+    entries of a branch meet and no two entries share (target label,
+    weight), the row's own entries are those triples."""
+    tags, keys, weights, wkeys, distinct = row
+    tlabels = list(map(labels.__getitem__, keys))
+    n = len(tags)
+    if ((distinct or len(set(zip(tags, tlabels))) == n)
+            and len(set(zip(tlabels, wkeys))) == n):
+        return frozenset(zip(tags, tlabels, wkeys))
+    joined: dict = {}
+    for mask, dist in _branch_dists(tags, tlabels, weights).items():
+        for (a, b), w in dist.items():
+            k = (a, b, weight_key(w))
+            joined[k] = joined.get(k, 0) | mask
+    return frozenset(((mask, a), b, k) for (a, b, k), mask in joined.items())
+
+
+def _branch_dists(tags, targets, weights) -> dict:
+    """The distribution of each branch of a ``gc`` row, by its mask, as a
+    dict from (label, target) to mass, adding the masses of pairs that
+    meet."""
+    dists: dict = {}
+    for (mask, a), t, w in zip(tags, targets, weights):
+        dist = dists.setdefault(mask, {})
+        k = (a, t)
+        dist[k] = dist[k] + w if k in dist else w
+    return dists
 
 
 def relabel_row(cfg: TheoryConfig, row, labels) -> tuple:
     """The row of the value relabelled through ``labels`` (target ``t`` to
-    ``labels[t]``), merging pairs that meet as `mval_map` does.  Entries
-    keep their order, so tagged rows stay in atom order."""
+    ``labels[t]``), merging pairs that meet and joining branches that
+    become equal, as `mval_map` does.  Entries keep their order."""
     kind = cfg.kind
     if kind == "sl":
         return pair_row(_sign_set(row, labels))
     targets = tuple(map(labels.__getitem__, row[1]))
-    if kind == "ga":
-        return row[0], targets
     acts, _, weights, wkeys, distinct = row
-    if distinct or len(set(zip(acts, targets))) == len(acts):
+    n = len(acts)
+    if kind == "gc":
+        if ((distinct or len(set(zip(acts, targets))) == n)
+                and len(set(zip(targets, wkeys))) == n):
+            return acts, targets, weights, wkeys, distinct
+        branches: dict = {}
+        for mask, dist in _branch_dists(acts, targets, weights).items():
+            k = frozenset((a, b, weight_key(w)) for (a, b), w in dist.items())
+            if k in branches:
+                branches[k][0] |= mask
+            else:
+                branches[k] = [mask, dist]
+        return _weighted_row([((mask, a), b, w) for mask, dist in branches.values()
+                              for (a, b), w in dist.items()])
+    if distinct or len(set(zip(acts, targets))) == n:
         return acts, targets, weights, wkeys, distinct
+    if kind == "ga":
+        return _mask_row([(a, b, m) for (a, b), m in
+                          _merged(zip(zip(acts, targets), weights), add=operator.or_)])
     add, zero = operator.add, None
     if kind == "smod":
         add, zero = cfg.semiring.add, cfg.semiring.zero
@@ -933,17 +1037,12 @@ def apply_sym(cfg: TheoryConfig, sym: OpSym, vals: list[MVal]) -> MVal:
     if isinstance(sym, PlusSym):
         return MVal(cfg, vals[0].data | vals[1].data)
     if isinstance(sym, GuardSym):
-        sat = sym.sat
-        picked = tuple(
-            a if atom in sat else b
-            for atom, a, b in zip(cfg.atoms, vals[0].data, vals[1].data))
-        return MVal(cfg, picked)
+        return MVal(cfg, _guarded(sym.mask, cfg.full, vals[0].data, vals[1].data))
     if isinstance(sym, ChoiceSym):
         p = sym.prob
         if cfg.kind == "ca":
             return MVal(cfg, _convex(p, vals[0].data, vals[1].data))
-        return MVal(cfg, tuple(
-            _convex(p, a, b) for a, b in zip(vals[0].data, vals[1].data)))
+        return MVal(cfg, _convex_guarded(p, cfg.full, vals[0].data, vals[1].data))
     if isinstance(sym, OplusSym):
         sr = cfg.semiring
         return MVal(cfg, _merge([*vals[0].data, *vals[1].data], add=sr.add, zero=sr.zero))
@@ -967,6 +1066,40 @@ def _convex(p: Fraction, left: frozenset, right: frozenset) -> frozenset:
                   + [(e, q * mass) for e, mass in right])
 
 
+def _guarded(sat: int, full: int, left: frozenset, right: frozenset) -> frozenset:
+    """The partition that takes ``left``'s branches at the atoms of
+    ``sat`` and ``right``'s at the others."""
+    if sat == full:
+        return left
+    if not sat:
+        return right
+    off = full ^ sat
+    return _partition([(x, m & sat) for x, m in left if m & sat]
+                      + [(x, m & off) for x, m in right if m & off])
+
+
+def _convex_guarded(p: Fraction, full: int, left: frozenset, right: frozenset) -> frozenset:
+    """`_convex` atom by atom on two ``gc`` partitions: each pair of
+    branches meets on the atoms of both masks, and an atom that one side
+    leaves out takes that side's empty distribution."""
+    if p == 1:
+        return left
+    if p == 0:
+        return right
+    pairs = [(_convex(p, a, b), m) for a, ma in _with_empty(left, full)
+             for b, mb in _with_empty(right, full) if (m := ma & mb)]
+    return _partition([(d, m) for d, m in pairs if d])
+
+
+def _with_empty(dists: frozenset, full: int) -> list:
+    """A ``gc`` partition's pairs, with the empty distribution on the atoms
+    that no mask covers."""
+    rest = full
+    for _, m in dists:
+        rest ^= m
+    return [*dists, (frozenset(), rest)] if rest else list(dists)
+
+
 # ---------------------------------------------------------------------------
 # reification: normal form -> term
 
@@ -984,26 +1117,24 @@ def _reify(cfg: TheoryConfig, data) -> STerm:
     """`reify` of ordered data (see `_ordered`)."""
     kind = cfg.kind
     if kind == "ga":
-        return _decision_tree(cfg, _once(_ga_slot, data))
+        return _decision_tree(cfg, [(SVar(e), m) for e, m in data])
     if kind == "gc":
-        return _decision_tree(cfg, _once(_ca_chain, data))
+        return _decision_tree(cfg, [(_ca_chain(d), m) for d, m in data])
     return _chain(cfg, data)
 
 
 def _ordered(cfg: TheoryConfig, data):
     """A value's data in the form `reify` and `split` build terms from: a
     sorted list of elements (``sl``) or of (element, weight) pairs (``ca``,
-    ``smod``); for ``gc`` one sorted tuple per atom, and for ``ga`` the
-    atom-ordered slots, with equal ones as one object (see `_once`)."""
+    ``smod``); for ``ga`` the (element, mask) pairs, and for ``gc`` the
+    (sorted tuple of (element, mass) pairs, mask) pairs, in any order."""
     kind = cfg.kind
     if kind == "sl":
         return _sorted_elements(data)
-    memo: dict = {}
     if kind == "ga":
-        return [memo.setdefault(e, e) for e in data]
+        return list(data)
     if kind == "gc":
-        return [memo[d] if d in memo else memo.setdefault(d, tuple(_sorted_entries(d)))
-                for d in data]
+        return [(tuple(_sorted_entries(d)), m) for d, m in data]
     return _sorted_entries(data)
 
 
@@ -1028,10 +1159,6 @@ def _chain(cfg: TheoryConfig, entries) -> STerm:
     for x in reversed(terms[:-1]):
         t = SOp(OPLUS, (x, t))
     return t
-
-
-def _ga_slot(e) -> STerm:
-    return SZERO if e is None else SVar(e)
 
 
 def _ca_chain(dist) -> STerm:
@@ -1062,49 +1189,47 @@ def _convex_chain(dist) -> tuple[STerm, Any]:
     return t, seen
 
 
-def _once(f: Callable, entries) -> list:
-    """``[f(x) for x in entries]``, calling f once per entry object, so
-    entries that are one object get one result.  Callers pass equal
-    entries as one object (`_ordered`, `split_row`): keyed by identity, the
-    memo never hashes weights or states."""
-    memo: dict = {}
-    out = []
-    for x in entries:
-        k = id(x)
-        if k not in memo:
-            memo[k] = f(x)
-        out.append(memo[k])
-    return out
-
-
-def _decision_tree(cfg: TheoryConfig, slots: list[STerm]) -> STerm:
+def _decision_tree(cfg: TheoryConfig, leaves) -> STerm:
     """The reduced ordered decision tree over the declared tests whose leaf
-    at each atom is that atom's slot.
+    at each atom is the term of the (term, mask) pair whose mask holds the
+    atom, or 0 where none does.
 
-    Atoms are bitstrings in test order, so the first half of an atom range
-    is "its first test fails" and the second half "it holds".  A node
-    ``on +[t] off`` tests one test; a test whose two halves give the same
-    term is skipped, so no node has equal branches and each path tests each
-    test at most once, in declared order.  Equal slots and equal subtrees
-    are one object, which makes that check an identity test and the result
-    a DAG.  Built bottom up: two neighbouring ranges differ in the last
-    test not yet decided.
+    Atoms are bitstrings in test order, so an atom range whose first tests
+    are decided splits on the next test into the half where it fails and
+    the half where it holds.  A node ``on +[t] off`` tests one test; a test
+    whose two halves give the same term is skipped, so no node has equal
+    branches and each path tests each test at most once, in declared order.
+    Built top down from the masks: a range taken by one term is that leaf,
+    so the work follows the tree, not the atoms.  Equal leaves and equal
+    subtrees are one object, which makes the skip check an identity test
+    and the result a DAG: a subtree is keyed by its depth and its leaves'
+    masks shifted to the start of its range.
     """
-    leaves: dict = {}
-    level = [leaves.setdefault(t, t) for t in slots]
-    for guard in reversed(_test_guards(cfg)):
-        nodes: dict = {}
-        halves = iter(level)
-        level = []
-        for off, on in zip(halves, halves):
-            if on is not off:
-                key = (id(on), id(off))
-                node = nodes.get(key)
-                if node is None:
-                    node = nodes[key] = SOp(guard, (on, off))
-                off = node
-            level.append(off)
-    return level[0]
+    parts: dict = {}
+    rest = cfg.full
+    for t, m in leaves:
+        parts[t] = parts.get(t, 0) | m
+        rest ^= m
+    if rest:
+        parts[SZERO] = parts.get(SZERO, 0) | rest
+    tests, guards, n = _test_masks(cfg), _test_guards(cfg), len(cfg.tests)
+    memo: dict = {}
+
+    def build(d: int, items: list) -> STerm:
+        if len(items) == 1:
+            return items[0][0]
+        low = items[0][1]
+        start = ((low & -low).bit_length() - 1) >> (n - d) << (n - d)
+        key = (d, frozenset((id(t), m >> start) for t, m in items))
+        node = memo.get(key)
+        if node is None:
+            on_mask = tests[d]
+            on = build(d + 1, [(t, m & on_mask) for t, m in items if m & on_mask])
+            off = build(d + 1, [(t, m & ~on_mask) for t, m in items if m & ~on_mask])
+            node = memo[key] = off if on is off else SOp(guards[d], (on, off))
+        return node
+
+    return build(0, list(parts.items()))
 
 
 @lru_cache
@@ -1131,9 +1256,9 @@ def split(m: MVal, in_left: Callable[[Element], bool]) -> tuple[STerm, STerm, ST
     degenerate (mention only one variable, or neither).  The terms are
     reduced as `reify`'s are: a convex s chooses against 0 only for a mass
     below 1, and an ``smod`` side scales no variable by the unit.  For
-    ``ga`` and ``gc`` all three are reduced decision trees over the tests:
-    s has the per-atom slots of the split (``u``, ``v`` or ``0`` for
-    ``ga``), t1 and t2 the per-atom parts.
+    ``ga`` and ``gc`` all three are reduced decision trees over the tests,
+    built from one split per branch: s takes each branch's s (``u``, ``v``
+    or ``0`` for ``ga``) at its atoms, t1 and t2 its parts.
     """
     left = frozenset(e for e in supp(m) if in_left(e))
     return _split(m.cfg, _ordered(m.cfg, m.data), left.__contains__)
@@ -1175,26 +1300,15 @@ def _row_data(cfg: TheoryConfig, row, order, elem: Callable):
     with ``elem(label, t)`` as the element of support pair (label, t)."""
     kind = cfg.kind
     if kind == "ga":
-        data: list = [None] * len(cfg.atoms)
-        elems: dict = {}
-        for (i, a), t in zip(row[0], row[1]):
-            if (a, t) not in elems:
-                elems[a, t] = elem(a, t)
-            data[i] = elems[a, t]
-        return data
+        return [(elem(a, t), m) for a, t, m in zip(row[0], row[1], row[2])]
     if kind == "gc":
-        dists: list[list] = [[] for _ in cfg.atoms]
-        for (i, a), t, w, k in zip(row[0], row[1], row[2], row[3]):
-            dists[i].append((a, order[t], t, k, w))
-        elems = {}
+        dists: dict = {}
+        for (m, a), t, w in zip(row[0], row[1], row[2]):
+            dists.setdefault(m, []).append((a, order[t], t, w))
         data = []
-        for dist in dists:
-            dist.sort()  # (label, order) is unique within an atom
-            key = tuple((a, t, k) for a, _, t, k, _ in dist)
-            d = elems.get(key)
-            if d is None:
-                d = elems[key] = tuple((elem(a, t), w) for a, _, t, _, w in dist)
-            data.append(d)
+        for m, dist in dists.items():
+            dist.sort()  # (label, order) is unique within a branch
+            data.append((tuple((elem(a, t), w) for a, _, t, w in dist), m))
         return data
     if kind == "sl":
         return [elem(a, t) for a, _, t in
@@ -1210,19 +1324,15 @@ def _split(cfg: TheoryConfig, data, is_left: Callable[[Element], bool]):
         return (SOp(PLUS, (U_VAR, V_VAR)), _chain(cfg, [e for e in data if is_left(e)]),
                 _chain(cfg, [e for e in data if not is_left(e)]))
     if kind == "ga":
-        sides = [None if e is None else is_left(e) for e in data]
-        s = _decision_tree(cfg, [SZERO if side is None else U_VAR if side else V_VAR
-                                 for side in sides])
-        t1 = _decision_tree(cfg, _once(_ga_slot, [e if side else None
-                                                  for e, side in zip(data, sides)]))
-        t2 = _decision_tree(cfg, _once(_ga_slot, [e if side is False else None
-                                                  for e, side in zip(data, sides)]))
-        return s, t1, t2
+        sides = [(e, m, is_left(e)) for e, m in data]
+        return (_decision_tree(cfg, [(U_VAR if side else V_VAR, m) for _, m, side in sides]),
+                _decision_tree(cfg, [(SVar(e), m) for e, m, side in sides if side]),
+                _decision_tree(cfg, [(SVar(e), m) for e, m, side in sides if not side]))
     if kind == "ca":
         return _split_dist(data, is_left)
     if kind == "gc":
-        parts = _once(lambda dist: _split_dist(dist, is_left), data)
-        return tuple(_decision_tree(cfg, [p[k] for p in parts]) for k in range(3))
+        parts = [(_split_dist(d, is_left), m) for d, m in data]
+        return tuple(_decision_tree(cfg, [(p[k], m) for p, m in parts]) for k in range(3))
     return (SOp(OPLUS, (U_VAR, V_VAR)), _chain(cfg, [kv for kv in data if is_left(kv[0])]),
             _chain(cfg, [kv for kv in data if not is_left(kv[0])]))
 

@@ -411,7 +411,7 @@ def _check_decision_tree(cfg, t, after=-1):
     if isinstance(t.sym, GuardSym):
         i = cfg.tests.index(t.sym.expr.name)
         assert i > after, "tests out of declared order on a path"
-        assert t.sym.sat == frozenset(a for a in cfg.atoms if a[i] == "1")
+        assert t.sym.mask == sum(1 << k for k, a in enumerate(cfg.atoms) if a[i] == "1")
         on, off = t.args
         assert on != off, "guard node with equal branches"
         _check_decision_tree(cfg, on, i)
