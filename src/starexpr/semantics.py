@@ -20,7 +20,7 @@ from .syntax import Act, Expr, Seq, Star, TOp, print_expr
 from .theory import (
     GuardSym, MVal, SVar, TheoryConfig, apply_sym, eta, eval_term, flat_rows, mask_atoms, mask_row,
     mval_map, pair_row, parse_rational, parse_selector, row_support, row_value, supp,
-    weight_key, weighted_row,
+    weighted_row,
 )
 
 
@@ -96,13 +96,16 @@ def _same_syntax(a, b) -> bool:
     written alike: equal, and print alike."""
     if a is b:
         return True
-    if type(a) is not type(b) or hash(a) != hash(b):
+    kind = type(a)
+    if kind is not type(b):
         return False
-    if isinstance(a, (Act, SVar)):
+    if kind is Act or kind is SVar:
         return a == b
-    if isinstance(a, Seq):
+    if a._hash != b._hash:
+        return False
+    if kind is Seq:
         return _same_syntax(a.left, b.left) and _same_syntax(a.right, b.right)
-    if isinstance(a, Star):
+    if kind is Star:
         return (_same_syntax(a.body, b.body) and _same_syntax(a.loop, b.loop)
                 and _same_syntax(a.exit, b.exit))
     # TOp and SOp: an operator symbol and its arguments
@@ -281,8 +284,10 @@ def _row_doc(cfg: TheoryConfig, row, names):
     if kind == "ga":
         doc = dict.fromkeys(atoms)
         for a, t, mask in zip(acts, targets, row[2]):
-            for i in mask_atoms(mask):
-                doc[atoms[i]] = [a, t]
+            while mask:  # `mask_atoms`, inline: most masks hold an atom or two
+                low = mask & -mask
+                doc[atoms[low.bit_length() - 1]] = [a, t]
+                mask ^= low
         return doc
     if kind == "ca":
         return _dist_doc(zip(acts, targets, row[2]))
@@ -420,19 +425,22 @@ def _parse_row(cfg: TheoryConfig, raw, targets: dict[str, int]) -> tuple:
     if kind == "gc":
         branches: dict = {}
         for i, atom in enumerate(cfg.atoms):
-            dist = _parse_dist(raw[atom], targets)
-            if dist[0]:
-                key = frozenset(zip(dist[0], dist[1], map(weight_key, dist[2])))
+            acts, tgts, masses = _parse_dist(raw[atom], targets)
+            if acts:
+                wkeys = [(w._numerator, w._denominator) for w in masses]  # `weight_key`
+                key = frozenset(zip(acts, tgts, wkeys))
                 if key in branches:
                     branches[key][0] |= 1 << i
                 else:
-                    branches[key] = [1 << i, dist]
-        acts, tgts, masses = [], [], []
-        for mask, dist in branches.values():
-            acts += [(mask, a) for a in dist[0]]
+                    branches[key] = [1 << i, acts, tgts, masses, wkeys]
+        labels, tgts, masses, wkeys = [], [], [], []
+        for mask, *dist in branches.values():
+            labels += [(mask, a) for a in dist[0]]
             tgts += dist[1]
             masses += dist[2]
-        return weighted_row(acts, tgts, masses)
+            wkeys += dist[3]
+        return (tuple(labels), tuple(tgts), tuple(masses), tuple(wkeys),
+                len(set(labels)) == len(labels))
     return weighted_row(*_parse_weighted(raw, targets, "w", cfg.semiring.parse_weight, "weight"))
 
 

@@ -332,12 +332,11 @@ def _test_masks(cfg: TheoryConfig) -> tuple[int, ...]:
 
 def mask_atoms(mask: int) -> list[int]:
     """The indices of the atoms in a mask, ascending."""
-    bits = bin(mask)[:1:-1]  # bit i is character i
     out = []
-    i = bits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = bits.find("1", i + 1)
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -895,10 +894,11 @@ def row_signer(cfg: TheoryConfig) -> Callable:
     exactly when the values relabelled by `mval_map` are.  Signatures are
     plain frozensets; weights appear as their `weight_key`s, and the
     weights of pairs that meet are added with the theory's addition, keyed
-    again, and dropped when they sum to zero, as `mval_map` does.  ``ga``
-    signs its atom masks as weights that add by union; ``gc`` signs each
-    (label, target label, weight key) with the union of the masks of the
-    branches it occurs in (see `_sign_guarded`).
+    again, and dropped when they sum to zero, as `mval_map` does.
+    Guarded rows sign one pair per distinct branch entry with its atom
+    mask, and join the masks of entries that meet: ``ga`` signs
+    ((label, target label), mask), ``gc`` ((label, target label, weight
+    key), mask) (see `_sign_guarded`).
     """
     kind = cfg.kind
     if kind == "sl":
@@ -923,40 +923,65 @@ def _sign_set(row, labels) -> frozenset:
     return frozenset(zip(acts, map(labels.__getitem__, keys)))
 
 
-def _sign_weighted(row, labels, add=operator.add, zero=None, key=weight_key) -> frozenset:
+def _sign_weighted(row, labels, add=operator.add, zero=None) -> frozenset:
     """A frozenset of (label, target label, weight key) triples."""
     acts, keys, weights, wkeys, distinct = row
     tlabels = list(map(labels.__getitem__, keys))
     if distinct or len(set(zip(acts, tlabels))) == len(acts):
         return frozenset(zip(acts, tlabels, wkeys))
     merged = _merge(zip(zip(acts, tlabels), weights), add=add, zero=zero)
-    return frozenset((a, b, key(w)) for (a, b), w in merged)
+    return frozenset((a, b, weight_key(w)) for (a, b), w in merged)
 
 
 def _sign_masks(row, labels) -> frozenset:
-    """`_sign_weighted` of a ``ga`` row: pairs that meet join their masks."""
-    return _sign_weighted(row, labels, operator.or_, None, _identity)
+    """A frozenset of ((label, target label), mask) pairs of a ``ga`` row;
+    pairs that meet join their masks."""
+    acts, keys, masks, _, distinct = row
+    pairs = list(zip(acts, map(labels.__getitem__, keys)))
+    if distinct or len(set(pairs)) == len(pairs):
+        return frozenset(zip(pairs, masks))
+    return frozenset(_joined(pairs, masks).items())
+
+
+def _joined(pairs, masks) -> dict:
+    """The union of the masks of each pair."""
+    joined: dict = {}
+    for p, m in zip(pairs, masks):
+        joined[p] = joined[p] | m if p in joined else m
+    return joined
 
 
 def _sign_guarded(row, labels) -> frozenset:
-    """A frozenset of ((mask, label), target label, weight key) triples,
-    one per (label, target label, weight) of the relabelled value, with the
-    union of the masks of the branches it occurs in: this names the value,
-    and branches that become equal need no matching up.  When no two
-    entries of a branch meet and no two entries share (target label,
-    weight), the row's own entries are those triples."""
+    """A frozenset of ((label, target label, weight key), mask) pairs, one
+    per (label, target label, weight) of the relabelled ``gc`` value, with
+    the union of the masks of the branches it occurs in.  This names the
+    value, and branches that become equal need no matching up."""
     tags, keys, weights, wkeys, distinct = row
     tlabels = list(map(labels.__getitem__, keys))
-    n = len(tags)
-    if ((distinct or len(set(zip(tags, tlabels))) == n)
-            and len(set(zip(tlabels, wkeys))) == n):
-        return frozenset(zip(tags, tlabels, wkeys))
+    entries = _kept_entries(tags, tlabels, wkeys, distinct)
+    if entries is not None:
+        masks = map(_first, tags)
+        if len(set(entries)) == len(entries):
+            return frozenset(zip(entries, masks))
+        return frozenset(_joined(entries, masks).items())
     joined: dict = {}
     for mask, dist in _branch_dists(tags, tlabels, weights).items():
         for (a, b), w in dist.items():
             k = (a, b, weight_key(w))
-            joined[k] = joined.get(k, 0) | mask
-    return frozenset(((mask, a), b, k) for (a, b, k), mask in joined.items())
+            joined[k] = joined[k] | mask if k in joined else mask
+    return frozenset(joined.items())
+
+
+_first, _second = operator.itemgetter(0), operator.itemgetter(1)
+
+
+def _kept_entries(tags, targets, wkeys, distinct) -> list | None:
+    """The (label, target, weight key) of each entry of a ``gc`` row whose
+    targets are relabelled as ``targets``, or None when two entries of a
+    branch meet, so that weights change."""
+    if distinct or len(set(zip(tags, targets))) == len(tags):
+        return list(zip(map(_second, tags), targets, wkeys))
+    return None
 
 
 def _branch_dists(tags, targets, weights) -> dict:
@@ -982,8 +1007,8 @@ def relabel_row(cfg: TheoryConfig, row, labels) -> tuple:
     acts, _, weights, wkeys, distinct = row
     n = len(acts)
     if kind == "gc":
-        if ((distinct or len(set(zip(acts, targets))) == n)
-                and len(set(zip(targets, wkeys))) == n):
+        entries = _kept_entries(acts, targets, wkeys, distinct)
+        if entries is not None and len(set(entries)) == n:  # no two branches become equal
             return acts, targets, weights, wkeys, distinct
         branches: dict = {}
         for mask, dist in _branch_dists(acts, targets, weights).items():
@@ -997,8 +1022,8 @@ def relabel_row(cfg: TheoryConfig, row, labels) -> tuple:
     if distinct or len(set(zip(acts, targets))) == n:
         return acts, targets, weights, wkeys, distinct
     if kind == "ga":
-        return _mask_row([(a, b, m) for (a, b), m in
-                          _merged(zip(zip(acts, targets), weights), add=operator.or_)])
+        joined = _joined(zip(acts, targets), weights)
+        return mask_row([a for a, _ in joined], [b for _, b in joined], joined.values())
     add, zero = operator.add, None
     if kind == "smod":
         add, zero = cfg.semiring.add, cfg.semiring.zero

@@ -426,3 +426,33 @@ def test_unfolding_equation(cfg, rng):
             from starexpr.syntax import Act
             env[pair] = Act(action) if tgt is TICK else Seq(Act(action), tgt)
         assert decide_equiv(cfg, e, sterm_to_expr(t, env))
+
+
+# an 11-state probe: eleven guarded loops in sequence, over two tests only
+PROBE_LOOP = "((a +[p0] b) *{u +[p1] v} c)"
+PROBE = " ; ".join([PROBE_LOOP] * 11)
+PROBE_UNROLLED = f"(((a +[p0] b) ; {PROBE_LOOP}) +[p1] c) ; " + " ; ".join([PROBE_LOOP] * 10)
+PROBE_OTHER = " ; ".join([PROBE_LOOP] * 10 + ["((a +[p1] b) *{u +[p1] v} c)"])
+
+
+def _probe_counts(n_tests):
+    """What exploring, refining and deciding the probe gives, and the size
+    of every row and signature, in ``ga`` over tests p0..p(n-1)."""
+    cfg = parse_selector("ga:tests=" + ",".join(f"p{i}" for i in range(n_tests)))
+    e = parse(PROBE, cfg)
+    sys_, _ = reachable(cfg, e)
+    part = refine(sys_)
+    labels = [part[x] for x in sys_.states] + [-1]
+    sign = row_signer(cfg)
+    return (len(sys_.states), len(set(part.values())),
+            decide_equiv(cfg, e, parse(PROBE_UNROLLED, cfg)),
+            decide_equiv(cfg, e, parse(PROBE_OTHER, cfg)),
+            [len(row[0]) for row in sys_.rows], [len(sign(row, labels)) for row in sys_.rows])
+
+
+def test_many_test_guards_cost_per_branch_not_per_atom():
+    # the probe reads two tests: with twelve declared, it explores, refines
+    # and decides as with two, and no row or signature grows with the atoms
+    two = _probe_counts(2)
+    assert two[:4] == (11, 11, True, False)
+    assert _probe_counts(12) == two

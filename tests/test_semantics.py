@@ -15,12 +15,12 @@ from starexpr import gen
 from starexpr.errors import DocumentError
 from starexpr.semantics import (
     State, System, TICK, _pair_key, _step, export_dot, export_system, load_system,
-    reachable, step,
+    reachable, step, step_doc,
 )
 from starexpr.syntax import Act, Seq, compute_U, parse, print_expr
 from starexpr.theory import (
-    SEMIRINGS, SOp, SVar, Semiring, element_sort_key, eta, eval_term, mval_ca, mval_map,
-    mval_sl, parse_selector, register_semiring, reify, supp,
+    SEMIRINGS, SOp, SVar, Semiring, element_sort_key, eta, eval_term, mval_ca, mval_gc,
+    mval_map, mval_sl, parse_selector, register_semiring, reify, supp,
 )
 
 SL = parse_selector("sl")
@@ -166,6 +166,25 @@ def test_exploration_sorts_only_branching_successors(monkeypatch):
     assert calls == []
     reachable(SL, parse("(a + b) ; c", SL))  # positive control
     assert len(calls) == 2
+
+
+def test_step_is_served_for_the_syntax_stepped():
+    # guards written differently are equal operators, but a step's targets
+    # print as the expression stepped, whatever was stepped before
+    ga = parse_selector("ga:tests=p")
+    for first, second in [("a ; (b +[p] c)", "a ; (b +[p & p] c)"),
+                          ("a ; (b *{u +[p] v} c)", "a ; (b *{u +[!!p] v} c)")]:
+        e1, e2 = parse(first, ga), parse(second, ga)
+        assert e1 == e2 and step(ga, e1) == step(ga, e2)
+        for e, text in ((e1, first), (e2, second)):
+            target = text.partition(" ; ")[2][1:-1]
+            assert step_doc(ga, step(ga, e)) == {"0": ["a", target], "1": ["a", target]}
+    # the same expression is served from the cache
+    e = parse("a ; (b +[p] c)", ga)
+    _step.cache_clear()
+    step(ga, e)
+    hits = _step.cache_info().hits
+    assert step(ga, e) is step(ga, e) and _step.cache_info().hits == hits + 2
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +389,24 @@ def test_ga_document_uses_atom_bitstrings():
     assert doc["beta"]["s0"]["10"] == ["a", "✓"]
     assert doc["beta"]["s0"]["01"] == ["b", "✓"]
     assert load_system(doc).beta == sys_.beta
+
+
+def test_guarded_documents_group_atoms_into_branches():
+    # one row entry per pair of each distinct branch; exports list every atom
+    ga = parse_selector("ga:tests=p,q")
+    doc = {"theory": "ga:tests=p,q", "states": ["s0"], "beta": {"s0": {
+        "00": ["a", "s0"], "01": None, "10": ["a", "s0"], "11": ["b", "✓"]}}}
+    sys_ = load_system(doc)
+    assert sorted(zip(*sys_.rows[0][:3])) == [("a", 0, 0b0101), ("b", -1, 0b1000)]
+    assert export_system(sys_) == doc
+    assert '[label="a [00,10]"]' in export_dot(sys_)
+    gc = parse_selector("gc:tests=p")
+    half = [{"p": "1/2", "a": "a", "t": "s0"}]
+    doc = {"theory": "gc:tests=p", "states": ["s0"], "beta": {"s0": {"0": half, "1": half}}}
+    sys_ = load_system(doc)
+    assert sys_.rows[0][0] == ((0b11, "a"),)
+    assert sys_.beta["s0"] == mval_gc(gc, [{("a", State("s0")): Fraction(1, 2)}] * 2)
+    assert export_system(sys_)["beta"] == doc["beta"]
 
 
 def test_dot_output_mentions_every_edge():

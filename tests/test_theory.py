@@ -9,10 +9,11 @@ from conftest import NOT_RATIONAL_EDGES, RATIONAL_EDGES
 from starexpr import gen
 from starexpr.errors import LimitExceededError, TheoryMismatchError, UnboundVariableError
 from starexpr.theory import (
-    BAnd, BNot, BTest, ChoiceSym, GuardSym, OPLUS, PLUS, SEMIRINGS, SOp, SVar,
+    BAnd, BNot, BOr, BTest, BTrue, ChoiceSym, GuardSym, OPLUS, PLUS, SEMIRINGS, SOp, SVar,
     SZERO, ScaleSym, TheoryConfig, atoms_expr, bool_text, element_sort_key, eta,
-    eval_term, guard_sym, mval_ca, mval_ga, mval_gc, mval_sl, mval_smod, mval_map,
-    parse_rational, parse_selector, reify, split, supp, term_variables, weight_key,
+    eval_term, flat_rows, guard_sym, mval_ca, mval_ga, mval_gc, mval_sl, mval_smod, mval_map,
+    parse_rational, parse_selector, reify, relabel_row, row_signer, row_value, split, supp,
+    term_variables, weight_key, zero_mval,
 )
 
 
@@ -484,3 +485,135 @@ def test_decision_tree_size_follows_the_tests_it_reads():
             SOp(t.sym, (SVar("v"), SVar("u"))),
             SOp(t.sym, (SZERO, SVar("x"))),
             SOp(t.sym, (SVar("y"), SZERO)))
+
+
+# ---------------------------------------------------------------------------
+# guarded values as atom partitions, against a per-atom reference
+
+
+def _holds(b, atom, tests):
+    """A guard evaluated at one atom bitstring."""
+    if isinstance(b, BTest):
+        return atom[tests.index(b.name)] == "1"
+    if isinstance(b, BNot):
+        return not _holds(b.arg, atom, tests)
+    if isinstance(b, BAnd):
+        return _holds(b.left, atom, tests) and _holds(b.right, atom, tests)
+    if isinstance(b, BOr):
+        return _holds(b.left, atom, tests) or _holds(b.right, atom, tests)
+    return isinstance(b, BTrue)
+
+
+def _guarded_configs():
+    for kind in ("ga", "gc"):
+        for n in (0, 1, 2, 4, 12):
+            yield parse_selector(f"{kind}:tests=" + ",".join(f"t{i}" for i in range(n)))
+
+
+def _value(cfg, per_atom):
+    """The value of per-atom branches: elements or None (``ga``), or
+    {element: mass} dicts (``gc``)."""
+    return (mval_ga if cfg.kind == "ga" else mval_gc)(cfg, per_atom)
+
+
+def _branch_key(cfg, branch):
+    return branch if cfg.kind == "ga" else frozenset(branch.items())
+
+
+def _zero(cfg):
+    return None if cfg.kind == "ga" else {}
+
+
+def _rand_per_atom(rng, cfg, universe):
+    """Per-atom branches drawn from a few: either at random per atom, or
+    picked by two random guards, so masks are scattered or structured."""
+    if cfg.kind == "ga":
+        branches = [None] + [rng.choice(universe) for _ in range(3)]
+    else:
+        branches = [{}] + [{e: Fraction(rng.randint(1, 3), 8) for e in rng.sample(universe, 2)}
+                           for _ in range(3)]
+    if rng.random() < 0.5:
+        return [rng.choice(branches) for _ in cfg.atoms]
+    g1, g2 = gen.rand_bool_expr(rng, cfg), gen.rand_bool_expr(rng, cfg)
+    return [branches[2 * _holds(g1, a, cfg.tests) + _holds(g2, a, cfg.tests)]
+            for a in cfg.atoms]
+
+
+def _map_branch(cfg, f, branch):
+    if cfg.kind == "ga":
+        return None if branch is None else f(branch)
+    out: dict = {}
+    for e, mass in branch.items():
+        k = f(e)
+        out[k] = out.get(k, 0) + mass
+    return out
+
+
+def _check_partition_size(cfg, m, per_atom):
+    zero = _branch_key(cfg, _zero(cfg))
+    live = {_branch_key(cfg, b) for b in per_atom} - {zero}
+    assert len(m.data) == len(live)
+
+
+def test_guarded_partitions_agree_with_per_atom_values(rng):
+    pairs = [(a, t) for a in "ab" for t in range(6)]
+    block = [0, 0, 1, 1, 2, 2]  # targets 2k and 2k+1 meet
+    labels = block + [-1]
+    for cfg in _guarded_configs():
+        n_atoms = len(cfg.atoms)
+        sign = row_signer(cfg)
+        for _ in range(4 if len(cfg.tests) == 12 else 30):
+            left = _rand_per_atom(rng, cfg, pairs)
+            right = _rand_per_atom(rng, cfg, pairs)
+            m, other = _value(cfg, left), _value(cfg, right)
+            _check_partition_size(cfg, m, left)
+            # units and zero
+            unit = ("a", 0) if cfg.kind == "ga" else {("a", 0): Fraction(1)}
+            assert eta(cfg, ("a", 0)) == _value(cfg, [unit] * n_atoms)
+            assert zero_mval(cfg) == _value(cfg, [_zero(cfg)] * n_atoms)
+            assert len(eta(cfg, ("a", 0)).data) == 1 and not zero_mval(cfg).data
+            # a guard picks its left branch where it holds
+            b = gen.rand_bool_expr(rng, cfg)
+            env = {"u": m, "v": other}
+            got = eval_term(cfg, SOp(guard_sym(cfg, b), (SVar("u"), SVar("v"))), env)
+            want = [x if _holds(b, a, cfg.tests) else y
+                    for a, x, y in zip(cfg.atoms, left, right)]
+            assert got == _value(cfg, want)
+            _check_partition_size(cfg, got, want)
+            # convex choice atom by atom
+            if cfg.kind == "gc":
+                p = gen.rand_prob(rng)
+                got = eval_term(cfg, SOp(ChoiceSym(p), (SVar("u"), SVar("v"))), env)
+                want = [{e: p * x.get(e, 0) + (1 - p) * y.get(e, 0) for e in {*x, *y}}
+                        for x, y in zip(left, right)]
+                assert got == _value(cfg, want)
+                _check_partition_size(cfg, got, [{e: w for e, w in d.items() if w} for d in want])
+            # relabelling merges branches that become equal
+            f = lambda e: (e[0], block[e[1]])  # noqa: E731
+            want = [_map_branch(cfg, f, x) for x in left]
+            assert mval_map(f, m) == _value(cfg, want)
+            _check_partition_size(cfg, mval_map(f, m), want)
+            # support
+            elems = {e for x in left if x for e in ((x,) if cfg.kind == "ga" else x)}
+            assert supp(m) == elems
+            # rows stand for their values, and relabel and sign as mval_map does
+            (row,) = flat_rows(cfg, [m], lambda t: t)
+            assert row_value(cfg, row, list(range(6))) == m
+            assert row_value(cfg, relabel_row(cfg, row, labels), list(range(3))) == \
+                mval_map(f, m)
+            # the same value with each target moved within its block, per atom
+            moved = [_map_branch(cfg, lambda e: (e[0], e[1] ^ rng.randint(0, 1)), x)
+                     for x in left]
+            (row2,) = flat_rows(cfg, [_value(cfg, moved)], lambda t: t)
+            (row3,) = flat_rows(cfg, [other], lambda t: t)
+            assert sign(row, labels) == sign(row2, labels)
+            assert (sign(row, labels) == sign(row3, labels)) == \
+                (mval_map(f, m) == mval_map(f, other))
+
+
+def test_guard_masks_agree_with_per_atom_evaluation(rng):
+    for cfg in _guarded_configs():
+        for _ in range(20):
+            b = gen.rand_bool_expr(rng, cfg, depth=3)
+            want = sum(1 << i for i, a in enumerate(cfg.atoms) if _holds(b, a, cfg.tests))
+            assert guard_sym(cfg, b).mask == want
