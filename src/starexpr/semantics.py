@@ -16,9 +16,9 @@ from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import DocumentError
-from .syntax import Act, Expr, Seq, Star, TOp, print_expr
+from .syntax import Act, Expr, Seq, Star, SyntaxKey, TOp, print_expr
 from .theory import (
-    GuardSym, MVal, SVar, TheoryConfig, apply_sym, eta, eval_term, flat_rows, mask_atoms, mask_row,
+    MVal, TheoryConfig, apply_sym, eta, eval_term, flat_rows, mask_atoms, mask_row,
     mval_map, pair_row, parse_rational, parse_selector, row_support, row_value, supp,
     weighted_row,
 )
@@ -69,63 +69,24 @@ def step(cfg: TheoryConfig, e: Expr) -> MVal:
     the continuation into every target; the loop former ties its body's
     accepting branches back to itself through the loop term.
     """
-    return _step(cfg, _Syntax(e))
-
-
-class _Syntax:
-    """An expression as a key of the step cache, equal only to the same
-    syntax.  Expressions are equal when their guards hold at the same
-    atoms, however the guards are written, but a step's targets are built
-    from the expression stepped, so the cache must not serve the step of
-    ``a +[p] b`` for ``a +[p & p] b``."""
-
-    __slots__ = ("e",)
-
-    def __init__(self, e: Expr):
-        self.e = e
-
-    def __hash__(self):
-        return self.e._hash
-
-    def __eq__(self, other):
-        return _same_syntax(self.e, other.e)
-
-
-def _same_syntax(a, b) -> bool:
-    """Whether two expressions or loop terms are equal with their guards
-    written alike: equal, and print alike."""
-    if a is b:
-        return True
-    kind = type(a)
-    if kind is not type(b):
-        return False
-    if kind is Act or kind is SVar:
-        return a == b
-    if a._hash != b._hash:
-        return False
-    if kind is Seq:
-        return _same_syntax(a.left, b.left) and _same_syntax(a.right, b.right)
-    if kind is Star:
-        return (_same_syntax(a.body, b.body) and _same_syntax(a.loop, b.loop)
-                and _same_syntax(a.exit, b.exit))
-    # TOp and SOp: an operator symbol and its arguments
-    return (a.sym == b.sym and (type(a.sym) is not GuardSym or a.sym.expr == b.sym.expr)
-            and all(map(_same_syntax, a.args, b.args)))
+    return _step(cfg, e.syntax_key())
 
 
 @lru_cache(maxsize=1 << 17)
-def _step(cfg: TheoryConfig, key: _Syntax) -> MVal:
-    e = key.e
+def _step(cfg: TheoryConfig, key: SyntaxKey) -> MVal:
+    """`step`, cached by exact syntax: a step's targets are built from the
+    expression stepped, and print as it was written."""
+    e = key.expr
     if isinstance(e, Act):
         return eta(cfg, (e.name, TICK))
     if isinstance(e, TOp):
-        return apply_sym(cfg, e.sym, [_step(cfg, _Syntax(child)) for child in e.args])
+        return apply_sym(cfg, e.sym, [_step(cfg, child.syntax_key()) for child in e.args])
     if isinstance(e, Seq):
-        return mval_map(_push(e.right), _step(cfg, _Syntax(e.left)))
+        return mval_map(_push(e.right), _step(cfg, e.left.syntax_key()))
     if isinstance(e, Star):
         env = {
-            "u": mval_map(_push(e), _step(cfg, _Syntax(e.body))),
-            "v": _step(cfg, _Syntax(e.exit)),
+            "u": mval_map(_push(e), _step(cfg, e.body.syntax_key())),
+            "v": _step(cfg, e.exit.syntax_key()),
         }
         return eval_term(cfg, e.loop, env)
     raise TypeError(f"not an expression: {e!r}")
@@ -243,7 +204,7 @@ def reachable_from(cfg: TheoryConfig, roots) -> tuple[System, list[str]]:
         order.append(r)
         queue = deque([r])
         while queue:
-            m = _step(cfg, _Syntax(queue.popleft()))
+            m = _step(cfg, queue.popleft().syntax_key())
             steps.append(m)
             succ = supp(m)
             if len(succ) > 1:  # one successor needs no sort key

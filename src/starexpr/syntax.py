@@ -30,7 +30,7 @@ from fractions import Fraction
 from .errors import ParseError
 from .theory import (
     BAnd, BFalse, BNot, BOr, BTest, BTrue,
-    ChoiceSym, OPLUS, PLUS, ScaleSym, SOp, STerm,
+    ChoiceSym, GuardSym, OPLUS, PLUS, ScaleSym, SOp, STerm,
     SVar, SZERO, TheoryConfig, ZeroSym, guard_sym, term_sort_key,
     term_variables, _sym_sort_key,
 )
@@ -41,7 +41,7 @@ from .theory import (
 
 
 class Expr:
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_hash", "_key", "_syntax_key")
 
     def __eq__(self, other):
         raise NotImplementedError
@@ -54,6 +54,56 @@ class Expr:
             self._key = self._make_key()
         return self._key
 
+    def syntax_key(self) -> "SyntaxKey":
+        """This expression as a key that is equal only to expressions
+        written alike (see `SyntaxKey`); one per expression object, so a
+        lookup with the same object is an identity test."""
+        if self._syntax_key is None:
+            self._syntax_key = SyntaxKey(self)
+        return self._syntax_key
+
+
+class SyntaxKey:
+    """An expression as a dictionary key equal only to the same syntax.
+    Expressions are equal when their guards hold at the same atoms,
+    however the guards are written; a cache whose results print the
+    expression they were computed from (such as the step cache, whose
+    targets are built from the expression stepped) keys on this instead,
+    so it never serves the result for ``a +[p] b`` to ``a +[p & p] b``."""
+
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr):
+        self.expr = expr
+
+    def __hash__(self):
+        return self.expr._hash
+
+    def __eq__(self, other):
+        return isinstance(other, SyntaxKey) and same_syntax(self.expr, other.expr)
+
+
+def same_syntax(a, b) -> bool:
+    """Whether two expressions or loop terms are equal with their guards
+    written alike, so that they print alike."""
+    if a is b:
+        return True
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is Act or kind is SVar:
+        return a == b
+    if a._hash != b._hash:
+        return False
+    if kind is Seq:
+        return same_syntax(a.left, b.left) and same_syntax(a.right, b.right)
+    if kind is Star:
+        return (same_syntax(a.body, b.body) and same_syntax(a.loop, b.loop)
+                and same_syntax(a.exit, b.exit))
+    # TOp and SOp: an operator symbol and its arguments
+    return (a.sym == b.sym and (type(a.sym) is not GuardSym or a.sym.expr == b.sym.expr)
+            and all(map(same_syntax, a.args, b.args)))
+
 
 class Act(Expr):
     """A single action; emits its name and accepts."""
@@ -63,7 +113,7 @@ class Act(Expr):
     def __init__(self, name: str):
         self.name = name
         self._hash = hash(("act", name))
-        self._key = None
+        self._key = self._syntax_key = None
 
     def __eq__(self, other):
         return type(other) is Act and other.name == self.name
@@ -89,7 +139,7 @@ class TOp(Expr):
         self.sym = sym
         self.args = args
         self._hash = hash(("top", sym, args))
-        self._key = None
+        self._key = self._syntax_key = None
 
     def __eq__(self, other):
         return other is self or type(other) is TOp and other._hash == self._hash \
@@ -116,7 +166,7 @@ class Seq(Expr):
         self.left = left
         self.right = right
         self._hash = hash(("seq", left._hash, right._hash))
-        self._key = None
+        self._key = self._syntax_key = None
 
     def __eq__(self, other):
         return other is self or type(other) is Seq and other._hash == self._hash \
@@ -144,7 +194,7 @@ class Star(Expr):
         self.loop = loop
         self.exit = exit
         self._hash = hash(("star", body._hash, loop, exit._hash))
-        self._key = None
+        self._key = self._syntax_key = None
 
     def __eq__(self, other):
         return other is self or type(other) is Star and other._hash == self._hash \
