@@ -394,13 +394,13 @@ def _parse_row(cfg: TheoryConfig, raw, targets: dict[str, int]) -> tuple:
                     branches[key][0] |= 1 << i
                 else:
                     branches[key] = [1 << i, acts, tgts, masses, wkeys]
-        labels, tgts, masses, wkeys = [], [], [], []
-        for mask, *dist in branches.values():
-            labels += [(mask, a) for a in dist[0]]
-            tgts += dist[1]
-            masses += dist[2]
-            wkeys += dist[3]
-        return (tuple(labels), tuple(tgts), tuple(masses), tuple(wkeys),
+        labels, targets_, masses_, wkeys_ = [], [], [], []
+        for mask, acts, tgts, masses, wkeys in branches.values():
+            labels += [(mask, a) for a in acts]
+            targets_ += tgts
+            masses_ += masses
+            wkeys_ += wkeys
+        return (tuple(labels), tuple(targets_), tuple(masses_), tuple(wkeys_),
                 len(set(labels)) == len(labels))
     return weighted_row(*_parse_weighted(raw, targets, "w", cfg.semiring.parse_weight, "weight"))
 
