@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import DocumentError
-from .syntax import Act, Expr, Seq, Star, SyntaxKey, TOp, print_expr
+from .syntax import Act, Expr, Seq, Star, TOp, print_expr, same_syntax
 from .theory import (
     MVal, TheoryConfig, apply_sym, eta, eval_term, flat_rows, mask_atoms, mask_row,
     mval_map, pair_row, parse_rational, parse_selector, row_support, row_value, supp,
@@ -68,25 +68,34 @@ def step(cfg: TheoryConfig, e: Expr) -> MVal:
     Branching operators evaluate into the free algebra; sequencing pushes
     the continuation into every target; the loop former ties its body's
     accepting branches back to itself through the loop term.
+
+    Steps are cached by expression equality, under which guards written
+    differently are equal; but a step's targets are built from the
+    expression stepped and print as it was written, so a cached step is
+    served only for the same syntax, and computed anew otherwise.
     """
-    return _step(cfg, e.syntax_key())
+    source, m = _step(cfg, e)
+    if source is e or same_syntax(source, e):
+        return m
+    return _step_of(cfg, e)
 
 
 @lru_cache(maxsize=1 << 17)
-def _step(cfg: TheoryConfig, key: SyntaxKey) -> MVal:
-    """`step`, cached by exact syntax: a step's targets are built from the
-    expression stepped, and print as it was written."""
-    e = key.expr
+def _step(cfg: TheoryConfig, e: Expr) -> tuple[Expr, MVal]:
+    return e, _step_of(cfg, e)
+
+
+def _step_of(cfg: TheoryConfig, e: Expr) -> MVal:
     if isinstance(e, Act):
         return eta(cfg, (e.name, TICK))
     if isinstance(e, TOp):
-        return apply_sym(cfg, e.sym, [_step(cfg, child.syntax_key()) for child in e.args])
+        return apply_sym(cfg, e.sym, [step(cfg, child) for child in e.args])
     if isinstance(e, Seq):
-        return mval_map(_push(e.right), _step(cfg, e.left.syntax_key()))
+        return mval_map(_push(e.right), step(cfg, e.left))
     if isinstance(e, Star):
         env = {
-            "u": mval_map(_push(e), _step(cfg, e.body.syntax_key())),
-            "v": _step(cfg, e.exit.syntax_key()),
+            "u": mval_map(_push(e), step(cfg, e.body)),
+            "v": step(cfg, e.exit),
         }
         return eval_term(cfg, e.loop, env)
     raise TypeError(f"not an expression: {e!r}")
@@ -204,7 +213,7 @@ def reachable_from(cfg: TheoryConfig, roots) -> tuple[System, list[str]]:
         order.append(r)
         queue = deque([r])
         while queue:
-            m = _step(cfg, queue.popleft().syntax_key())
+            m = step(cfg, queue.popleft())
             steps.append(m)
             succ = supp(m)
             if len(succ) > 1:  # one successor needs no sort key

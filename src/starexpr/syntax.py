@@ -41,7 +41,7 @@ from .theory import (
 
 
 class Expr:
-    __slots__ = ("_hash", "_key", "_syntax_key")
+    __slots__ = ("_hash", "_key")
 
     def __eq__(self, other):
         raise NotImplementedError
@@ -54,38 +54,11 @@ class Expr:
             self._key = self._make_key()
         return self._key
 
-    def syntax_key(self) -> "SyntaxKey":
-        """This expression as a key that is equal only to expressions
-        written alike (see `SyntaxKey`); one per expression object, so a
-        lookup with the same object is an identity test."""
-        if self._syntax_key is None:
-            self._syntax_key = SyntaxKey(self)
-        return self._syntax_key
-
-
-class SyntaxKey:
-    """An expression as a dictionary key equal only to the same syntax.
-    Expressions are equal when their guards hold at the same atoms,
-    however the guards are written; a cache whose results print the
-    expression they were computed from (such as the step cache, whose
-    targets are built from the expression stepped) keys on this instead,
-    so it never serves the result for ``a +[p] b`` to ``a +[p & p] b``."""
-
-    __slots__ = ("expr",)
-
-    def __init__(self, expr: Expr):
-        self.expr = expr
-
-    def __hash__(self):
-        return self.expr._hash
-
-    def __eq__(self, other):
-        return isinstance(other, SyntaxKey) and same_syntax(self.expr, other.expr)
-
 
 def same_syntax(a, b) -> bool:
     """Whether two expressions or loop terms are equal with their guards
-    written alike, so that they print alike."""
+    written alike, so that they print alike.  Equality (``==``) holds
+    when guards hold at the same atoms, however they are written."""
     if a is b:
         return True
     kind = type(a)
@@ -113,7 +86,7 @@ class Act(Expr):
     def __init__(self, name: str):
         self.name = name
         self._hash = hash(("act", name))
-        self._key = self._syntax_key = None
+        self._key = None
 
     def __eq__(self, other):
         return type(other) is Act and other.name == self.name
@@ -139,7 +112,7 @@ class TOp(Expr):
         self.sym = sym
         self.args = args
         self._hash = hash(("top", sym, args))
-        self._key = self._syntax_key = None
+        self._key = None
 
     def __eq__(self, other):
         return other is self or type(other) is TOp and other._hash == self._hash \
@@ -166,7 +139,7 @@ class Seq(Expr):
         self.left = left
         self.right = right
         self._hash = hash(("seq", left._hash, right._hash))
-        self._key = self._syntax_key = None
+        self._key = None
 
     def __eq__(self, other):
         return other is self or type(other) is Seq and other._hash == self._hash \
@@ -194,7 +167,7 @@ class Star(Expr):
         self.loop = loop
         self.exit = exit
         self._hash = hash(("star", body._hash, loop, exit._hash))
-        self._key = self._syntax_key = None
+        self._key = None
 
     def __eq__(self, other):
         return other is self or type(other) is Star and other._hash == self._hash \

@@ -938,16 +938,17 @@ def _sign_masks(row, labels) -> frozenset:
     pairs that meet join their masks."""
     acts, keys, masks, _, distinct = row
     pairs = list(zip(acts, map(labels.__getitem__, keys)))
-    if distinct or len(set(pairs)) == len(pairs):
+    if distinct:
         return frozenset(zip(pairs, masks))
     return frozenset(_joined(pairs, masks).items())
 
 
-def _joined(pairs, masks) -> dict:
+def _joined(pairs: list, masks: tuple) -> dict:
     """The union of the masks of each pair."""
-    joined: dict = {}
-    for p, m in zip(pairs, masks):
-        joined[p] = joined[p] | m if p in joined else m
+    joined = dict(zip(pairs, masks))
+    if len(joined) < len(pairs):  # some pairs meet; a union may take a mask twice
+        for p, m in zip(pairs, masks):
+            joined[p] |= m
     return joined
 
 
@@ -960,10 +961,7 @@ def _sign_guarded(row, labels) -> frozenset:
     tlabels = list(map(labels.__getitem__, keys))
     entries = _kept_entries(tags, tlabels, wkeys, distinct)
     if entries is not None:
-        masks = map(_first, tags)
-        if len(set(entries)) == len(entries):
-            return frozenset(zip(entries, masks))
-        return frozenset(_joined(entries, masks).items())
+        return frozenset(_joined(entries, tuple(map(_first, tags))).items())
     joined: dict = {}
     for mask, dist in _branch_dists(tags, tlabels, weights).items():
         for (a, b), w in dist.items():
@@ -1022,7 +1020,7 @@ def relabel_row(cfg: TheoryConfig, row, labels) -> tuple:
     if distinct or len(set(zip(acts, targets))) == n:
         return acts, targets, weights, wkeys, distinct
     if kind == "ga":
-        joined = _joined(zip(acts, targets), weights)
+        joined = _joined(list(zip(acts, targets)), weights)
         return mask_row([a for a, _ in joined], [b for _, b in joined], joined.values())
     add, zero = operator.add, None
     if kind == "smod":
@@ -1237,6 +1235,8 @@ def _decision_tree(cfg: TheoryConfig, leaves) -> STerm:
         rest ^= m
     if rest:
         parts[SZERO] = parts.get(SZERO, 0) | rest
+    if len(parts) == 1:
+        return next(iter(parts))
     tests, guards, n = _test_masks(cfg), _test_guards(cfg), len(cfg.tests)
     memo: dict = {}
 
