@@ -14,7 +14,7 @@ from __future__ import annotations
 from .errors import LimitExceededError, TheoryMismatchError
 from .semantics import System, TICK, reachable_from
 from .syntax import Expr
-from .theory import TheoryConfig, mval_map, relabel_row, row_signer
+from .theory import TheoryConfig, mval_map
 
 Partition = dict[str, int]
 
@@ -62,11 +62,11 @@ def refine(sys: System) -> Partition:
     all states are re-signed, which is cheaper than walking predecessors.
     For n states and m transitions the work is O((n + m) log n).
 
-    States are signed from the system's rows by the theory's `row_signer`:
+    States are signed from the system's rows by the theory's ``sign``:
     targets are looked up in the list ``block``, whose last entry, at the
     tick target's index -1, is the tick's own block -1."""
     n = len(sys.states)
-    rows, sign = sys.rows, row_signer(sys.cfg)
+    rows, sign = sys.rows, sys.cfg.theory.sign
     block = [0] * n + [-1]
     members: dict[int, set[int]] = {0: set(range(n))}
     sig: dict[int, object] = {}  # the signature the clean states of a block share
@@ -208,7 +208,8 @@ def minimize(sys: System) -> tuple[System, dict[str, str]]:
     first: dict[int, int] = {}  # block id -> its first state; ids are dense
     for x, b in enumerate(labels[:-1]):
         first.setdefault(b, x)
-    rows = [relabel_row(sys.cfg, sys.rows[x], labels) for x in first.values()]
+    relabel_row = sys.cfg.theory.relabel_row
+    rows = [relabel_row(sys.rows[x], labels) for x in first.values()]
     states = tuple(f"b{b}" for b in first)
     root = h[sys.root] if sys.root is not None else None
     return System.from_rows(sys.cfg, states, rows, root=root), h

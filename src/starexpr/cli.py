@@ -211,7 +211,7 @@ def _prop_values(rng, cfg, count, size):
     """reify round-trip, split identity, functoriality, support naturality."""
     for budget in _sizes(count, size):
         universe = _elements(2 + budget % 4)
-        m = gen.rand_mval(rng, cfg, universe)
+        m = cfg.theory.rand_value(rng, universe)
         ident = {e: eta(cfg, e) for e in supp(m)}
         case = repr(m)
         if eval_term(cfg, reify(m), ident) != m:

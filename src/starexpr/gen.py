@@ -1,63 +1,21 @@
-"""Seeded random generation of guards, terms, values, expressions, systems.
+"""Seeded random generation of terms, expressions and systems.
 
 Everything is driven by a caller-supplied random.Random, so corpora are
-reproducible from a seed.  Expression sampling is size-bounded: the budget
-counts expression constructors (actions, operators, sequencing, stars); loop
-terms ride along free but are kept small.
+reproducible from a seed; the theory object draws operators and values.
+Expression sampling is size-bounded: the budget counts expression
+constructors (actions, operators, sequencing, stars); loop terms ride along
+free but are kept small.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .semantics import State, System, TICK
 from .syntax import Act, Expr, Seq, Star, TOp
-from .theory import (
-    BAnd, BFalse, BNot, BOr, BTest, BTrue, ChoiceSym, OPLUS, PLUS, ZERO,
-    SOp, STerm, SVar, SZERO, ScaleSym, TheoryConfig, guard_sym,
-    mval_ca, mval_ga, mval_gc, mval_sl, mval_smod, MVal,
-)
+from .theory import SOp, STerm, SVar, SZERO, ScaleSym, TheoryConfig, ZERO
 
 DEFAULT_ACTIONS = ("a", "b", "c")
-
-_PROBS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4),
-          Fraction(3, 4), Fraction(0), Fraction(1), Fraction(2, 5)]
-
-
-def rand_prob(rng: random.Random) -> Fraction:
-    return rng.choice(_PROBS)
-
-
-def rand_bool_expr(rng: random.Random, cfg: TheoryConfig, depth: int = 2):
-    roll = rng.random()
-    if depth == 0 or roll < 0.5:
-        if cfg.tests and roll < 0.8:
-            return BTest(rng.choice(cfg.tests))
-        return rng.choice((BTrue(), BFalse()))
-    l = rand_bool_expr(rng, cfg, depth - 1)
-    r = rand_bool_expr(rng, cfg, depth - 1)
-    return rng.choice((BNot(l), BAnd(l, r), BOr(l, r)))
-
-
-def rand_binary_sym(rng: random.Random, cfg: TheoryConfig):
-    """A random binary operator of the theory's signature."""
-    kind = cfg.kind
-    if kind == "sl":
-        return PLUS
-    if kind == "ga":
-        return guard_sym(cfg, rand_bool_expr(rng, cfg))
-    if kind == "ca":
-        return ChoiceSym(rand_prob(rng))
-    if kind == "gc":
-        if rng.random() < 0.5:
-            return guard_sym(cfg, rand_bool_expr(rng, cfg))
-        return ChoiceSym(rand_prob(rng))
-    return OPLUS
-
-
-def rand_weight(rng: random.Random, cfg: TheoryConfig):
-    return cfg.semiring.sample(rng)
 
 
 def rand_term(rng: random.Random, cfg: TheoryConfig, names, size: int) -> STerm:
@@ -66,10 +24,10 @@ def rand_term(rng: random.Random, cfg: TheoryConfig, names, size: int) -> STerm:
         if names and rng.random() < 0.85:
             return SVar(rng.choice(names))
         return SZERO
-    if cfg.kind == "smod" and rng.random() < 0.3:
-        return SOp(ScaleSym(rand_weight(rng, cfg)), (rand_term(rng, cfg, names, size - 1),))
+    if ScaleSym in cfg.theory.ops and rng.random() < 0.3:
+        return SOp(ScaleSym(cfg.semiring.sample(rng)), (rand_term(rng, cfg, names, size - 1),))
     lsize = rng.randint(0, size - 1)
-    return SOp(rand_binary_sym(rng, cfg),
+    return SOp(cfg.theory.rand_binary_sym(rng),
                (rand_term(rng, cfg, names, lsize),
                 rand_term(rng, cfg, names, size - 1 - lsize)))
 
@@ -79,14 +37,14 @@ def rand_loop_term(rng: random.Random, cfg: TheoryConfig) -> STerm:
     degenerate or nested shapes."""
     roll = rng.random()
     if roll < 0.6:
-        return SOp(rand_binary_sym(rng, cfg), (SVar("u"), SVar("v")))
+        return SOp(cfg.theory.rand_binary_sym(rng), (SVar("u"), SVar("v")))
     if roll < 0.7:
-        return SOp(rand_binary_sym(rng, cfg), (SVar("v"), SVar("u")))
+        return SOp(cfg.theory.rand_binary_sym(rng), (SVar("v"), SVar("u")))
     if roll < 0.8:
         return rand_term(rng, cfg, ("u", "v"), 2)
     if roll < 0.9:
-        return SOp(rand_binary_sym(rng, cfg), (SVar("u"), SZERO))
-    return SOp(rand_binary_sym(rng, cfg), (SVar("v"), SZERO))
+        return SOp(cfg.theory.rand_binary_sym(rng), (SVar("u"), SZERO))
+    return SOp(cfg.theory.rand_binary_sym(rng), (SVar("v"), SZERO))
 
 
 def rand_expr(rng: random.Random, cfg: TheoryConfig, size: int,
@@ -97,12 +55,12 @@ def rand_expr(rng: random.Random, cfg: TheoryConfig, size: int,
             return TOp(ZERO)
         return Act(rng.choice(actions))
     roll = rng.random()
-    if cfg.kind == "smod" and roll < 0.1:
-        return TOp(ScaleSym(rand_weight(rng, cfg)),
+    if roll < 0.1 and ScaleSym in cfg.theory.ops:
+        return TOp(ScaleSym(cfg.semiring.sample(rng)),
                    (rand_expr(rng, cfg, size - 1, actions),))
     if roll < 0.35:
         lsize = rng.randint(1, size - 1)
-        return TOp(rand_binary_sym(rng, cfg),
+        return TOp(cfg.theory.rand_binary_sym(rng),
                    (rand_expr(rng, cfg, lsize, actions),
                     rand_expr(rng, cfg, size - 1 - lsize, actions)))
     if roll < 0.7:
@@ -126,51 +84,7 @@ def corpus(cfg: TheoryConfig, count: int, size: int, seed: int = 0) -> list[Expr
 
 
 # ---------------------------------------------------------------------------
-# values and systems
-
-
-def rand_mval(rng: random.Random, cfg: TheoryConfig, universe: list) -> MVal:
-    """A random normal-form value over the given elements."""
-    kind = cfg.kind
-    if kind == "sl":
-        return mval_sl(cfg, [e for e in universe if rng.random() < 0.5])
-    if kind == "ga":
-        return mval_ga(cfg, tuple(
-            rng.choice(universe) if universe and rng.random() < 0.7 else None
-            for _ in cfg.atoms))
-    if kind == "ca":
-        return mval_ca(cfg, _rand_dist(rng, universe))
-    if kind == "gc":
-        return mval_gc(cfg, tuple(_rand_dist(rng, universe) for _ in cfg.atoms))
-    sr = cfg.semiring
-    weights = {}
-    for e in universe:
-        if rng.random() < 0.4:
-            w = sr.sample(rng)
-            if w != sr.zero:
-                weights[e] = w
-    return mval_smod(cfg, weights)
-
-
-def _rand_dist(rng: random.Random, universe: list) -> dict:
-    if not universe or rng.random() < 0.15:
-        return {}
-    k = rng.randint(1, min(3, len(universe)))
-    chosen = rng.sample(universe, k)
-    denom = rng.randint(max(k, 2), 8)
-    cuts = sorted(rng.sample(range(1, denom + k), k))
-    masses = []
-    prev = 0
-    for c in cuts:
-        masses.append(c - prev)
-        prev = c
-    # drop the overshoot so the total stays <= denom, keeping masses positive
-    total = sum(masses)
-    while total > denom:
-        i = masses.index(max(masses))
-        masses[i] -= 1
-        total -= 1
-    return {e: Fraction(m, denom) for e, m in zip(chosen, masses) if m > 0}
+# systems
 
 
 def rand_system(rng: random.Random, cfg: TheoryConfig, n_states: int,
@@ -182,7 +96,7 @@ def rand_system(rng: random.Random, cfg: TheoryConfig, n_states: int,
     beta = {}
     for x in states:
         pool = rng.sample(universe, min(len(universe), rng.randint(2, 5)))
-        beta[x] = rand_mval(rng, cfg, pool)
+        beta[x] = cfg.theory.rand_value(rng, pool)
     return System(cfg, states, beta, root="s0")
 
 

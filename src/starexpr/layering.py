@@ -170,7 +170,7 @@ def _layers(sys: System, lab: Labelling) -> _Layers:
         else:
             steps.setdefault(i, set()).add((a, j))
     for i, here in steps.items():
-        support = row_support(sys.cfg, rows[i])
+        support = row_support(rows[i])
         extra += [(sys.states[i], a, sys.states[j]) for a, j in here if (a, j) not in support]
     if extra:
         raise ValueError(f"entry labels transitions absent from the system: {sorted(extra)}")
@@ -184,7 +184,7 @@ def _layers(sys: System, lab: Labelling) -> _Layers:
             body.append(sorted({t for t in row[1] if t >= 0}, key=key))
         else:
             entry.append(sorted({t for _, t in here}, key=key))
-            body.append(sorted({t for a, t in row_support(sys.cfg, row)
+            body.append(sorted({t for a, t in row_support(row)
                                 if t >= 0 and (a, t) not in here}, key=key))
     return _Layers(entry, body, [-1 in row[1] for row in rows], rank, steps)
 
@@ -411,7 +411,7 @@ def search_labelling(sys: System) -> Labelling | None:
     """
     actions: dict[tuple[int, int], list] = {}
     for i, row in enumerate(sys.rows):
-        for a, t in row_support(sys.cfg, row):
+        for a, t in row_support(row):
             if t >= 0:
                 actions.setdefault((i, t), []).append(a)
     count = sum(map(len, actions.values()))

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
 
 from .errors import DocumentError
 from .syntax import Act, Expr, Seq, Star, TOp, print_expr, same_syntax
 from .theory import (
-    MVal, TheoryConfig, apply_sym, eta, eval_term, flat_rows, mask_atoms, mask_row,
-    mval_map, pair_row, parse_rational, parse_selector, row_support, row_value, supp,
-    weighted_row,
+    MVal, TheoryConfig, _doc_key, eta, eval_term, mval_map, parse_selector, row_support, supp,
 )
 
 
@@ -89,7 +85,7 @@ def _step_of(cfg: TheoryConfig, e: Expr) -> MVal:
     if isinstance(e, Act):
         return eta(cfg, (e.name, TICK))
     if isinstance(e, TOp):
-        return apply_sym(cfg, e.sym, [step(cfg, child) for child in e.args])
+        return cfg.theory.apply(e.sym, [step(cfg, child) for child in e.args])
     if isinstance(e, Seq):
         return mval_map(_push(e.right), step(cfg, e.left))
     if isinstance(e, Star):
@@ -121,7 +117,7 @@ class System:
     """A finite system: ordered states and a total transition map.
 
     States are dense indices into ``states``.  The transition map is stored
-    once, as one flat row per state in the layout of `theory.flat_rows`,
+    once, as one flat row per state in the layout of the theory's rows,
     with state targets as indices and the tick target as -1; refinement,
     minimization and the exports read the rows directly.  ``beta`` is a view
     of the rows as values over (action, State | TICK) pairs, built on first
@@ -141,14 +137,14 @@ class System:
         def key(tgt):
             return -1 if tgt is TICK else index[tgt.sid]
 
-        rows = flat_rows(cfg, [beta[x] for x in states], key)
+        rows = cfg.theory.flat_rows([beta[x] for x in states], key)
         self.cfg, self.states, self.rows, self.root, self.exprs = \
             cfg, tuple(states), rows, root, exprs
 
     @classmethod
     def from_rows(cls, cfg: TheoryConfig, states: tuple[str, ...], rows: list,
                   root: str | None = None, exprs: dict[str, Expr] | None = None) -> System:
-        """A system from rows laid out as by `theory.flat_rows`."""
+        """A system from rows laid out as by the theory's ``flat_rows``."""
         sys = cls.__new__(cls)
         sys.cfg, sys.states, sys.rows, sys.root, sys.exprs = cfg, states, rows, root, exprs
         return sys
@@ -159,7 +155,8 @@ class System:
     @cached_property
     def beta(self) -> dict[str, MVal]:
         targets = [State(x) for x in self.states] + [TICK]
-        return {x: row_value(self.cfg, row, targets) for x, row in zip(self.states, self.rows)}
+        value = self.cfg.theory.row_value
+        return {x: value(row, targets) for x, row in zip(self.states, self.rows)}
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -172,7 +169,7 @@ class System:
         """All state-to-state transitions (src, action, dst), canonically
         ordered; tick transitions are not included."""
         triples = [(i, a, t) for i, row in enumerate(self.rows)
-                   for a, t in row_support(self.cfg, row) if t >= 0]
+                   for a, t in row_support(row) if t >= 0]
         triples.sort()
         states = self.states
         return [(states[i], a, states[t]) for i, a, t in triples]
@@ -228,55 +225,13 @@ def reachable_from(cfg: TheoryConfig, roots) -> tuple[System, list[str]]:
         return -1 if tgt is TICK else intern[tgt]
 
     states = tuple(f"s{i}" for i in range(len(order)))
-    sys = System.from_rows(cfg, states, flat_rows(cfg, steps, key), root="s0",
+    sys = System.from_rows(cfg, states, cfg.theory.flat_rows(steps, key), root="s0",
                            exprs=dict(zip(states, order)))
     return sys, [states[intern[r]] for r in roots]
 
 
 # ---------------------------------------------------------------------------
 # documents
-
-
-def _doc_key(entry):
-    """The export order of (action, target id, ...) entries: by action,
-    then state targets before tick ("✓", never a state id), then by id
-    string."""
-    return (entry[0], entry[1] == "✓", entry[1])
-
-
-def _row_doc(cfg: TheoryConfig, row, names):
-    """The document form of a row; ``names[t]`` is the id of target t."""
-    kind = cfg.kind
-    acts, targets = row[0], [names[t] for t in row[1]]
-    if kind == "sl":
-        return [[a, t] for a, t in sorted(zip(acts, targets), key=_doc_key)]
-    atoms = cfg.atoms
-    if kind == "ga":
-        doc = dict.fromkeys(atoms)
-        for a, t, mask in zip(acts, targets, row[2]):
-            while mask:  # `mask_atoms`, inline: most masks hold an atom or two
-                low = mask & -mask
-                doc[atoms[low.bit_length() - 1]] = [a, t]
-                mask ^= low
-        return doc
-    if kind == "ca":
-        return _dist_doc(zip(acts, targets, row[2]))
-    if kind == "gc":
-        dists: dict = {}
-        for (mask, a), t, mass in zip(acts, targets, row[2]):
-            dists.setdefault(mask, []).append((a, t, mass))
-        doc = {atom: [] for atom in atoms}
-        for mask, dist in dists.items():
-            for i in mask_atoms(mask):
-                doc[atoms[i]] = _dist_doc(dist)
-        return doc
-    fmt = cfg.semiring.format
-    return [{"w": fmt(w), "a": a, "t": t}
-            for a, t, w in sorted(zip(acts, targets, row[2]), key=_doc_key)]
-
-
-def _dist_doc(entries):
-    return [{"p": str(mass), "a": a, "t": t} for a, t, mass in sorted(entries, key=_doc_key)]
 
 
 def _target_names(sys: System) -> list[str]:
@@ -292,126 +247,9 @@ def export_system(sys: System) -> dict:
     }
     if sys.root is not None:
         doc["root"] = sys.root
-    names = _target_names(sys)
-    doc["beta"] = {x: _row_doc(sys.cfg, row, names) for x, row in zip(sys.states, sys.rows)}
+    names, row_doc = _target_names(sys), sys.cfg.theory.row_doc
+    doc["beta"] = {x: row_doc(row, names) for x, row in zip(sys.states, sys.rows)}
     return doc
-
-
-def _parse_target(raw, targets: dict[str, int]) -> int:
-    try:
-        return targets[raw]
-    except (KeyError, TypeError):
-        raise DocumentError(f"dangling state reference: {raw!r}") from None
-
-
-def _parse_pair(raw, targets) -> tuple:
-    if (not isinstance(raw, (list, tuple)) or len(raw) != 2
-            or not isinstance(raw[0], str)):
-        raise DocumentError(f"expected [action, target], got {raw!r}")
-    return (raw[0], _parse_target(raw[1], targets))
-
-
-def _parse_number(raw, parse, what: str):
-    """Parse a mass or weight; every way it can be malformed ends here."""
-    try:
-        return parse(raw)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise DocumentError(f"bad {what} {raw!r}: {exc}") from None
-
-
-def _parse_mass(raw) -> Fraction:
-    mass = parse_rational(raw)
-    if mass._numerator <= 0:  # normalized: the sign is the numerator's
-        raise ValueError("masses must be positive")
-    return mass
-
-
-def _parse_weighted(raw, targets, field: str, parse, what: str) -> tuple[list, list, list]:
-    """The parallel actions, targets and weights of a list of weighted
-    entries."""
-    if not isinstance(raw, list):
-        raise DocumentError(f"expected a list of weighted entries, got {raw!r}")
-    keys = {field, "a", "t"}
-    acts: list = []
-    tgts: list = []
-    weights: list = []
-    seen: set = set()
-    for item in raw:
-        if not isinstance(item, dict) or item.keys() != keys:
-            raise DocumentError(f"expected {{'{field}','a','t'}} entry, got {item!r}")
-        w = _parse_number(item[field], parse, what)
-        action = item["a"]
-        if not isinstance(action, str):
-            raise DocumentError(f"action must be a string, got {item!r}")
-        pair = (action, _parse_target(item["t"], targets))
-        if pair in seen:
-            raise DocumentError(f"duplicate weighted pair: {item!r}")
-        seen.add(pair)
-        acts.append(action)
-        tgts.append(pair[1])
-        weights.append(w)
-    return acts, tgts, weights
-
-
-def _parse_dist(raw, targets) -> tuple[list, list, list]:
-    acts, tgts, masses = _parse_weighted(raw, targets, "p", _parse_mass, "probability")
-    # the total num/den in integers; a Fraction only for the message
-    num, den = 0, 1
-    for mass in masses:
-        n, d = mass._numerator, mass._denominator
-        if d == den:
-            num += n
-        else:
-            lcm = den // gcd(den, d) * d
-            num, den = num * (lcm // den) + n * (lcm // d), lcm
-    if num > den:
-        raise DocumentError(f"total mass {Fraction(num, den)} exceeds 1")
-    return acts, tgts, masses
-
-
-def _parse_row(cfg: TheoryConfig, raw, targets: dict[str, int]) -> tuple:
-    """Parse and validate one transition value into its row.  The checks
-    here are all the value's constructor would make."""
-    kind = cfg.kind
-    if kind == "sl":
-        if not isinstance(raw, list):
-            raise DocumentError(f"sl value must be a list, got {raw!r}")
-        pairs = [_parse_pair(item, targets) for item in raw]
-        if len(set(pairs)) != len(pairs):
-            raise DocumentError("duplicate transition pair")
-        return pair_row(pairs)
-    if kind in ("ga", "gc") and (not isinstance(raw, dict) or raw.keys() != set(cfg.atoms)):
-        raise DocumentError(f"{kind} value must map every atom of {list(cfg.atoms)}")
-    # guarded values: the atoms that take one branch are grouped into a mask
-    if kind == "ga":
-        masks: dict = {}
-        for i, atom in enumerate(cfg.atoms):
-            if raw[atom] is not None:
-                pair = _parse_pair(raw[atom], targets)
-                masks[pair] = masks.get(pair, 0) | 1 << i
-        return mask_row([a for a, _ in masks], [t for _, t in masks], masks.values())
-    if kind == "ca":
-        return weighted_row(*_parse_dist(raw, targets))
-    if kind == "gc":
-        branches: dict = {}
-        for i, atom in enumerate(cfg.atoms):
-            acts, tgts, masses = _parse_dist(raw[atom], targets)
-            if acts:
-                wkeys = [(w._numerator, w._denominator) for w in masses]  # `weight_key`
-                key = frozenset(zip(acts, tgts, wkeys))
-                if key in branches:
-                    branches[key][0] |= 1 << i
-                else:
-                    branches[key] = [1 << i, acts, tgts, masses, wkeys]
-        labels, targets_, masses_, wkeys_ = [], [], [], []
-        for mask, acts, tgts, masses, wkeys in branches.values():
-            labels += [(mask, a) for a in acts]
-            targets_ += tgts
-            masses_ += masses
-            wkeys_ += wkeys
-        return (tuple(labels), tuple(targets_), tuple(masses_), tuple(wkeys_),
-                len(set(labels)) == len(labels))
-    return weighted_row(*_parse_weighted(raw, targets, "w", cfg.semiring.parse_weight, "weight"))
 
 
 def load_system(doc) -> System:
@@ -437,7 +275,8 @@ def load_system(doc) -> System:
         raise DocumentError("beta must be total on the declared states")
     targets = {x: i for i, x in enumerate(states)}
     targets["✓"] = -1
-    rows = [_parse_row(cfg, raw_beta[x], targets) for x in states]
+    parse_row = cfg.theory.parse_row
+    rows = [parse_row(raw_beta[x], targets) for x in states]
     root = doc.get("root")
     if root is not None and (not isinstance(root, str) or root not in state_set):
         raise DocumentError(f"root {root!r} is not a state")
@@ -452,29 +291,6 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _edge_labels(cfg: TheoryConfig, row, names) -> dict:
-    """One label per support pair (action, target id) of a row."""
-    kind = cfg.kind
-    acts, targets = row[0], [names[t] for t in row[1]]
-    if kind == "sl":
-        return {(a, t): a for a, t in zip(acts, targets)}
-    if kind == "ca":
-        return {(a, t): f"{a} {mass}" for a, t, mass in zip(acts, targets, row[2])}
-    if kind == "smod":
-        fmt = cfg.semiring.format
-        return {(a, t): f"{a} w={fmt(w)}" for a, t, w in zip(acts, targets, row[2])}
-    # ga and gc: a pair may occur at several atoms, listed in atom order
-    atoms = cfg.atoms
-    if kind == "ga":
-        return {(a, t): f"{a} [{','.join(atoms[i] for i in mask_atoms(mask))}]"
-                for a, t, mask in zip(acts, targets, row[2])}
-    parts: dict = {}
-    for (mask, a), t, mass in zip(acts, targets, row[2]):
-        parts.setdefault((a, t), []).extend((i, f"{atoms[i]}:{mass}") for i in mask_atoms(mask))
-    return {(a, t): f"{a} [{','.join(text for _, text in sorted(p))}]"
-            for (a, t), p in parts.items()}
-
-
 def export_dot(sys: System) -> str:
     """GraphViz text: one labelled edge per support element; tick drawn as a
     distinguished terminal node."""
@@ -487,9 +303,9 @@ def export_dot(sys: System) -> str:
         lines.append(f"  {_dot_quote(x)} [shape=circle];")
     if sys.root is not None:
         lines.append(f"  __start -> {_dot_quote(sys.root)};")
-    names = _target_names(sys)
+    names, edge_labels = _target_names(sys), sys.cfg.theory.edge_labels
     for x, row in zip(sys.states, sys.rows):
-        labels = _edge_labels(sys.cfg, row, names)
+        labels = edge_labels(row, names)
         for pair in sorted(labels, key=_doc_key):
             lines.append(f"  {_dot_quote(x)} -> {_dot_quote(pair[1])} "
                          f"[label={_dot_quote(labels[pair])}];")
@@ -507,5 +323,5 @@ def step_doc(cfg: TheoryConfig, m: MVal) -> object:
         names.append(print_expr(tgt))
         return len(names) - 1
 
-    (row,) = flat_rows(cfg, [m], key)
-    return _row_doc(cfg, row, names + ["✓"])
+    (row,) = cfg.theory.flat_rows([m], key)
+    return cfg.theory.row_doc(row, names + ["✓"])

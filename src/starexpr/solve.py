@@ -9,9 +9,10 @@ entry and gets no star: its expression is its one-step unfolding.  The
 result is a solution: every state's expression is provably equivalent to
 its one-step unfolding.
 
-The solver reads each state's row and entry steps by index (`split_row`),
-so it builds no values and reads the labelling once; its cost is linear in
-the system plus the loops-around relation, without recursion.
+The solver reads each state's row and entry steps by index (the theory's
+``split_row``), so it builds no values and reads the labelling once; its
+cost is linear in the system plus the loops-around relation, without
+recursion.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .layering import (
 from .semantics import State, System, TICK, reachable
 from .syntax import Act, Expr, Seq, Star, TOp
 from .theory import (
-    STerm, SVar, TheoryConfig, reify, reify_row, row_support, split_row, term_variables,
+    STerm, SVar, TheoryConfig, reify, row_support, term_variables,
 )
 
 SolutionMap = dict[str, Expr]
@@ -47,9 +48,9 @@ def factorize(sys: System, lab: Labelling, x: str) -> tuple[STerm, STerm, STerm]
     """
     i = sys.index[x]
     left = {(a, sys.index[dst]) for src, a, dst in lab.entry if src == x}
-    left.update((a, t) for a, t in row_support(sys.cfg, sys.rows[i]) if t == i)
-    return split_row(sys.cfg, sys.rows[i], _order(_ranks(sys.states)), left,
-                     [State(y) for y in sys.states] + [TICK])
+    left.update((a, t) for a, t in row_support(sys.rows[i]) if t == i)
+    return sys.cfg.theory.split_row(sys.rows[i], _order(_ranks(sys.states)), left,
+                                    [State(y) for y in sys.states] + [TICK])
 
 
 def _order(ranks: list[int]) -> list[int]:
@@ -87,11 +88,11 @@ class _Solver:
         cfg, row = self.sys.cfg, self.sys.rows[i]
         here = self.steps.get(i)
         if not here:
-            env = {pair: right(*pair) for pair in row_support(cfg, row)}
-            return sterm_to_expr(reify_row(cfg, row, self.order), env)
-        s, t1, t2 = split_row(cfg, row, self.order, here)
+            env = {pair: right(*pair) for pair in row_support(row)}
+            return sterm_to_expr(cfg.theory.reify_row(row, self.order), env)
+        s, t1, t2 = cfg.theory.split_row(row, self.order, here)
         env = {pair: left(*pair) if pair in here else right(*pair)
-               for pair in row_support(cfg, row)}
+               for pair in row_support(row)}
         return Star(sterm_to_expr(t1, env), s, sterm_to_expr(t2, env))
 
     def tau(self, y: int, x: int) -> Expr:
@@ -112,7 +113,7 @@ class _Solver:
             if key not in running:
                 here = self.steps.get(y, ())
                 needs = []
-                for a, t in row_support(self.sys.cfg, self.sys.rows[y]):
+                for a, t in row_support(self.sys.rows[y]):
                     back = y if (a, t) in here else x
                     if t != back and t >= 0 and (t, back) not in memo:
                         needs.append((t, back))

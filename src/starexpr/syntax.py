@@ -30,9 +30,8 @@ from fractions import Fraction
 from .errors import ParseError
 from .theory import (
     BAnd, BFalse, BNot, BOr, BTest, BTrue,
-    ChoiceSym, GuardSym, OPLUS, PLUS, ScaleSym, SOp, STerm,
-    SVar, SZERO, TheoryConfig, ZeroSym, guard_sym, term_sort_key,
-    term_variables, _sym_sort_key,
+    ChoiceSym, GuardSym, OPLUS, OplusSym, PLUS, PlusSym, ScaleSym, SOp, STerm,
+    SVar, SZERO, TheoryConfig, ZeroSym, term_sort_key, term_variables, _sym_sort_key,
 )
 
 
@@ -255,9 +254,15 @@ def _tokenize(text: str):
     return toks
 
 
+# each branching token: the symbol type the signature must hold, and its name
+_BRANCH_OPS = {"+": (PlusSym, "operator +"), "+[": (GuardSym, "guarded choice"),
+               "(+": (ChoiceSym, "convex choice"), "(+)": (OplusSym, "weighted sum")}
+
+
 class _Parser:
     def __init__(self, text: str, cfg: TheoryConfig):
         self.cfg = cfg
+        self.ops = cfg.theory.ops  # the signature
         self.toks = _tokenize(text)
         self.pos = 0
         # one guard symbol per distinct guard expression: computing a
@@ -297,7 +302,7 @@ class _Parser:
         return out
 
     def parse_scaled(self) -> Expr:
-        if self.cfg.kind == "smod":
+        if ScaleSym in self.ops:
             weight = self.try_weight_dot()
             if weight is not None:
                 return TOp(ScaleSym(weight), (self.parse_scaled(),))
@@ -345,7 +350,7 @@ class _Parser:
         return out
 
     def parse_sterm_scaled(self) -> STerm:
-        if self.cfg.kind == "smod":
+        if ScaleSym in self.ops:
             weight = self.try_weight_dot()
             if weight is not None:
                 return SOp(ScaleSym(weight), (self.parse_sterm_scaled(),))
@@ -370,36 +375,30 @@ class _Parser:
     def try_branch_op(self, probe=False):
         """Consume (or with probe=True just detect) a branching operator."""
         kind, value, pos = self.peek()
-        cfgkind = self.cfg.kind
-        if value not in ("+", "+[", "(+", "(+)"):
+        op = _BRANCH_OPS.get(value)
+        if op is None:
             return None
         if probe:
             return True
         self.next()
+        if op[0] not in self.ops:
+            raise ParseError(f"{op[1]} is not in the {self.cfg.kind} signature", pos)
         if value == "+":
-            if cfgkind != "sl":
-                raise ParseError(f"operator + is not in the {cfgkind} signature", pos)
             return PLUS
+        if value == "(+)":
+            return OPLUS
         if value == "+[":
-            if cfgkind not in ("ga", "gc"):
-                raise ParseError(f"guarded choice is not in the {cfgkind} signature", pos)
             b = self.parse_bool()
             self.expect("]")
             sym = self.guards.get(b)
             if sym is None:
-                sym = self.guards[b] = guard_sym(self.cfg, b)
+                sym = self.guards[b] = self.cfg.theory.guard_sym(b)
             return sym
-        if value == "(+":
-            if cfgkind not in ("ca", "gc"):
-                raise ParseError(f"convex choice is not in the {cfgkind} signature", pos)
-            p = self.parse_fraction()
-            if not (0 <= p <= 1):
-                raise ParseError(f"probability outside [0,1]: {p}", pos)
-            self.expect(")")
-            return ChoiceSym(p)
-        if cfgkind != "smod":
-            raise ParseError(f"weighted sum is not in the {cfgkind} signature", pos)
-        return OPLUS
+        p = self.parse_fraction()
+        if not (0 <= p <= 1):
+            raise ParseError(f"probability outside [0,1]: {p}", pos)
+        self.expect(")")
+        return ChoiceSym(p)
 
     def parse_fraction(self) -> Fraction:
         kind, value, pos = self.next()

@@ -8,6 +8,10 @@ signature evaluate into canonical normal-form values (`MVal`); two terms are
 equal in the theory exactly when their normal forms coincide, which is what
 every equivalence check in this package ultimately bottoms out in.
 
+Each kind is described by one `Theory` object per config: its signature,
+value operations, row layout and signing, document codec and samplers.
+``ga`` and ``gc`` are one `Guarded` theory over a branch theory.
+
 All arithmetic is exact: probabilities and rational weights are
 `fractions.Fraction`, never floats.
 """
@@ -18,10 +22,13 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
+from math import gcd
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import LimitExceededError, TheoryMismatchError, UnboundVariableError
+from .errors import (
+    DocumentError, LimitExceededError, TheoryMismatchError, UnboundVariableError,
+)
 
 Element = Any  # any hashable value; systems use (action, target) pairs
 
@@ -185,6 +192,8 @@ class TheoryConfig:
     one (branch, mask) pair per distinct branch, so its size does not grow
     with the atoms; but documents, exports and per-atom constructors list
     every atom, so at most ``MAX_TESTS`` tests are accepted (4096 atoms).
+    ``true`` and ``false`` name the guard constants, so no test takes them.
+    ``theory``, the `Theory` of the kind, takes no part in equality.
     """
 
     MAX_TESTS = 12
@@ -194,6 +203,7 @@ class TheoryConfig:
     semiring: Semiring | None = None
     atoms: tuple[str, ...] = field(init=False, compare=False)
     full: int = field(init=False, compare=False, repr=False)
+    theory: Theory = field(init=False, compare=False, repr=False)
     # every value hashes its config, so the hash is computed once
     _hash: int = field(init=False, compare=False, repr=False)
 
@@ -206,6 +216,8 @@ class TheoryConfig:
             for t in self.tests:
                 if not _IDENT.match(t):
                     raise ValueError(f"bad test name: {t!r}")
+                if t in ("true", "false"):
+                    raise ValueError(f"test name {t!r} is reserved for the guard constant")
             n = len(self.tests)
             if n > self.MAX_TESTS:
                 raise LimitExceededError(
@@ -224,6 +236,7 @@ class TheoryConfig:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "full", (1 << len(atoms)) - 1)
         object.__setattr__(self, "_hash", hash((self.kind, self.tests, self.semiring)))
+        object.__setattr__(self, "theory", _THEORIES[self.kind](self))
 
     def __hash__(self):
         return self._hash
@@ -299,37 +312,6 @@ class BOr:
 BoolExpr = BTrue | BFalse | BTest | BNot | BAnd | BOr
 
 
-def guard_mask(cfg: TheoryConfig, b: BoolExpr) -> int:
-    """The mask of the atoms at which a guard holds, built from the tests'
-    masks with bit operations."""
-    if isinstance(b, BTrue):
-        return cfg.full
-    if isinstance(b, BFalse):
-        return 0
-    if isinstance(b, BTest):
-        return _test_masks(cfg)[cfg.tests.index(b.name)]
-    if isinstance(b, BNot):
-        return cfg.full ^ guard_mask(cfg, b.arg)
-    if isinstance(b, BAnd):
-        return guard_mask(cfg, b.left) & guard_mask(cfg, b.right)
-    if isinstance(b, BOr):
-        return guard_mask(cfg, b.left) | guard_mask(cfg, b.right)
-    raise TypeError(f"not a boolean expression: {b!r}")
-
-
-@lru_cache
-def _test_masks(cfg: TheoryConfig) -> tuple[int, ...]:
-    """The mask of the atoms at which each test holds.  Test j is bit
-    n-1-j of an atom's index, so its atoms repeat with period 2h, where
-    h = 2^(n-1-j): h atoms where it fails, then h where it holds."""
-    n = len(cfg.tests)
-    out = []
-    for j in range(n):
-        half = 1 << (n - 1 - j)
-        out.append((((1 << half) - 1) << half) * (cfg.full // ((1 << 2 * half) - 1)))
-    return tuple(out)
-
-
 def mask_atoms(mask: int) -> list[int]:
     """The indices of the atoms in a mask, ascending."""
     out = []
@@ -337,34 +319,6 @@ def mask_atoms(mask: int) -> list[int]:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return out
-
-
-def atom_expr(cfg: TheoryConfig, atom: str) -> BoolExpr:
-    """The conjunction of literals that picks out exactly one atom."""
-    lits: list[BoolExpr] = []
-    for bit, test in zip(atom, cfg.tests):
-        lit: BoolExpr = BTest(test)
-        if bit == "0":
-            lit = BNot(lit)
-        lits.append(lit)
-    if not lits:
-        return BTrue()
-    out = lits[0]
-    for lit in lits[1:]:
-        out = BAnd(out, lit)
-    return out
-
-
-def atoms_expr(cfg: TheoryConfig, atoms: Iterable[str]) -> BoolExpr:
-    """Disjunction of atom conjunctions; false if empty."""
-    atoms = set(atoms)
-    chosen = [a for a in cfg.atoms if a in atoms]
-    if not chosen:
-        return BFalse()
-    out: BoolExpr = atom_expr(cfg, chosen[0])
-    for a in chosen[1:]:
-        out = BOr(out, atom_expr(cfg, a))
     return out
 
 
@@ -452,10 +406,6 @@ class GuardSym:
         return self._hash
 
 
-def guard_sym(cfg: TheoryConfig, expr: BoolExpr) -> GuardSym:
-    return GuardSym(expr, guard_mask(cfg, expr))
-
-
 @dataclass(frozen=True)
 class ChoiceSym:
     """Convex choice with probability p of taking the left branch."""
@@ -496,20 +446,6 @@ PLUS = PlusSym()
 OPLUS = OplusSym()
 
 OpSym = ZeroSym | PlusSym | GuardSym | ChoiceSym | OplusSym | ScaleSym
-
-
-def allowed_symbol(cfg: TheoryConfig, sym: OpSym) -> bool:
-    if isinstance(sym, ZeroSym):
-        return True
-    if isinstance(sym, PlusSym):
-        return cfg.kind == "sl"
-    if isinstance(sym, GuardSym):
-        return cfg.kind in ("ga", "gc")
-    if isinstance(sym, ChoiceSym):
-        return cfg.kind in ("ca", "gc")
-    if isinstance(sym, (OplusSym, ScaleSym)):
-        return cfg.kind == "smod"
-    return False
 
 
 @dataclass(frozen=True)
@@ -595,10 +531,6 @@ def element_sort_key(x):
     return (7, type(x).__name__, repr(x))
 
 
-def _sorted_elements(elems):
-    return sorted(elems, key=element_sort_key)
-
-
 def _sorted_entries(pairs):
     """Weighted (element, weight) pairs in the canonical element order.
     Values keep their pairs unordered; only output (reify, split, exports)
@@ -613,22 +545,11 @@ def _sorted_entries(pairs):
 class MVal:
     """A normal-form value of the free algebra over some element universe.
 
-    Internal data, canonical per kind:
-      sl    frozenset of elements
-      ga    frozenset of (element, mask) pairs: the atoms of the int mask
-            take that element; atoms of no mask take the dead branch 0
-      ca    frozenset of (element, mass) pairs, mass > 0 and total <= 1
-      gc    frozenset of (distribution, mask) pairs, each distribution a
-            nonempty ca-style frozenset; atoms of no mask take the empty one
-      smod  frozenset of (element, weight) pairs with weight != 0
-
-    Each element (each distribution for ``gc``) occurs in at most one pair,
-    and the masks of a guarded value are nonzero and disjoint, so a guarded
-    value holds one pair per distinct branch, however many atoms take it.
-    Two values are equal iff their configs and data coincide; this equality
-    is the decision procedure for theory-equality of terms.  The data is
-    hash-canonical, not ordered: only `reify`, `split` and the document
-    exports sort it.
+    ``data`` is canonical for the config's theory (see each `Theory`
+    class).  Two values are equal iff their configs and data coincide; this
+    equality is the decision procedure for theory-equality of terms.  The
+    data is hash-canonical, not ordered: only `reify`, `split` and the
+    document exports sort it.
     """
 
     __slots__ = ("cfg", "data", "_hash")
@@ -654,6 +575,8 @@ class MVal:
 
 
 _ONE = Fraction(1)
+_EMPTY: frozenset = frozenset()
+_first = operator.itemgetter(0)
 
 
 def _identity(e):
@@ -699,84 +622,74 @@ def _norm_ca(mapping: Mapping[Element, Fraction]) -> frozenset:
     return frozenset(entries)
 
 
-def mval_sl(cfg: TheoryConfig, elems: Iterable[Element]) -> MVal:
-    return MVal(cfg, frozenset(elems))
-
-
-def mval_ga(cfg: TheoryConfig, per_atom: Iterable[Element | None]) -> MVal:
-    """The ``ga`` value with one element, or None, per atom."""
-    data = tuple(per_atom)
-    if len(data) != len(cfg.atoms):
-        raise ValueError("one entry per atom required")
-    return MVal(cfg, _partition((x, 1 << i) for i, x in enumerate(data) if x is not None))
-
-
-def mval_ca(cfg: TheoryConfig, mapping: Mapping[Element, Fraction]) -> MVal:
-    return MVal(cfg, _norm_ca(mapping))
-
-
-def mval_gc(cfg: TheoryConfig, per_atom: Iterable[Mapping[Element, Fraction]]) -> MVal:
-    """The ``gc`` value with one distribution per atom."""
-    dists = [_norm_ca(m) for m in per_atom]
-    if len(dists) != len(cfg.atoms):
-        raise ValueError("one distribution per atom required")
-    return MVal(cfg, _partition((d, 1 << i) for i, d in enumerate(dists) if d))
-
-
-def mval_smod(cfg: TheoryConfig, mapping: Mapping[Element, Any]) -> MVal:
-    sr = cfg.semiring
-    entries = []
-    for elem, w in mapping.items():
-        if not sr.contains(w):
-            raise ValueError(f"{w!r} is not a {sr.name} weight")
-        if w == sr.zero:
-            continue
-        entries.append((elem, w))
-    return MVal(cfg, frozenset(entries))
-
-
 def zero_mval(cfg: TheoryConfig) -> MVal:
-    return MVal(cfg, frozenset())
+    return MVal(cfg, _EMPTY)
 
 
 def eta(cfg: TheoryConfig, x: Element) -> MVal:
     """The unit value at a single element."""
-    if cfg.kind == "sl":
-        return MVal(cfg, frozenset((x,)))
-    if cfg.kind == "ga":
-        return MVal(cfg, frozenset(((x, cfg.full),)))
-    if cfg.kind == "ca":
-        return MVal(cfg, frozenset(((x, _ONE),)))
-    if cfg.kind == "gc":
-        return MVal(cfg, frozenset(((frozenset(((x, _ONE),)), cfg.full),)))
-    return MVal(cfg, frozenset(((x, cfg.semiring.one),)))
+    return MVal(cfg, cfg.theory.unit(x))
 
 
 def supp(m: MVal) -> frozenset:
     """The essential elements of a value."""
-    kind = m.cfg.kind
-    if kind == "sl":
-        return frozenset(m.data)
-    if kind == "gc":
-        return frozenset(e for dist, _ in m.data for e, _ in dist)
-    return frozenset(e for e, _ in m.data)
+    return m.cfg.theory.supp(m.data)
 
 
 def mval_map(f: Callable[[Element], Element], m: MVal) -> MVal:
     """Relabel elements through f, re-normalizing merged elements and
     joining the masks of branches that become equal."""
-    cfg = m.cfg
-    kind = cfg.kind
-    if kind == "sl":
-        return MVal(cfg, frozenset(map(f, m.data)))
-    if kind == "ga":
-        return MVal(cfg, _partition((f(e), mask) for e, mask in m.data))
-    if kind == "ca":
-        return MVal(cfg, _merge(m.data, f))
-    if kind == "gc":
-        return MVal(cfg, _partition((_merge(dist, f), mask) for dist, mask in m.data))
-    sr = cfg.semiring
-    return MVal(cfg, _merge(m.data, f, sr.add, sr.zero))
+    return MVal(m.cfg, m.cfg.theory.map(f, m.data))
+
+
+def eval_term(cfg: TheoryConfig, term: STerm, env: Mapping[Any, MVal]) -> MVal:
+    """Evaluate a term under the theory's free-algebra operations.
+
+    Every variable of the term must be bound in ``env`` to a value of the
+    same theory; the result is in normal form.
+    """
+    if isinstance(term, SVar):
+        try:
+            val = env[term.name]
+        except KeyError:
+            raise UnboundVariableError(f"variable {term.name!r} is not bound") from None
+        if val.cfg != cfg:
+            raise TheoryMismatchError(
+                f"value for {term.name!r} belongs to {val.cfg.selector()}, expected {cfg.selector()}")
+        return val
+    return cfg.theory.apply(term.sym, [eval_term(cfg, a, env) for a in term.args])
+
+
+def reify(m: MVal) -> STerm:
+    """A term over supp(m) that evaluates back to m under the identity
+    environment.  Deterministic: elements in the canonical order.  Reduced:
+    no unit weight ``1 .`` and no choice of full mass against 0.  Guarded
+    values (``ga``, ``gc``) become reduced decision trees over the declared
+    tests (see `Guarded.tree`)."""
+    theory = m.cfg.theory
+    return theory.reify_data(theory.ordered(m.data))
+
+
+U_VAR = SVar("u")
+V_VAR = SVar("v")
+
+
+def split(m: MVal, in_left: Callable[[Element], bool]) -> tuple[STerm, STerm, STerm]:
+    """Split a value along a partition of its support.
+
+    Returns (s, t1, t2) with s a term over {u, v}, t1 a term over the
+    elements satisfying ``in_left``, t2 over the rest, such that evaluating
+    s with u = t1's value and v = t2's value reproduces m exactly.  s may be
+    degenerate (mention only one variable, or neither).  The terms are
+    reduced as `reify`'s are: a convex s chooses against 0 only for a mass
+    below 1, and an ``smod`` side scales no variable by the unit.  For
+    ``ga`` and ``gc`` all three are reduced decision trees over the tests,
+    built from one split per branch: s takes each branch's s (``u``, ``v``
+    or ``0`` for ``ga``) at its atoms, t1 and t2 its parts.
+    """
+    theory = m.cfg.theory
+    left = frozenset(e for e in theory.supp(m.data) if in_left(e))
+    return theory.split_data(theory.ordered(m.data), left.__contains__)
 
 
 # ---------------------------------------------------------------------------
@@ -797,42 +710,6 @@ def weight_key(w):
     return w
 
 
-def flat_rows(cfg: TheoryConfig, values: Iterable[MVal],
-              key: Callable[[Any], Any]) -> list:
-    """Flatten values over (label, target) pairs into one row each.
-
-    Each target ``t`` becomes ``key(t)``; systems key states by index and
-    the tick target by -1.  The layout, per kind:
-
-      sl    (labels, targets)
-      ca    (labels, targets, weights, weight keys, whether the labels are
-            distinct: then no two pairs can meet)
-      smod  as ca; zero weights are left out
-      ga    as ca, with each pair's atom mask as its weight and its key
-      gc    as ca, with each label tagged with its branch's mask: the
-            entries of one tag are that branch's distribution
-
-    A guarded row has one entry per pair of each distinct branch, however
-    many atoms take the branch.  Rows are plain tuples: `row_signer` signs
-    them, `relabel_row` maps their targets, `row_value` and `row_support`
-    read them back.
-    """
-    kind = cfg.kind
-    if kind == "sl":
-        return [pair_row([(a, key(t)) for a, t in m.data]) for m in values]
-    if kind == "ga":
-        return [_mask_row([(a, key(t), mask) for (a, t), mask in m.data]) for m in values]
-    if kind == "ca":
-        return [_weighted_row([(a, key(t), w) for (a, t), w in m.data]) for m in values]
-    if kind == "gc":
-        return [_weighted_row([((mask, a), key(t), w) for dist, mask in m.data
-                               for (a, t), w in dist])
-                for m in values]
-    zero = cfg.semiring.zero
-    return [_weighted_row([(a, key(t), w) for (a, t), w in m.data if w != zero])
-            for m in values]
-
-
 def pair_row(pairs) -> tuple[tuple, tuple]:
     """The (labels, targets) row of (label, target) pairs."""
     if not pairs:
@@ -847,340 +724,79 @@ def weighted_row(labels, targets, weights) -> tuple:
             len(set(labels)) == len(labels))
 
 
-def mask_row(labels, targets, masks) -> tuple:
-    """The ``ga`` row of parallel labels, targets and disjoint nonzero atom
-    masks; a mask is its own key."""
-    labels, masks = tuple(labels), tuple(masks)
-    return labels, tuple(targets), masks, masks, len(set(labels)) == len(labels)
-
-
 def _weighted_row(entries) -> tuple:
     if not entries:
         return (), (), (), (), True
     return weighted_row(*zip(*entries))
 
 
-def _mask_row(entries) -> tuple:
-    if not entries:
-        return (), (), (), (), True
-    return mask_row(*zip(*entries))
+def _guarded_columns(labels, targets, weights, wkeys, masks) -> tuple:
+    """The row of parallel labels, targets, weights, weight keys and branch
+    masks.  Its ``distinct`` is a promise: 2 that no two entries share a
+    label, 1 that no two entries of one branch do, 0 none; here 1 or 0."""
+    labels = tuple(labels)
+    distinct = int(len(set(zip(masks, labels))) == len(labels))
+    return labels, tuple(targets), tuple(weights), tuple(wkeys), distinct, tuple(masks)
 
 
-def row_support(cfg: TheoryConfig, row) -> set:
-    """The (label, target) pairs of a row's support."""
-    if cfg.kind == "gc":
-        return {(a, t) for (_, a), t in zip(row[0], row[1])}
+def _guarded_row(entries) -> tuple:
+    """`_guarded_columns` of (label, target, weight, weight key, mask) entries."""
+    return _guarded_columns(*zip(*entries)) if entries else ((), (), (), (), 1, ())
+
+
+def row_support(row) -> set:
+    """The (label, target) pairs of a row's support.  Every layout keeps
+    labels and targets first."""
     return set(zip(row[0], row[1]))
 
 
-def row_value(cfg: TheoryConfig, row, targets) -> MVal:
-    """The value a row stands for, with each target ``t`` read as
-    ``targets[t]``."""
-    kind = cfg.kind
-    pairs = zip(row[0], map(targets.__getitem__, row[1]))
-    if kind == "sl":
-        return MVal(cfg, frozenset(pairs))
-    if kind != "gc":
-        return MVal(cfg, frozenset(zip(pairs, row[2])))
+def _by_mask(masks, entries) -> dict:
+    """The entries of a guarded row grouped by their branch's mask."""
+    groups: dict = {}
+    for m, e in zip(masks, entries):
+        groups.setdefault(m, []).append(e)
+    return groups
+
+
+def _branch_dists(masks, labels, targets, weights) -> dict:
+    """Each branch's {(label, target): weight}, by mask, adding up the
+    weights of pairs that meet."""
     dists: dict = {}
-    for ((mask, a), t), w in zip(pairs, row[2]):
-        dists.setdefault(mask, []).append(((a, t), w))
-    return MVal(cfg, frozenset((frozenset(d), mask) for mask, d in dists.items()))
-
-
-def row_signer(cfg: TheoryConfig) -> Callable:
-    """``sign(row, labels)``: a hashable signature of a row with each
-    target ``t`` relabelled to ``labels[t]``.  Two signatures are equal
-    exactly when the values relabelled by `mval_map` are.  Signatures are
-    plain frozensets; weights appear as their `weight_key`s, and the
-    weights of pairs that meet are added with the theory's addition, keyed
-    again, and dropped when they sum to zero, as `mval_map` does.
-    Guarded rows sign one pair per distinct branch entry with its atom
-    mask, and join the masks of entries that meet: ``ga`` signs
-    ((label, target label), mask), ``gc`` ((label, target label, weight
-    key), mask) (see `_sign_guarded`).
-    """
-    kind = cfg.kind
-    if kind == "sl":
-        return _sign_set
-    if kind == "ga":
-        return _sign_masks
-    if kind == "ca":
-        return _sign_weighted
-    if kind == "gc":
-        return _sign_guarded
-    sr = cfg.semiring
-    add, zero = sr.add, sr.zero
-
-    def sign(row, labels):
-        return _sign_weighted(row, labels, add, zero)
-
-    return sign
-
-
-def _sign_set(row, labels) -> frozenset:
-    acts, keys = row
-    return frozenset(zip(acts, map(labels.__getitem__, keys)))
-
-
-def _sign_weighted(row, labels, add=operator.add, zero=None) -> frozenset:
-    """A frozenset of (label, target label, weight key) triples."""
-    acts, keys, weights, wkeys, distinct = row
-    tlabels = list(map(labels.__getitem__, keys))
-    if distinct or len(set(zip(acts, tlabels))) == len(acts):
-        return frozenset(zip(acts, tlabels, wkeys))
-    merged = _merge(zip(zip(acts, tlabels), weights), add=add, zero=zero)
-    return frozenset((a, b, weight_key(w)) for (a, b), w in merged)
-
-
-def _sign_masks(row, labels) -> frozenset:
-    """A frozenset of ((label, target label), mask) pairs of a ``ga`` row;
-    pairs that meet join their masks."""
-    acts, keys, masks, _, distinct = row
-    pairs = list(zip(acts, map(labels.__getitem__, keys)))
-    if distinct:
-        return frozenset(zip(pairs, masks))
-    return frozenset(_joined(pairs, masks).items())
-
-
-def _joined(pairs: list, masks: tuple) -> dict:
-    """The union of the masks of each pair."""
-    joined = dict(zip(pairs, masks))
-    if len(joined) < len(pairs):  # some pairs meet; a union may take a mask twice
-        for p, m in zip(pairs, masks):
-            joined[p] |= m
-    return joined
-
-
-def _sign_guarded(row, labels) -> frozenset:
-    """A frozenset of ((label, target label, weight key), mask) pairs, one
-    per (label, target label, weight) of the relabelled ``gc`` value, with
-    the union of the masks of the branches it occurs in.  This names the
-    value, and branches that become equal need no matching up."""
-    tags, keys, weights, wkeys, distinct = row
-    tlabels = list(map(labels.__getitem__, keys))
-    entries = _kept_entries(tags, tlabels, wkeys, distinct)
-    if entries is not None:
-        return frozenset(_joined(entries, tuple(map(_first, tags))).items())
-    joined: dict = {}
-    for mask, dist in _branch_dists(tags, tlabels, weights).items():
-        for (a, b), w in dist.items():
-            k = (a, b, weight_key(w))
-            joined[k] = joined[k] | mask if k in joined else mask
-    return frozenset(joined.items())
-
-
-_first, _second = operator.itemgetter(0), operator.itemgetter(1)
-
-
-def _kept_entries(tags, targets, wkeys, distinct) -> list | None:
-    """The (label, target, weight key) of each entry of a ``gc`` row whose
-    targets are relabelled as ``targets``, or None when two entries of a
-    branch meet, so that weights change."""
-    if distinct or len(set(zip(tags, targets))) == len(tags):
-        return list(zip(map(_second, tags), targets, wkeys))
-    return None
-
-
-def _branch_dists(tags, targets, weights) -> dict:
-    """The distribution of each branch of a ``gc`` row, by its mask, as a
-    dict from (label, target) to mass, adding the masses of pairs that
-    meet."""
-    dists: dict = {}
-    for (mask, a), t, w in zip(tags, targets, weights):
+    for mask, a, t, w in zip(masks, labels, targets, weights):
         dist = dists.setdefault(mask, {})
-        k = (a, t)
-        dist[k] = dist[k] + w if k in dist else w
+        dist[a, t] = dist[a, t] + w if (a, t) in dist else w
     return dists
 
 
-def relabel_row(cfg: TheoryConfig, row, labels) -> tuple:
-    """The row of the value relabelled through ``labels`` (target ``t`` to
-    ``labels[t]``), merging pairs that meet and joining branches that
-    become equal, as `mval_map` does.  Entries keep their order."""
-    kind = cfg.kind
-    if kind == "sl":
-        return pair_row(_sign_set(row, labels))
-    targets = tuple(map(labels.__getitem__, row[1]))
-    acts, _, weights, wkeys, distinct = row
-    n = len(acts)
-    if kind == "gc":
-        entries = _kept_entries(acts, targets, wkeys, distinct)
-        if entries is not None and len(set(entries)) == n:  # no two branches become equal
-            return acts, targets, weights, wkeys, distinct
-        branches: dict = {}
-        for mask, dist in _branch_dists(acts, targets, weights).items():
-            k = frozenset((a, b, weight_key(w)) for (a, b), w in dist.items())
-            if k in branches:
-                branches[k][0] |= mask
-            else:
-                branches[k] = [mask, dist]
-        return _weighted_row([((mask, a), b, w) for mask, dist in branches.values()
-                              for (a, b), w in dist.items()])
-    if distinct or len(set(zip(acts, targets))) == n:
-        return acts, targets, weights, wkeys, distinct
-    if kind == "ga":
-        joined = _joined(list(zip(acts, targets)), weights)
-        return mask_row([a for a, _ in joined], [b for _, b in joined], joined.values())
-    add, zero = operator.add, None
-    if kind == "smod":
-        add, zero = cfg.semiring.add, cfg.semiring.zero
-    return _weighted_row([(a, b, w) for (a, b), w in
-                          _merged(zip(zip(acts, targets), weights), add=add, zero=zero)])
+def _merged_branches(masks, labels, targets, weights) -> tuple:
+    """The guarded row of parallel columns with the weights of pairs that
+    meet within a branch added up, and the masks of equal branches joined."""
+    branches: dict = {}
+    for mask, dist in _branch_dists(masks, labels, targets, weights).items():
+        k = frozenset((a, b, weight_key(w)) for (a, b), w in dist.items())
+        if k in branches:
+            branches[k][0] |= mask
+        else:
+            branches[k] = [mask, dist]
+    return _guarded_row([(a, b, w, weight_key(w), mask) for mask, dist in branches.values()
+                         for (a, b), w in dist.items()])
 
 
 # ---------------------------------------------------------------------------
-# term evaluation
+# terms of ordered data
 
 
-def eval_term(cfg: TheoryConfig, term: STerm, env: Mapping[Any, MVal]) -> MVal:
-    """Evaluate a term under the theory's free-algebra operations.
-
-    Every variable of the term must be bound in ``env`` to a value of the
-    same theory; the result is in normal form.
-    """
-    if isinstance(term, SVar):
-        try:
-            val = env[term.name]
-        except KeyError:
-            raise UnboundVariableError(f"variable {term.name!r} is not bound") from None
-        if val.cfg != cfg:
-            raise TheoryMismatchError(
-                f"value for {term.name!r} belongs to {val.cfg.selector()}, expected {cfg.selector()}")
-        return val
-    return apply_sym(cfg, term.sym, [eval_term(cfg, a, env) for a in term.args])
+def _pair(a, t):
+    return a, t
 
 
-def apply_sym(cfg: TheoryConfig, sym: OpSym, vals: list[MVal]) -> MVal:
-    """The theory's operation ``sym`` applied to values in normal form."""
-    if not allowed_symbol(cfg, sym):
-        raise TheoryMismatchError(f"operator {sym!r} is not in the {cfg.kind} signature")
-    if isinstance(sym, ZeroSym):
-        return zero_mval(cfg)
-    if isinstance(sym, PlusSym):
-        return MVal(cfg, vals[0].data | vals[1].data)
-    if isinstance(sym, GuardSym):
-        return MVal(cfg, _guarded(sym.mask, cfg.full, vals[0].data, vals[1].data))
-    if isinstance(sym, ChoiceSym):
-        p = sym.prob
-        if cfg.kind == "ca":
-            return MVal(cfg, _convex(p, vals[0].data, vals[1].data))
-        return MVal(cfg, _convex_guarded(p, cfg.full, vals[0].data, vals[1].data))
-    if isinstance(sym, OplusSym):
-        sr = cfg.semiring
-        return MVal(cfg, _merge([*vals[0].data, *vals[1].data], add=sr.add, zero=sr.zero))
-    if isinstance(sym, ScaleSym):
-        w = sym.weight
-        sr = cfg.semiring
-        if not sr.contains(w):
-            raise TheoryMismatchError(f"{w!r} is not a {sr.name} weight")
-        scaled = ((e, sr.mul(w, x)) for e, x in vals[0].data)
-        return MVal(cfg, frozenset(kv for kv in scaled if kv[1] != sr.zero))
-    raise TypeError(f"not an operator symbol: {sym!r}")
-
-
-def _convex(p: Fraction, left: frozenset, right: frozenset) -> frozenset:
-    if p == 1:
-        return left
-    if p == 0:
-        return right
-    q = 1 - p
-    return _merge([(e, p * mass) for e, mass in left]
-                  + [(e, q * mass) for e, mass in right])
-
-
-def _guarded(sat: int, full: int, left: frozenset, right: frozenset) -> frozenset:
-    """The partition that takes ``left``'s branches at the atoms of
-    ``sat`` and ``right``'s at the others."""
-    if sat == full:
-        return left
-    if not sat:
-        return right
-    off = full ^ sat
-    return _partition([(x, m & sat) for x, m in left if m & sat]
-                      + [(x, m & off) for x, m in right if m & off])
-
-
-def _convex_guarded(p: Fraction, full: int, left: frozenset, right: frozenset) -> frozenset:
-    """`_convex` atom by atom on two ``gc`` partitions: each pair of
-    branches meets on the atoms of both masks, and an atom that one side
-    leaves out takes that side's empty distribution."""
-    if p == 1:
-        return left
-    if p == 0:
-        return right
-    pairs = [(_convex(p, a, b), m) for a, ma in _with_empty(left, full)
-             for b, mb in _with_empty(right, full) if (m := ma & mb)]
-    return _partition([(d, m) for d, m in pairs if d])
-
-
-def _with_empty(dists: frozenset, full: int) -> list:
-    """A ``gc`` partition's pairs, with the empty distribution on the atoms
-    that no mask covers."""
-    rest = full
-    for _, m in dists:
-        rest ^= m
-    return [*dists, (frozenset(), rest)] if rest else list(dists)
-
-
-# ---------------------------------------------------------------------------
-# reification: normal form -> term
-
-
-def reify(m: MVal) -> STerm:
-    """A term over supp(m) that evaluates back to m under the identity
-    environment.  Deterministic: elements in the canonical order.  Reduced:
-    no unit weight ``1 .`` and no choice of full mass against 0.  Guarded
-    values (``ga``, ``gc``) become reduced decision trees over the declared
-    tests (see `_decision_tree`)."""
-    return _reify(m.cfg, _ordered(m.cfg, m.data))
-
-
-def _reify(cfg: TheoryConfig, data) -> STerm:
-    """`reify` of ordered data (see `_ordered`)."""
-    kind = cfg.kind
-    if kind == "ga":
-        return _decision_tree(cfg, [(SVar(e), m) for e, m in data])
-    if kind == "gc":
-        return _decision_tree(cfg, [(_ca_chain(d), m) for d, m in data])
-    return _chain(cfg, data)
-
-
-def _ordered(cfg: TheoryConfig, data):
-    """A value's data in the form `reify` and `split` build terms from: a
-    sorted list of elements (``sl``) or of (element, weight) pairs (``ca``,
-    ``smod``); for ``ga`` the (element, mask) pairs, and for ``gc`` the
-    (sorted tuple of (element, mass) pairs, mask) pairs, in any order."""
-    kind = cfg.kind
-    if kind == "sl":
-        return _sorted_elements(data)
-    if kind == "ga":
-        return list(data)
-    if kind == "gc":
-        return [(tuple(_sorted_entries(d)), m) for d, m in data]
-    return _sorted_entries(data)
-
-
-def _chain(cfg: TheoryConfig, entries) -> STerm:
-    """The term of ordered ``sl``, ``ca`` or ``smod`` entries: a right-nested
-    sum, a convex chain (`_ca_chain`), or a right-nested sum of scaled
-    variables, where a variable of the semiring's unit weight stays
-    unscaled."""
-    kind = cfg.kind
-    if kind == "ca":
-        return _ca_chain(entries)
-    if not entries:
+def _right_nested(sym, terms: list) -> STerm:
+    """``t1 sym (t2 sym (...))``, or 0 for no terms."""
+    if not terms:
         return SZERO
-    if kind == "sl":
-        t: STerm = SVar(entries[-1])
-        for e in reversed(entries[:-1]):
-            t = SOp(PLUS, (SVar(e), t))
-        return t
-    one = cfg.semiring.one
-    terms = [SVar(e) if w == one else SOp(ScaleSym(w), (SVar(e),)) for e, w in entries]
     t = terms[-1]
     for x in reversed(terms[:-1]):
-        t = SOp(OPLUS, (x, t))
+        t = SOp(sym, (x, t))
     return t
 
 
@@ -1212,156 +828,6 @@ def _convex_chain(dist) -> tuple[STerm, Any]:
     return t, seen
 
 
-def _decision_tree(cfg: TheoryConfig, leaves) -> STerm:
-    """The reduced ordered decision tree over the declared tests whose leaf
-    at each atom is the term of the (term, mask) pair whose mask holds the
-    atom, or 0 where none does.
-
-    Atoms are bitstrings in test order, so an atom range whose first tests
-    are decided splits on the next test into the half where it fails and
-    the half where it holds.  A node ``on +[t] off`` tests one test; a test
-    whose two halves give the same term is skipped, so no node has equal
-    branches and each path tests each test at most once, in declared order.
-    Built top down from the masks: a range taken by one term is that leaf,
-    so the work follows the tree, not the atoms.  Equal leaves and equal
-    subtrees are one object, which makes the skip check an identity test
-    and the result a DAG: a subtree is keyed by its depth and its leaves'
-    masks shifted to the start of its range.
-    """
-    parts: dict = {}
-    rest = cfg.full
-    for t, m in leaves:
-        parts[t] = parts.get(t, 0) | m
-        rest ^= m
-    if rest:
-        parts[SZERO] = parts.get(SZERO, 0) | rest
-    if len(parts) == 1:
-        return next(iter(parts))
-    tests, guards, n = _test_masks(cfg), _test_guards(cfg), len(cfg.tests)
-    memo: dict = {}
-
-    def build(d: int, items: list) -> STerm:
-        if len(items) == 1:
-            return items[0][0]
-        low = items[0][1]
-        start = ((low & -low).bit_length() - 1) >> (n - d) << (n - d)
-        key = (d, frozenset((id(t), m >> start) for t, m in items))
-        node = memo.get(key)
-        if node is None:
-            on_mask = tests[d]
-            on = build(d + 1, [(t, m & on_mask) for t, m in items if m & on_mask])
-            off = build(d + 1, [(t, m & ~on_mask) for t, m in items if m & ~on_mask])
-            node = memo[key] = off if on is off else SOp(guards[d], (on, off))
-        return node
-
-    return build(0, list(parts.items()))
-
-
-@lru_cache
-def _test_guards(cfg: TheoryConfig) -> tuple[GuardSym, ...]:
-    """One guard symbol ``+[t]`` per test, shared by every decision tree of
-    the theory, so printing renders each guard once."""
-    return tuple(guard_sym(cfg, BTest(t)) for t in cfg.tests)
-
-
-# ---------------------------------------------------------------------------
-# malleable splitting
-
-
-U_VAR = SVar("u")
-V_VAR = SVar("v")
-
-
-def split(m: MVal, in_left: Callable[[Element], bool]) -> tuple[STerm, STerm, STerm]:
-    """Split a value along a partition of its support.
-
-    Returns (s, t1, t2) with s a term over {u, v}, t1 a term over the
-    elements satisfying ``in_left``, t2 over the rest, such that evaluating
-    s with u = t1's value and v = t2's value reproduces m exactly.  s may be
-    degenerate (mention only one variable, or neither).  The terms are
-    reduced as `reify`'s are: a convex s chooses against 0 only for a mass
-    below 1, and an ``smod`` side scales no variable by the unit.  For
-    ``ga`` and ``gc`` all three are reduced decision trees over the tests,
-    built from one split per branch: s takes each branch's s (``u``, ``v``
-    or ``0`` for ``ga``) at its atoms, t1 and t2 its parts.
-    """
-    left = frozenset(e for e in supp(m) if in_left(e))
-    return _split(m.cfg, _ordered(m.cfg, m.data), left.__contains__)
-
-
-def split_row(cfg: TheoryConfig, row, order, left, targets=None) -> tuple[STerm, STerm, STerm]:
-    """`split` of the value a row stands for, read from the row itself.
-
-    ``order[t]`` orders row targets as `element_sort_key` orders the
-    targets they stand for (for systems: states by id string, then tick),
-    and ``left`` holds the support pairs (label, t) that go left.  The
-    element of pair (label, t) is ``(label, targets[t])``, or the pair
-    itself without ``targets``.  With the targets a system's values use,
-    the terms equal those of `split` on `row_value`, and they are built
-    without the value.
-    """
-    sides: dict = {}
-
-    def elem(a, t):
-        e = (a, t) if targets is None else (a, targets[t])
-        sides[e] = (a, t) in left
-        return e
-
-    return _split(cfg, _row_data(cfg, row, order, elem), sides.__getitem__)
-
-
-def reify_row(cfg: TheoryConfig, row, order) -> STerm:
-    """`reify` of the value a row stands for, read from the row itself as
-    `split_row` reads it, with the support pairs (label, t) as elements."""
-    return _reify(cfg, _row_data(cfg, row, order, _pair))
-
-
-def _pair(a, t):
-    return a, t
-
-
-def _row_data(cfg: TheoryConfig, row, order, elem: Callable):
-    """The ordered data (see `_ordered`) of the value a row stands for,
-    with ``elem(label, t)`` as the element of support pair (label, t)."""
-    kind = cfg.kind
-    if kind == "ga":
-        return [(elem(a, t), m) for a, t, m in zip(row[0], row[1], row[2])]
-    if kind == "gc":
-        dists: dict = {}
-        for (m, a), t, w in zip(row[0], row[1], row[2]):
-            dists.setdefault(m, []).append((a, order[t], t, w))
-        data = []
-        for m, dist in dists.items():
-            dist.sort()  # (label, order) is unique within a branch
-            data.append((tuple((elem(a, t), w) for a, _, t, w in dist), m))
-        return data
-    if kind == "sl":
-        return [elem(a, t) for a, _, t in
-                sorted([(a, order[t], t) for a, t in zip(row[0], row[1])])]
-    return [(elem(a, t), w) for a, _, t, w in
-            sorted([(a, order[t], t, w) for a, t, w in zip(row[0], row[1], row[2])])]
-
-
-def _split(cfg: TheoryConfig, data, is_left: Callable[[Element], bool]):
-    """`split` of ordered data (see `_ordered`) along ``is_left``."""
-    kind = cfg.kind
-    if kind == "sl":
-        return (SOp(PLUS, (U_VAR, V_VAR)), _chain(cfg, [e for e in data if is_left(e)]),
-                _chain(cfg, [e for e in data if not is_left(e)]))
-    if kind == "ga":
-        sides = [(e, m, is_left(e)) for e, m in data]
-        return (_decision_tree(cfg, [(U_VAR if side else V_VAR, m) for _, m, side in sides]),
-                _decision_tree(cfg, [(SVar(e), m) for e, m, side in sides if side]),
-                _decision_tree(cfg, [(SVar(e), m) for e, m, side in sides if not side]))
-    if kind == "ca":
-        return _split_dist(data, is_left)
-    if kind == "gc":
-        parts = [(_split_dist(d, is_left), m) for d, m in data]
-        return tuple(_decision_tree(cfg, [(p[k], m) for p, m in parts]) for k in range(3))
-    return (SOp(OPLUS, (U_VAR, V_VAR)), _chain(cfg, [kv for kv in data if is_left(kv[0])]),
-            _chain(cfg, [kv for kv in data if not is_left(kv[0])]))
-
-
 def _split_dist(dist, is_left: Callable[[Element], bool]):
     """One convex split of ordered (element, mass) pairs: s over {u, v},
     with a choice against 0 only for mass below 1, and each side's
@@ -1375,3 +841,800 @@ def _split_dist(dist, is_left: Callable[[Element], bool]):
         return _with_mass(V_VAR, pv), t1, t2
     r = pu + pv
     return _with_mass(SOp(ChoiceSym(pu / r), (U_VAR, V_VAR)), r), t1, t2
+
+
+def _convex(p: Fraction, left: frozenset, right: frozenset) -> frozenset:
+    if p == 1:
+        return left
+    if p == 0:
+        return right
+    q = 1 - p
+    return _merge([(e, p * mass) for e, mass in left]
+                  + [(e, q * mass) for e, mass in right])
+
+
+# ---------------------------------------------------------------------------
+# samplers
+
+
+_PROBS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4),
+          Fraction(3, 4), Fraction(0), Fraction(1), Fraction(2, 5)]
+
+
+def rand_prob(rng) -> Fraction:
+    return rng.choice(_PROBS)
+
+
+def _rand_dist(rng, universe: list) -> dict:
+    if not universe or rng.random() < 0.15:
+        return {}
+    k = rng.randint(1, min(3, len(universe)))
+    chosen = rng.sample(universe, k)
+    denom = rng.randint(max(k, 2), 8)
+    cuts = sorted(rng.sample(range(1, denom + k), k))
+    masses = []
+    prev = 0
+    for c in cuts:
+        masses.append(c - prev)
+        prev = c
+    # drop the overshoot so the total stays <= denom, keeping masses positive
+    total = sum(masses)
+    while total > denom:
+        i = masses.index(max(masses))
+        masses[i] -= 1
+        total -= 1
+    return {e: Fraction(m, denom) for e, m in zip(chosen, masses) if m > 0}
+
+
+# ---------------------------------------------------------------------------
+# theories
+
+
+class Theory:
+    """Everything the package asks of one branching theory, resolved once
+    per `TheoryConfig` as its ``theory``: the other modules read a theory
+    only through this object, as in the refinement interface of generic
+    partition refinement, where a functor supplies its row layout and
+    signing (Deifel, Milius, Schröder & Wißmann, FM 2019; Wißmann et al.,
+    LMCS 2020).  A theory provides its signature ``ops`` (operator symbol
+    type -> operation on data; 0 is in every signature); the operations
+    ``unit``, ``supp``, ``map`` and ``normal`` (data from plain Python data)
+    on data; ``ordered`` data and the terms ``reify_data`` and
+    ``split_data`` build from it; the row layout ``flat_rows``,
+    ``row_value``, ``sign`` (a hashable signature of a row with relabelled
+    targets, equal exactly when the relabelled values are), ``relabel_row``
+    and ``row_data``; the document codec ``parse_row``, ``row_doc`` and
+    ``edge_labels``; and the samplers ``rand_binary_sym`` and ``rand_raw``.
+    Every row keeps its labels and targets first (see `row_support`).
+    """
+
+    def __init__(self, cfg: TheoryConfig):
+        self.cfg = cfg
+
+    def apply(self, sym: OpSym, vals: list[MVal]) -> MVal:
+        """The operation ``sym`` applied to values in normal form; 0, the
+        value of no branches, is in every signature."""
+        op = self.ops.get(type(sym))
+        if op is None:
+            if type(sym) is ZeroSym:
+                return MVal(self.cfg, _EMPTY)
+            raise TheoryMismatchError(f"operator {sym!r} is not in the {self.cfg.kind} signature")
+        return MVal(self.cfg, op(sym, *[v.data for v in vals]))
+
+    def value(self, raw) -> MVal:
+        """The value of plain data (see each theory's ``normal``)."""
+        return MVal(self.cfg, self.normal(raw))
+
+    def rand_value(self, rng, universe: list) -> MVal:
+        return self.value(self.rand_raw(rng, universe))
+
+    def split_row(self, row, order, left, targets=None) -> tuple[STerm, STerm, STerm]:
+        """`split` of the value a row stands for, read from the row itself.
+
+        ``order[t]`` orders row targets as `element_sort_key` orders the
+        targets they stand for (for systems: states by id string, then
+        tick), and ``left`` holds the support pairs (label, t) that go left.
+        The element of pair (label, t) is ``(label, targets[t])``, or the
+        pair itself without ``targets``.  With the targets a system's values
+        use, the terms equal those of `split` on ``row_value``, and they are
+        built without the value.
+        """
+        sides: dict = {}
+
+        def elem(a, t):
+            e = (a, t) if targets is None else (a, targets[t])
+            sides[e] = (a, t) in left
+            return e
+
+        return self.split_data(self.row_data(row, order, elem), sides.__getitem__)
+
+    def reify_row(self, row, order) -> STerm:
+        """`reify` of the value a row stands for, read from the row itself
+        as `split_row` reads it, with the support pairs (label, t) as
+        elements."""
+        return self.reify_data(self.row_data(row, order, _pair))
+
+
+class Nondeterministic(Theory):
+    """``sl``: nondeterministic choice ``+``.  Data: a frozenset of elements.
+    Rows: (labels, targets).  Documents: a list of [action, target] pairs."""
+
+    ops = {PlusSym: lambda sym, left, right: left | right}
+    supp = staticmethod(_identity)
+    normal = staticmethod(frozenset)
+
+    def unit(self, x):
+        return frozenset((x,))
+
+    def map(self, f, data):
+        return frozenset(map(f, data))
+
+    def ordered(self, data) -> list:
+        return sorted(data, key=element_sort_key)
+
+    def reify_data(self, data) -> STerm:
+        return _right_nested(PLUS, [SVar(e) for e in data])
+
+    def split_data(self, data, is_left):
+        return (SOp(PLUS, (U_VAR, V_VAR)), self.reify_data([e for e in data if is_left(e)]),
+                self.reify_data([e for e in data if not is_left(e)]))
+
+    def flat_rows(self, values: Iterable[MVal], key: Callable[[Any], Any]) -> list:
+        """One row per value, each target ``t`` as ``key(t)``; systems key
+        states by index and the tick by -1."""
+        return [pair_row([(a, key(t)) for a, t in m.data]) for m in values]
+
+    def row_value(self, row, targets) -> MVal:
+        return MVal(self.cfg, frozenset(zip(row[0], map(targets.__getitem__, row[1]))))
+
+    def sign(self, row, labels) -> frozenset:
+        acts, keys = row
+        return frozenset(zip(acts, map(labels.__getitem__, keys)))
+
+    def relabel_row(self, row, labels) -> tuple:
+        return pair_row(self.sign(row, labels))
+
+    def row_data(self, row, order, elem: Callable) -> list:
+        return [elem(a, t) for a, _, t in
+                sorted([(a, order[t], t) for a, t in zip(row[0], row[1])])]
+
+    def parse_row(self, raw, targets: dict[str, int]) -> tuple:
+        if not isinstance(raw, list):
+            raise DocumentError(f"sl value must be a list, got {raw!r}")
+        pairs = [_parse_pair(item, targets) for item in raw]
+        if len(set(pairs)) != len(pairs):
+            raise DocumentError("duplicate transition pair")
+        return pair_row(pairs)
+
+    def row_doc(self, row, names):
+        return [[a, t] for a, t in sorted(zip(row[0], [names[t] for t in row[1]]), key=_doc_key)]
+
+    def edge_labels(self, row, names) -> dict:
+        return {(a, names[t]): a for a, t in zip(row[0], row[1])}
+
+    def rand_binary_sym(self, rng):
+        return PLUS
+
+    def rand_raw(self, rng, universe: list) -> list:
+        return [e for e in universe if rng.random() < 0.5]
+
+
+class _Weighted(Theory):
+    """What ``ca`` and ``smod`` share.  Data: a frozenset of (element,
+    weight) pairs, one per element, no weight zero.  Rows: (labels, targets,
+    weights, weight keys, whether the labels are distinct: then no two pairs
+    can meet).  Subclasses set ``one``, ``add`` and ``zero`` (None: weights
+    never cancel)."""
+
+    def unit(self, x):
+        return frozenset(((x, self.one),))
+
+    def supp(self, data) -> frozenset:
+        return frozenset(map(_first, data))
+
+    def map(self, f, data):
+        return _merge(data, f, self.add, self.zero)
+
+    def ordered(self, data) -> list:
+        return _sorted_entries(data)
+
+    def flat_rows(self, values: Iterable[MVal], key: Callable[[Any], Any]) -> list:
+        return [_weighted_row([(a, key(t), w) for (a, t), w in m.data]) for m in values]
+
+    def row_value(self, row, targets) -> MVal:
+        pairs = zip(row[0], map(targets.__getitem__, row[1]))
+        return MVal(self.cfg, frozenset(zip(pairs, row[2])))
+
+    def sign(self, row, labels) -> frozenset:
+        """A frozenset of (label, target label, weight key) triples; the
+        weights of pairs that meet are added, keyed again, and dropped when
+        they sum to zero, as ``map`` does."""
+        acts, keys, weights, wkeys, distinct = row
+        tlabels = list(map(labels.__getitem__, keys))
+        if distinct or len(set(zip(acts, tlabels))) == len(acts):
+            return frozenset(zip(acts, tlabels, wkeys))
+        merged = _merge(zip(zip(acts, tlabels), weights), add=self.add, zero=self.zero)
+        return frozenset((a, b, weight_key(w)) for (a, b), w in merged)
+
+    def relabel_row(self, row, labels) -> tuple:
+        """The row of the value relabelled through ``labels``, merging pairs
+        that meet; entries keep their order."""
+        acts, keys, weights, wkeys, distinct = row
+        targets = tuple(map(labels.__getitem__, keys))
+        if distinct or len(set(zip(acts, targets))) == len(acts):
+            return acts, targets, weights, wkeys, distinct
+        return _weighted_row([(a, b, w) for (a, b), w in _merged(
+            zip(zip(acts, targets), weights), add=self.add, zero=self.zero)])
+
+    def row_data(self, row, order, elem: Callable) -> list:
+        entries = zip(row[0], map(order.__getitem__, row[1]), row[1], row[2])
+        return self.ordered_entries(list(entries), elem)
+
+    def ordered_entries(self, entries: list, elem: Callable) -> list:
+        """Ordered (element, weight) pairs of (label, order[t], t, weight)
+        entries, ``elem(label, t)`` the element; (label, order) is unique."""
+        entries.sort()
+        return [(elem(a, t), w) for a, _, t, w in entries]
+
+
+class Convex(_Weighted):
+    """``ca``: convex (probabilistic) choice ``(+p)``.  Data: a frozenset of
+    (element, mass) pairs, mass > 0 and total <= 1.  Documents: a list of
+    {"p", "a", "t"} entries.  As the branch theory of ``gc`` (see
+    `Guarded`), a branch is such a distribution, and the empty one is dead.
+    """
+
+    one, add, zero = _ONE, operator.add, None
+    ops = {ChoiceSym: lambda sym, left, right: _convex(sym.prob, left, right)}
+    normal = staticmethod(_norm_ca)
+    reify_data = staticmethod(_ca_chain)
+    split_data = staticmethod(_split_dist)
+    rand_raw = staticmethod(_rand_dist)
+
+    def parse_row(self, raw, targets: dict[str, int]) -> tuple:
+        return weighted_row(*_parse_dist(raw, targets))
+
+    def row_doc(self, row, names):
+        return _dist_doc(zip(row[0], [names[t] for t in row[1]], row[2]))
+
+    def edge_labels(self, row, names) -> dict:
+        return {(a, names[t]): f"{a} {mass}" for a, t, mass in zip(row[0], row[1], row[2])}
+
+    def rand_binary_sym(self, rng):
+        return ChoiceSym(rand_prob(rng))
+
+    # -- as a branch theory: rows and documents by branch, as `Guarded` asks
+
+    dead, weighted = _EMPTY, True
+    branch = staticmethod(frozenset)  # of its ((label, target), weight) pairs
+    dead_doc = staticmethod(list)
+
+    def elements(self, branches):
+        return (e for d in branches for e, _ in d)
+
+    def flat_row(self, data, key) -> tuple:
+        return _guarded_row([(a, key(t), w, weight_key(w), m)
+                             for d, m in data for (a, t), w in d])
+
+    def parse_branches(self, raws, targets) -> tuple[list, list]:
+        """Per atom, its distribution's key (None if empty) and columns."""
+        keys, dists = [], []
+        for raw in raws:
+            acts, tgts, masses = _parse_dist(raw, targets)
+            wkeys = [(w._numerator, w._denominator) for w in masses]  # `weight_key`
+            keys.append(frozenset(zip(acts, tgts, wkeys)) if acts else None)
+            dists.append((acts, tgts, masses, wkeys))
+        return keys, dists
+
+    def parsed_row(self, masks: dict, keys: list, dists: list) -> tuple:
+        dist = dict(zip(keys, dists))
+        acts, tgts, masses, wkeys, ms = [], [], [], [], []
+        for key, m in masks.items():
+            a, t, w, k = dist[key]
+            acts += a
+            tgts += t
+            masses += w
+            wkeys += k
+            ms += [m] * len(a)
+        return _guarded_columns(acts, tgts, masses, wkeys, ms)
+
+    def branch_docs(self, row, names) -> list:
+        entries = zip(row[0], [names[t] for t in row[1]], row[2])
+        return [(_dist_doc(d), m) for m, d in _by_mask(row[5], entries).items()]
+
+
+class Semimodule(_Weighted):
+    """``smod``: weighted sums ``(+)`` and scaling ``w .`` over a semiring.
+    Data: a frozenset of (element, weight) pairs with weight != 0.
+    Documents: a list of {"w", "a", "t"} entries."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        sr = self.semiring = cfg.semiring
+        self.one, self.add, self.zero = sr.one, sr.add, sr.zero
+        self.ops = {ScaleSym: self._scale, OplusSym: lambda sym, left, right:
+                    _merge([*left, *right], add=sr.add, zero=sr.zero)}
+
+    def _scale(self, sym, data):
+        w, sr = sym.weight, self.semiring
+        if not sr.contains(w):
+            raise TheoryMismatchError(f"{w!r} is not a {sr.name} weight")
+        scaled = ((e, sr.mul(w, x)) for e, x in data)
+        return frozenset(kv for kv in scaled if kv[1] != sr.zero)
+
+    def normal(self, mapping: Mapping[Element, Any]) -> frozenset:
+        sr = self.semiring
+        for w in mapping.values():
+            if not sr.contains(w):
+                raise ValueError(f"{w!r} is not a {sr.name} weight")
+        return frozenset(kv for kv in mapping.items() if kv[1] != sr.zero)
+
+    def reify_data(self, data) -> STerm:
+        """A right-nested sum of scaled variables; a variable of the unit
+        weight stays unscaled."""
+        one = self.one
+        return _right_nested(OPLUS, [SVar(e) if w == one else SOp(ScaleSym(w), (SVar(e),))
+                                     for e, w in data])
+
+    def split_data(self, data, is_left):
+        return (SOp(OPLUS, (U_VAR, V_VAR)), self.reify_data([kv for kv in data if is_left(kv[0])]),
+                self.reify_data([kv for kv in data if not is_left(kv[0])]))
+
+    def parse_row(self, raw, targets: dict[str, int]) -> tuple:
+        return weighted_row(*_parse_weighted(raw, targets, "w", self.semiring.parse_weight,
+                                             "weight"))
+
+    def row_doc(self, row, names):
+        fmt = self.semiring.format
+        return [{"w": fmt(w), "a": a, "t": t}
+                for a, t, w in sorted(zip(row[0], [names[t] for t in row[1]], row[2]),
+                                      key=_doc_key)]
+
+    def edge_labels(self, row, names) -> dict:
+        fmt = self.semiring.format
+        return {(a, names[t]): f"{a} w={fmt(w)}" for a, t, w in zip(row[0], row[1], row[2])}
+
+    def rand_binary_sym(self, rng):
+        return OPLUS
+
+    def rand_raw(self, rng, universe: list) -> dict:
+        sr = self.semiring
+        weights = {}
+        for e in universe:
+            if rng.random() < 0.4:
+                w = sr.sample(rng)
+                if w != sr.zero:
+                    weights[e] = w
+        return weights
+
+
+class Option:
+    """The branch theory of ``ga`` (see `Guarded`): a branch is one element,
+    without a weight (None in rows), and None is the dead branch.  It has
+    no operators of its own.  Documents: [action, target], or null."""
+
+    dead, weighted = None, False
+    ops: dict = {}
+    rand_binary_sym = None
+    unit = normal = ordered = elements = staticmethod(_identity)
+    reify_data = staticmethod(SVar)
+
+    def map(self, f, x):
+        return f(x)
+
+    def split_data(self, x, is_left):
+        return (U_VAR, SVar(x), SZERO) if is_left(x) else (V_VAR, SZERO, SVar(x))
+
+    def _row(self, acts: tuple, targets: tuple, masks: tuple) -> tuple:
+        """One entry per branch, so no two entries of a branch share a label."""
+        nones = (None,) * len(acts)
+        return acts, targets, nones, nones, 2 if len(set(acts)) == len(acts) else 1, masks
+
+    def flat_row(self, data, key) -> tuple:
+        entries = [(a, key(t), m) for (a, t), m in data]
+        return self._row(*(zip(*entries) if entries else ((), (), ())))
+
+    def branch(self, pairs: list):
+        ((x, _),) = pairs
+        return x
+
+    def ordered_entries(self, entries: list, elem: Callable):
+        ((a, _, t, _),) = entries
+        return elem(a, t)
+
+    def parse_branches(self, raws, targets) -> tuple[list, None]:
+        return [None if raw is None else _parse_pair(raw, targets) for raw in raws], None
+
+    def parsed_row(self, masks: dict, keys, dists) -> tuple:
+        return self._row(tuple([a for a, _ in masks]), tuple([t for _, t in masks]),
+                         tuple(masks.values()))
+
+    def branch_docs(self, row, names) -> list:
+        return [([a, names[t]], m) for a, t, m in zip(row[0], row[1], row[5])]
+
+    def dead_doc(self):
+        return None
+
+    def rand_raw(self, rng, universe: list):
+        return rng.choice(universe) if universe and rng.random() < 0.7 else None
+
+
+class Guarded(Theory):
+    """guarded(X): boolean-guarded choice ``+[b]`` over the declared tests,
+    on top of a branch theory X whose operators it applies atom by atom.
+    ``ga`` is guarded(`Option`), ``gc`` is guarded(`Convex`).
+
+    A value takes one branch of X at each atom.  Data: a frozenset of
+    (branch, mask) pairs, one per distinct live branch, with the mask of the
+    atoms that take it; masks are nonzero and disjoint, and atoms of no mask
+    take X's dead branch.  So a value's size follows its branches, not the
+    atoms.  Rows: (labels, targets, weights, weight keys, distinct, masks),
+    each entry of each branch with that branch's mask (``distinct`` as in
+    `_guarded_columns`).  Documents map every atom to its branch's document.
+
+    This class owns the mask logic: guards, the pairwise meet of branches,
+    joining the masks of branches that become equal, the decision tree, and
+    the expansion into atoms.  X supplies the part within one branch.
+    """
+
+    def __init__(self, cfg, inner):
+        super().__init__(cfg)
+        self.inner, self.weighted = inner, inner.weighted
+        self.ops = {t: self._pointwise(op) for t, op in inner.ops.items()}  # atom by atom
+        self.ops[GuardSym] = self._guard
+
+    def mask(self, b: BoolExpr) -> int:
+        """The mask of the atoms at which a guard holds, built from the
+        tests' masks with bit operations."""
+        full = self.cfg.full
+        if isinstance(b, BTrue):
+            return full
+        if isinstance(b, BFalse):
+            return 0
+        if isinstance(b, BTest):
+            return self.test_masks[self.cfg.tests.index(b.name)]
+        if isinstance(b, BNot):
+            return full ^ self.mask(b.arg)
+        if isinstance(b, BAnd):
+            return self.mask(b.left) & self.mask(b.right)
+        if isinstance(b, BOr):
+            return self.mask(b.left) | self.mask(b.right)
+        raise TypeError(f"not a boolean expression: {b!r}")
+
+    def guard_sym(self, b: BoolExpr) -> GuardSym:
+        return GuardSym(b, self.mask(b))
+
+    @cached_property
+    def test_masks(self) -> tuple[int, ...]:
+        """The mask of the atoms at which each test holds.  Test j is bit
+        n-1-j of an atom's index, so its atoms repeat with period 2h, where
+        h = 2^(n-1-j): h atoms where it fails, then h where it holds."""
+        n, full = len(self.cfg.tests), self.cfg.full
+        out = []
+        for j in range(n):
+            half = 1 << (n - 1 - j)
+            out.append((((1 << half) - 1) << half) * (full // ((1 << 2 * half) - 1)))
+        return tuple(out)
+
+    @cached_property
+    def atom_index(self) -> tuple[frozenset, list[int]]:
+        """The atoms as a set, and each atom's bit, in atom order."""
+        return frozenset(self.cfg.atoms), [1 << i for i in range(len(self.cfg.atoms))]
+
+    @cached_property
+    def test_guards(self) -> tuple[GuardSym, ...]:
+        """One guard symbol ``+[t]`` per test, shared by every decision tree
+        of the theory, so printing renders each guard once."""
+        return tuple(self.guard_sym(BTest(t)) for t in self.cfg.tests)
+
+    def _guard(self, sym: GuardSym, left, right):
+        """The partition that takes ``left``'s branches at the atoms of the
+        guard and ``right``'s at the others."""
+        sat, full = sym.mask, self.cfg.full
+        if sat == full:
+            return left
+        if not sat:
+            return right
+        off = full ^ sat
+        return _partition([(x, m & sat) for x, m in left if m & sat]
+                          + [(x, m & off) for x, m in right if m & off])
+
+    def _pointwise(self, op):
+        """A binary operation of the branch theory, atom by atom: each pair
+        of branches meets on the atoms of both masks, and an atom that one
+        side leaves out takes that side's dead branch."""
+        dead, full = self.inner.dead, self.cfg.full
+
+        def with_dead(data) -> list:
+            rest = full
+            for _, m in data:
+                rest ^= m
+            return [*data, (dead, rest)] if rest else list(data)
+
+        def apply(sym, left, right):
+            pairs = [(op(sym, a, b), m) for a, ma in with_dead(left)
+                     for b, mb in with_dead(right) if (m := ma & mb)]
+            return _partition([(x, m) for x, m in pairs if x != dead])
+
+        return apply
+
+    def unit(self, x):
+        return frozenset(((self.inner.unit(x), self.cfg.full),))
+
+    def supp(self, data) -> frozenset:
+        return frozenset(self.inner.elements(map(_first, data)))
+
+    def map(self, f, data):
+        inner_map = self.inner.map
+        return _partition([(inner_map(f, x), m) for x, m in data])
+
+    def normal(self, per_atom: Iterable) -> frozenset:
+        """The data of one plain branch per atom, in atom order: for
+        ``ga`` an element or None, for ``gc`` an {element: mass} mapping."""
+        branches = [self.inner.normal(x) for x in per_atom]
+        if len(branches) != len(self.cfg.atoms):
+            raise ValueError("one branch per atom required")
+        return _partition((x, 1 << i) for i, x in enumerate(branches) if x != self.inner.dead)
+
+    def ordered(self, data) -> list:
+        return [(self.inner.ordered(x), m) for x, m in data]
+
+    def reify_data(self, data) -> STerm:
+        return self.tree([(self.inner.reify_data(x), m) for x, m in data])
+
+    def split_data(self, data, is_left):
+        parts = [(self.inner.split_data(x, is_left), m) for x, m in data]
+        return tuple(self.tree([(p[k], m) for p, m in parts]) for k in range(3))
+
+    def tree(self, leaves) -> STerm:
+        """The reduced ordered decision tree over the declared tests whose
+        leaf at each atom is the term of the (term, mask) pair whose mask
+        holds the atom, or 0 where none does.
+
+        Atoms are bitstrings in test order, so an atom range whose first
+        tests are decided splits on the next test into the half where it
+        fails and the half where it holds.  A node ``on +[t] off`` tests one
+        test; a test whose two halves give the same term is skipped, so no
+        node has equal branches and each path tests each test at most once,
+        in declared order.  Built top down from the masks: a range taken by
+        one term is that leaf, so the work follows the tree, not the atoms.
+        Equal leaves and equal subtrees are one object, which makes the skip
+        check an identity test and the result a DAG: a subtree is keyed by
+        its depth and its leaves' masks shifted to the start of its range.
+        """
+        parts: dict = {}
+        rest = self.cfg.full
+        for t, m in leaves:
+            parts[t] = parts.get(t, 0) | m
+            rest ^= m
+        if rest:
+            parts[SZERO] = parts.get(SZERO, 0) | rest
+        if len(parts) == 1:
+            return next(iter(parts))
+        tests, guards, n = self.test_masks, self.test_guards, len(self.cfg.tests)
+        memo: dict = {}
+
+        def build(d: int, items: list) -> STerm:
+            if len(items) == 1:
+                return items[0][0]
+            low = items[0][1]
+            start = ((low & -low).bit_length() - 1) >> (n - d) << (n - d)
+            key = (d, frozenset((id(t), m >> start) for t, m in items))
+            node = memo.get(key)
+            if node is None:
+                on_mask = tests[d]
+                on = build(d + 1, [(t, m & on_mask) for t, m in items if m & on_mask])
+                off = build(d + 1, [(t, m & ~on_mask) for t, m in items if m & ~on_mask])
+                node = memo[key] = off if on is off else SOp(guards[d], (on, off))
+            return node
+
+        return build(0, list(parts.items()))
+
+    def flat_rows(self, values: Iterable[MVal], key: Callable[[Any], Any]) -> list:
+        row = self.inner.flat_row
+        return [row(v.data, key) for v in values]
+
+    def row_value(self, row, targets) -> MVal:
+        pairs = zip(zip(row[0], map(targets.__getitem__, row[1])), row[2])
+        branch = self.inner.branch
+        return MVal(self.cfg, frozenset((branch(d), m) for m, d in _by_mask(row[5], pairs).items()))
+
+    def sign(self, row, labels) -> frozenset:
+        """A frozenset of (entry, mask) pairs, one per entry (label, target
+        label, and weight key if X has weights) of the relabelled value's
+        branches, with the union of the masks of the branches it occurs in.
+        This names the value, and branches that become equal need no
+        matching up."""
+        acts, keys, weights, wkeys, distinct, masks = row
+        tlabels = list(map(labels.__getitem__, keys))
+        entries = zip(acts, tlabels, wkeys) if self.weighted else zip(acts, tlabels)
+        if distinct > 1:  # no two entries share a label, so none meet
+            return frozenset(zip(entries, masks))
+        if distinct or len(set(zip(masks, acts, tlabels))) == len(acts):
+            entries = list(entries)
+            joined = dict(zip(entries, masks))
+            if len(joined) < len(entries):  # some meet; a union may take a mask twice
+                for e, m in zip(entries, masks):
+                    joined[e] |= m
+            return frozenset(joined.items())
+        joined: dict = {}  # entries of a branch meet, so X has weights, which add up
+        for mask, dist in _branch_dists(masks, acts, tlabels, weights).items():
+            for (a, b), w in dist.items():
+                k = (a, b, weight_key(w))
+                joined[k] = joined.get(k, 0) | mask
+        return frozenset(joined.items())
+
+    def relabel_row(self, row, labels) -> tuple:
+        """The row of the value relabelled through ``labels``, merging
+        pairs that meet within a branch and joining branches that become
+        equal; entries keep their order."""
+        acts, keys, weights, wkeys, distinct, masks = row
+        targets = tuple(map(labels.__getitem__, keys))
+        n = len(acts)
+        if distinct or len(set(zip(masks, acts, targets))) == n:
+            entries = list(zip(acts, targets, wkeys) if self.weighted else zip(acts, targets))
+            if len(set(entries)) == n:  # no two branches become equal
+                return acts, targets, weights, wkeys, distinct, masks
+            if len(set(masks)) == n:  # one entry per branch: equal entries, equal branches
+                joined = dict(zip(entries, masks))
+                for e, m in zip(entries, masks):
+                    joined[e] |= m
+                kept = list(map(dict(zip(entries, range(n))).__getitem__, joined))
+                columns = (tuple([c[i] for i in kept]) for c in (acts, targets, weights, wkeys))
+                return _guarded_columns(*columns, joined.values())
+        return _merged_branches(masks, acts, targets, weights)
+
+    def row_data(self, row, order, elem: Callable) -> list:
+        entries = zip(row[0], map(order.__getitem__, row[1]), row[1], row[2])
+        ordered = self.inner.ordered_entries
+        return [(ordered(d, elem), m) for m, d in _by_mask(row[5], entries).items()]
+
+    def parse_row(self, raw, targets: dict[str, int]) -> tuple:
+        """Parse one atom-keyed value, grouping the atoms of each branch."""
+        atoms, (atom_set, bits) = self.cfg.atoms, self.atom_index
+        if not isinstance(raw, dict) or raw.keys() != atom_set:
+            raise DocumentError(f"{self.cfg.kind} value must map every atom of {list(atoms)}")
+        keys, branches = self.inner.parse_branches(map(raw.__getitem__, atoms), targets)
+        masks: dict = {}
+        for key, bit in zip(keys, bits):
+            if key is not None:
+                masks[key] = masks.get(key, 0) | bit
+        return self.inner.parsed_row(masks, keys, branches)
+
+    def row_doc(self, row, names) -> dict:
+        atoms = self.cfg.atoms
+        doc = dict.fromkeys(atoms, self.inner.dead_doc())
+        for text, mask in self.inner.branch_docs(row, names):
+            while mask:  # `mask_atoms`, inline: most masks hold an atom or two
+                low = mask & -mask
+                doc[atoms[low.bit_length() - 1]] = text
+                mask ^= low
+        return doc
+
+    def edge_labels(self, row, names) -> dict:
+        """A pair's label lists its atoms, each with its weight if any."""
+        atoms = self.cfg.atoms
+        parts: dict = {}
+        for a, t, w, m in zip(row[0], row[1], row[2], row[5]):
+            suffix = "" if w is None else f":{w}"
+            parts.setdefault((a, names[t]), []).extend(
+                (i, atoms[i] + suffix) for i in mask_atoms(m))
+        return {(a, t): f"{a} [{','.join(text for _, text in sorted(p))}]"
+                for (a, t), p in parts.items()}
+
+    def rand_guard(self, rng, depth: int = 2) -> BoolExpr:
+        tests = self.cfg.tests
+        roll = rng.random()
+        if depth == 0 or roll < 0.5:
+            if tests and roll < 0.8:
+                return BTest(rng.choice(tests))
+            return rng.choice((BTrue(), BFalse()))
+        left = self.rand_guard(rng, depth - 1)
+        right = self.rand_guard(rng, depth - 1)
+        return rng.choice((BNot(left), BAnd(left, right), BOr(left, right)))
+
+    def rand_binary_sym(self, rng):
+        """A guard, or half the time an operator of X if it has one."""
+        inner_sym = self.inner.rand_binary_sym
+        if inner_sym is None or rng.random() < 0.5:
+            return self.guard_sym(self.rand_guard(rng))
+        return inner_sym(rng)
+
+    def rand_raw(self, rng, universe: list) -> list:
+        return [self.inner.rand_raw(rng, universe) for _ in self.cfg.atoms]
+
+
+_THEORIES: dict[str, Callable[[TheoryConfig], Theory]] = {
+    "sl": Nondeterministic,
+    "ga": lambda cfg: Guarded(cfg, Option()),
+    "ca": Convex,
+    "gc": lambda cfg: Guarded(cfg, Convex(cfg)),
+    "smod": Semimodule,
+}
+
+
+# ---------------------------------------------------------------------------
+# documents
+
+
+def _doc_key(entry):
+    """The export order of (action, target id, ...) entries: by action,
+    then state targets before tick ("✓", never a state id), then by id
+    string."""
+    return (entry[0], entry[1] == "✓", entry[1])
+
+
+def _dist_doc(entries):
+    return [{"p": str(mass), "a": a, "t": t} for a, t, mass in sorted(entries, key=_doc_key)]
+
+
+def _parse_target(raw, targets: dict[str, int]) -> int:
+    try:
+        return targets[raw]
+    except (KeyError, TypeError):
+        raise DocumentError(f"dangling state reference: {raw!r}") from None
+
+
+def _parse_pair(raw, targets) -> tuple:
+    if (not isinstance(raw, (list, tuple)) or len(raw) != 2
+            or not isinstance(raw[0], str)):
+        raise DocumentError(f"expected [action, target], got {raw!r}")
+    return (raw[0], _parse_target(raw[1], targets))
+
+
+def _parse_number(raw, parse, what: str):
+    """Parse a mass or weight; every way it can be malformed ends here."""
+    try:
+        return parse(raw)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise DocumentError(f"bad {what} {raw!r}: {exc}") from None
+
+
+def _parse_mass(raw) -> Fraction:
+    mass = parse_rational(raw)
+    if mass._numerator <= 0:  # normalized: the sign is the numerator's
+        raise ValueError("masses must be positive")
+    return mass
+
+
+def _parse_weighted(raw, targets, field: str, parse, what: str) -> tuple[list, list, list]:
+    """The parallel actions, targets and weights of a list of weighted
+    entries."""
+    if not isinstance(raw, list):
+        raise DocumentError(f"expected a list of weighted entries, got {raw!r}")
+    keys = {field, "a", "t"}
+    acts: list = []
+    tgts: list = []
+    weights: list = []
+    seen: set = set()
+    for item in raw:
+        if not isinstance(item, dict) or item.keys() != keys:
+            raise DocumentError(f"expected {{'{field}','a','t'}} entry, got {item!r}")
+        w = _parse_number(item[field], parse, what)
+        action = item["a"]
+        if not isinstance(action, str):
+            raise DocumentError(f"action must be a string, got {item!r}")
+        pair = (action, _parse_target(item["t"], targets))
+        if pair in seen:
+            raise DocumentError(f"duplicate weighted pair: {item!r}")
+        seen.add(pair)
+        acts.append(action)
+        tgts.append(pair[1])
+        weights.append(w)
+    return acts, tgts, weights
+
+
+def _parse_dist(raw, targets) -> tuple[list, list, list]:
+    acts, tgts, masses = _parse_weighted(raw, targets, "p", _parse_mass, "probability")
+    # the total num/den in integers; a Fraction only for the message
+    num, den = 0, 1
+    for mass in masses:
+        n, d = mass._numerator, mass._denominator
+        if d == den:
+            num += n
+        else:
+            lcm = den // gcd(den, d) * d
+            num, den = num * (lcm // den) + n * (lcm // d), lcm
+    if num > den:
+        raise DocumentError(f"total mass {Fraction(num, den)} exceeds 1")
+    return acts, tgts, masses

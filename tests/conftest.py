@@ -13,7 +13,7 @@ from starexpr.bisim import brute_bisim, disjoint_union
 from starexpr.layering import Labelling, check_well_layered
 from starexpr.semantics import State, System, TICK
 from starexpr.syntax import parse
-from starexpr.theory import TheoryConfig, mval_sl, parse_selector
+from starexpr.theory import TheoryConfig, parse_selector
 
 ALL_SELECTORS = gen.STANDARD_CONFIGS  # sl, ga x2, ca, gc, smod:nat, smod:bool
 
@@ -66,7 +66,7 @@ def sl_system(edges, root=None) -> System:
     cfg = parse_selector("sl")
     states = tuple(edges)
     beta = {
-        x: mval_sl(cfg, [(a, TICK if t is TICK else State(t)) for a, t in pairs])
+        x: cfg.theory.value([(a, TICK if t is TICK else State(t)) for a, t in pairs])
         for x, pairs in edges.items()
     }
     return System(cfg, states, beta, root=root)

@@ -20,7 +20,7 @@ from starexpr.solve import (
 )
 from starexpr.syntax import Act, Seq, Star, parse
 from starexpr.theory import (
-    eta, eval_term, mval_sl, parse_selector, reify, split, supp, term_variables,
+    eta, eval_term, parse_selector, reify, split, supp, term_variables,
 )
 
 CONFIGS = [parse_selector(s) for s in gen.STANDARD_CONFIGS]
@@ -47,10 +47,10 @@ def test_criterion_1_example_semantics():
     sl = parse_selector("sl")
     star = parse("(a+b) *{u+v} c", sl)
     checks = [
-        step(sl, parse("a+b", sl)) == mval_sl(sl, [("a", TICK), ("b", TICK)]),
+        step(sl, parse("a+b", sl)) == sl.theory.value([("a", TICK), ("b", TICK)]),
         step(sl, parse("(a+b);c", sl))
-        == mval_sl(sl, [("a", Act("c")), ("b", Act("c"))]),
-        step(sl, star) == mval_sl(sl, [("a", star), ("b", star), ("c", TICK)]),
+        == sl.theory.value([("a", Act("c")), ("b", Act("c"))]),
+        step(sl, star) == sl.theory.value([("a", star), ("b", star), ("c", TICK)]),
     ]
     report(1, all(checks), f"one-step behaviour of the three examples ({sum(checks)}/3)",
            1.0, time.time() - start)
@@ -150,7 +150,7 @@ def test_criterion_6_split_identity():
         rng = random.Random(f"split:{cfg.selector()}")
         for i in range(500):
             universe = [f"x{j}" for j in range(1 + i % 5)]
-            m = gen.rand_mval(rng, cfg, universe)
+            m = cfg.theory.rand_value(rng, universe)
             left = frozenset(e for e in universe if rng.random() < 0.5)
             s, t1, t2 = split(m, lambda e: e in left)
             env = {e: eta(cfg, e) for e in supp(m)}

@@ -18,8 +18,8 @@ from starexpr.semantics import (
 from starexpr.solve import roundtrip
 from starexpr.syntax import Seq, Star, parse
 from starexpr.theory import (
-    SEMIRINGS, MVal, Semiring, eta, mval_map, mval_smod, parse_selector,
-    register_semiring, reify, row_signer, term_variables,
+    SEMIRINGS, MVal, Semiring, eta, mval_map, parse_selector,
+    register_semiring, reify, term_variables,
 )
 
 SL = parse_selector("sl")
@@ -117,7 +117,7 @@ def zint():
 
 def test_refine_with_cancelling_weights(zint, rng):
     def val(pairs):
-        return mval_smod(zint, {("a", State(t)): w for t, w in pairs})
+        return zint.theory.value({("a", State(t)): w for t, w in pairs})
 
     # y and z are equivalent, so x's two transitions cancel and x is dead like w
     beta = {"x": val([("y", 1), ("z", -1)]), "y": val([("y", 2)]),
@@ -134,18 +134,15 @@ def test_refine_work_is_near_linear_on_a_chain(monkeypatch):
     chain = sl_system({f"s{i}": [("a", f"s{i + 1}" if i + 1 < n else TICK)]
                        for i in range(n)})
     calls = 0
+    signer = type(chain.cfg.theory)
+    sign = signer.sign
 
-    def counting_signer(cfg):
-        sign = row_signer(cfg)
+    def counting(*sign_args):
+        nonlocal calls
+        calls += 1
+        return sign(*sign_args)
 
-        def counting(*sign_args):
-            nonlocal calls
-            calls += 1
-            return sign(*sign_args)
-
-        return counting
-
-    monkeypatch.setattr(bisim, "row_signer", counting_signer)
+    monkeypatch.setattr(signer, "sign", counting)
     assert len(set(refine(chain).values())) == n
     assert n <= calls <= 4 * n
 
@@ -193,7 +190,7 @@ def test_refine_compares_weights_across_numeric_types(selector):
 def test_flat_signatures_agree_with_mapped_values(cfg, rng):
     for _ in range(40):
         sys_ = gen.rand_system(rng, cfg, rng.randint(1, 12), ("a", "b"))
-        sign = row_signer(cfg)
+        sign = cfg.theory.sign
         row = dict(zip(sys_.states, sys_.rows))
         # few blocks, so that pairs meet and their weights add up
         block = {x: rng.randint(0, 2) for x in sys_.states}
@@ -262,8 +259,9 @@ def test_minimize_homomorphism_equation(cfg, rng):
 
 def _row_entries(row):
     """A row's entries in a fixed order, and its distinct-labels flag: rows
-    built from frozensets list their entries in hash order."""
-    return sorted(zip(*row[:4])), row[4:]
+    built from frozensets list their entries in hash order.  Guarded rows
+    keep each entry's branch mask in a column after the flag."""
+    return sorted(zip(*row[:4], *row[5:])), row[4:5]
 
 
 def _check_quotient_and_documents(sys_):
@@ -298,7 +296,7 @@ def test_quotient_rows_agree_with_mapped_values(cfg, rng):
 
 def test_quotient_rows_with_cancelling_weights(zint, rng):
     def val(pairs):
-        return mval_smod(zint, {("a", State(t)): w for t, w in pairs})
+        return zint.theory.value({("a", State(t)): w for t, w in pairs})
 
     beta = {"x": val([("y", 1), ("z", -1)]), "y": val([("y", 2)]),
             "z": val([("z", 2)]), "w": val([])}
@@ -443,7 +441,7 @@ def _probe_counts(n_tests):
     sys_, _ = reachable(cfg, e)
     part = refine(sys_)
     labels = [part[x] for x in sys_.states] + [-1]
-    sign = row_signer(cfg)
+    sign = cfg.theory.sign
     return (len(sys_.states), len(set(part.values())),
             decide_equiv(cfg, e, parse(PROBE_UNROLLED, cfg)),
             decide_equiv(cfg, e, parse(PROBE_OTHER, cfg)),

@@ -62,6 +62,9 @@ def test_parse_error_exit_code(capsys):
     assert code == 2 and "position" in err
     code, _, err = invoke(capsys, "equiv", "--theory", "nope", "a", "a")
     assert code == 2
+    code, _, err = invoke(capsys, "fuzz", "--theory", "ga:tests=true", "--count", "50",
+                          "--size", "6", "--seed", "1")
+    assert code == 2 and "reserved" in err
 
 
 def test_minimize_flow(tmp_path, capsys):

@@ -76,7 +76,7 @@ def test_load_and_refine_sort_nothing(monkeypatch):
     # that exports sort rows by
     monkeypatch.setattr(theory, "element_sort_key", counted(theory.element_sort_key))
     monkeypatch.setattr(semantics, "_pair_key", counted(semantics._pair_key))
-    monkeypatch.setattr(semantics, "_doc_key", counted(semantics._doc_key))
+    monkeypatch.setattr(theory, "_doc_key", counted(theory._doc_key))
     loaded = load_system(json.loads(text))
     part = refine(loaded)
     assert loaded.beta == sys_.beta and len(part) == 200
@@ -139,10 +139,10 @@ def test_load_minimize_export_build_no_values(monkeypatch):
         return counting
 
     monkeypatch.setattr(State, "__init__", counted("State", State.__init__))
-    for module in (theory, semantics, bisim):
+    for owner in (theory, semantics, bisim, type(cfg.theory)):
         for name in ("mval_map", "flat_rows"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     for module in (theory, semantics):
         for name in ("pair_row", "weighted_row"):
             if hasattr(module, name):
@@ -187,7 +187,7 @@ def _sparse_system(rng, cfg, n):
     for k, x in enumerate(states):
         pool = [("a", State(states[k + 1]) if k + 1 < n else TICK),
                 ("b", State(states[rng.randrange(k + 1)])), ("c", TICK)]
-        beta[x] = gen.rand_mval(rng, cfg, pool)
+        beta[x] = cfg.theory.rand_value(rng, pool)
     return System(cfg, states, beta, root="s0")
 
 
@@ -197,7 +197,7 @@ def _two_loop_system(rng, cfg):
     pools = {x: [(a, State(t)) for a, t in steps] + [("t", TICK)] for x, steps in {
         "x": [("a", "p"), ("a", "q")], "y": [("b", "q"), ("b", "p")],
         "p": [("c", "x"), ("d", "y")], "q": [("e", "x"), ("f", "y")]}.items()}
-    return System(cfg, tuple(pools), {x: gen.rand_mval(rng, cfg, pool)
+    return System(cfg, tuple(pools), {x: cfg.theory.rand_value(rng, pool)
                                        for x, pool in pools.items()})
 
 

@@ -19,8 +19,8 @@ from starexpr.semantics import (
 )
 from starexpr.syntax import Act, Seq, compute_U, parse, print_expr
 from starexpr.theory import (
-    SEMIRINGS, SOp, SVar, Semiring, element_sort_key, eta, eval_term, mval_ca, mval_gc,
-    mval_map, mval_sl, parse_selector, register_semiring, reify, supp,
+    SEMIRINGS, SOp, SVar, Semiring, element_sort_key, eta, eval_term, mval_map,
+    parse_selector, register_semiring, reify, supp,
 )
 
 SL = parse_selector("sl")
@@ -31,17 +31,17 @@ def test_step_action_is_unit(cfg):
 
 
 def test_step_choice():
-    assert step(SL, parse("a + b", SL)) == mval_sl(SL, [("a", TICK), ("b", TICK)])
+    assert step(SL, parse("a + b", SL)) == SL.theory.value([("a", TICK), ("b", TICK)])
 
 
 def test_step_sequencing_pushes_continuation():
     got = step(SL, parse("(a + b) ; c", SL))
-    assert got == mval_sl(SL, [("a", Act("c")), ("b", Act("c"))])
+    assert got == SL.theory.value([("a", Act("c")), ("b", Act("c"))])
 
 
 def test_step_star_loops_back():
     e = parse("(a + b) *{u + v} c", SL)
-    assert step(SL, e) == mval_sl(SL, [("a", e), ("b", e), ("c", TICK)])
+    assert step(SL, e) == SL.theory.value([("a", e), ("b", e), ("c", TICK)])
 
 
 def test_step_degenerate_loop_terms():
@@ -50,20 +50,20 @@ def test_step_degenerate_loop_terms():
     assert step(SL, e) == step(SL, parse("b", SL))
     # a loop that can never exit keeps cycling
     e = parse("a *{u} b", SL)
-    assert step(SL, e) == mval_sl(SL, [("a", e)])
-    assert step(SL, parse("a *{0} b", SL)) == mval_sl(SL, [])
+    assert step(SL, e) == SL.theory.value([("a", e)])
+    assert step(SL, parse("a *{0} b", SL)) == SL.theory.value([])
 
 
 def test_reachable_single_action():
     sys_, root = reachable(SL, Act("a"))
     assert sys_.states == ("s0",)
-    assert sys_.beta[root] == mval_sl(SL, [("a", TICK)])
+    assert sys_.beta[root] == SL.theory.value([("a", TICK)])
 
 
 def test_reachable_star_folds_self_loop():
     sys_, root = reachable(SL, parse("a *{u+v} b", SL))
     assert len(sys_.states) == 1
-    assert sys_.beta[root] == mval_sl(SL, [("a", State(root)), ("b", TICK)])
+    assert sys_.beta[root] == SL.theory.value([("a", State(root)), ("b", TICK)])
 
 
 def test_reachable_two_state_loop():
@@ -373,6 +373,12 @@ def test_load_rejects_duplicate_weighted_pairs(selector, key):
     assert "duplicate" in str(err.value)
 
 
+def test_load_rejects_guard_constants_as_test_names():
+    doc = {"theory": "ga:tests=true", "states": ["s0"], "beta": {"s0": {"0": None, "1": None}}}
+    with pytest.raises(DocumentError, match="reserved"):
+        load_system(doc)
+
+
 def test_load_rejects_partial_beta_and_missing_atoms():
     with pytest.raises(DocumentError):
         load_system({"theory": "sl", "states": ["s0", "s1"], "beta": {"s0": []}})
@@ -397,16 +403,34 @@ def test_guarded_documents_group_atoms_into_branches():
     doc = {"theory": "ga:tests=p,q", "states": ["s0"], "beta": {"s0": {
         "00": ["a", "s0"], "01": None, "10": ["a", "s0"], "11": ["b", "✓"]}}}
     sys_ = load_system(doc)
-    assert sorted(zip(*sys_.rows[0][:3])) == [("a", 0, 0b0101), ("b", -1, 0b1000)]
+    row = sys_.rows[0]
+    assert sorted(zip(row[0], row[1], row[5])) == [("a", 0, 0b0101), ("b", -1, 0b1000)]
     assert export_system(sys_) == doc
     assert '[label="a [00,10]"]' in export_dot(sys_)
     gc = parse_selector("gc:tests=p")
     half = [{"p": "1/2", "a": "a", "t": "s0"}]
     doc = {"theory": "gc:tests=p", "states": ["s0"], "beta": {"s0": {"0": half, "1": half}}}
     sys_ = load_system(doc)
-    assert sys_.rows[0][0] == ((0b11, "a"),)
-    assert sys_.beta["s0"] == mval_gc(gc, [{("a", State("s0")): Fraction(1, 2)}] * 2)
+    assert (sys_.rows[0][0], sys_.rows[0][5]) == (("a",), (0b11,))
+    assert sys_.beta["s0"] == gc.theory.value([{("a", State("s0")): Fraction(1, 2)}] * 2)
     assert export_system(sys_)["beta"] == doc["beta"]
+
+
+def test_guarded_documents_group_equal_branches_however_written():
+    # one distribution, listed in two entry orders and spellings, is one branch
+    entries = [{"p": "1/2", "a": "a", "t": "s0"}, {"p": "1/4", "a": "b", "t": "✓"}]
+    reordered = [{"p": "1/4", "a": "b", "t": "✓"}, {"p": "2/4", "a": "a", "t": "s0"}]
+    doc = {"theory": "gc:tests=p", "states": ["s0"], "beta": {"s0": {"0": entries, "1": reordered}}}
+    sys_ = load_system(doc)
+    dist = frozenset({(("a", State("s0")), Fraction(1, 2)), (("b", TICK), Fraction(1, 4))})
+    assert sys_.beta["s0"].data == {(dist, 0b11)} and len(sys_.rows[0][0]) == 2
+    assert export_system(sys_)["beta"] == {"s0": {"0": entries, "1": entries}}
+    # a pair repeated at two atoms is one branch
+    doc = {"theory": "ga:tests=p,q", "states": ["s0"], "beta": {"s0": {
+        "00": ["a", "s0"], "01": ["b", "✓"], "10": None, "11": ["a", "s0"]}}}
+    sys_ = load_system(doc)
+    assert sys_.beta["s0"].data == {(("a", State("s0")), 0b1001), (("b", TICK), 0b0010)}
+    assert len(sys_.rows[0][0]) == 2 and export_system(sys_) == doc
 
 
 def test_dot_output_mentions_every_edge():
@@ -423,7 +447,7 @@ def test_dot_output_mentions_every_edge():
 
 def test_dot_weighted_edges_show_masses():
     ca = parse_selector("ca")
-    sys_ = System(ca, ("s0",), {"s0": mval_ca(ca, {("a", State("s0")): Fraction(1, 2),
+    sys_ = System(ca, ("s0",), {"s0": ca.theory.value({("a", State("s0")): Fraction(1, 2),
                                                    ("b", TICK): Fraction(1, 4)})})
     dot = export_dot(sys_)
     assert "a 1/2" in dot and "b 1/4" in dot

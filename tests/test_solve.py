@@ -21,7 +21,7 @@ from starexpr.solve import (
 )
 from starexpr.syntax import Act, Seq, Star, TOp, parse, print_expr
 from starexpr.theory import (
-    ChoiceSym, PLUS, SOp, SVar, SZERO, ScaleSym, ZeroSym, mval_ca, parse_selector, row_value,
+    ChoiceSym, PLUS, SOp, SVar, SZERO, ScaleSym, ZeroSym, parse_selector,
 )
 
 SL = parse_selector("sl")
@@ -58,7 +58,7 @@ def test_factorize_without_entry_part():
 
 def test_factorize_convex_state():
     ca = parse_selector("ca")
-    beta = {"x": mval_ca(ca, {("a", State("x")): Fraction(1, 2),
+    beta = {"x": ca.theory.value({("a", State("x")): Fraction(1, 2),
                               ("b", TICK): Fraction(1, 2)})}
     sys_ = System(ca, ("x",), beta)
     lab = Labelling(frozenset({("x", "a", "x")}))
@@ -135,7 +135,7 @@ def test_one_state_loop_solution():
 
 def test_one_state_convex_solution():
     ca = parse_selector("ca")
-    beta = {"x": mval_ca(ca, {("a", State("x")): Fraction(1, 2),
+    beta = {"x": ca.theory.value({("a", State("x")): Fraction(1, 2),
                               ("b", TICK): Fraction(1, 2)})}
     sys_ = System(ca, ("x",), beta)
     lab = Labelling(frozenset({("x", "a", "x")}))
@@ -261,7 +261,9 @@ def test_roundtrip_reads_rows_and_the_labelling_once(monkeypatch):
     # `System.beta` does per state), and the labelling is read once, not
     # once per state
     built = []
-    monkeypatch.setattr(semantics, "row_value",
+    theory_type = type(SL.theory)
+    row_value = theory_type.row_value
+    monkeypatch.setattr(theory_type, "row_value",
                         lambda *args: built.append(args) or row_value(*args))
     labelled = []
 

@@ -11,7 +11,7 @@ from starexpr.syntax import (
     Act, Seq, Star, TOp, compute_U, parse, print_expr, star_height,
 )
 from starexpr.theory import (
-    BAnd, BTest, ChoiceSym, PLUS, SOp, SVar, SZERO, guard_sym, parse_selector,
+    BAnd, BTest, ChoiceSym, PLUS, SOp, SVar, SZERO, parse_selector,
 )
 
 
@@ -153,7 +153,7 @@ def test_print_shared_node_parenthesized_per_parent():
 
 def test_print_renders_a_shared_guard_once(monkeypatch):
     ga = parse_selector("ga:tests=p,q")
-    e = TOp(guard_sym(ga, BAnd(BTest("p"), BTest("q"))), (Act("a"), Act("b")))
+    e = TOp(ga.theory.guard_sym(BAnd(BTest("p"), BTest("q"))), (Act("a"), Act("b")))
     for _ in range(16):
         e = Seq(e, e)
     calls = 0
@@ -171,12 +171,12 @@ def test_print_renders_a_shared_guard_once(monkeypatch):
 
 
 def test_parse_builds_one_guard_symbol_per_written_guard(monkeypatch):
-    import starexpr.syntax as syntax
-
     ga = parse_selector("ga:tests=p,q")
     calls = []
-    monkeypatch.setattr(syntax, "guard_sym",
-                        lambda cfg, b: calls.append(b) or guard_sym(cfg, b))
+    guarded = type(ga.theory)
+    guard_sym = guarded.guard_sym
+    monkeypatch.setattr(guarded, "guard_sym",
+                        lambda theory, b: calls.append(b) or guard_sym(theory, b))
     text = "((a +[p & q] b) +[!!p] (a +[p & q] c)) *{u +[p & q] (v +[p] 0)} (a +[p] b)"
     e = parse(text, ga)
     # one symbol per distinct written guard; equal guards written

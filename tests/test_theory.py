@@ -10,10 +10,9 @@ from starexpr import gen
 from starexpr.errors import LimitExceededError, TheoryMismatchError, UnboundVariableError
 from starexpr.theory import (
     BAnd, BNot, BOr, BTest, BTrue, ChoiceSym, GuardSym, OPLUS, PLUS, SEMIRINGS, SOp, SVar,
-    SZERO, ScaleSym, TheoryConfig, atoms_expr, bool_text, element_sort_key, eta,
-    eval_term, flat_rows, guard_sym, mval_ca, mval_ga, mval_gc, mval_sl, mval_smod, mval_map,
-    parse_rational, parse_selector, reify, relabel_row, row_signer, row_value, split, supp,
-    term_variables, weight_key, zero_mval,
+    SZERO, ScaleSym, TheoryConfig, element_sort_key, eta, eval_term, mval_map,
+    parse_rational, parse_selector, rand_prob, reify, split, supp, term_variables, weight_key,
+    zero_mval,
 )
 
 
@@ -36,7 +35,9 @@ def test_atoms_enumerate_all_assignments():
 
 
 def test_bad_selectors_rejected():
-    for text in ["xyz", "sl:tests=p", "smod", "smod:float", "ca:tests=p"]:
+    # a test named true or false would print as the guard constant
+    for text in ["xyz", "sl:tests=p", "smod", "smod:float", "ca:tests=p", "ga:tests=true",
+                 "gc:tests=p,false"]:
         with pytest.raises(ValueError):
             parse_selector(text)
 
@@ -95,41 +96,41 @@ def test_semiring_laws_on_random_elements(rng):
 
 def test_eta_shapes():
     sl = parse_selector("sl")
-    assert eta(sl, "x") == mval_sl(sl, ["x"])
+    assert eta(sl, "x") == sl.theory.value(["x"])
     ca = parse_selector("ca")
-    assert eta(ca, "x") == mval_ca(ca, {"x": Fraction(1)})
+    assert eta(ca, "x") == ca.theory.value({"x": Fraction(1)})
     ga = parse_selector("ga:tests=t")
-    assert eta(ga, "x") == mval_ga(ga, ("x", "x"))
+    assert eta(ga, "x") == ga.theory.value(("x", "x"))
 
 
 def test_eval_sl_union():
     sl = parse_selector("sl")
     t = SOp(PLUS, (SVar("u"), SVar("v")))
-    got = eval_term(sl, t, {"u": mval_sl(sl, ["x"]), "v": mval_sl(sl, ["y"])})
-    assert got == mval_sl(sl, ["x", "y"])
+    got = eval_term(sl, t, {"u": sl.theory.value(["x"]), "v": sl.theory.value(["y"])})
+    assert got == sl.theory.value(["x", "y"])
 
 
 def test_eval_ca_convex_combination():
     ca = parse_selector("ca")
     t = SOp(ChoiceSym(Fraction(1, 2)), (SVar("u"), SVar("v")))
     got = eval_term(ca, t, {"u": eta(ca, "x"), "v": eta(ca, "y")})
-    assert got == mval_ca(ca, {"x": Fraction(1, 2), "y": Fraction(1, 2)})
+    assert got == ca.theory.value({"x": Fraction(1, 2), "y": Fraction(1, 2)})
 
 
 def test_eval_ga_guard_selects_by_atom():
     # oracle: the if-then-else clause applied at each atom by hand;
     # with tests=(t,) the atoms are "0" (t fails) and "1" (t holds)
     ga = parse_selector("ga:tests=t")
-    t = SOp(guard_sym(ga, BTest("t")), (SVar("u"), SVar("v")))
+    t = SOp(ga.theory.guard_sym(BTest("t")), (SVar("u"), SVar("v")))
     got = eval_term(ga, t, {"u": eta(ga, "x"), "v": eta(ga, "y")})
-    assert got == mval_ga(ga, ("y", "x"))
+    assert got == ga.theory.value(("y", "x"))
 
 
 def test_eval_smod_weighted_sum():
     sm = parse_selector("smod:nat")
     t = SOp(OPLUS, (SOp(ScaleSym(2), (SVar("u"),)), SVar("v")))
     got = eval_term(sm, t, {"u": eta(sm, "x"), "v": eta(sm, "x")})
-    assert got == mval_smod(sm, {"x": 3})
+    assert got == sm.theory.value({"x": 3})
 
 
 def test_eval_errors():
@@ -151,16 +152,10 @@ def test_probability_bounds():
 
 def test_guard_symbols_compare_by_atom_semantics():
     ga = parse_selector("ga:tests=p,q")
-    lhs = guard_sym(ga, BTest("p"))
-    rhs = guard_sym(ga, BNot(BNot(BTest("p"))))
+    lhs = ga.theory.guard_sym(BTest("p"))
+    rhs = ga.theory.guard_sym(BNot(BNot(BTest("p"))))
     assert lhs == rhs and hash(lhs) == hash(rhs)
-    assert lhs != guard_sym(ga, BAnd(BTest("p"), BTest("q")))
-
-
-def test_atoms_expr_reads_an_iterator_once():
-    ga = parse_selector("ga:tests=p,q")
-    assert bool_text(atoms_expr(ga, (a for a in ["01", "10"]))) == "!p & q | p & !q"
-    assert bool_text(atoms_expr(ga, [])) == "false"
+    assert lhs != ga.theory.guard_sym(BAnd(BTest("p"), BTest("q")))
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +164,21 @@ def test_atoms_expr_reads_an_iterator_once():
 
 def test_map_examples():
     sl = parse_selector("sl")
-    merged = mval_map(lambda e: "z", mval_sl(sl, ["x", "y"]))
-    assert merged == mval_sl(sl, ["z"])
+    merged = mval_map(lambda e: "z", sl.theory.value(["x", "y"]))
+    assert merged == sl.theory.value(["z"])
     ca = parse_selector("ca")
-    m = mval_ca(ca, {"x": Fraction(1, 2), "y": Fraction(1, 4)})
-    assert mval_map(lambda e: "z", m) == mval_ca(ca, {"z": Fraction(3, 4)})
+    m = ca.theory.value({"x": Fraction(1, 2), "y": Fraction(1, 4)})
+    assert mval_map(lambda e: "z", m) == ca.theory.value({"z": Fraction(3, 4)})
     sm = parse_selector("smod:nat")
-    m = mval_smod(sm, {"x": 2, "y": 3})
-    assert mval_map(lambda e: "z", m) == mval_smod(sm, {"z": 5})
+    m = sm.theory.value({"x": 2, "y": 3})
+    assert mval_map(lambda e: "z", m) == sm.theory.value({"z": 5})
 
 
 def test_supp_examples():
     ca = parse_selector("ca")
-    assert supp(mval_ca(ca, {"x": Fraction(1, 2), "y": Fraction(1, 4)})) == {"x", "y"}
+    assert supp(ca.theory.value({"x": Fraction(1, 2), "y": Fraction(1, 4)})) == {"x", "y"}
     ga = parse_selector("ga:tests=t")
-    assert supp(mval_ga(ga, ("x", None))) == {"x"}
+    assert supp(ga.theory.value(("x", None))) == {"x"}
 
 
 def test_supp_of_unit(cfg):
@@ -196,14 +191,14 @@ def test_supp_of_unit(cfg):
 
 def test_reify_sl_is_ordered_sum():
     sl = parse_selector("sl")
-    t = reify(mval_sl(sl, ["y", "x"]))
+    t = reify(sl.theory.value(["y", "x"]))
     assert t == SOp(PLUS, (SVar("x"), SVar("y")))
-    assert reify(mval_sl(sl, [])) == SZERO
+    assert reify(sl.theory.value([])) == SZERO
 
 
 def test_reify_ca_conditional_chain():
     ca = parse_selector("ca")
-    m = mval_ca(ca, {"x": Fraction(1, 2), "y": Fraction(1, 4)})
+    m = ca.theory.value({"x": Fraction(1, 2), "y": Fraction(1, 4)})
     t = reify(m)
     inner = SOp(ChoiceSym(Fraction(2, 3)), (SVar("x"), SVar("y")))
     assert t == SOp(ChoiceSym(Fraction(3, 4)), (inner, SZERO))
@@ -213,7 +208,7 @@ def test_reify_ca_conditional_chain():
 def test_reify_round_trip_random(cfg, rng):
     for i in range(300):
         universe = [f"x{j}" for j in range(1 + i % 4)]
-        m = gen.rand_mval(rng, cfg, universe)
+        m = cfg.theory.rand_value(rng, universe)
         assert term_variables(reify(m)) <= supp(m)
         assert eval_term(cfg, reify(m), ident_env(cfg, m)) == m
 
@@ -224,17 +219,17 @@ def test_reify_round_trip_random(cfg, rng):
 
 def test_split_sl_example():
     sl = parse_selector("sl")
-    m = mval_sl(sl, ["ax", "bt"])
+    m = sl.theory.value(["ax", "bt"])
     s, t1, t2 = split(m, lambda e: e == "ax")
     assert s == SOp(PLUS, (SVar("u"), SVar("v")))
     assert t1 == SVar("ax") and t2 == SVar("bt")
-    s, t1, t2 = split(mval_sl(sl, ["bt"]), lambda e: False)
+    s, t1, t2 = split(sl.theory.value(["bt"]), lambda e: False)
     assert t1 == SZERO and t2 == SVar("bt")
 
 
 def test_split_ca_example():
     ca = parse_selector("ca")
-    m = mval_ca(ca, {"ax": Fraction(1, 2), "by": Fraction(1, 4)})
+    m = ca.theory.value({"ax": Fraction(1, 2), "by": Fraction(1, 4)})
     s, t1, t2 = split(m, lambda e: e == "ax")
     inner = SOp(ChoiceSym(Fraction(2, 3)), (SVar("u"), SVar("v")))
     assert s == SOp(ChoiceSym(Fraction(3, 4)), (inner, SZERO))
@@ -250,10 +245,10 @@ def test_zero_test_guarded_algebra():
     assert ga0.atoms == ("",)
     assert parse_selector(ga0.selector()) == ga0
     from starexpr.theory import BTrue
-    t = SOp(guard_sym(ga0, BTrue()), (SVar("u"), SVar("v")))
+    t = SOp(ga0.theory.guard_sym(BTrue()), (SVar("u"), SVar("v")))
     got = eval_term(ga0, t, {"u": eta(ga0, "x"), "v": eta(ga0, "y")})
     assert got == eta(ga0, "x")
-    m = mval_ga(ga0, ("y",))
+    m = ga0.theory.value(("y",))
     assert eval_term(ga0, reify(m), {"y": eta(ga0, "y")}) == m
 
 
@@ -263,7 +258,7 @@ def test_split_identity_two_test_guarded_convex_and_rationals(rng):
         other = parse_selector(sel)
         for i in range(150):
             universe = [f"x{j}" for j in range(1 + i % 4)]
-            m = gen.rand_mval(rng, other, universe)
+            m = other.theory.rand_value(rng, universe)
             left = frozenset(e for e in universe if rng.random() < 0.5)
             s, t1, t2 = split(m, lambda e: e in left)
             env = ident_env(other, m)
@@ -276,7 +271,7 @@ def test_split_identity_two_test_guarded_convex_and_rationals(rng):
 def test_split_identity_random(cfg, rng):
     for i in range(400):
         universe = [f"x{j}" for j in range(1 + i % 5)]
-        m = gen.rand_mval(rng, cfg, universe)
+        m = cfg.theory.rand_value(rng, universe)
         left = frozenset(e for e in universe if rng.random() < 0.5)
         s, t1, t2 = split(m, lambda e: e in left)
         assert term_variables(s) <= {"u", "v"}
@@ -296,7 +291,7 @@ def test_functoriality(cfg, rng):
     f = {f"x{j}": f"y{j % 2}" for j in range(4)}
     g = {"y0": "z", "y1": "w"}
     for _ in range(150):
-        m = gen.rand_mval(rng, cfg, list(f))
+        m = cfg.theory.rand_value(rng, list(f))
         assert mval_map(lambda e: e, m) == m
         assert mval_map(lambda e: g[f[e]], m) == \
             mval_map(lambda e: g[e], mval_map(lambda e: f[e], m))
@@ -305,7 +300,7 @@ def test_functoriality(cfg, rng):
 def test_support_naturality(cfg, rng):
     f = {f"x{j}": f"y{j % 2}" for j in range(4)}
     for _ in range(150):
-        m = gen.rand_mval(rng, cfg, list(f))
+        m = cfg.theory.rand_value(rng, list(f))
         assert supp(mval_map(lambda e: f[e], m)) == {f[e] for e in supp(m)}
 
 
@@ -331,10 +326,10 @@ def _axiom_instances(cfg, rng):
             ("assoc", SOp(PLUS, (x, SOp(PLUS, (y, z)))), SOp(PLUS, (SOp(PLUS, (x, y)), z))),
         ]
     if kind in ("ga", "gc"):
-        b = guard_sym(cfg, gen.rand_bool_expr(rng, cfg))
-        c = guard_sym(cfg, gen.rand_bool_expr(rng, cfg))
-        negb = guard_sym(cfg, BNot(b.expr))
-        bandc = guard_sym(cfg, BAnd(b.expr, c.expr))
+        b = cfg.theory.guard_sym(cfg.theory.rand_guard(rng))
+        c = cfg.theory.guard_sym(cfg.theory.rand_guard(rng))
+        negb = cfg.theory.guard_sym(BNot(b.expr))
+        bandc = cfg.theory.guard_sym(BAnd(b.expr, c.expr))
         out += [
             ("guard-idem", SOp(b, (x, x)), x),
             ("guard-skew", SOp(b, (x, y)), SOp(negb, (y, x))),
@@ -342,7 +337,7 @@ def _axiom_instances(cfg, rng):
              SOp(bandc, (x, SOp(c, (y, z))))),
         ]
     if kind in ("ca", "gc"):
-        p, q = gen.rand_prob(rng), gen.rand_prob(rng)
+        p, q = rand_prob(rng), rand_prob(rng)
         one = ChoiceSym(Fraction(1))
         out += [
             ("choice-one", SOp(one, (x, y)), x),
@@ -358,8 +353,8 @@ def _axiom_instances(cfg, rng):
                 SOp(ChoiceSym(p * q), (x, SOp(ChoiceSym(r), (y, z)))),
             ))
     if kind == "gc":
-        p = gen.rand_prob(rng)
-        b = guard_sym(cfg, gen.rand_bool_expr(rng, cfg))
+        p = rand_prob(rng)
+        b = cfg.theory.guard_sym(cfg.theory.rand_guard(rng))
         lhs = SOp(ChoiceSym(p), (x, SOp(b, (y, z))))
         rhs = SOp(b, (SOp(ChoiceSym(p), (x, y)), SOp(ChoiceSym(p), (x, z))))
         out.append(("guard-choice-dist", lhs, rhs))
@@ -387,7 +382,7 @@ def _axiom_instances(cfg, rng):
 def test_theory_axioms_hold_in_normal_forms(cfg, rng):
     universe = ["e0", "e1", "e2"]
     for _ in range(150):
-        env = {n: gen.rand_mval(rng, cfg, universe) for n in ("x", "y", "z")}
+        env = {n: cfg.theory.rand_value(rng, universe) for n in ("x", "y", "z")}
         for name, lhs, rhs in _axiom_instances(cfg, rng):
             assert eval_term(cfg, lhs, env) == eval_term(cfg, rhs, env), name
 
@@ -449,7 +444,7 @@ def _check_reify_and_splits(cfg, m):
 def test_ga_reify_and_split_on_every_value_of_three_tests():
     cfg = parse_selector("ga:tests=p,q,r")
     for data in itertools.product((None, "x", "y"), repeat=len(cfg.atoms)):
-        _check_reify_and_splits(cfg, mval_ga(cfg, data))
+        _check_reify_and_splits(cfg, cfg.theory.value(data))
 
 
 def test_gc_reify_and_split_on_every_value_of_two_tests():
@@ -457,7 +452,7 @@ def test_gc_reify_and_split_on_every_value_of_two_tests():
     dists = [{}, {"x": Fraction(1)}, {"y": Fraction(1, 2)},
              {"x": Fraction(1, 2), "y": Fraction(1, 2)}, {"x": Fraction(1, 3), "y": Fraction(1, 3)}]
     for per_atom in itertools.product(dists, repeat=len(cfg.atoms)):
-        _check_reify_and_splits(cfg, mval_gc(cfg, per_atom))
+        _check_reify_and_splits(cfg, cfg.theory.value(per_atom))
 
 
 @pytest.mark.parametrize("selector", ["ga:tests=", "ga:tests=p", "ga:tests=p,q",
@@ -468,7 +463,7 @@ def test_units_reify_to_their_variable(selector, rng):
     s, t1, t2 = split(eta(cfg, "x"), lambda e: True)
     assert (t1, t2) == (SVar("x"), SZERO) and "v" not in term_variables(s)
     for _ in range(50):
-        _check_reify_and_splits(cfg, gen.rand_mval(rng, cfg, ["x", "y", "z"]))
+        _check_reify_and_splits(cfg, cfg.theory.rand_value(rng, ["x", "y", "z"]))
 
 
 def test_decision_tree_size_follows_the_tests_it_reads():
@@ -477,9 +472,9 @@ def test_decision_tree_size_follows_the_tests_it_reads():
     for n in (1, 4, 8, 12):
         cfg = parse_selector("ga:tests=" + ",".join(f"t{i}" for i in range(n)))
         half = len(cfg.atoms) // 2
-        m = mval_ga(cfg, ["x"] * half + ["y"] * half)
+        m = cfg.theory.value(["x"] * half + ["y"] * half)
         t = reify(m)
-        assert t == SOp(guard_sym(cfg, BTest("t0")), (SVar("y"), SVar("x")))
+        assert t == SOp(cfg.theory.guard_sym(BTest("t0")), (SVar("y"), SVar("x")))
         s, t1, t2 = split(m, lambda e: e == "x")
         assert (s, t1, t2) == (
             SOp(t.sym, (SVar("v"), SVar("u"))),
@@ -510,12 +505,6 @@ def _guarded_configs():
             yield parse_selector(f"{kind}:tests=" + ",".join(f"t{i}" for i in range(n)))
 
 
-def _value(cfg, per_atom):
-    """The value of per-atom branches: elements or None (``ga``), or
-    {element: mass} dicts (``gc``)."""
-    return (mval_ga if cfg.kind == "ga" else mval_gc)(cfg, per_atom)
-
-
 def _branch_key(cfg, branch):
     return branch if cfg.kind == "ga" else frozenset(branch.items())
 
@@ -534,7 +523,7 @@ def _rand_per_atom(rng, cfg, universe):
                            for _ in range(3)]
     if rng.random() < 0.5:
         return [rng.choice(branches) for _ in cfg.atoms]
-    g1, g2 = gen.rand_bool_expr(rng, cfg), gen.rand_bool_expr(rng, cfg)
+    g1, g2 = cfg.theory.rand_guard(rng), cfg.theory.rand_guard(rng)
     return [branches[2 * _holds(g1, a, cfg.tests) + _holds(g2, a, cfg.tests)]
             for a in cfg.atoms]
 
@@ -561,51 +550,51 @@ def test_guarded_partitions_agree_with_per_atom_values(rng):
     labels = block + [-1]
     for cfg in _guarded_configs():
         n_atoms = len(cfg.atoms)
-        sign = row_signer(cfg)
+        sign = cfg.theory.sign
         for _ in range(4 if len(cfg.tests) == 12 else 30):
             left = _rand_per_atom(rng, cfg, pairs)
             right = _rand_per_atom(rng, cfg, pairs)
-            m, other = _value(cfg, left), _value(cfg, right)
+            m, other = cfg.theory.value(left), cfg.theory.value(right)
             _check_partition_size(cfg, m, left)
             # units and zero
             unit = ("a", 0) if cfg.kind == "ga" else {("a", 0): Fraction(1)}
-            assert eta(cfg, ("a", 0)) == _value(cfg, [unit] * n_atoms)
-            assert zero_mval(cfg) == _value(cfg, [_zero(cfg)] * n_atoms)
+            assert eta(cfg, ("a", 0)) == cfg.theory.value([unit] * n_atoms)
+            assert zero_mval(cfg) == cfg.theory.value([_zero(cfg)] * n_atoms)
             assert len(eta(cfg, ("a", 0)).data) == 1 and not zero_mval(cfg).data
             # a guard picks its left branch where it holds
-            b = gen.rand_bool_expr(rng, cfg)
+            b = cfg.theory.rand_guard(rng)
             env = {"u": m, "v": other}
-            got = eval_term(cfg, SOp(guard_sym(cfg, b), (SVar("u"), SVar("v"))), env)
+            got = eval_term(cfg, SOp(cfg.theory.guard_sym(b), (SVar("u"), SVar("v"))), env)
             want = [x if _holds(b, a, cfg.tests) else y
                     for a, x, y in zip(cfg.atoms, left, right)]
-            assert got == _value(cfg, want)
+            assert got == cfg.theory.value(want)
             _check_partition_size(cfg, got, want)
             # convex choice atom by atom
             if cfg.kind == "gc":
-                p = gen.rand_prob(rng)
+                p = rand_prob(rng)
                 got = eval_term(cfg, SOp(ChoiceSym(p), (SVar("u"), SVar("v"))), env)
                 want = [{e: p * x.get(e, 0) + (1 - p) * y.get(e, 0) for e in {*x, *y}}
                         for x, y in zip(left, right)]
-                assert got == _value(cfg, want)
+                assert got == cfg.theory.value(want)
                 _check_partition_size(cfg, got, [{e: w for e, w in d.items() if w} for d in want])
             # relabelling merges branches that become equal
             f = lambda e: (e[0], block[e[1]])  # noqa: E731
             want = [_map_branch(cfg, f, x) for x in left]
-            assert mval_map(f, m) == _value(cfg, want)
+            assert mval_map(f, m) == cfg.theory.value(want)
             _check_partition_size(cfg, mval_map(f, m), want)
             # support
             elems = {e for x in left if x for e in ((x,) if cfg.kind == "ga" else x)}
             assert supp(m) == elems
             # rows stand for their values, and relabel and sign as mval_map does
-            (row,) = flat_rows(cfg, [m], lambda t: t)
-            assert row_value(cfg, row, list(range(6))) == m
-            assert row_value(cfg, relabel_row(cfg, row, labels), list(range(3))) == \
+            (row,) = cfg.theory.flat_rows([m], lambda t: t)
+            assert cfg.theory.row_value(row, list(range(6))) == m
+            assert cfg.theory.row_value(cfg.theory.relabel_row(row, labels), list(range(3))) == \
                 mval_map(f, m)
             # the same value with each target moved within its block, per atom
             moved = [_map_branch(cfg, lambda e: (e[0], e[1] ^ rng.randint(0, 1)), x)
                      for x in left]
-            (row2,) = flat_rows(cfg, [_value(cfg, moved)], lambda t: t)
-            (row3,) = flat_rows(cfg, [other], lambda t: t)
+            (row2,) = cfg.theory.flat_rows([cfg.theory.value(moved)], lambda t: t)
+            (row3,) = cfg.theory.flat_rows([other], lambda t: t)
             assert sign(row, labels) == sign(row2, labels)
             assert (sign(row, labels) == sign(row3, labels)) == \
                 (mval_map(f, m) == mval_map(f, other))
@@ -614,6 +603,6 @@ def test_guarded_partitions_agree_with_per_atom_values(rng):
 def test_guard_masks_agree_with_per_atom_evaluation(rng):
     for cfg in _guarded_configs():
         for _ in range(20):
-            b = gen.rand_bool_expr(rng, cfg, depth=3)
+            b = cfg.theory.rand_guard(rng, depth=3)
             want = sum(1 << i for i, a in enumerate(cfg.atoms) if _holds(b, a, cfg.tests))
-            assert guard_sym(cfg, b).mask == want
+            assert cfg.theory.guard_sym(b).mask == want
