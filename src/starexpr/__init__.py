@@ -24,7 +24,7 @@ from .layering import (
     syntactic_labelling,
 )
 from .solve import (
-    canonical_solution, check_solution, factorize, roundtrip, simplify, tau,
+    canonical_solution, check_solution, factorize, roundtrip, tau,
 )
 
 __version__ = "0.1.0"

@@ -12,17 +12,18 @@ decides provable equivalence of expressions.
 from __future__ import annotations
 
 from .errors import LimitExceededError, TheoryMismatchError
-from .semantics import System, TICK, reachable_from
+from .semantics import State, System, TICK, reachable_from
 from .syntax import Expr
-from .theory import TheoryConfig, mval_map
+from .theory import MVal, TheoryConfig, mval_map
 
 Partition = dict[str, int]
 
 BRUTE_STATE_BOUND = 8
 
 
-def _mapped_value(sys: System, x: str, block: Partition):
-    """beta(x) with state targets collapsed to their block ids."""
+def _mapped_value(value: MVal, block: Partition) -> MVal:
+    """A value over (action, State | TICK) pairs with state targets
+    collapsed to their block ids."""
 
     def relabel(pair):
         action, tgt = pair
@@ -30,7 +31,7 @@ def _mapped_value(sys: System, x: str, block: Partition):
             return (action, TICK)
         return (action, block[tgt.sid])
 
-    return mval_map(relabel, sys.beta[x])
+    return mval_map(relabel, value)
 
 
 def _dense(sys: System, block: list[int]) -> Partition:
@@ -129,10 +130,10 @@ def _partitions(items: list[str]):
     yield from rec(0, 0)
 
 
-def _consistent(sys: System, block: Partition) -> bool:
+def _consistent(sys: System, values: list[MVal], block: Partition) -> bool:
     seen: dict[int, object] = {}
-    for x in sys.states:
-        val = _mapped_value(sys, x, block)
+    for x, value in zip(sys.states, values):
+        val = _mapped_value(value, block)
         b = block[x]
         if b in seen:
             if seen[b] != val:
@@ -163,7 +164,9 @@ def brute_bisim(sys: System) -> Partition:
         raise LimitExceededError(
             f"brute-force oracle is limited to {BRUTE_STATE_BOUND} states")
     states = list(sys.states)
-    good = [p for p in _partitions(states) if _consistent(sys, p)]
+    targets = [State(x) for x in states] + [TICK]
+    values = [sys.cfg.theory.row_value(row, targets) for row in sys.rows]
+    good = [p for p in _partitions(states) if _consistent(sys, values, p)]
     good.sort(key=lambda p: len(set(p.values())))
     for cand in good:
         if all(_coarser_eq(cand, other, states) for other in good):

@@ -12,23 +12,17 @@ import json
 import random
 import sys as _sys
 
-from . import gen
-from .bisim import brute_bisim, decide_equiv, minimize, refine
-from .errors import (
-    DocumentError, LayeringError, LimitExceededError, ParseError, StarexprError,
-)
+from . import props
+from .bisim import decide_equiv, minimize
+from .errors import DocumentError, LayeringError, LimitExceededError, StarexprError
 from .layering import (
     check_well_layered, labelling_doc, labelling_from_doc,
     search_labelling, syntactic_labelling,
 )
-from .semantics import (
-    System, export_dot, export_system, load_system, reachable, step, step_doc,
-)
-from .solve import canonical_solution, roundtrip, sterm_to_expr
-from .syntax import Seq, Star, compute_U, parse, print_expr
-from .theory import (
-    TheoryConfig, eta, eval_term, mval_map, parse_selector, reify, split, supp,
-)
+from .semantics import export_dot, export_system, load_system, reachable, step, step_doc
+from .solve import canonical_solution, roundtrip
+from .syntax import parse, print_expr
+from .theory import TheoryConfig, parse_selector
 
 USAGE_EXIT, VERDICT_EXIT, BOUND_EXIT, INTERNAL_EXIT = 2, 1, 3, 4
 
@@ -63,10 +57,6 @@ def _read_doc(path: str):
 
 def _emit(doc):
     print(json.dumps(doc, indent=2, ensure_ascii=False))
-
-
-def _load_system_arg(args) -> System:
-    return load_system(_read_doc(args.document))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +99,7 @@ def _cmd_equiv(args):
 
 
 def _cmd_minimize(args):
-    sys_ = _load_system_arg(args)
+    sys_ = load_system(_read_doc(args.document))
     msys, h = minimize(sys_)
     _emit({"system": export_system(msys), "h": {x: h[x] for x in sys_.states}})
     return 0
@@ -181,136 +171,26 @@ def _cmd_roundtrip(args):
 # fuzzing
 
 
-def _sizes(count: int, size: int):
-    """Ascending budgets, so the first failure is a small case."""
-    return [1 + (i * size) // max(count, 1) for i in range(count)]
-
-
-class _FuzzFailure(Exception):
-    def __init__(self, prop, case, detail):
-        super().__init__(prop)
-        self.prop = prop
-        self.case = case
-        self.detail = detail
-
-
-def _elements(i):
-    return [f"x{j}" for j in range(i)]
-
-
-def _prop_print_parse(rng, cfg, count, size):
-    for budget in _sizes(count, size):
-        e = gen.rand_expr(rng, cfg, budget)
-        text = print_expr(e)
-        back = parse(text, cfg)
-        if back != e:
-            raise _FuzzFailure("print-parse", text, f"reparsed to {print_expr(back)}")
-
-
-def _prop_values(rng, cfg, count, size):
-    """reify round-trip, split identity, functoriality, support naturality."""
-    for budget in _sizes(count, size):
-        universe = _elements(2 + budget % 4)
-        m = cfg.theory.rand_value(rng, universe)
-        ident = {e: eta(cfg, e) for e in supp(m)}
-        case = repr(m)
-        if eval_term(cfg, reify(m), ident) != m:
-            raise _FuzzFailure("reify-eval", case, "reify does not evaluate back")
-        chosen = frozenset(e for e in universe if rng.random() < 0.5)
-        s, t1, t2 = split(m, lambda e: e in chosen)
-        composed = eval_term(cfg, s, {
-            "u": eval_term(cfg, t1, ident), "v": eval_term(cfg, t2, ident)})
-        if composed != m:
-            raise _FuzzFailure("split-identity", case, f"partition {sorted(chosen)}")
-        swap = {e: (e[::-1] if rng.random() < 0.5 else e) for e in universe}
-        mapped = mval_map(lambda e: swap[e], m)
-        if supp(mapped) != frozenset(swap[e] for e in supp(m)):
-            raise _FuzzFailure("support-naturality", case, "supp does not commute with map")
-        if mval_map(lambda e: e, m) != m:
-            raise _FuzzFailure("functoriality", case, "identity map changed the value")
-
-
-def _prop_axiom_schemas(rng, cfg, count, size):
-    for budget in _sizes(count, size):
-        e = gen.rand_expr(rng, cfg, budget)
-        f = gen.rand_expr(rng, cfg, max(1, budget - 1))
-        g = gen.rand_expr(rng, cfg, max(1, budget // 2))
-        s = gen.rand_loop_term(rng, cfg)
-        pairs = [
-            ("assoc", Seq(e, Seq(f, g)), Seq(Seq(e, f), g)),
-            ("unroll", Star(e, s, f),
-             sterm_to_expr(s, {"u": Seq(e, Star(e, s, f)), "v": f})),
-            ("star-dist", Seq(Star(e, s, f), g), Star(e, s, Seq(f, g))),
-        ]
-        t = gen.rand_term(rng, cfg, ("m", "n"), 2)
-        inst = {"m": e, "n": g}
-        pairs.append(("dist-seq",
-                      Seq(sterm_to_expr(t, inst), f),
-                      sterm_to_expr(t, {k: Seq(v, f) for k, v in inst.items()})))
-        teq = gen.rand_term(rng, cfg, ("m", "n"), 3)
-        seq_term = reify(eval_term(cfg, teq, {"m": eta(cfg, "m"), "n": eta(cfg, "n")}))
-        pairs.append(("theory-eq",
-                      sterm_to_expr(teq, inst), sterm_to_expr(seq_term, inst)))
-        for name, lhs, rhs in pairs:
-            if not decide_equiv(cfg, lhs, rhs):
-                raise _FuzzFailure(name, print_expr(lhs), f"vs {print_expr(rhs)}")
-
-
-def _prop_oracle(rng, cfg, count, size):
-    del size
-    for _ in range(count):
-        sys_ = gen.rand_system(rng, cfg, rng.randint(1, 5))
-        if refine(sys_) != brute_bisim(sys_):
-            raise _FuzzFailure("refine-vs-brute", json.dumps(export_system(sys_)),
-                               "partitions differ")
-
-
-def _prop_layering(rng, cfg, count, size):
-    for budget in _sizes(count, size):
-        e = gen.rand_expr(rng, cfg, budget)
-        sys_, _ = reachable(cfg, e)
-        lab = syntactic_labelling(cfg, e, sys_)
-        verdict = check_well_layered(sys_, lab)
-        if not verdict.ok:
-            raise _FuzzFailure("syntactic-labelling", print_expr(e), verdict.describe())
-        if len(sys_.states) > len(compute_U(e)):
-            raise _FuzzFailure("reachable-bound", print_expr(e),
-                               f"{len(sys_.states)} states")
-
-
-def _prop_roundtrip(rng, cfg, count, size):
-    for budget in _sizes(count, size):
-        e = gen.rand_expr(rng, cfg, budget)
-        out = roundtrip(cfg, e)
-        if not decide_equiv(cfg, out, e):
-            raise _FuzzFailure("roundtrip", print_expr(e), f"got {print_expr(out)}")
-
-
-_SUITES = [
-    ("print-parse", _prop_print_parse, 1),
-    ("values", _prop_values, 1),
-    ("axiom-schemas", _prop_axiom_schemas, 4),
-    ("refine-vs-brute", _prop_oracle, 4),
-    ("layering", _prop_layering, 2),
-    ("roundtrip", _prop_roundtrip, 4),
-]
-
-
 def _cmd_fuzz(args):
     cfg = _cfg(args)
     failures = 0
-    for name, prop, divisor in _SUITES:
-        count = max(1, args.count // divisor)
-        rng = random.Random(f"{args.seed}:{cfg.selector()}:{name}")
-        try:
-            prop(rng, cfg, count, args.size)
-        except _FuzzFailure as failure:
-            print(f"FAIL {name}: {failure.prop}")
-            print(f"  case: {failure.case}")
-            print(f"  detail: {failure.detail}")
-            failures += 1
-            continue
-        print(f"ok {name} ({count} cases)")
+    for suite in props.SUITES:
+        count = max(1, args.count // suite.divisor)
+        rng = random.Random(f"{args.seed}:{cfg.selector()}:{suite.name}")
+        for i in range(count):  # ascending budgets: the first failure is a small case
+            case = suite.draw(rng, cfg, 1 + (i * args.size) // count)
+            try:
+                failure = suite.check(cfg, case)
+            except StarexprError as exc:
+                failure = props.Failure(type(exc).__name__, str(exc))
+            if failure:
+                print(f"FAIL {suite.name}: {failure.prop}")
+                print(f"  case: {suite.text(case)}")
+                print(f"  detail: {failure.detail}")
+                failures += 1
+                break
+        else:
+            print(f"ok {suite.name} ({count} cases)")
     return VERDICT_EXIT if failures else 0
 
 
@@ -381,12 +261,6 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return USAGE_EXIT
-    except (ParseError, DocumentError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return USAGE_EXIT
     except LimitExceededError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return BOUND_EXIT
@@ -394,7 +268,7 @@ def run(argv=None) -> int:
         print("error: input nests too deeply (recursion limit reached)",
               file=_sys.stderr)
         return BOUND_EXIT
-    except (LayeringError, StarexprError, ValueError) as exc:
+    except (_Usage, StarexprError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return USAGE_EXIT
     except Exception as exc:  # a defect: exit 1 would read as a verdict

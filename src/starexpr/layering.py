@@ -35,9 +35,6 @@ class Labelling:
 
     entry: frozenset[tuple[str, str, str]]
 
-    def entry_pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset((x, y) for x, _, y in self.entry)
-
 
 @dataclass(frozen=True)
 class LayerVerdict:

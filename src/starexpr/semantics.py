@@ -119,9 +119,9 @@ class System:
     States are dense indices into ``states``.  The transition map is stored
     once, as one flat row per state in the layout of the theory's rows,
     with state targets as indices and the tick target as -1; refinement,
-    minimization and the exports read the rows directly.  ``beta`` is a view
-    of the rows as values over (action, State | TICK) pairs, built on first
-    read and cached.
+    minimization and the exports read the rows directly, and the theory's
+    ``row_value`` reads a row back as a value over (action, State | TICK)
+    pairs.
 
     ``exprs`` carries expression provenance when the system was built by
     `reachable`; imported or minimized systems have none.  Treat instances
@@ -149,21 +149,11 @@ class System:
         sys.cfg, sys.states, sys.rows, sys.root, sys.exprs = cfg, states, rows, root, exprs
         return sys
 
-    # The views below are computed on first read; computing one twice gives
-    # equal results, so sharing a system between threads stays safe.
-
-    @cached_property
-    def beta(self) -> dict[str, MVal]:
-        targets = [State(x) for x in self.states] + [TICK]
-        value = self.cfg.theory.row_value
-        return {x: value(row, targets) for x, row in zip(self.states, self.rows)}
-
+    # Computed on first read; computing it twice gives equal results, so
+    # sharing a system between threads stays safe.
     @cached_property
     def index(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.states)}
-
-    def accepts(self, x: str) -> bool:
-        return -1 in self.rows[self.index[x]][1]
 
     def state_transitions(self) -> list[tuple[str, str, str]]:
         """All state-to-state transitions (src, action, dst), canonically

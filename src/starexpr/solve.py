@@ -174,8 +174,9 @@ def canonical_solution(sys: System, lab: Labelling) -> SolutionMap:
 def check_solution(sys: System, phi: SolutionMap) -> bool:
     """Whether phi satisfies every state's unfolding equation, decided
     semantically."""
-    for x in sys.states:
-        t = reify(sys.beta[x])
+    targets = [State(x) for x in sys.states] + [TICK]
+    for x, row in zip(sys.states, sys.rows):
+        t = reify(sys.cfg.theory.row_value(row, targets))
         env = {}
         for pair in term_variables(t):
             action, tgt = pair
@@ -218,49 +219,3 @@ def roundtrip(cfg: TheoryConfig, e: Expr) -> Expr:
             "this contradicts closure under homomorphic images")
     phi = canonical_solution(msys, lab)
     return phi[h[root]]
-
-
-def simplify(e: Expr) -> Expr:
-    """Cosmetic post-pass: a star whose loop term never takes the loop
-    variable unrolls to its exit side.  Justified by the unrolling axiom.
-    The solver's reduced solutions have no such star, so they come back
-    unchanged.
-
-    Iterative, and memoized by node identity: a node shared in the input
-    is simplified once and its result is shared in the output, so the cost
-    follows the expression's DAG, not its tree.  A node whose children come
-    back unchanged is returned itself."""
-    done: dict[int, Expr] = {}
-    stack = [e]
-    while stack:
-        x = stack[-1]
-        if id(x) in done:
-            stack.pop()
-            continue
-        if isinstance(x, TOp):
-            kids = x.args
-        elif isinstance(x, Seq):
-            kids = (x.left, x.right)
-        elif isinstance(x, Star):
-            kids = (x.body, x.exit)
-        else:
-            done[id(x)] = x
-            stack.pop()
-            continue
-        pending = [k for k in kids if id(k) not in done]
-        if pending:
-            stack += pending
-            continue
-        stack.pop()
-        new = tuple(done[id(k)] for k in kids)
-        if isinstance(x, Star) and "u" not in term_variables(x.loop):
-            done[id(x)] = sterm_to_expr(x.loop, {"v": new[1]})
-        elif all(a is b for a, b in zip(new, kids)):
-            done[id(x)] = x
-        elif isinstance(x, TOp):
-            done[id(x)] = TOp(x.sym, new)
-        elif isinstance(x, Seq):
-            done[id(x)] = Seq(*new)
-        else:
-            done[id(x)] = Star(new[0], x.loop, new[1])
-    return done[id(e)]

@@ -622,10 +622,6 @@ def _norm_ca(mapping: Mapping[Element, Fraction]) -> frozenset:
     return frozenset(entries)
 
 
-def zero_mval(cfg: TheoryConfig) -> MVal:
-    return MVal(cfg, _EMPTY)
-
-
 def eta(cfg: TheoryConfig, x: Element) -> MVal:
     """The unit value at a single element."""
     return MVal(cfg, cfg.theory.unit(x))

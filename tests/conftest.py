@@ -61,6 +61,13 @@ def rng() -> random.Random:
     return random.Random(20240817)
 
 
+def state_values(sys_: System) -> dict:
+    """Each state's transition value over (action, State | TICK) pairs, read
+    from its row."""
+    targets = [State(x) for x in sys_.states] + [TICK]
+    return {x: sys_.cfg.theory.row_value(row, targets) for x, row in zip(sys_.states, sys_.rows)}
+
+
 def sl_system(edges, root=None) -> System:
     """Build a nondeterministic system from {state: [(action, 'state' | TICK)]}."""
     cfg = parse_selector("sl")

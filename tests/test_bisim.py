@@ -5,22 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_bisimilar, sl_system
-from starexpr import gen
-from starexpr import bisim
+from conftest import brute_bisimilar, sl_system, state_values
+from starexpr import bisim, gen, props
 from starexpr.bisim import (
     bisimilar, brute_bisim, decide_equiv, disjoint_union, minimize, refine,
 )
 from starexpr.errors import LimitExceededError, TheoryMismatchError
 from starexpr.semantics import (
-    State, System, TICK, export_system, load_system, reachable, step,
+    State, System, TICK, export_system, load_system, reachable,
 )
 from starexpr.solve import roundtrip
-from starexpr.syntax import Seq, Star, parse
-from starexpr.theory import (
-    SEMIRINGS, MVal, Semiring, eta, mval_map, parse_selector,
-    register_semiring, reify, term_variables,
-)
+from starexpr.syntax import parse
+from starexpr.theory import SEMIRINGS, MVal, Semiring, mval_map, parse_selector, register_semiring
 
 SL = parse_selector("sl")
 
@@ -53,16 +49,17 @@ def test_brute_guard():
 def test_refine_equals_brute_on_random_systems(cfg, rng):
     for _ in range(80):
         sys_ = gen.rand_system(rng, cfg, rng.randint(1, 6))
-        assert refine(sys_) == brute_bisim(sys_)
+        assert props.check_oracle(sys_) is None
 
 
 def fixpoint_refine(sys_):
     """Oracle beyond the brute-force bound: re-sign every state each round
     until no block splits; ids in first-occurrence order like `refine`."""
     block = {x: 0 for x in sys_.states}
+    values = state_values(sys_)
     while True:
         ids = {}
-        new = {x: ids.setdefault((block[x], bisim._mapped_value(sys_, x, block)), len(ids))
+        new = {x: ids.setdefault((block[x], bisim._mapped_value(values[x], block)), len(ids))
                for x in sys_.states}
         if len(ids) == len(set(block.values())):
             return new
@@ -182,7 +179,8 @@ def test_refine_compares_weights_across_numeric_types(selector):
         "y": {("b", TICK): True},
         "v": {("b", TICK): Fraction(1)},
     })
-    assert sys_.beta["x"] == sys_.beta["z"]
+    values = state_values(sys_)
+    assert values["x"] == values["z"]
     part = refine(sys_)
     assert part == brute_bisim(sys_) == {"x": 0, "z": 0, "u": 0, "w": 1, "y": 2, "v": 2}
 
@@ -195,9 +193,10 @@ def test_flat_signatures_agree_with_mapped_values(cfg, rng):
         # few blocks, so that pairs meet and their weights add up
         block = {x: rng.randint(0, 2) for x in sys_.states}
         labels = [block[x] for x in sys_.states] + [-1]
+        mapped = {x: bisim._mapped_value(m, block) for x, m in state_values(sys_).items()}
         for x in sys_.states:
             for y in sys_.states:
-                same = bisim._mapped_value(sys_, x, block) == bisim._mapped_value(sys_, y, block)
+                same = mapped[x] == mapped[y]
                 assert (sign(row[x], labels) == sign(row[y], labels)) == same
 
 
@@ -248,8 +247,9 @@ def test_minimize_homomorphism_equation(cfg, rng):
             action, tgt = pair
             return pair if tgt is TICK else (action, State(h[tgt.sid]))
 
+        values, mvalues = state_values(sys_), state_values(msys)
         for x in sys_.states:
-            assert mval_map(relabel, sys_.beta[x]) == msys.beta[h[x]]
+            assert mval_map(relabel, values[x]) == mvalues[h[x]]
         # in the quotient, equivalence is equality
         part = refine(msys)
         assert len(set(part.values())) == len(msys.states)
@@ -274,12 +274,13 @@ def _check_quotient_and_documents(sys_):
         action, tgt = pair
         return pair if tgt is TICK else (action, State(h[tgt.sid]))
 
+    values, mvalues = state_values(sys_), state_values(msys)
     for x in sys_.states:
-        assert msys.beta[h[x]] == mval_map(relabel, sys_.beta[x])
+        assert mvalues[h[x]] == mval_map(relabel, values[x])
     for s in (sys_, msys):
         back = load_system(json.loads(json.dumps(export_system(s))))
         assert [_row_entries(r) for r in back.rows] == [_row_entries(r) for r in s.rows]
-        assert back.beta == s.beta
+        assert state_values(back) == state_values(s)
     return msys, h
 
 
@@ -377,53 +378,22 @@ def test_decide_equiv_on_long_chains_parsed_twice(selector, unit):
 # soundness of the equational schemas
 
 
-def sterm_to_expr(t, env):
-    from starexpr.solve import sterm_to_expr as impl
-    return impl(t, env)
-
-
 def test_schema_soundness(cfg, rng):
     for i in range(40):
         e = gen.rand_expr(rng, cfg, 1 + i % 4)
         f = gen.rand_expr(rng, cfg, 1 + (i + 1) % 4)
         g = gen.rand_expr(rng, cfg, 1 + (i + 2) % 3)
         s = gen.rand_loop_term(rng, cfg)
-        star = Star(e, s, f)
-        # sequencing associativity
-        assert decide_equiv(cfg, Seq(e, Seq(f, g)), Seq(Seq(e, f), g))
-        # unrolling
-        assert decide_equiv(cfg, star, sterm_to_expr(s, {"u": Seq(e, star), "v": f}))
-        # loops distribute over a trailing factor
-        assert decide_equiv(cfg, Seq(star, g), Star(e, s, Seq(f, g)))
-        # branching distributes over a trailing factor
         t = gen.rand_term(rng, cfg, ("m", "n"), 2)
-        lhs = Seq(sterm_to_expr(t, {"m": e, "n": g}), f)
-        rhs = sterm_to_expr(t, {"m": Seq(e, f), "n": Seq(g, f)})
-        assert decide_equiv(cfg, lhs, rhs)
-        # theory-equal terms are interchangeable
         teq = gen.rand_term(rng, cfg, ("m", "n"), 3)
-        nf = reify(eval_term_over_units(cfg, teq))
-        assert decide_equiv(cfg, sterm_to_expr(teq, {"m": e, "n": g}),
-                            sterm_to_expr(nf, {"m": e, "n": g}))
-
-
-def eval_term_over_units(cfg, t):
-    from starexpr.theory import eval_term
-    env = {name: eta(cfg, name) for name in term_variables(t)}
-    return eval_term(cfg, t, env)
+        assert props.check_schemas(cfg, (e, f, g, s, t, teq)) is None
 
 
 def test_unfolding_equation(cfg, rng):
     # every expression is equivalent to the reification of its behaviour
     for i in range(30):
         e = gen.rand_expr(rng, cfg, 1 + i % 5)
-        t = reify(step(cfg, e))
-        env = {}
-        for pair in term_variables(t):
-            action, tgt = pair
-            from starexpr.syntax import Act
-            env[pair] = Act(action) if tgt is TICK else Seq(Act(action), tgt)
-        assert decide_equiv(cfg, e, sterm_to_expr(t, env))
+        assert props.check_unfolding(cfg, e) is None
 
 
 # an 11-state probe: eleven guarded loops in sequence, over two tests only

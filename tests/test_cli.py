@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,11 @@ import pytest
 from conftest import (
     BAD_ENTRIES, NOT_RATIONAL_EDGES, bad_entry_doc, loop_chain_doc, sl_chain_doc, weighted_doc,
 )
+from starexpr import gen, props
 from starexpr.cli import run
+from starexpr.errors import LimitExceededError
 from starexpr.semantics import load_system
-from starexpr.syntax import parse
+from starexpr.syntax import parse, print_expr
 from starexpr.theory import parse_selector
 
 
@@ -191,17 +194,44 @@ def test_loop_free_chains_solve_until_printing_nests_too_deeply(tmp_path):
 
 
 def test_fuzz_reports_first_failing_case(capsys, monkeypatch):
-    import starexpr.cli as cli
+    def broken(cfg, e):
+        return props.Failure("always-broken", "forced failure")
 
-    def broken(rng, cfg, count, size):
-        raise cli._FuzzFailure("always-broken", "the-case", "forced failure")
-
-    monkeypatch.setattr(cli, "_SUITES", [("broken", broken, 1)] + cli._SUITES[:1])
+    print_parse = props.SUITES[0]
+    monkeypatch.setattr(props, "SUITES", [print_parse._replace(name="broken", check=broken),
+                                          print_parse])
     code, out, _ = invoke(capsys, "fuzz", "--theory", "sl", "--count", "5")
     assert code == 1
     assert "FAIL broken: always-broken" in out
-    assert "case: the-case" in out
+    assert "detail: forced failure" in out
     assert out.count("ok ") == 1  # remaining suites still run
+
+
+def test_fuzz_reports_a_case_whose_check_raises(capsys, monkeypatch):
+    # a documented error raised while checking a case fails that suite,
+    # names the case and lets the later suites run
+    def bounded(cfg, e):
+        raise LimitExceededError("labelling search is limited to 20 transitions, got 66")
+
+    monkeypatch.setattr(props, "roundtrip", bounded)
+    suites = {suite.name: suite for suite in props.SUITES}
+    monkeypatch.setattr(props, "SUITES", [suites["roundtrip"], suites["print-parse"]])
+    code, out, _ = invoke(capsys, "fuzz", "--theory", "sl", "--count", "4")
+    first = gen.rand_expr(random.Random("0:sl:roundtrip"), parse_selector("sl"), 1)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL roundtrip: LimitExceededError",
+        f"  case: {print_expr(first)}",
+        "  detail: labelling search is limited to 20 transitions, got 66",
+        "ok print-parse (4 cases)",
+    ]
+
+    def too_deep(cfg, e):
+        raise RecursionError
+
+    monkeypatch.setattr(props, "roundtrip", too_deep)
+    code, out, err = invoke(capsys, "fuzz", "--theory", "sl", "--count", "4")
+    assert code == 3 and err.startswith("error: input nests too deeply")
 
 
 def test_fuzz_deterministic(capsys):

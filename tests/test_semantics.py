@@ -9,15 +9,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    BAD_ENTRIES, NOT_RATIONAL_EDGES, RATIONAL_EDGES, bad_entry_doc, sl_system, weighted_doc,
+    BAD_ENTRIES, NOT_RATIONAL_EDGES, RATIONAL_EDGES, bad_entry_doc, sl_system, state_values,
+    weighted_doc,
 )
-from starexpr import gen
+from starexpr import gen, props
 from starexpr.errors import DocumentError
 from starexpr.semantics import (
     State, System, TICK, _pair_key, _step, export_dot, export_system, load_system,
     reachable, step, step_doc,
 )
-from starexpr.syntax import Act, Seq, compute_U, parse, print_expr
+from starexpr.syntax import Act, Seq, parse, print_expr
 from starexpr.theory import (
     SEMIRINGS, SOp, SVar, Semiring, element_sort_key, eta, eval_term, mval_map,
     parse_selector, register_semiring, reify, supp,
@@ -57,13 +58,13 @@ def test_step_degenerate_loop_terms():
 def test_reachable_single_action():
     sys_, root = reachable(SL, Act("a"))
     assert sys_.states == ("s0",)
-    assert sys_.beta[root] == SL.theory.value([("a", TICK)])
+    assert state_values(sys_)[root] == SL.theory.value([("a", TICK)])
 
 
 def test_reachable_star_folds_self_loop():
     sys_, root = reachable(SL, parse("a *{u+v} b", SL))
     assert len(sys_.states) == 1
-    assert sys_.beta[root] == SL.theory.value([("a", State(root)), ("b", TICK)])
+    assert state_values(sys_)[root] == SL.theory.value([("a", State(root)), ("b", TICK)])
 
 
 def test_reachable_two_state_loop():
@@ -79,18 +80,18 @@ def test_reachable_is_subsystem(cfg, rng):
     for i in range(60):
         e = gen.rand_expr(rng, cfg, 1 + i % 8)
         sys_, root = reachable(cfg, e)
+        values = state_values(sys_)
         for x in sys_.states:
             back = mval_map(
                 lambda pair: pair if pair[1] is TICK else (pair[0], sys_.exprs[pair[1].sid]),
-                sys_.beta[x])
+                values[x])
             assert back == step(cfg, sys_.exprs[x])
 
 
 def test_reachable_bounded_by_u(cfg, rng):
     for i in range(80):
         e = gen.rand_expr(rng, cfg, 1 + i % 8)
-        sys_, _ = reachable(cfg, e)
-        assert len(sys_.states) <= len(compute_U(e))
+        assert props.check_layering(cfg, e) is None, print_expr(e)
 
 
 def test_step_term_substitution_agrees_with_relabelling(cfg, rng):
@@ -119,8 +120,9 @@ def test_flat_pair_key_orders_as_element_sort_key(cfg):
     # them: Expr and Tick targets, then State targets
     for e in gen.corpus(cfg, 60, 8, seed=13):
         sys_, _ = reachable(cfg, e)
+        values = state_values(sys_)
         for x in sys_.states:
-            for m in (step(cfg, sys_.exprs[x]), sys_.beta[x]):
+            for m in (step(cfg, sys_.exprs[x]), values[x]):
                 pairs = list(supp(m))
                 assert len({_pair_key(p) for p in pairs}) == len(pairs)
                 assert sorted(pairs, key=_pair_key) == sorted(pairs, key=element_sort_key)
@@ -208,7 +210,7 @@ def test_document_round_trip(cfg, rng):
         back = load_system(doc)
         assert back.cfg == sys_.cfg
         assert back.states == sys_.states
-        assert back.beta == sys_.beta
+        assert state_values(back) == state_values(sys_)
         assert back.root == sys_.root
 
 
@@ -272,7 +274,7 @@ def test_load_rejects_strings_that_are_not_positive_rationals(selector, raw):
 @pytest.mark.parametrize("raw", RATIONAL_EDGES)
 def test_load_reads_rational_weights_as_fraction_does(raw):
     sys_ = load_system(weighted_doc("smod:rat", raw))
-    assert dict(sys_.beta["s0"].data) == {("a", State("s0")): Fraction(raw)}
+    assert dict(state_values(sys_)["s0"].data) == {("a", State("s0")): Fraction(raw)}
 
 
 def test_load_checks_weights_against_the_semiring():
@@ -286,7 +288,7 @@ def test_load_checks_weights_against_the_semiring():
                 "beta": {"s0": [{"w": w, "a": "a", "t": "s0"}]}}
 
     try:
-        assert dict(load_system(doc("4")).beta["s0"].data) == {("a", State("s0")): 4}
+        assert dict(state_values(load_system(doc("4")))["s0"].data) == {("a", State("s0")): 4}
         with pytest.raises(DocumentError, match="not a"):
             load_system(doc("3"))
     finally:
@@ -394,7 +396,7 @@ def test_ga_document_uses_atom_bitstrings():
     assert set(doc["beta"]["s0"]) == {"00", "01", "10", "11"}
     assert doc["beta"]["s0"]["10"] == ["a", "✓"]
     assert doc["beta"]["s0"]["01"] == ["b", "✓"]
-    assert load_system(doc).beta == sys_.beta
+    assert state_values(load_system(doc)) == state_values(sys_)
 
 
 def test_guarded_documents_group_atoms_into_branches():
@@ -412,7 +414,7 @@ def test_guarded_documents_group_atoms_into_branches():
     doc = {"theory": "gc:tests=p", "states": ["s0"], "beta": {"s0": {"0": half, "1": half}}}
     sys_ = load_system(doc)
     assert (sys_.rows[0][0], sys_.rows[0][5]) == (("a",), (0b11,))
-    assert sys_.beta["s0"] == gc.theory.value([{("a", State("s0")): Fraction(1, 2)}] * 2)
+    assert state_values(sys_)["s0"] == gc.theory.value([{("a", State("s0")): Fraction(1, 2)}] * 2)
     assert export_system(sys_)["beta"] == doc["beta"]
 
 
@@ -423,13 +425,13 @@ def test_guarded_documents_group_equal_branches_however_written():
     doc = {"theory": "gc:tests=p", "states": ["s0"], "beta": {"s0": {"0": entries, "1": reordered}}}
     sys_ = load_system(doc)
     dist = frozenset({(("a", State("s0")), Fraction(1, 2)), (("b", TICK), Fraction(1, 4))})
-    assert sys_.beta["s0"].data == {(dist, 0b11)} and len(sys_.rows[0][0]) == 2
+    assert state_values(sys_)["s0"].data == {(dist, 0b11)} and len(sys_.rows[0][0]) == 2
     assert export_system(sys_)["beta"] == {"s0": {"0": entries, "1": entries}}
     # a pair repeated at two atoms is one branch
     doc = {"theory": "ga:tests=p,q", "states": ["s0"], "beta": {"s0": {
         "00": ["a", "s0"], "01": ["b", "✓"], "10": None, "11": ["a", "s0"]}}}
     sys_ = load_system(doc)
-    assert sys_.beta["s0"].data == {(("a", State("s0")), 0b1001), (("b", TICK), 0b0010)}
+    assert state_values(sys_)["s0"].data == {(("a", State("s0")), 0b1001), (("b", TICK), 0b0010)}
     assert len(sys_.rows[0][0]) == 2 and export_system(sys_) == doc
 
 

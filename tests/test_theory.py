@@ -6,13 +6,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import NOT_RATIONAL_EDGES, RATIONAL_EDGES
-from starexpr import gen
+from starexpr import gen, props
 from starexpr.errors import LimitExceededError, TheoryMismatchError, UnboundVariableError
 from starexpr.theory import (
     BAnd, BNot, BOr, BTest, BTrue, ChoiceSym, GuardSym, OPLUS, PLUS, SEMIRINGS, SOp, SVar,
     SZERO, ScaleSym, TheoryConfig, element_sort_key, eta, eval_term, mval_map,
     parse_rational, parse_selector, rand_prob, reify, split, supp, term_variables, weight_key,
-    zero_mval,
 )
 
 
@@ -209,8 +208,7 @@ def test_reify_round_trip_random(cfg, rng):
     for i in range(300):
         universe = [f"x{j}" for j in range(1 + i % 4)]
         m = cfg.theory.rand_value(rng, universe)
-        assert term_variables(reify(m)) <= supp(m)
-        assert eval_term(cfg, reify(m), ident_env(cfg, m)) == m
+        assert props.check_reify(cfg, m) is None
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +258,8 @@ def test_split_identity_two_test_guarded_convex_and_rationals(rng):
             universe = [f"x{j}" for j in range(1 + i % 4)]
             m = other.theory.rand_value(rng, universe)
             left = frozenset(e for e in universe if rng.random() < 0.5)
-            s, t1, t2 = split(m, lambda e: e in left)
-            env = ident_env(other, m)
-            got = eval_term(other, s, {"u": eval_term(other, t1, env),
-                                       "v": eval_term(other, t2, env)})
-            assert got == m
-            assert eval_term(other, reify(m), env) == m
+            assert props.check_split(other, m, left) is None
+            assert props.check_reify(other, m) is None
 
 
 def test_split_identity_random(cfg, rng):
@@ -273,14 +267,7 @@ def test_split_identity_random(cfg, rng):
         universe = [f"x{j}" for j in range(1 + i % 5)]
         m = cfg.theory.rand_value(rng, universe)
         left = frozenset(e for e in universe if rng.random() < 0.5)
-        s, t1, t2 = split(m, lambda e: e in left)
-        assert term_variables(s) <= {"u", "v"}
-        assert term_variables(t1) <= left
-        assert term_variables(t2) <= supp(m) - left
-        env = ident_env(cfg, m)
-        got = eval_term(cfg, s, {"u": eval_term(cfg, t1, env),
-                                 "v": eval_term(cfg, t2, env)})
-        assert got == m
+        assert props.check_split(cfg, m, left) is None
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +279,14 @@ def test_functoriality(cfg, rng):
     g = {"y0": "z", "y1": "w"}
     for _ in range(150):
         m = cfg.theory.rand_value(rng, list(f))
-        assert mval_map(lambda e: e, m) == m
-        assert mval_map(lambda e: g[f[e]], m) == \
-            mval_map(lambda e: g[e], mval_map(lambda e: f[e], m))
+        assert props.check_functoriality(m, f, g) is None
 
 
 def test_support_naturality(cfg, rng):
     f = {f"x{j}": f"y{j % 2}" for j in range(4)}
     for _ in range(150):
         m = cfg.theory.rand_value(rng, list(f))
-        assert supp(mval_map(lambda e: f[e], m)) == {f[e] for e in supp(m)}
+        assert props.check_naturality(m, f) is None
 
 
 def test_support_bounded_by_term_variables(cfg, rng):
@@ -425,20 +410,14 @@ def _left_sets(m):
 
 
 def _check_reify_and_splits(cfg, m):
-    env = {e: eta(cfg, e) for e in supp(m)}
-    t = reify(m)
-    _check_decision_tree(cfg, t)
-    assert eval_term(cfg, t, env) == m
+    _check_decision_tree(cfg, reify(m))
+    assert props.check_reify(cfg, m) is None
     for left in _left_sets(m):
         s, t1, t2 = split(m, lambda e: e in left)
         # ga's parts are reified values, checked where they are enumerated
         for term in (s,) if cfg.kind == "ga" else (s, t1, t2):
             _check_decision_tree(cfg, term)
-        assert term_variables(s) <= {"u", "v"}
-        assert term_variables(t1) <= left and term_variables(t2) <= supp(m) - left
-        got = eval_term(cfg, s, {"u": eval_term(cfg, t1, env),
-                                 "v": eval_term(cfg, t2, env)})
-        assert got == m
+        assert props.check_split(cfg, m, left) is None
 
 
 def test_ga_reify_and_split_on_every_value_of_three_tests():
@@ -559,8 +538,9 @@ def test_guarded_partitions_agree_with_per_atom_values(rng):
             # units and zero
             unit = ("a", 0) if cfg.kind == "ga" else {("a", 0): Fraction(1)}
             assert eta(cfg, ("a", 0)) == cfg.theory.value([unit] * n_atoms)
-            assert zero_mval(cfg) == cfg.theory.value([_zero(cfg)] * n_atoms)
-            assert len(eta(cfg, ("a", 0)).data) == 1 and not zero_mval(cfg).data
+            zero = eval_term(cfg, SZERO, {})
+            assert zero == cfg.theory.value([_zero(cfg)] * n_atoms)
+            assert len(eta(cfg, ("a", 0)).data) == 1 and not zero.data
             # a guard picks its left branch where it holds
             b = cfg.theory.rand_guard(rng)
             env = {"u": m, "v": other}
