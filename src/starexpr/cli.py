@@ -14,7 +14,7 @@ import sys as _sys
 
 from . import props
 from .bisim import decide_equiv, minimize
-from .errors import DocumentError, LayeringError, LimitExceededError, StarexprError
+from .errors import DocumentError, LimitExceededError, StarexprError
 from .layering import (
     check_well_layered, labelling_doc, labelling_from_doc,
     search_labelling, syntactic_labelling,
@@ -144,9 +144,6 @@ def _cmd_solve(args):
     if "labelling" not in doc:
         raise DocumentError("solve needs a system document with a 'labelling'")
     lab = labelling_from_doc(doc["labelling"], sys_)
-    verdict = check_well_layered(sys_, lab)
-    if not verdict.ok:
-        raise LayeringError(f"labelling is not well-layered: {verdict.describe()}")
     phi = canonical_solution(sys_, lab)
     out = export_system(sys_)
     out["labelling"] = labelling_doc(lab)

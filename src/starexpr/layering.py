@@ -130,7 +130,9 @@ def _terminates(cfg, e, cache) -> bool:
 # that traversals and witnesses follow the ids.  It is read once from
 # `System.rows`.  Every pass below is iterative and touches each state and
 # each transition a bounded number of times, except the loops-around
-# relation, whose cost is its own size.
+# relation, whose cost is its own size.  `_violation` alone decides
+# well-layeredness; the measures and the solver take its verdict and graphs
+# through `_well_layered`.
 
 
 def _ranks(states) -> list[int]:
@@ -145,13 +147,17 @@ def _ranks(states) -> list[int]:
 class _Layers:
     """A labelled system by state index: entry and body targets (distinct,
     ordered by ``rank``), acceptance, and the entry steps (action, target)
-    leaving each state that has any."""
+    leaving each state that has any.  `_violation` fills in the body
+    post-order, the loops-around lists and their post-order as it goes."""
 
     entry: list
     body: list
     accepts: list
     rank: list
     steps: dict
+    post: list | None = None
+    loops: list | None = None
+    loop_post: list | None = None
 
 
 def _layers(sys: System, lab: Labelling) -> _Layers:
@@ -250,9 +256,11 @@ def _violation(layers: _Layers):
     post, cycle = _dfs(layers.body)
     if cycle is not None:
         return 1, cycle
+    layers.post = post
     rank, body = layers.rank, layers.body
-    loops = _loops(layers)
+    loops = layers.loops = _loops(layers)
     if not any(loops):
+        layers.loop_post = []
         return None
     # condition 2: a loop member returns to x when a body step leads to x or
     # to a member that returns; successors come first in post-order
@@ -275,28 +283,39 @@ def _violation(layers: _Layers):
                    if y != x and not returns[y]]
     if failed:
         return 2, min(failed)[2:]
-    _, cycle = _dfs(loops)
+    layers.loop_post, cycle = _dfs(loops)
     if cycle is not None:
         return 3, cycle
-    pair = _accepting_loop(layers, loops)
-    return None if pair is None else (4, pair)
-
-
-def _accepting_loop(layers: _Layers, loops):
-    """The first pair (x, y) in id order where x loops around to an
-    accepting y (condition 4 fails), or None."""
-    rank, accepts = layers.rank, layers.accepts
+    # condition 4: the first pair in id order where x loops around to an
+    # accepting y
+    accepts = layers.accepts
     failed = [(rank[x], rank[y], x, y) for x, members in enumerate(loops)
               for y in members if accepts[y]]
-    return min(failed)[2:] if failed else None
+    return (4, min(failed)[2:]) if failed else None
 
 
-def _depths(succ, names, what: str) -> list[int]:
-    """Longest path lengths from every node; a cycle raises LayeringError."""
-    post, cycle = _dfs(succ)
-    if cycle is not None:
-        raise LayeringError(
-            f"cycle through {names[cycle[0]]!r} in {what}; labelling is not well-layered")
+def _verdict(sys: System, found) -> LayerVerdict:
+    """`_violation`'s finding with the witness in state ids."""
+    if found is None:
+        return LayerVerdict(True)
+    condition, witness = found
+    return LayerVerdict(False, condition, tuple(sys.states[i] for i in witness))
+
+
+def _well_layered(sys: System, lab: Labelling) -> _Layers:
+    """The integer form of a labelled system, with the graphs the check
+    built; LayeringError with the check's verdict when it is not well
+    layered."""
+    layers = _layers(sys, lab)
+    verdict = _verdict(sys, _violation(layers))
+    if not verdict:
+        raise LayeringError(f"labelling is not well-layered: {verdict.describe()}")
+    return layers
+
+
+def _longest(succ, post) -> list[int]:
+    """Longest path lengths from every node of an acyclic graph, given a
+    post-order of it."""
     depth = [0] * len(succ)
     for v in post:
         d = 0
@@ -305,14 +324,6 @@ def _depths(succ, names, what: str) -> list[int]:
                 d = depth[w] + 1
         depth[v] = d
     return depth
-
-
-def _measured(layers: _Layers, names):
-    """The loops-around lists with the body-path and loops-around depths."""
-    loops = _loops(layers)
-    return (loops, _depths(layers.body, names, "body transitions"),
-            _depths(loops, names, "the loops-around relation") if any(loops)
-            else [0] * len(loops))
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +341,16 @@ def loops_around(sys: System, lab: Labelling) -> frozenset[tuple[str, str]]:
 def check_well_layered(sys: System, lab: Labelling) -> LayerVerdict:
     """Check the four well-layeredness conditions, reporting the first
     violated one with a witness."""
-    found = _violation(_layers(sys, lab))
-    if found is None:
-        return LayerVerdict(True)
-    condition, witness = found
-    return LayerVerdict(False, condition, tuple(sys.states[i] for i in witness))
+    return _verdict(sys, _violation(_layers(sys, lab)))
 
 
 def measures(sys: System, lab: Labelling) -> dict[str, tuple[int, int]]:
-    """Per state: (longest loops-around chain, longest body path).
-
-    Both are finite exactly when the labelling is well layered; a cycle in
-    either graph raises LayeringError.
-    """
-    _, body, loop = _measured(_layers(sys, lab), sys.states)
+    """Per state: (longest loops-around chain, longest body path).  Defined
+    exactly when the labelling is well layered; any other labelling raises
+    LayeringError with `check_well_layered`'s verdict, as the solver does."""
+    layers = _well_layered(sys, lab)
+    body = _longest(layers.body, layers.post)
+    loop = _longest(layers.loops, layers.loop_post)
     return {x: (loop[i], body[i]) for i, x in enumerate(sys.states)}
 
 

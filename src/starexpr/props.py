@@ -17,7 +17,10 @@ from .layering import check_well_layered, syntactic_labelling
 from .semantics import System, TICK, export_system, reachable, step
 from .solve import roundtrip, sterm_to_expr
 from .syntax import Act, Expr, Seq, Star, compute_U, parse, print_expr, term_text
-from .theory import MVal, TheoryConfig, eta, eval_term, mval_map, reify, split, supp, term_variables
+from .theory import (
+    BTest, GuardSym, MVal, SVar, TheoryConfig, eta, eval_term, mval_map, reify, split, supp,
+    term_variables,
+)
 
 Failure = namedtuple("Failure", "prop detail")
 # A fuzz run checks count // divisor cases: draw(rng, cfg, budget) -> case,
@@ -37,19 +40,54 @@ def _ident(cfg: TheoryConfig, m: MVal) -> dict:
     return {e: eta(cfg, e) for e in supp(m)}
 
 
+def _tree_fault(cfg: TheoryConfig, terms) -> str | None:
+    """Why one of the terms is no reduced decision tree over the declared
+    tests, or None.  In a reduced tree every guard is ``+[t]`` for one test
+    t, with t's atoms as its mask, and its two branches differ; each path
+    tests each test at most once, in declared order; and no guard occurs
+    below a node of another operator.  Terms without guards pass."""
+    tests = cfg.tests
+    holds = [sum(1 << k for k, atom in enumerate(cfg.atoms) if atom[i] == "1")
+             for i in range(len(tests))]
+    stack = [(t, -1) for t in terms]
+    while stack:
+        t, after = stack.pop()
+        if isinstance(t, SVar):
+            continue
+        if not isinstance(t.sym, GuardSym):
+            stack += [(a, len(tests)) for a in t.args]
+            continue
+        b = t.sym.expr
+        if not isinstance(b, BTest) or b.name not in tests:
+            return f"guard {t.sym.text()} is not one test"
+        i = tests.index(b.name)
+        if i <= after:
+            return f"guard {t.sym.text()} out of declared order on a path"
+        if t.sym.mask != holds[i]:
+            return f"guard {t.sym.text()} holds at the wrong atoms"
+        on, off = t.args
+        if on == off:
+            return f"guard {t.sym.text()} has equal branches"
+        stack += [(on, i), (off, i)]
+    return None
+
+
 def check_reify(cfg: TheoryConfig, m: MVal) -> Failure | None:
-    """reify(m) reads only m's support and evaluates back to m."""
+    """reify(m) reads only m's support, evaluates back to m, and is a
+    reduced decision tree."""
     t = reify(m)
     if not term_variables(t) <= supp(m):
         return Failure("reify-eval", "reify reads elements outside the support")
     if eval_term(cfg, t, _ident(cfg, m)) != m:
         return Failure("reify-eval", "reify does not evaluate back")
-    return None
+    fault = _tree_fault(cfg, [t])
+    return None if fault is None else Failure("decision-tree", f"reify: {fault}")
 
 
 def check_split(cfg: TheoryConfig, m: MVal, left: frozenset) -> Failure | None:
     """split(m) along ``left`` recomposes to m; its term reads only u and v,
-    and each part only its own side of the support."""
+    each part only its own side of the support, and all three are reduced
+    decision trees."""
     s, t1, t2 = split(m, left.__contains__)
     if not (term_variables(s) <= {"u", "v"} and term_variables(t1) <= left
             and term_variables(t2) <= supp(m) - left):
@@ -57,7 +95,8 @@ def check_split(cfg: TheoryConfig, m: MVal, left: frozenset) -> Failure | None:
     ident = _ident(cfg, m)
     if eval_term(cfg, s, {"u": eval_term(cfg, t1, ident), "v": eval_term(cfg, t2, ident)}) != m:
         return Failure("split-identity", f"partition {sorted(left)}")
-    return None
+    fault = _tree_fault(cfg, [s, t1, t2])
+    return None if fault is None else Failure("decision-tree", f"split {sorted(left)}: {fault}")
 
 
 def check_naturality(m: MVal, f: dict) -> Failure | None:
@@ -81,6 +120,13 @@ def _draw_value(rng, cfg: TheoryConfig, budget: int):
     m = cfg.theory.rand_value(rng, universe)
     left = frozenset(e for e in universe if rng.random() < 0.5)
     return m, left, {e: (e[::-1] if rng.random() < 0.5 else e) for e in universe}
+
+
+def _value_text(case) -> str:
+    """A drawn case in a fixed order, whatever the hash seed."""
+    m, left, swap = case
+    return (f"{m.cfg.theory.ordered(m.data)!r}; left {sorted(left)!r}; "
+            f"relabel {sorted(swap.items())!r}")
 
 
 def _check_value(cfg: TheoryConfig, case) -> Failure | None:
@@ -163,7 +209,7 @@ def check_roundtrip(cfg: TheoryConfig, e: Expr) -> Failure | None:
 
 SUITES = [
     Suite("print-parse", 1, gen.rand_expr, check_print_parse, print_expr),
-    Suite("values", 1, _draw_value, _check_value, lambda case: repr(case[0])),
+    Suite("values", 1, _draw_value, _check_value, _value_text),
     Suite("axiom-schemas", 4, _draw_schemas, check_schemas, _schemas_text),
     Suite("refine-vs-brute", 4,
           lambda rng, cfg, budget: gen.rand_system(rng, cfg, rng.randint(1, 5)),

@@ -20,7 +20,7 @@ from __future__ import annotations
 from .bisim import decide_equiv, minimize
 from .errors import LayeringError, LimitExceededError, StarexprError
 from .layering import (
-    Labelling, _accepting_loop, _layers, _measured, _ranks, check_well_layered, search_labelling,
+    Labelling, _longest, _ranks, _well_layered, check_well_layered, search_labelling,
     syntactic_labelling,
 )
 from .semantics import State, System, TICK, reachable
@@ -66,15 +66,11 @@ class _Solver:
 
     def __init__(self, sys: System, lab: Labelling):
         self.sys = sys
-        layers = _layers(sys, lab)
-        self.steps = layers.steps
-        # raises on cycles, as an ill-layered labelling may have; without a
-        # body cycle, every self-loop is an entry step
-        self.loops, self.depth, _ = _measured(layers, sys.states)
-        pair = _accepting_loop(layers, self.loops)
-        if pair is not None:
-            x, y = (sys.states[i] for i in pair)
-            raise LayeringError(f"{y!r} accepts although {x!r} loops around to it")
+        # raises unless well layered; without a body cycle, every self-loop
+        # is an entry step
+        layers = _well_layered(sys, lab)
+        self.steps, self.loops = layers.steps, layers.loops
+        self.depth = _longest(layers.body, layers.post)
         self.order = _order(layers.rank)
         self.tau_memo: dict[tuple[int, int], Expr] = {}
 
@@ -100,37 +96,33 @@ class _Solver:
 
         A detour needs the detours of y's loop-side steps back to y and of
         its exit-side steps back to x first.  They are built bottom up from
-        an explicit stack, so nested detours set no recursion depth."""
+        an explicit stack, so nested detours set no recursion depth.
+
+        No detour waits on itself: (loops-around depth of x, body depth of
+        y), both finite as the labelling is well layered, falls from each
+        detour to those it needs, since x loops around to y for a loop-side
+        need (t, y) and y has a body step to t for an exit-side need (t, x)."""
         memo = self.tau_memo
         root = (y, x)
         stack = [root]
-        running = set()  # detours waiting for the ones above them
         while stack:
             y, x = key = stack[-1]
             if key in memo:
                 stack.pop()
                 continue
-            if key not in running:
-                here = self.steps.get(y, ())
-                needs = []
-                for a, t in row_support(self.sys.rows[y]):
-                    back = y if (a, t) in here else x
-                    if t != back and t >= 0 and (t, back) not in memo:
-                        needs.append((t, back))
-                if needs:
-                    if not running.isdisjoint(needs):
-                        names = self.sys.states
-                        raise LayeringError(
-                            f"cyclic recursion at tau({names[y]!r}, {names[x]!r}); "
-                            "labelling is not well-layered")
-                    running.add(key)
-                    stack += needs
-                    continue
+            here = self.steps.get(y, ())
+            needs = []
+            for a, t in row_support(self.sys.rows[y]):
+                back = y if (a, t) in here else x
+                if t != back and t >= 0 and (t, back) not in memo:
+                    needs.append((t, back))
+            if needs:
+                stack += needs
+                continue
             # y is no accepting state: x loops around to it
             memo[key] = self._star(
                 y, lambda a, t: Act(a) if t == y else Seq(Act(a), memo[t, y]),
                 lambda a, t: Act(a) if t == x else Seq(Act(a), memo[t, x]))
-            running.discard(key)
             stack.pop()
         return memo[root]
 
@@ -155,7 +147,8 @@ def tau(sys: System, lab: Labelling, y: str, x: str) -> Expr:
 
 
 def canonical_solution(sys: System, lab: Labelling) -> SolutionMap:
-    """The canonical solution of a well-layered labelled system.
+    """The canonical solution of a well-layered labelled system; any other
+    labelling raises LayeringError with `check_well_layered`'s verdict.
 
     Solutions are reduced: only a state or detour with entry steps is a
     star, and the terms of `split` and `reify` carry no unit weights and no

@@ -265,8 +265,8 @@ class _Parser:
         self.ops = cfg.theory.ops  # the signature
         self.toks = _tokenize(text)
         self.pos = 0
-        # one guard symbol per distinct guard expression: computing a
-        # symbol evaluates its guard at every atom
+        # one guard symbol per distinct guard expression, so that each
+        # written guard's text is rendered once
         self.guards: dict = {}
 
     def peek(self):

@@ -577,6 +577,7 @@ class MVal:
 _ONE = Fraction(1)
 _EMPTY: frozenset = frozenset()
 _first = operator.itemgetter(0)
+_second = operator.itemgetter(1)
 
 
 def _identity(e):
@@ -1373,7 +1374,8 @@ class Guarded(Theory):
         return _partition((x, 1 << i) for i, x in enumerate(branches) if x != self.inner.dead)
 
     def ordered(self, data) -> list:
-        return [(self.inner.ordered(x), m) for x, m in data]
+        """(branch, mask) pairs by mask, each branch ordered by X."""
+        return sorted([(self.inner.ordered(x), m) for x, m in data], key=_second)
 
     def reify_data(self, data) -> STerm:
         return self.tree([(self.inner.reify_data(x), m) for x, m in data])

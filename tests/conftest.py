@@ -79,6 +79,25 @@ def sl_system(edges, root=None) -> System:
     return System(cfg, states, beta, root=root)
 
 
+# one small sl system and labelling for each violated condition 1-4
+ILL_LAYERED = {
+    1: ({"x": [("a", "x")]}, set()),
+    # the entry from x to y never returns to x; z's entry self-loop keeps
+    # the body acyclic
+    2: ({"x": [("a", "y"), ("d", TICK)], "y": [("b", "z")], "z": [("c", "z")]},
+        {("x", "a", "y"), ("z", "c", "z")}),
+    # x and y loop around to each other through p and q
+    3: ({"x": [("a", "p")], "y": [("b", "q")], "p": [("c", "x"), ("d", "y")],
+         "q": [("e", "x"), ("f", "y")]}, {("x", "a", "p"), ("y", "b", "q")}),
+    4: ({"x": [("a", "y")], "y": [("b", "x"), ("t", TICK)]}, {("x", "a", "y")}),
+}
+
+
+def ill_layered(condition: int) -> tuple[System, Labelling]:
+    edges, entry = ILL_LAYERED[condition]
+    return sl_system(edges), Labelling(frozenset(entry))
+
+
 # bad mass or weight entries a system document must reject
 BAD_ENTRIES = [
     ("ca", {"p": "0", "a": "a", "t": "s0"}),

@@ -10,12 +10,14 @@ from pathlib import Path
 import pytest
 
 from conftest import (
-    BAD_ENTRIES, NOT_RATIONAL_EDGES, bad_entry_doc, loop_chain_doc, sl_chain_doc, weighted_doc,
+    BAD_ENTRIES, ILL_LAYERED, NOT_RATIONAL_EDGES, bad_entry_doc, ill_layered, loop_chain_doc,
+    sl_chain_doc, weighted_doc,
 )
 from starexpr import gen, props
 from starexpr.cli import run
 from starexpr.errors import LimitExceededError
-from starexpr.semantics import load_system
+from starexpr.layering import check_well_layered, labelling_doc
+from starexpr.semantics import export_system, load_system
 from starexpr.syntax import parse, print_expr
 from starexpr.theory import parse_selector
 
@@ -129,6 +131,18 @@ def test_solve_flow(tmp_path, capsys):
         parse(text, sl)  # well-formed output in the expression grammar
 
 
+@pytest.mark.parametrize("condition", sorted(ILL_LAYERED))
+def test_solve_refuses_an_ill_layered_labelling(tmp_path, capsys, condition):
+    sys_, lab = ill_layered(condition)
+    doc = export_system(sys_)
+    doc["labelling"] = labelling_doc(lab)
+    path = tmp_path / "ill.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "solve", str(path))
+    verdict = check_well_layered(sys_, lab).describe()
+    assert (code, out, err) == (2, "", f"error: labelling is not well-layered: {verdict}\n")
+
+
 def test_roundtrip_verdict(capsys):
     code, out, _ = invoke(capsys, "roundtrip", "--theory", "sl", "a *{u+v} b")
     assert code == 0
@@ -232,6 +246,30 @@ def test_fuzz_reports_a_case_whose_check_raises(capsys, monkeypatch):
     monkeypatch.setattr(props, "roundtrip", too_deep)
     code, out, err = invoke(capsys, "fuzz", "--theory", "sl", "--count", "4")
     assert code == 3 and err.startswith("error: input nests too deeply")
+
+
+def test_value_cases_print_the_same_under_every_hash_seed():
+    # a failing case is reported by its text, which must not follow the
+    # hash order of the frozensets inside it
+    script = (
+        "import random\n"
+        "from starexpr import props\n"
+        "from starexpr.theory import parse_selector\n"
+        "suite = next(s for s in props.SUITES if s.name == 'values')\n"
+        "for selector in ('sl', 'ga:tests=p,q', 'ca', 'gc:tests=p', 'smod:nat'):\n"
+        "    rng = random.Random(f'1:{selector}:values')\n"
+        "    for budget in range(1, 5):\n"
+        "        print(suite.text(suite.draw(rng, parse_selector(selector), budget)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    texts = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        texts.add(done.stdout)
+    assert len(texts) == 1
 
 
 def test_fuzz_deterministic(capsys):

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-from conftest import all_valid_labellings, corpus, loop_chain_doc, sl_chain_doc, sl_system
+from conftest import (
+    all_valid_labellings, corpus, ill_layered, loop_chain_doc, sl_chain_doc, sl_system,
+)
 from starexpr import gen, layering, props
 from starexpr.bisim import minimize
 from starexpr.errors import LayeringError, LimitExceededError
@@ -70,8 +72,7 @@ def test_syntactic_labelling_well_layered_on_corpus(cfg):
 
 
 def test_body_self_loop_violates_condition_1():
-    sys_ = sl_system({"x": [("a", "x")]})
-    verdict = check_well_layered(sys_, Labelling(frozenset()))
+    verdict = check_well_layered(*ill_layered(1))
     assert not verdict.ok and verdict.condition == 1
 
 
@@ -85,24 +86,12 @@ def test_entry_without_body_return_violates_condition_2():
 def test_loops_around_cycle_violates_condition_3():
     # bodies are acyclic and every entry returns, yet x and y loop around
     # to each other through the two detour states
-    sys_ = sl_system({
-        "x": [("a", "p")],
-        "y": [("b", "q")],
-        "p": [("c", "x"), ("d", "y")],
-        "q": [("e", "x"), ("f", "y")],
-    })
-    lab = Labelling(frozenset({("x", "a", "p"), ("y", "b", "q")}))
-    verdict = check_well_layered(sys_, lab)
+    verdict = check_well_layered(*ill_layered(3))
     assert not verdict.ok and verdict.condition == 3
 
 
 def test_accepting_loop_target_violates_condition_4():
-    sys_ = sl_system({
-        "x": [("a", "y")],
-        "y": [("b", "x"), ("t", TICK)],
-    })
-    lab = Labelling(frozenset({("x", "a", "y")}))
-    verdict = check_well_layered(sys_, lab)
+    verdict = check_well_layered(*ill_layered(4))
     assert not verdict.ok and verdict.condition == 4
     assert verdict.witness == ("x", "y")
 

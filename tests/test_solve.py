@@ -6,13 +6,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    all_valid_labellings, brute_bisimilar, corpus, loop_chain_doc, sl_chain_doc, sl_system,
+    ILL_LAYERED, all_valid_labellings, brute_bisimilar, corpus, ill_layered, loop_chain_doc,
+    sl_chain_doc, sl_system,
 )
 from starexpr import props, solve
 from starexpr.bisim import decide_equiv, minimize
 from starexpr.errors import LayeringError
 from starexpr.layering import (
-    Labelling, check_well_layered, labelling_from_doc, search_labelling, syntactic_labelling,
+    Labelling, check_well_layered, labelling_from_doc, measures, search_labelling,
+    syntactic_labelling,
 )
 from starexpr.semantics import State, System, TICK, load_system, reachable
 from starexpr.solve import (
@@ -100,6 +102,17 @@ def test_tau_precondition():
     chart, lab = example_chart()
     with pytest.raises(LayeringError):
         tau(chart, lab, "x'", "x")
+
+
+@pytest.mark.parametrize("condition", sorted(ILL_LAYERED))
+def test_solving_an_ill_layered_labelling_raises_the_checks_verdict(condition):
+    sys_, lab = ill_layered(condition)
+    verdict = check_well_layered(sys_, lab)
+    assert verdict.condition == condition
+    for call in (canonical_solution, measures, lambda s, l: tau(s, l, "x", "x")):
+        with pytest.raises(LayeringError) as info:
+            call(sys_, lab)
+        assert str(info.value) == "labelling is not well-layered: " + verdict.describe()
 
 
 def test_tau_factors_the_solution():

@@ -383,25 +383,6 @@ def test_element_order_is_total_on_mixed_elements():
 # guarded values as reduced decision trees
 
 
-def _check_decision_tree(cfg, t, after=-1):
-    """No guard node has equal branches, every guard is ``+[t]`` for one
-    test t, and each root-to-leaf path tests each test at most once, in
-    declared order; no guard occurs below a leaf."""
-    if isinstance(t, SVar):
-        return
-    if isinstance(t.sym, GuardSym):
-        i = cfg.tests.index(t.sym.expr.name)
-        assert i > after, "tests out of declared order on a path"
-        assert t.sym.mask == sum(1 << k for k, a in enumerate(cfg.atoms) if a[i] == "1")
-        on, off = t.args
-        assert on != off, "guard node with equal branches"
-        _check_decision_tree(cfg, on, i)
-        _check_decision_tree(cfg, off, i)
-        return
-    for a in t.args:
-        _check_decision_tree(cfg, a, len(cfg.tests))
-
-
 def _left_sets(m):
     elems = sorted(supp(m))
     for r in range(len(elems) + 1):
@@ -410,14 +391,37 @@ def _left_sets(m):
 
 
 def _check_reify_and_splits(cfg, m):
-    _check_decision_tree(cfg, reify(m))
+    # each check also asks for reduced decision trees over the tests
     assert props.check_reify(cfg, m) is None
     for left in _left_sets(m):
-        s, t1, t2 = split(m, lambda e: e in left)
-        # ga's parts are reified values, checked where they are enumerated
-        for term in (s,) if cfg.kind == "ga" else (s, t1, t2):
-            _check_decision_tree(cfg, term)
         assert props.check_split(cfg, m, left) is None
+
+
+def test_tree_checks_reject_unreduced_trees(monkeypatch):
+    cfg = parse_selector("ga:tests=p,q")
+    m = eta(cfg, "x")
+    p, q = (cfg.theory.guard_sym(BTest(t)) for t in "pq")
+    bad = {
+        "guard +[p] has equal branches": SOp(p, (SVar("x"), SVar("x"))),
+        "guard +[p] out of declared order on a path": SOp(q, (SOp(p, (SVar("x"), SVar("x"))), SVar("x"))),
+        "guard +[p] holds at the wrong atoms": SOp(GuardSym(BTest("p"), q.mask),
+                                                  (SVar("x"), SVar("x"))),
+        "guard +[p | q] is not one test": SOp(cfg.theory.guard_sym(BOr(BTest("p"), BTest("q"))),
+                            (SVar("x"), SVar("x"))),
+    }
+    for name, t in bad.items():
+        monkeypatch.setattr(props, "reify", lambda m, t=t: t)
+        assert props.check_reify(cfg, m) == ("decision-tree", f"reify: {name}"), name
+    # a bad tree in any of split's three terms fails the split
+    for k in range(3):
+        def bad_split(m, in_left, k=k):
+            terms = [SVar("u"), SVar("x"), SZERO]
+            terms[k] = SOp(p, (terms[k], terms[k]))
+            return tuple(terms)
+
+        monkeypatch.setattr(props, "split", bad_split)
+        failure = props.check_split(cfg, m, frozenset({"x"}))
+        assert failure is not None and failure.prop == "decision-tree", k
 
 
 def test_ga_reify_and_split_on_every_value_of_three_tests():
