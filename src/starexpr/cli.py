@@ -1,14 +1,16 @@
 """Command line front end.
 
 Exit codes: 0 success / equivalent; 1 inequivalent verdicts or fuzz
-failures; 2 usage and parse errors; 3 exceeded guard bounds; 4 internal
-errors (a defect in starexpr, reported in one line and never as 1).
+failures; 2 usage and parse errors, and output that cannot be written; 3
+exceeded guard bounds; 4 internal errors (a defect in starexpr, reported
+in one line and never as 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys as _sys
 
@@ -257,7 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        _sys.stdout.flush()  # so a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError as exc:
+        # the reader went away; the buffered rest goes nowhere at shutdown
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write output: {exc}", file=_sys.stderr)
+        return USAGE_EXIT
     except LimitExceededError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return BOUND_EXIT

@@ -129,7 +129,7 @@ class System:
     """
 
     def __init__(self, cfg: TheoryConfig, states, beta: dict[str, MVal],
-                 root: str | None = None, exprs: dict[str, Expr] | None = None):
+                 root: str | None = None):
         """A system from values over (action, State | TICK) pairs, which are
         flattened into rows once."""
         index = {x: i for i, x in enumerate(states)}
@@ -139,7 +139,7 @@ class System:
 
         rows = cfg.theory.flat_rows([beta[x] for x in states], key)
         self.cfg, self.states, self.rows, self.root, self.exprs = \
-            cfg, tuple(states), rows, root, exprs
+            cfg, tuple(states), rows, root, None
 
     @classmethod
     def from_rows(cls, cfg: TheoryConfig, states: tuple[str, ...], rows: list,

@@ -20,13 +20,13 @@ from __future__ import annotations
 from .bisim import decide_equiv, minimize
 from .errors import LayeringError, LimitExceededError, StarexprError
 from .layering import (
-    Labelling, _longest, _ranks, _well_layered, check_well_layered, search_labelling,
+    Labelling, _longest, _well_layered, check_well_layered, search_labelling,
     syntactic_labelling,
 )
 from .semantics import State, System, TICK, reachable
 from .syntax import Act, Expr, Seq, Star, TOp
 from .theory import (
-    STerm, SVar, TheoryConfig, reify, row_support, term_variables,
+    STerm, SVar, TheoryConfig, reify, row_support, split, term_variables,
 )
 
 SolutionMap = dict[str, Expr]
@@ -44,13 +44,14 @@ def factorize(sys: System, lab: Labelling, x: str) -> tuple[STerm, STerm, STerm]
 
     The left part collects support pairs whose target is x itself or an
     entry target of x; body targets and acceptance go right.  Classification
-    follows the labelling per action, not just the target state.
+    follows the labelling per action, not just the target state.  This
+    splits the value, not the row as the solver does, so it checks the
+    solver's split with none of its code.
     """
-    i = sys.index[x]
-    left = {(a, sys.index[dst]) for src, a, dst in lab.entry if src == x}
-    left.update((a, t) for a, t in row_support(sys.rows[i]) if t == i)
-    return sys.cfg.theory.split_row(sys.rows[i], _order(_ranks(sys.states)), left,
-                                    [State(y) for y in sys.states] + [TICK])
+    left = {(a, State(dst)) for src, a, dst in lab.entry if src == x}
+    targets = [State(y) for y in sys.states] + [TICK]
+    return split(sys.cfg.theory.row_value(sys.rows[sys.index[x]], targets),
+                 lambda e: e in left or e[1] == State(x))
 
 
 def _order(ranks: list[int]) -> list[int]:

@@ -290,23 +290,25 @@ class _Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def parse_expr(self) -> Expr:
-        left = self.parse_scaled()
+    def parse_branch(self, operand, node):
+        """One branching level over scaled operands, built with ``node``:
+        expressions over `parse_seq` with `TOp`, loop terms over
+        `parse_sterm_atom` with `SOp`."""
+        left = self.parse_scaled(operand, node)
         sym = self.try_branch_op()
         if sym is None:
             return left
-        right = self.parse_scaled()
-        out = TOp(sym, (left, right))
-        if self.try_branch_op(probe=True):
+        out = node(sym, (left, self.parse_scaled(operand, node)))
+        if self.peek()[1] in _BRANCH_OPS:
             self.fail("branching operators are non-associative; add parentheses")
         return out
 
-    def parse_scaled(self) -> Expr:
+    def parse_scaled(self, operand, node):
         if ScaleSym in self.ops:
             weight = self.try_weight_dot()
             if weight is not None:
-                return TOp(ScaleSym(weight), (self.parse_scaled(),))
-        return self.parse_seq()
+                return node(ScaleSym(weight), (self.parse_scaled(operand, node),))
+        return operand()
 
     def parse_seq(self) -> Expr:
         left = self.parse_star()
@@ -319,7 +321,7 @@ class _Parser:
         e = self.parse_atom()
         while self.at("*{"):
             self.next()
-            loop = self.parse_sterm()
+            loop = self.parse_branch(self.parse_sterm_atom, SOp)
             self.expect("}")
             e = Star(e, loop, self.parse_atom())
         return e
@@ -330,31 +332,13 @@ class _Parser:
             return Act(value)
         if kind == "int" and value == "0":
             return TOp(ZeroSym())
-        if value == "(":
-            e = self.parse_expr()
+        if value == "(":  # five frames per level; the parse depth limit follows
+            e = self.parse_branch(self.parse_seq, TOp)
             self.expect(")")
             return e
         raise ParseError(f"expected an expression, got {value!r}", pos)
 
     # -- loop terms ---------------------------------------------------------
-
-    def parse_sterm(self) -> STerm:
-        left = self.parse_sterm_scaled()
-        sym = self.try_branch_op()
-        if sym is None:
-            return left
-        right = self.parse_sterm_scaled()
-        out = SOp(sym, (left, right))
-        if self.try_branch_op(probe=True):
-            self.fail("branching operators are non-associative; add parentheses")
-        return out
-
-    def parse_sterm_scaled(self) -> STerm:
-        if ScaleSym in self.ops:
-            weight = self.try_weight_dot()
-            if weight is not None:
-                return SOp(ScaleSym(weight), (self.parse_sterm_scaled(),))
-        return self.parse_sterm_atom()
 
     def parse_sterm_atom(self) -> STerm:
         kind, value, pos = self.next()
@@ -365,21 +349,19 @@ class _Parser:
         if kind == "int" and value == "0":
             return SZERO
         if value == "(":
-            t = self.parse_sterm()
+            t = self.parse_branch(self.parse_sterm_atom, SOp)
             self.expect(")")
             return t
         raise ParseError(f"expected a loop term, got {value!r}", pos)
 
     # -- operators ----------------------------------------------------------
 
-    def try_branch_op(self, probe=False):
-        """Consume (or with probe=True just detect) a branching operator."""
+    def try_branch_op(self):
+        """Consume a branching operator and return its symbol, or None."""
         kind, value, pos = self.peek()
         op = _BRANCH_OPS.get(value)
         if op is None:
             return None
-        if probe:
-            return True
         self.next()
         if op[0] not in self.ops:
             raise ParseError(f"{op[1]} is not in the {self.cfg.kind} signature", pos)
@@ -468,7 +450,7 @@ class _Parser:
 def parse(text: str, cfg: TheoryConfig) -> Expr:
     """Parse one expression; raises ParseError with a character position."""
     parser = _Parser(text, cfg)
-    e = parser.parse_expr()
+    e = parser.parse_branch(parser.parse_seq, TOp)
     kind, value, pos = parser.peek()
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {value!r}", pos)

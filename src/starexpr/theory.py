@@ -783,10 +783,6 @@ def _merged_branches(masks, labels, targets, weights) -> tuple:
 # terms of ordered data
 
 
-def _pair(a, t):
-    return a, t
-
-
 def _right_nested(sym, terms: list) -> STerm:
     """``t1 sym (t2 sym (...))``, or 0 for no terms."""
     if not terms:
@@ -925,31 +921,23 @@ class Theory:
     def rand_value(self, rng, universe: list) -> MVal:
         return self.value(self.rand_raw(rng, universe))
 
-    def split_row(self, row, order, left, targets=None) -> tuple[STerm, STerm, STerm]:
+    def split_row(self, row, order, left) -> tuple[STerm, STerm, STerm]:
         """`split` of the value a row stands for, read from the row itself.
 
         ``order[t]`` orders row targets as `element_sort_key` orders the
         targets they stand for (for systems: states by id string, then
         tick), and ``left`` holds the support pairs (label, t) that go left.
-        The element of pair (label, t) is ``(label, targets[t])``, or the
-        pair itself without ``targets``.  With the targets a system's values
-        use, the terms equal those of `split` on ``row_value``, and they are
-        built without the value.
+        The support pairs are the terms' variables: renaming each (label, t)
+        to (label, targets[t]), with the targets a system's values use,
+        gives the terms of `split` on ``row_value``, built without the value.
         """
-        sides: dict = {}
-
-        def elem(a, t):
-            e = (a, t) if targets is None else (a, targets[t])
-            sides[e] = (a, t) in left
-            return e
-
-        return self.split_data(self.row_data(row, order, elem), sides.__getitem__)
+        return self.split_data(self.row_data(row, order), left.__contains__)
 
     def reify_row(self, row, order) -> STerm:
         """`reify` of the value a row stands for, read from the row itself
         as `split_row` reads it, with the support pairs (label, t) as
-        elements."""
-        return self.reify_data(self.row_data(row, order, _pair))
+        variables."""
+        return self.reify_data(self.row_data(row, order))
 
 
 class Nondeterministic(Theory):
@@ -991,9 +979,8 @@ class Nondeterministic(Theory):
     def relabel_row(self, row, labels) -> tuple:
         return pair_row(self.sign(row, labels))
 
-    def row_data(self, row, order, elem: Callable) -> list:
-        return [elem(a, t) for a, _, t in
-                sorted([(a, order[t], t) for a, t in zip(row[0], row[1])])]
+    def row_data(self, row, order) -> list:
+        return [(a, t) for a, _, t in sorted([(a, order[t], t) for a, t in zip(row[0], row[1])])]
 
     def parse_row(self, raw, targets: dict[str, int]) -> tuple:
         if not isinstance(raw, list):
@@ -1063,15 +1050,15 @@ class _Weighted(Theory):
         return _weighted_row([(a, b, w) for (a, b), w in _merged(
             zip(zip(acts, targets), weights), add=self.add, zero=self.zero)])
 
-    def row_data(self, row, order, elem: Callable) -> list:
+    def row_data(self, row, order) -> list:
         entries = zip(row[0], map(order.__getitem__, row[1]), row[1], row[2])
-        return self.ordered_entries(list(entries), elem)
+        return self.ordered_entries(list(entries))
 
-    def ordered_entries(self, entries: list, elem: Callable) -> list:
-        """Ordered (element, weight) pairs of (label, order[t], t, weight)
-        entries, ``elem(label, t)`` the element; (label, order) is unique."""
+    def ordered_entries(self, entries: list) -> list:
+        """Ordered ((label, t), weight) pairs of (label, order[t], t, weight)
+        entries; (label, order) is unique."""
         entries.sort()
-        return [(elem(a, t), w) for a, _, t, w in entries]
+        return [((a, t), w) for a, _, t, w in entries]
 
 
 class Convex(_Weighted):
@@ -1235,9 +1222,9 @@ class Option:
         ((x, _),) = pairs
         return x
 
-    def ordered_entries(self, entries: list, elem: Callable):
+    def ordered_entries(self, entries: list):
         ((a, _, t, _),) = entries
-        return elem(a, t)
+        return a, t
 
     def parse_branches(self, raws, targets) -> tuple[list, None]:
         return [None if raw is None else _parse_pair(raw, targets) for raw in raws], None
@@ -1482,10 +1469,10 @@ class Guarded(Theory):
                 return _guarded_columns(*columns, joined.values())
         return _merged_branches(masks, acts, targets, weights)
 
-    def row_data(self, row, order, elem: Callable) -> list:
+    def row_data(self, row, order) -> list:
         entries = zip(row[0], map(order.__getitem__, row[1]), row[1], row[2])
         ordered = self.inner.ordered_entries
-        return [(ordered(d, elem), m) for m, d in _by_mask(row[5], entries).items()]
+        return [(ordered(d), m) for m, d in _by_mask(row[5], entries).items()]
 
     def parse_row(self, raw, targets: dict[str, int]) -> tuple:
         """Parse one atom-keyed value, grouping the atoms of each branch."""
@@ -1581,7 +1568,11 @@ def _parse_pair(raw, targets) -> tuple:
 
 
 def _parse_number(raw, parse, what: str):
-    """Parse a mass or weight; every way it can be malformed ends here."""
+    """Parse a mass or weight; every way it can be malformed ends here.
+    Documents write them as strings: a JSON number may already have lost
+    digits (0.1 is not 1/10), and a boolean is no number."""
+    if not isinstance(raw, str):
+        raise DocumentError(f"bad {what} {raw!r}: expected a string")
     try:
         return parse(raw)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:

@@ -124,10 +124,10 @@ NOT_RATIONAL_EDGES = ["\u00b2", "1/0", "", "/", "1/"]
 
 def weighted_doc(selector, raw):
     """A one-state document whose only entry carries the mass or weight
-    ``raw``."""
-    key = "p" if selector == "ca" else "w"
-    return {"theory": selector, "states": ["s0"],
-            "beta": {"s0": [{key: raw, "a": "a", "t": "s0"}]}}
+    ``raw``; for ``gc`` with one test, at atom 1."""
+    entry = {"w" if selector.startswith("smod") else "p": raw, "a": "a", "t": "s0"}
+    value = {"0": [], "1": [entry]} if selector.startswith("gc") else [entry]
+    return {"theory": selector, "states": ["s0"], "beta": {"s0": value}}
 
 
 def bad_entry_doc(selector, entry):

@@ -207,6 +207,37 @@ def test_loop_free_chains_solve_until_printing_nests_too_deeply(tmp_path):
             assert done.stderr.startswith("error: input nests too deeply")
 
 
+def _fresh_cli(*argv, **kwargs):
+    """Run the command line in a fresh process, with the whole default
+    recursion limit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "starexpr.cli", *argv], env=env, text=True,
+                          timeout=120, **kwargs)
+
+
+def test_parsing_nests_up_to_about_200_parentheses():
+    for depth, expected in ((190, 0), (250, 3)):
+        e = "(" * depth + "a" + ")" * depth
+        done = _fresh_cli("equiv", "--theory", "sl", e, "a", capture_output=True)
+        assert done.returncode == expected, (depth, done.stderr)
+        if expected == 3:
+            assert done.stderr.startswith("error: input nests too deeply")
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback():
+    # the reader is gone before the output of 60 loops in sequence is written
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _fresh_cli("reach", "--theory", "sl", " ; ".join(["(a ; c) *{u + v} b"] * 60),
+                          stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: cannot write output: ")
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+
 def test_fuzz_reports_first_failing_case(capsys, monkeypatch):
     def broken(cfg, e):
         return props.Failure("always-broken", "forced failure")

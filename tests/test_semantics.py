@@ -271,6 +271,15 @@ def test_load_rejects_strings_that_are_not_positive_rationals(selector, raw):
         load_system(weighted_doc(selector, raw))
 
 
+@pytest.mark.parametrize("raw", [True, 1, 0.5])
+@pytest.mark.parametrize("selector", ["ca", "gc:tests=p", "smod:rat", "smod:nat"])
+def test_load_refuses_masses_and_weights_that_are_not_strings(selector, raw):
+    # a JSON number may have lost digits already: 0.1 is a binary fraction
+    with pytest.raises(DocumentError) as err:
+        load_system(weighted_doc(selector, raw))
+    assert str(err.value).endswith(f" {raw!r}: expected a string")
+
+
 @pytest.mark.parametrize("raw", RATIONAL_EDGES)
 def test_load_reads_rational_weights_as_fraction_does(raw):
     sys_ = load_system(weighted_doc("smod:rat", raw))
@@ -335,7 +344,11 @@ def test_weights_parse_as_three_separate_checks_do(name):
         assert _outcome(ring.parse_weight, raw) == expected, raw
         doc = {"theory": f"smod:{name}", "states": ["s0"],
                "beta": {"s0": [{"w": raw, "a": "a", "t": "s0"}]}}
-        if isinstance(expected[0], type) and issubclass(expected[0], Exception):
+        if not isinstance(raw, str):  # documents write weights as strings
+            with pytest.raises(DocumentError) as err:
+                load_system(doc)
+            assert str(err.value) == f"bad weight {raw!r}: expected a string"
+        elif isinstance(expected[0], type) and issubclass(expected[0], Exception):
             with pytest.raises(DocumentError) as err:
                 load_system(doc)
             assert str(err.value) == f"bad weight {raw!r}: {expected[1]}"

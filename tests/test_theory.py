@@ -1,17 +1,20 @@
 """Free-algebra values: units, evaluation, support, reification, splitting."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import NOT_RATIONAL_EDGES, RATIONAL_EDGES
+from conftest import ALL_SELECTORS, NOT_RATIONAL_EDGES, RATIONAL_EDGES
 from starexpr import gen, props
 from starexpr.errors import LimitExceededError, TheoryMismatchError, UnboundVariableError
+from starexpr.semantics import State, TICK
 from starexpr.theory import (
     BAnd, BNot, BOr, BTest, BTrue, ChoiceSym, GuardSym, OPLUS, PLUS, SEMIRINGS, SOp, SVar,
     SZERO, ScaleSym, TheoryConfig, element_sort_key, eta, eval_term, mval_map,
-    parse_rational, parse_selector, rand_prob, reify, split, supp, term_variables, weight_key,
+    parse_rational, parse_selector, rand_prob, reify, row_support, split, supp, term_variables,
+    weight_key,
 )
 
 
@@ -268,6 +271,38 @@ def test_split_identity_random(cfg, rng):
         m = cfg.theory.rand_value(rng, universe)
         left = frozenset(e for e in universe if rng.random() < 0.5)
         assert props.check_split(cfg, m, left) is None
+
+
+def _renamed(t, targets):
+    """t with each variable (label, t) renamed to (label, targets[t]); u
+    and v stay."""
+    if isinstance(t, SVar):
+        return t if t.name in ("u", "v") else SVar((t.name[0], targets[t.name[1]]))
+    return SOp(t.sym, tuple(_renamed(a, targets) for a in t.args))
+
+
+TWELVE_TESTS = "p,q,r,s,t,u,v,w,x,y,z,o"
+
+
+@pytest.mark.parametrize("selector", ALL_SELECTORS + (f"ga:tests={TWELVE_TESTS}",
+                                                      f"gc:tests={TWELVE_TESTS}"))
+def test_rows_split_and_reify_as_their_values_do(selector):
+    # states s0..s10 sort by id string, not by index, as element_sort_key
+    # does; at 12 tests, a random value has hundreds of branches
+    cfg = parse_selector(selector)
+    rng = random.Random(selector)
+    for n in (1, 3) if len(cfg.tests) == 12 else (1, 4, 11):
+        sys_ = gen.rand_system(rng, cfg, n)
+        ranks = {x: r for r, x in enumerate(sorted(sys_.states))}
+        order = [ranks[x] for x in sys_.states] + [n]
+        targets = [State(x) for x in sys_.states] + [TICK]
+        for row in sys_.rows:
+            m = cfg.theory.row_value(row, targets)
+            assert _renamed(cfg.theory.reify_row(row, order), targets) == reify(m)
+            left = {(a, t) for a, t in row_support(row) if rng.random() < 0.5}
+            s, t1, t2 = cfg.theory.split_row(row, order, left)
+            expected = split(m, {(a, targets[t]) for a, t in left}.__contains__)
+            assert (s, _renamed(t1, targets), _renamed(t2, targets)) == expected
 
 
 # ---------------------------------------------------------------------------
