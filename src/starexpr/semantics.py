@@ -249,9 +249,11 @@ def load_system(doc) -> System:
     missing = {"theory", "states", "beta"} - set(doc)
     if missing:
         raise DocumentError(f"missing keys: {sorted(missing)}")
+    if not isinstance(doc["theory"], str):
+        raise DocumentError(f"theory must be a selector string, got {doc['theory']!r}")
     try:
         cfg = parse_selector(doc["theory"])
-    except (ValueError, TypeError, AttributeError) as exc:
+    except ValueError as exc:
         raise DocumentError(f"bad theory selector: {exc}") from None
     raw_states = doc["states"]
     if (not isinstance(raw_states, list)

@@ -18,11 +18,8 @@ recursion.
 from __future__ import annotations
 
 from .bisim import decide_equiv, minimize
-from .errors import LayeringError, LimitExceededError, StarexprError
-from .layering import (
-    Labelling, _longest, _well_layered, check_well_layered, search_labelling,
-    syntactic_labelling,
-)
+from .errors import LayeringError
+from .layering import Labelling, _longest, _well_layered, syntactic_labelling
 from .semantics import State, System, TICK, reachable
 from .syntax import Act, Expr, Seq, Star, TOp
 from .theory import (
@@ -149,7 +146,7 @@ def tau(sys: System, lab: Labelling, y: str, x: str) -> Expr:
 
 def canonical_solution(sys: System, lab: Labelling) -> SolutionMap:
     """The canonical solution of a well-layered labelled system; any other
-    labelling raises LayeringError with `check_well_layered`'s verdict.
+    labelling raises LayeringError naming the condition it violates.
 
     Solutions are reduced: only a state or detour with entry steps is a
     star, and the terms of `split` and `reify` carry no unit weights and no
@@ -191,25 +188,18 @@ def image_labelling(lab: Labelling, h: dict[str, str], target: System) -> Labell
 
 
 def roundtrip(cfg: TheoryConfig, e: Expr) -> Expr:
-    """Reduce e to its minimized system, re-label, solve, and return the
-    expression for the root; always provably equivalent to e.
+    """Reduce e to its minimized system, label it with the image of e's
+    syntactic labelling, solve, and return the expression for the root;
+    always provably equivalent to e.
 
-    When the minimized system is too large for labelling search, the image
-    of the syntactic labelling is used if it verifies; otherwise the bound
-    error propagates rather than guessing.
+    Where the image is ill layered, as the solver's own check finds, e's
+    reachable system is solved under its syntactic labelling instead, which
+    is always well layered.
     """
     sys, root = reachable(cfg, e)
+    lab = syntactic_labelling(cfg, e, sys)
     msys, h = minimize(sys)
     try:
-        lab = search_labelling(msys)
-    except LimitExceededError:
-        candidate = image_labelling(syntactic_labelling(cfg, e, sys), h, msys)
-        if not check_well_layered(msys, candidate):
-            raise
-        lab = candidate
-    if lab is None:
-        raise StarexprError(
-            "no well-layered labelling exists for a minimized reachable system; "
-            "this contradicts closure under homomorphic images")
-    phi = canonical_solution(msys, lab)
-    return phi[h[root]]
+        return canonical_solution(msys, image_labelling(lab, h, msys))[h[root]]
+    except LayeringError:  # the image is ill layered: solve e's own system
+        return canonical_solution(sys, lab)[root]

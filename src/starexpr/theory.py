@@ -264,8 +264,7 @@ def parse_selector(text: str) -> TheoryConfig:
         if not rest.startswith("tests="):
             raise ValueError(f"expected {head}:tests=..., got {text!r}")
         names = rest[len("tests="):]
-        tests = tuple(n for n in names.split(",") if n)
-        return TheoryConfig(head, tests=tests)
+        return TheoryConfig(head, tests=tuple(names.split(",")) if names else ())
     if head == "smod":
         if rest not in SEMIRINGS:
             raise ValueError(f"unknown semiring {rest!r} (have {sorted(SEMIRINGS)})")

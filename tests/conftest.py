@@ -93,6 +93,12 @@ ILL_LAYERED = {
 }
 
 
+# an smod:nat expression whose 5-state minimized system is ill layered under
+# the image of its syntactic labelling
+ILL_IMAGE = ("a ; 0 *{u (+) v} ((b (+) a) (+) c) (+) ((b *{u (+) v} c (+) b) (+) c) ; "
+             "(b ; ((b ; b) *{u (+) v} b (+) 0)) *{u (+) 0} ((b ; b) ; b)")
+
+
 def ill_layered(condition: int) -> tuple[System, Labelling]:
     edges, entry = ILL_LAYERED[condition]
     return sl_system(edges), Labelling(frozenset(entry))

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from conftest import (
-    BAD_ENTRIES, ILL_LAYERED, NOT_RATIONAL_EDGES, bad_entry_doc, ill_layered, loop_chain_doc,
-    sl_chain_doc, weighted_doc,
+    BAD_ENTRIES, ILL_IMAGE, ILL_LAYERED, NOT_RATIONAL_EDGES, bad_entry_doc, ill_layered,
+    loop_chain_doc, sl_chain_doc, weighted_doc,
 )
 from starexpr import gen, props
 from starexpr.cli import run
@@ -70,6 +70,29 @@ def test_parse_error_exit_code(capsys):
     code, _, err = invoke(capsys, "fuzz", "--theory", "ga:tests=true", "--count", "50",
                           "--size", "6", "--seed", "1")
     assert code == 2 and "reserved" in err
+
+
+@pytest.mark.parametrize("tests", ["p,,q", "p,", ",p"])
+def test_empty_test_names_are_refused(tmp_path, capsys, tests):
+    code, out, err = invoke(capsys, "equiv", "--theory", f"ga:tests={tests}", "a", "a")
+    assert (code, out, err) == (2, "", "error: bad test name: ''\n")
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"theory": f"gc:tests={tests}", "states": ["s0"],
+                                "beta": {"s0": {}}}))
+    code, out, err = invoke(capsys, "minimize", str(path))
+    assert (code, out, err) == (2, "", "error: bad theory selector: bad test name: ''\n")
+    # no tests at all is the one-atom guarded theory
+    code, out, _ = invoke(capsys, "equiv", "--theory", "ga:tests=", "a", "a")
+    assert (code, out) == (0, "equivalent\n")
+
+
+@pytest.mark.parametrize("theory", [5, None, ["sl"]])
+def test_theory_that_is_no_string_is_refused(tmp_path, capsys, theory):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"theory": theory, "states": ["s0"], "beta": {"s0": []}}))
+    code, out, err = invoke(capsys, "minimize", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: theory must be a selector string, got {theory!r}\n"
 
 
 def test_minimize_flow(tmp_path, capsys):
@@ -150,6 +173,11 @@ def test_roundtrip_verdict(capsys):
     assert lines[-1] == "verified: bisimilar"
     sl = parse_selector("sl")
     parse(lines[0], sl)
+
+
+def test_roundtrip_verifies_where_the_image_is_ill_layered(capsys):
+    code, out, err = invoke(capsys, "roundtrip", "--theory", "smod:nat", ILL_IMAGE)
+    assert (code, err) == (0, "") and out.endswith("\nverified: bisimilar\n")
 
 
 @pytest.mark.parametrize("selector, text", [("smod:nat", "2 . a ; b (+) c"),

@@ -394,6 +394,18 @@ def test_load_rejects_guard_constants_as_test_names():
         load_system(doc)
 
 
+@pytest.mark.parametrize("selector", ["ga:tests=p,,q", "ga:tests=p,", "gc:tests=,p"])
+def test_load_rejects_empty_test_names(selector):
+    with pytest.raises(DocumentError, match="bad test name: ''"):
+        load_system({"theory": selector, "states": ["s0"], "beta": {"s0": {}}})
+
+
+@pytest.mark.parametrize("theory", [5, None, ["sl"]])
+def test_load_rejects_a_theory_that_is_no_string(theory):
+    with pytest.raises(DocumentError, match="theory must be a selector string"):
+        load_system({"theory": theory, "states": ["s0"], "beta": {"s0": []}})
+
+
 def test_load_rejects_partial_beta_and_missing_atoms():
     with pytest.raises(DocumentError):
         load_system({"theory": "sl", "states": ["s0", "s1"], "beta": {"s0": []}})

@@ -1,15 +1,16 @@
 """Canonical solutions: factorization, detours, solving, round-trips."""
 
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
-    ILL_LAYERED, all_valid_labellings, brute_bisimilar, corpus, ill_layered, loop_chain_doc,
-    sl_chain_doc, sl_system,
+    ILL_IMAGE, ILL_LAYERED, all_valid_labellings, brute_bisimilar, corpus, ill_layered,
+    loop_chain_doc, sl_chain_doc, sl_system,
 )
-from starexpr import props, solve
+from starexpr import gen, props, solve
 from starexpr.bisim import decide_equiv, minimize
 from starexpr.errors import LayeringError
 from starexpr.layering import (
@@ -279,12 +280,12 @@ def test_roundtrip_reads_rows_and_the_labelling_once(monkeypatch):
                         lambda *args: built.append(args) or row_value(*args))
     labelled = []
 
-    def search(msys):
-        lab = Labelling(_CountingEntries(search_labelling(msys).entry))
+    def image(lab, h, msys):
+        lab = Labelling(_CountingEntries(image_labelling(lab, h, msys).entry))
         labelled.append((msys, lab))
         return lab
 
-    monkeypatch.setattr(solve, "search_labelling", search)
+    monkeypatch.setattr(solve, "image_labelling", image)
     _CountingEntries.passes = 0
     e = parse("(a ; (b + c ; d)) *{u + v} (e ; (f ; g) *{u + v} h)", SL)
     out = roundtrip(SL, e)
@@ -317,6 +318,39 @@ def test_roundtrip_random(cfg, rng):
         assert props.check_roundtrip(cfg, e) is None, print_expr(e)
 
 
+def test_roundtrip_never_searches(cfg, monkeypatch):
+    def search(sys_):
+        raise AssertionError("roundtrip searched for a labelling")
+
+    monkeypatch.setattr("starexpr.layering.search_labelling", search)
+    monkeypatch.setattr(solve, "search_labelling", search, raising=False)
+    for e in corpus(cfg.selector()):
+        assert props.check_roundtrip(cfg, e) is None, print_expr(e)
+
+
+def test_roundtrip_returns_on_large_inputs(cfg):
+    # the first 21 draws at sizes 128 and 256: minimized systems far past
+    # the search bound, and the smod:nat size-128 draw 20, whose image
+    # labelling is ill layered
+    for size in (128, 256):
+        rng = random.Random(f"{cfg.selector()}:{size}")
+        for _ in range(21):
+            e = gen.rand_expr(rng, cfg, size)
+            assert decide_equiv(cfg, roundtrip(cfg, e), e), print_expr(e)
+
+
+def test_roundtrip_solves_its_own_system_where_the_image_is_ill_layered():
+    cfg = parse_selector("smod:nat")
+    e = parse(ILL_IMAGE, cfg)
+    sys_, root = reachable(cfg, e)
+    lab = syntactic_labelling(cfg, e, sys_)
+    msys, h = minimize(sys_)
+    assert not check_well_layered(msys, image_labelling(lab, h, msys)).ok
+    out = roundtrip(cfg, e)
+    assert out == canonical_solution(sys_, lab)[root]
+    assert decide_equiv(cfg, out, e)
+
+
 def _tree_nodes(e) -> int:
     """Node count of the expression's tree, with shared nodes counted once
     per occurrence."""
@@ -343,9 +377,10 @@ def test_guarded_roundtrip_output_stays_small():
     assert parse(print_expr(out), ga) == out
 
 
-def test_roundtrip_falls_back_past_the_search_bound():
+def test_roundtrip_labels_past_the_search_bound():
     # wide loop: the minimized system has more transitions than the search
-    # guard allows, so the image of the derived labelling takes over
+    # allows, and roundtrip, which labels it by the image of the syntactic
+    # labelling, never searches
     from starexpr.errors import LimitExceededError
     from starexpr.layering import search_labelling as search
 
