@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys as _sys
 
-from . import props
 from .bisim import decide_equiv, minimize
 from .errors import DocumentError, LimitExceededError, StarexprError
 from .layering import (
@@ -171,6 +169,12 @@ def _cmd_roundtrip(args):
 
 
 def _cmd_fuzz(args):
+    # the suites and their generators load only here: no other command
+    # pays for importing them
+    import random
+
+    from . import props
+
     cfg = _cfg(args)
     failures = 0
     for suite in props.SUITES:

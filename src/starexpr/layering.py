@@ -19,31 +19,36 @@ n candidate transitions, and is bounded at `SEARCH_TRANSITION_BOUND`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import DocumentError, LayeringError, LimitExceededError
 from .semantics import System, TICK, step
 from .syntax import Expr, Seq, Star
-from .theory import TheoryConfig, row_support, supp
+from .theory import Record, TheoryConfig, _set, row_support, supp
 
 SEARCH_TRANSITION_BOUND = 20
 
 
-@dataclass(frozen=True)
-class Labelling:
+class Labelling(Record):
     """The loop-entry transitions; everything else state-to-state is body."""
 
-    entry: frozenset[tuple[str, str, str]]
+    __slots__ = ("entry",)
+    _fields = __slots__
+
+    def __init__(self, entry: frozenset[tuple[str, str, str]]):
+        _set(self, "entry", entry)
 
 
-@dataclass(frozen=True)
-class LayerVerdict:
+class LayerVerdict(Record):
     """Outcome of the well-layeredness check; condition 1-4 plus a witness
     when violated."""
 
-    ok: bool
-    condition: int | None = None
-    witness: object = None
+    __slots__ = ("ok", "condition", "witness")
+    _fields = __slots__
+
+    def __init__(self, ok: bool, condition: int | None = None, witness: object = None):
+        _set(self, "ok", ok)
+        _set(self, "condition", condition)
+        _set(self, "witness", witness)
 
     def __bool__(self):
         return self.ok
@@ -143,21 +148,28 @@ def _ranks(states) -> list[int]:
     return ranks
 
 
-@dataclass
-class _Layers:
+class _Layers(Record):
     """A labelled system by state index: entry and body targets (distinct,
     ordered by ``rank``), acceptance, and the entry steps (action, target)
     leaving each state that has any.  `_violation` fills in the body
-    post-order, the loops-around lists and their post-order as it goes."""
+    post-order, the loops-around lists and their post-order as it goes, so
+    unlike other records it can be assigned to, and it has no hash."""
 
-    entry: list
-    body: list
-    accepts: list
-    rank: list
-    steps: dict
-    post: list | None = None
-    loops: list | None = None
-    loop_post: list | None = None
+    __slots__ = ("entry", "body", "accepts", "rank", "steps", "post", "loops", "loop_post")
+    _fields = __slots__
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, entry: list, body: list, accepts: list, rank: list, steps: dict):
+        self.entry = entry
+        self.body = body
+        self.accepts = accepts
+        self.rank = rank
+        self.steps = steps
+        self.post = None
+        self.loops = None
+        self.loop_post = None
 
 
 def _layers(sys: System, lab: Labelling) -> _Layers:

@@ -10,13 +10,13 @@ expression, interning expressions as states.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import DocumentError
 from .syntax import Act, Expr, Seq, Star, TOp, print_expr, same_syntax
 from .theory import (
-    MVal, TheoryConfig, _doc_key, eta, eval_term, mval_map, parse_selector, row_support, supp,
+    MVal, Record, TheoryConfig, _doc_key, _set, eta, eval_term, mval_map, parse_selector,
+    row_support, supp,
 )
 
 
@@ -41,11 +41,21 @@ class Tick:
 TICK = Tick()
 
 
-@dataclass(frozen=True)
-class State:
+class State(Record):
     """A state reference inside a transition value."""
 
-    sid: str
+    __slots__ = ("sid",)
+
+    def __init__(self, sid: str):
+        _set(self, "sid", sid)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.sid == other.sid
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.sid,))
 
     def sort_key(self):
         return (self.sid,)

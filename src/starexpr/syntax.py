@@ -203,9 +203,9 @@ def _tokenize(text: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():  # what int() reads; a digit such as '²' is not
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(("int", text[i:j], i))
             i = j

@@ -20,21 +20,64 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
     DocumentError, LimitExceededError, TheoryMismatchError, UnboundVariableError,
 )
 
-Element = Any  # any hashable value; systems use (action, target) pairs
+Element = object  # any hashable value; systems use (action, target) pairs
 
 KINDS = ("sl", "ga", "ca", "gc", "smod")
 
 _IDENT = re.compile(r"[a-z][a-z0-9_]*\Z")
+
+
+# ---------------------------------------------------------------------------
+# immutable value records
+
+
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable values.  ``_fields`` names the
+    attributes that `repr` shows, as ``Name(field=value, ...)``, and that
+    the default `==` and `hash` compare; a subclass on a hot path defines
+    its own.  Assignment raises AttributeError, so a value can be shared
+    freely."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots here, as assignment is refused
+        for name, value in state[1].items():
+            _set(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +223,7 @@ register_semiring(Semiring(
 # theory configuration
 
 
-@dataclass(frozen=True)
-class TheoryConfig:
+class TheoryConfig(Record):
     """A branching theory instance: kind plus its parameters.
 
     ``tests`` is the ordered test set for ``ga``/``gc``; atoms are all
@@ -193,53 +235,63 @@ class TheoryConfig:
     with the atoms; but documents, exports and per-atom constructors list
     every atom, so at most ``MAX_TESTS`` tests are accepted (4096 atoms).
     ``true`` and ``false`` name the guard constants, so no test takes them.
-    ``theory``, the `Theory` of the kind, takes no part in equality.
+    Configs are equal when kind, tests and semiring are; ``theory``, the
+    `Theory` of the kind, takes no part in equality.
     """
+
+    __slots__ = ("kind", "tests", "semiring", "atoms", "full", "theory", "_hash")
+    _fields = ("kind", "tests", "semiring", "atoms")
 
     MAX_TESTS = 12
 
-    kind: str
-    tests: tuple[str, ...] = ()
-    semiring: Semiring | None = None
-    atoms: tuple[str, ...] = field(init=False, compare=False)
-    full: int = field(init=False, compare=False, repr=False)
-    theory: Theory = field(init=False, compare=False, repr=False)
-    # every value hashes its config, so the hash is computed once
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown theory kind: {self.kind!r}")
-        if self.kind in ("ga", "gc"):
-            if len(set(self.tests)) != len(self.tests):
+    def __init__(self, kind: str, tests: tuple[str, ...] = (),
+                 semiring: Semiring | None = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown theory kind: {kind!r}")
+        if kind in ("ga", "gc"):
+            if len(set(tests)) != len(tests):
                 raise ValueError("duplicate test names")
-            for t in self.tests:
+            for t in tests:
                 if not _IDENT.match(t):
                     raise ValueError(f"bad test name: {t!r}")
                 if t in ("true", "false"):
                     raise ValueError(f"test name {t!r} is reserved for the guard constant")
-            n = len(self.tests)
+            n = len(tests)
             if n > self.MAX_TESTS:
                 raise LimitExceededError(
                     f"{n} tests exceed the limit of {self.MAX_TESTS} "
                     f"({2 ** self.MAX_TESTS} atoms)")
             atoms = tuple(format(i, f"0{n}b") if n else "" for i in range(2 ** n))
         else:
-            if self.tests:
-                raise ValueError(f"theory {self.kind} takes no tests")
+            if tests:
+                raise ValueError(f"theory {kind} takes no tests")
             atoms = ()
-        if self.kind == "smod":
-            if self.semiring is None:
+        if kind == "smod":
+            if semiring is None:
                 raise ValueError("smod requires a semiring")
-        elif self.semiring is not None:
-            raise ValueError(f"theory {self.kind} takes no semiring")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "full", (1 << len(atoms)) - 1)
-        object.__setattr__(self, "_hash", hash((self.kind, self.tests, self.semiring)))
-        object.__setattr__(self, "theory", _THEORIES[self.kind](self))
+        elif semiring is not None:
+            raise ValueError(f"theory {kind} takes no semiring")
+        _set(self, "kind", kind)
+        _set(self, "tests", tests)
+        _set(self, "semiring", semiring)
+        _set(self, "atoms", atoms)
+        _set(self, "full", (1 << len(atoms)) - 1)
+        # every value hashes its config, so the hash is computed once
+        _set(self, "_hash", hash((kind, tests, semiring)))
+        _set(self, "theory", _THEORIES[kind](self))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.tests, self.semiring) == \
+                (other.kind, other.tests, other.semiring)
+        return NotImplemented
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not restored: the cached hash depends on the hash seed
+        return TheoryConfig, (self.kind, self.tests, self.semiring)
 
     def selector(self) -> str:
         """Render the selector string that `parse_selector` accepts."""
@@ -276,36 +328,85 @@ def parse_selector(text: str) -> TheoryConfig:
 # boolean guards over tests (ga / gc)
 
 
-@dataclass(frozen=True)
-class BTrue:
-    pass
+class _Constant(Record):
+    """A value with no fields: every instance of a class is equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
 
 
-@dataclass(frozen=True)
-class BFalse:
-    pass
+class BTrue(_Constant):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BTest:
-    name: str
+class BFalse(_Constant):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BNot:
-    arg: "BoolExpr"
+class BTest(Record):
+    __slots__ = ("name",)
+    _fields = __slots__
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class BAnd:
-    left: "BoolExpr"
-    right: "BoolExpr"
+class BNot(Record):
+    __slots__ = ("arg",)
+    _fields = __slots__
+
+    def __init__(self, arg: BoolExpr):
+        _set(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.arg == other.arg
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.arg,))
 
 
-@dataclass(frozen=True)
-class BOr:
-    left: "BoolExpr"
-    right: "BoolExpr"
+class _Binary(Record):
+    """A guard connective over two guards."""
+
+    __slots__ = ("left", "right")
+    _fields = __slots__
+
+    def __init__(self, left: BoolExpr, right: BoolExpr):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+
+class BAnd(_Binary):
+    __slots__ = ()
+
+
+class BOr(_Binary):
+    __slots__ = ()
 
 
 BoolExpr = BTrue | BFalse | BTest | BNot | BAnd | BOr
@@ -350,16 +451,16 @@ def bool_text(b: BoolExpr) -> str:
 # operator symbols and terms
 
 
-@dataclass(frozen=True)
-class ZeroSym:
+class ZeroSym(_Constant):
+    __slots__ = ()
     arity = 0
 
     def text(self):
         return "0"
 
 
-@dataclass(frozen=True)
-class PlusSym:
+class PlusSym(_Constant):
+    __slots__ = ()
     arity = 2
 
     def text(self):
@@ -405,19 +506,24 @@ class GuardSym:
         return self._hash
 
 
-@dataclass(frozen=True)
-class ChoiceSym:
+class ChoiceSym(Record):
     """Convex choice with probability p of taking the left branch."""
 
-    prob: Fraction
+    __slots__ = ("prob", "_hash")
+    _fields = ("prob",)
     arity = 2
-    # hashing a Fraction takes a modular inverse, so it is done once
-    _hash: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if not (0 <= self.prob <= 1):
-            raise ValueError(f"probability outside [0,1]: {self.prob}")
-        object.__setattr__(self, "_hash", hash((self.prob,)))
+    def __init__(self, prob: Fraction):
+        if not (0 <= prob <= 1):
+            raise ValueError(f"probability outside [0,1]: {prob}")
+        _set(self, "prob", prob)
+        # hashing a Fraction takes a modular inverse, so it is done once
+        _set(self, "_hash", hash((prob,)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.prob == other.prob
+        return NotImplemented
 
     def __hash__(self):
         return self._hash
@@ -426,18 +532,29 @@ class ChoiceSym:
         return f"(+{self.prob})"
 
 
-@dataclass(frozen=True)
-class OplusSym:
+class OplusSym(_Constant):
+    __slots__ = ()
     arity = 2
 
     def text(self):
         return "(+)"
 
 
-@dataclass(frozen=True)
-class ScaleSym:
-    weight: Any
+class ScaleSym(Record):
+    __slots__ = ("weight",)
+    _fields = __slots__
     arity = 1
+
+    def __init__(self, weight):
+        _set(self, "weight", weight)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.weight == other.weight
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.weight,))
 
 
 ZERO = ZeroSym()
@@ -447,26 +564,47 @@ OPLUS = OplusSym()
 OpSym = ZeroSym | PlusSym | GuardSym | ChoiceSym | OplusSym | ScaleSym
 
 
-@dataclass(frozen=True)
-class SVar:
-    name: Any
+class SVar(Record):
+    __slots__ = ("name",)
+    _fields = __slots__
+
+    def __init__(self, name):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class SOp:
-    sym: OpSym
-    args: tuple["STerm", ...] = ()
-    # computed once: every `Star` hashes its loop term
-    _hash: int = field(init=False, compare=False, repr=False)
+class SOp(Record):
+    __slots__ = ("sym", "args", "_hash")
+    _fields = ("sym", "args")
 
-    def __post_init__(self):
-        if len(self.args) != self.sym.arity:
+    def __init__(self, sym: OpSym, args: tuple[STerm, ...] = ()):
+        if len(args) != sym.arity:
             raise ValueError(
-                f"operator {self.sym!r} expects {self.sym.arity} arguments, got {len(self.args)}")
-        object.__setattr__(self, "_hash", hash((self.sym, self.args)))
+                f"operator {sym!r} expects {sym.arity} arguments, got {len(args)}")
+        _set(self, "sym", sym)
+        _set(self, "args", args)
+        # computed once: every `Star` hashes its loop term
+        _set(self, "_hash", hash((sym, args)))
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return other._hash == self._hash and (self.sym, self.args) == (other.sym, other.args)
+        return NotImplemented
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return SOp, (self.sym, self.args)
 
 
 STerm = SVar | SOp
@@ -638,7 +776,7 @@ def mval_map(f: Callable[[Element], Element], m: MVal) -> MVal:
     return MVal(m.cfg, m.cfg.theory.map(f, m.data))
 
 
-def eval_term(cfg: TheoryConfig, term: STerm, env: Mapping[Any, MVal]) -> MVal:
+def eval_term(cfg: TheoryConfig, term: STerm, env: Mapping[object, MVal]) -> MVal:
     """Evaluate a term under the theory's free-algebra operations.
 
     Every variable of the term must be bound in ``env`` to a value of the
@@ -805,7 +943,7 @@ def _with_mass(t: STerm, mass) -> STerm:
     return t if mass == 1 else SOp(ChoiceSym(mass), (t, SZERO))
 
 
-def _convex_chain(dist) -> tuple[STerm, Any]:
+def _convex_chain(dist) -> tuple[STerm, object]:
     """The left-nested convex chain over ordered (element, mass) pairs, its
     probabilities conditional on the masses so far, and the masses' total.
     The chain depends only on the masses' ratios."""
@@ -963,7 +1101,7 @@ class Nondeterministic(Theory):
         return (SOp(PLUS, (U_VAR, V_VAR)), self.reify_data([e for e in data if is_left(e)]),
                 self.reify_data([e for e in data if not is_left(e)]))
 
-    def flat_rows(self, values: Iterable[MVal], key: Callable[[Any], Any]) -> list:
+    def flat_rows(self, values: Iterable[MVal], key: Callable[[object], object]) -> list:
         """One row per value, each target ``t`` as ``key(t)``; systems key
         states by index and the tick by -1."""
         return [pair_row([(a, key(t)) for a, t in m.data]) for m in values]
@@ -1021,7 +1159,7 @@ class _Weighted(Theory):
     def ordered(self, data) -> list:
         return _sorted_entries(data)
 
-    def flat_rows(self, values: Iterable[MVal], key: Callable[[Any], Any]) -> list:
+    def flat_rows(self, values: Iterable[MVal], key: Callable[[object], object]) -> list:
         return [_weighted_row([(a, key(t), w) for (a, t), w in m.data]) for m in values]
 
     def row_value(self, row, targets) -> MVal:
@@ -1145,7 +1283,7 @@ class Semimodule(_Weighted):
         scaled = ((e, sr.mul(w, x)) for e, x in data)
         return frozenset(kv for kv in scaled if kv[1] != sr.zero)
 
-    def normal(self, mapping: Mapping[Element, Any]) -> frozenset:
+    def normal(self, mapping: Mapping[Element, object]) -> frozenset:
         sr = self.semiring
         for w in mapping.values():
             if not sr.contains(w):
@@ -1414,7 +1552,7 @@ class Guarded(Theory):
 
         return build(0, list(parts.items()))
 
-    def flat_rows(self, values: Iterable[MVal], key: Callable[[Any], Any]) -> list:
+    def flat_rows(self, values: Iterable[MVal], key: Callable[[object], object]) -> list:
         row = self.inner.flat_row
         return [row(v.data, key) for v in values]
 

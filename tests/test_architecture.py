@@ -1,9 +1,13 @@
 """Each theory is described in one place: only `theory` branches on a theory
 kind; every other module asks the config's theory object.  Each fuzz
 property is written once, in `props`: the CLI drives the suites and the
-tests call their checks."""
+tests call their checks.  Importing the package and its command line loads
+neither the fuzz machinery nor the heavy standard modules."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from starexpr.props import SUITES
@@ -85,3 +89,17 @@ def test_every_suite_is_checked_by_the_tests():
         named = {n.id for n in ast.walk(check) if isinstance(n, ast.Name)} & functions.keys()
         checks = named.union(*map(_called, map(functions.get, named))) & functions.keys()
         assert checks & in_tests, f"no test calls a check of the {name} suite"
+
+
+def test_import_loads_no_heavy_or_fuzz_modules():
+    # dataclasses brings inspect, ast, dis and tokenize with it; the fuzz
+    # suites, their generators and random load only for the fuzz command
+    script = (f"import json, sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+              "import starexpr, starexpr.cli; print(json.dumps(sorted(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, timeout=60, check=True)
+    loaded = set(json.loads(done.stdout))
+    assert "starexpr.cli" in loaded
+    unwanted = {"dataclasses", "inspect", "typing", "ast", "dis",
+                "starexpr.props", "starexpr.gen", "random"}
+    assert loaded & unwanted == set()

@@ -72,6 +72,11 @@ def test_parse_error_exit_code(capsys):
     assert code == 2 and "reserved" in err
 
 
+def test_digits_that_are_not_decimal_are_parse_errors(capsys):
+    code, out, err = invoke(capsys, "equiv", "--theory", "ca", "a (+1/²) b", "a")
+    assert (code, out, err) == (2, "", "error: unexpected character '²' (at position 6)\n")
+
+
 @pytest.mark.parametrize("tests", ["p,,q", "p,", ",p"])
 def test_empty_test_names_are_refused(tmp_path, capsys, tests):
     code, out, err = invoke(capsys, "equiv", "--theory", f"ga:tests={tests}", "a", "a")

@@ -77,6 +77,18 @@ def test_errors_carry_positions():
         parse("a (+1/2 b", CA)
 
 
+def test_digits_that_are_not_decimal_fail_at_their_position():
+    # '²' is a digit to str.isdigit but no number to int(); a decimal digit
+    # of another script still reads as its number
+    nat = parse_selector("smod:nat")
+    for text, selector, position in (("² . a", nat, 0), ("a (+1/²) b", CA, 6)):
+        with pytest.raises(ParseError) as err:
+            parse(text, selector)
+        assert err.value.position == position
+        assert "unexpected character '²'" in str(err.value)
+    assert parse("٣ . a", nat) == parse("3 . a", nat)
+
+
 def test_unknown_test_rejected():
     ga = parse_selector("ga:tests=p")
     with pytest.raises(ParseError) as err:

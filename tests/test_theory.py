@@ -1,18 +1,25 @@
 """Free-algebra values: units, evaluation, support, reification, splitting."""
 
+import copy
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import ALL_SELECTORS, NOT_RATIONAL_EDGES, RATIONAL_EDGES
 from starexpr import gen, props
 from starexpr.errors import LimitExceededError, TheoryMismatchError, UnboundVariableError
+from starexpr.layering import Labelling, LayerVerdict, _Layers
 from starexpr.semantics import State, TICK
 from starexpr.theory import (
-    BAnd, BNot, BOr, BTest, BTrue, ChoiceSym, GuardSym, OPLUS, PLUS, SEMIRINGS, SOp, SVar,
-    SZERO, ScaleSym, TheoryConfig, element_sort_key, eta, eval_term, mval_map,
+    BAnd, BFalse, BNot, BOr, BTest, BTrue, ChoiceSym, GuardSym, OPLUS, PLUS, SEMIRINGS, SOp, SVar,
+    SZERO, ScaleSym, TheoryConfig, ZERO, element_sort_key, eta, eval_term, mval_map,
     parse_rational, parse_selector, rand_prob, reify, row_support, split, supp, term_variables,
     weight_key,
 )
@@ -20,6 +27,96 @@ from starexpr.theory import (
 
 def ident_env(cfg, m):
     return {e: eta(cfg, e) for e in supp(m)}
+
+
+# ---------------------------------------------------------------------------
+# value records
+
+
+def test_values_refuse_assignment():
+    values = {"kind": parse_selector("sl"), "args": SOp(PLUS, (SVar("u"), SVar("v"))),
+              "sid": State("s0"), "entry": Labelling(frozenset())}
+    for name, value in values.items():
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            setattr(value, "other", None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
+def test_values_copy_and_pickle():
+    values = [parse_selector("ga:tests=p"), SOp(ChoiceSym(Fraction(1, 2)), (SVar("u"), SZERO)),
+              BAnd(BTest("p"), BTrue()), State("s0"), Labelling(frozenset({("s0", "a", "s0")})),
+              LayerVerdict(False, 3, ("s0",))]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+
+
+def test_values_pickled_under_another_hash_seed_keep_their_hash():
+    # a cached hash of strings depends on the hash seed, so it is computed
+    # anew, not restored
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import pickle, sys; from starexpr.theory import PLUS, SOp, SVar, parse_selector; "
+              "sys.stdout.buffer.write(pickle.dumps("
+              "[parse_selector('ga:tests=p'), parse_selector('sl'), SOp(PLUS, (SVar('u'), SVar('v')))]))")
+    fresh = [parse_selector("ga:tests=p"), parse_selector("sl"), SOp(PLUS, (SVar("u"), SVar("v")))]
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              timeout=60, check=True)
+        for value, twin in zip(fresh, pickle.loads(done.stdout)):
+            assert twin == value and hash(twin) == hash(value) and twin in {value}
+
+
+def test_value_reprs():
+    half = ChoiceSym(Fraction(1, 2))
+    cases = [
+        (parse_selector("ga:tests=p,q"),
+         "TheoryConfig(kind='ga', tests=('p', 'q'), semiring=None, "
+         "atoms=('00', '01', '10', '11'))"),
+        (parse_selector("smod:nat"),
+         "TheoryConfig(kind='smod', tests=(), semiring=Semiring(nat), atoms=())"),
+        (BTrue(), "BTrue()"),
+        (BFalse(), "BFalse()"),
+        (BNot(BTest("p")), "BNot(arg=BTest(name='p'))"),
+        (BAnd(BTest("p"), BTrue()), "BAnd(left=BTest(name='p'), right=BTrue())"),
+        (BOr(BFalse(), BTest("q")), "BOr(left=BFalse(), right=BTest(name='q'))"),
+        (OPLUS, "OplusSym()"),
+        (ScaleSym(Fraction(2)), "ScaleSym(weight=Fraction(2, 1))"),
+        (SOp(half, (SVar("u"), SZERO)),
+         "SOp(sym=ChoiceSym(prob=Fraction(1, 2)), args=(SVar(name='u'), "
+         "SOp(sym=ZeroSym(), args=())))"),
+        (SOp(PLUS, (SVar("u"), SVar("v"))),
+         "SOp(sym=PlusSym(), args=(SVar(name='u'), SVar(name='v')))"),
+        (State("s1"), "State(s1)"),
+        (Labelling(frozenset({("s0", "a", "s1")})),
+         "Labelling(entry=frozenset({('s0', 'a', 's1')}))"),
+        (LayerVerdict(True), "LayerVerdict(ok=True, condition=None, witness=None)"),
+        (LayerVerdict(False, 2, ("s0", "s1")),
+         "LayerVerdict(ok=False, condition=2, witness=('s0', 's1'))"),
+        (_Layers([[1]], [[]], [True], [0], {}),
+         "_Layers(entry=[[1]], body=[[]], accepts=[True], rank=[0], steps={}, post=None, "
+         "loops=None, loop_post=None)"),
+    ]
+    for value, text in cases:
+        assert repr(value) == text
+
+
+def test_values_compare_by_class_and_fields():
+    assert BAnd(BTrue(), BTrue()) != BOr(BTrue(), BTrue())
+    assert BTrue() != BFalse() and ZERO != PLUS and SVar("u") != State("u")
+    assert SOp(ChoiceSym(Fraction(1, 2)), (SVar("u"), SZERO)) == \
+        SOp(ChoiceSym(Fraction(2, 4)), (SVar("u"), SOp(ZERO)))
+    assert hash(SVar("u")) == hash(("u",)) and hash(State("s")) == hash(("s",))
+    assert hash(BTrue()) == hash(ZERO) == hash(())
+    # a config compares on kind, tests and semiring: its theory object is
+    # built anew each time
+    assert TheoryConfig("ga", ("p",)) == parse_selector("ga:tests=p")
+    assert hash(TheoryConfig("smod", semiring=SEMIRINGS["nat"])) == \
+        hash(("smod", (), SEMIRINGS["nat"]))
+    assert LayerVerdict(False, 1, ("s0",)) == LayerVerdict(False, 1, ("s0",))
 
 
 # ---------------------------------------------------------------------------
