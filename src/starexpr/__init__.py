@@ -18,7 +18,7 @@ from .syntax import Act, Expr, Seq, Star, TOp, compute_U, parse, print_expr, sta
 from .semantics import (
     State, System, TICK, export_dot, export_system, load_system, reachable, step,
 )
-from .bisim import bisimilar, brute_bisim, decide_equiv, minimize, refine
+from .bisim import brute_bisim, decide_equiv, minimize, refine
 from .layering import (
     Labelling, check_well_layered, loops_around, measures, search_labelling,
     syntactic_labelling,

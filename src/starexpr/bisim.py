@@ -11,7 +11,7 @@ decides provable equivalence of expressions.
 
 from __future__ import annotations
 
-from .errors import LimitExceededError, TheoryMismatchError
+from .errors import LimitExceededError
 from .semantics import State, System, TICK, reachable_from
 from .syntax import Expr
 from .theory import MVal, TheoryConfig, mval_map
@@ -172,29 +172,6 @@ def brute_bisim(sys: System) -> Partition:
         if all(_coarser_eq(cand, other, states) for other in good):
             return _dense(sys, [cand[x] for x in sys.states])
     raise AssertionError("no coarsest behavioural partition; functor misbehaves")
-
-
-def disjoint_union(sys1: System, sys2: System) -> tuple[System, dict, dict]:
-    """Concatenate two systems over the same theory, renaming states apart.
-    Returns the union and the two renaming maps."""
-    if sys1.cfg != sys2.cfg:
-        raise TheoryMismatchError(
-            f"cannot combine {sys1.cfg.selector()} with {sys2.cfg.selector()}")
-    left = {x: f"l:{x}" for x in sys1.states}
-    right = {x: f"r:{x}" for x in sys2.states}
-    states = tuple(left.values()) + tuple(right.values())
-    n = len(sys1.states)
-    # targets sit at index 1 of every row layout; tick stays -1
-    shifted = [(row[0], tuple([t + n if t >= 0 else t for t in row[1]]), *row[2:])
-               for row in sys2.rows]
-    return System.from_rows(sys1.cfg, states, sys1.rows + shifted), left, right
-
-
-def bisimilar(sys1: System, x1: str, sys2: System, x2: str) -> bool:
-    """Whether two states of two systems are behaviourally equivalent."""
-    union, left, right = disjoint_union(sys1, sys2)
-    part = refine(union)
-    return part[left[x1]] == part[right[x2]]
 
 
 def minimize(sys: System) -> tuple[System, dict[str, str]]:

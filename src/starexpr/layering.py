@@ -8,24 +8,22 @@ transitions, (3) the loops-around relation is acyclic, and (4) no state that
 something loops around to can accept.  Well-layered systems are exactly the
 ones the solver can turn back into expressions.
 
-Checking, loops-around, the measures, every candidate of the search and
-the solver share one integer core (`_layers`): per state index, its entry
-and body targets in id order, read once from `System.rows`.  Its passes are
+Checking, loops-around, the measures, the search's result and the solver
+share one integer core (`_layers`): per state index, its entry and body
+targets in id order, read once from `System.rows`.  Its passes are
 iterative and linear in the system, except the loops-around relation, which
-costs its own size.  The search stays exhaustive, up to 2ⁿ entry sets for
-n candidate transitions, and is bounded at `SEARCH_TRANSITION_BOUND`.
+costs its own size.  The search labels a system of any size by loop
+elimination, one entry pair at a time, and checks its result on that core.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .errors import DocumentError, LayeringError, LimitExceededError
+from .errors import DocumentError, LayeringError
 from .semantics import System, TICK, step
 from .syntax import Expr, Seq, Star
 from .theory import Record, TheoryConfig, _set, row_support, supp
-
-SEARCH_TRANSITION_BOUND = 20
 
 
 class Labelling(Record):
@@ -129,15 +127,9 @@ def _terminates(cfg, e, cache) -> bool:
 # ---------------------------------------------------------------------------
 # the integer core
 #
-# Checking, loops-around, the measures, the labelling search and the solver
-# all run on one integer form of a labelled system: per state index, its
-# distinct entry targets and body targets, each list in id-string order so
-# that traversals and witnesses follow the ids.  It is read once from
-# `System.rows`.  Every pass below is iterative and touches each state and
-# each transition a bounded number of times, except the loops-around
-# relation, whose cost is its own size.  `_violation` alone decides
-# well-layeredness; the measures and the solver take its verdict and graphs
-# through `_well_layered`.
+# Target lists are in id-string order, so that traversals and witnesses
+# follow the ids.  `_violation` alone decides well-layeredness; the measures
+# and the solver take its verdict and graphs through `_well_layered`.
 
 
 def _ranks(states) -> list[int]:
@@ -367,121 +359,119 @@ def measures(sys: System, lab: Labelling) -> dict[str, tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# search
+# labelling by loop elimination
 
 
-def _subsets_by_weight(weights: list[int]):
-    """All index subsets as bitmasks, ordered by total weight; within a
-    weight, in the order of a depth-first search that leaves an index out
-    before taking it.  Weights are positive."""
-    n = len(weights)
-    suffix = [0] * (n + 1)
-    for i in reversed(range(n)):
-        suffix[i] = suffix[i + 1] + weights[i]
-    for target in range(suffix[0] + 1):
-        stack = [(0, target, 0)]
-        while stack:
-            i, left, chosen = stack.pop()
-            if left == 0:
-                yield chosen
-            elif suffix[i] >= left:
-                if weights[i] <= left:
-                    stack.append((i + 1, left - weights[i], chosen | 1 << i))
-                stack.append((i + 1, left, chosen))
-
-
-def _entry_candidates(pairs) -> list[tuple[int, int]]:
-    """The pairs that entry sets choose from, in order: no self-loops (they
-    are forced entry), and no pair whose target cannot reach its source,
-    since such an entry pair fails condition 2 in every entry set.  Dropping
-    them keeps the order of the remaining entry sets."""
-    succ: dict = {}
-    for x, y in pairs:
-        succ.setdefault(x, []).append(y)
-
-    def returns(x, y):
-        seen, stack = {y}, [y]
-        while stack:
-            for z in succ.get(stack.pop(), ()):
-                if z == x:
-                    return True
-                if z not in seen:
-                    seen.add(z)
-                    stack.append(z)
-        return False
-
-    return [(x, y) for x, y in pairs if x != y and returns(x, y)]
+def _components(succ, accepts):
+    """Strongly connected components (iterative Tarjan): each node's component
+    and discovery time, and per component whether it reaches acceptance."""
+    n = len(succ)
+    comp, order, low, live, stack = [-1] * n, [-1] * n, [0] * n, [], []
+    ticks = iter(range(n))  # discovery times
+    for root in range(n):
+        path, its = ([root] if order[root] < 0 else []), []
+        while path:
+            v = path[-1]
+            if order[v] < 0:
+                order[v] = low[v] = next(ticks)
+                stack.append(v)
+                its.append(iter(succ[v]))
+            for w in its[-1]:
+                if order[w] < 0:
+                    path.append(w)
+                    break
+                if comp[w] < 0:
+                    low[v] = min(low[v], order[w])
+            else:
+                path.pop()
+                its.pop()
+                if path:
+                    low[path[-1]] = min(low[path[-1]], low[v])
+                if low[v] == order[v]:  # v's component is the stack down to v
+                    live.append(False)
+                    while comp[v] < 0:
+                        w = stack.pop()
+                        comp[w] = len(live) - 1
+                        live[-1] = live[-1] or accepts[w] or any(live[comp[t]] for t in succ[w])
+    return comp, order, live
 
 
 def search_labelling(sys: System) -> Labelling | None:
-    """Find some well-layered labelling by exhaustive search, or None.
+    """Some well-layered labelling (not necessarily with the fewest entry
+    steps) by loop elimination, or None when there is none.  Self-loops are
+    entry steps; a body pair (v, y) within one strongly connected component
+    becomes entry when the region that y reaches by body steps without
+    passing v is acyclic, accepts nowhere, leads back to v, and holds no
+    state that already loops around to v.  A failed pair is tested again
+    only when a state its failure read loses a body step.  See the README
+    for the argument and the cost; the result is checked."""
+    rows, names = sys.rows, sys.states
+    key = _ranks(names).__getitem__
+    body = [sorted({t for t in row[1] if t >= 0 and t != v}, key=key)
+            for v, row in enumerate(rows)]
+    entry = [[v] if v in row[1] else [] for v, row in enumerate(rows)]
+    accepts = [-1 in row[1] for row in rows]
+    comp, order, live = _components(body, accepts)
 
-    Entry sets are tried in order of ascending entry-transition count.  The
-    search works at source/target-pair granularity: making a partially-entry
-    pair all-body never invalidates a labelling, so pair-pure labellings are
-    enough for both existence and minimality.  Self-loops are forced entry
-    (a body self-loop always breaks condition 1).  The number of entry sets
-    is exponential in the transitions, hence the bound; each is checked by
-    the integer core in time linear in the system, except those that keep
-    all pairs of a body cycle found earlier, which fail unchecked.
-    """
-    actions: dict[tuple[int, int], list] = {}
-    for i, row in enumerate(sys.rows):
-        for a, t in row_support(row):
-            if t >= 0:
-                actions.setdefault((i, t), []).append(a)
-    count = sum(map(len, actions.values()))
-    if count > SEARCH_TRANSITION_BOUND:
-        raise LimitExceededError(
-            f"labelling search is limited to {SEARCH_TRANSITION_BOUND} transitions, "
-            f"got {count}")
-    rank = _ranks(sys.states)
-    pairs = sorted(actions, key=lambda p: (rank[p[0]], rank[p[1]]))
-    optional = _entry_candidates(pairs)
-    weights = [len(actions[p]) for p in optional]
-    # An entry set differs from the next only at the states it chooses
-    # optional pairs from, so each state's (entry, body) lists are built once
-    # per choice there; a state's optional pairs are neighbours in the list.
-    n = len(sys.states)
-    succ: list = [[] for _ in range(n)]
-    entry: list = [[] for _ in range(n)]
-    body: list = [[] for _ in range(n)]
-    for x, y in pairs:
-        succ[x].append(y)
-        (entry if x == y else body)[x].append(y)
-    choosing: dict[int, list] = {}
-    for i, (x, _) in enumerate(optional):
-        choosing.setdefault(x, []).append(i)
-    choices = [(x, idx[0], (1 << len(idx)) - 1, {}) for x, idx in choosing.items()]
-    accepts = [-1 in row[1] for row in sys.rows]
-    # A body cycle is made of optional pairs (a self-loop is entry, a pair
-    # off every cycle is no candidate), and every later entry set that
-    # takes none of them as entry keeps that cycle: it is skipped unchecked.
-    position = {p: i for i, p in enumerate(optional)}
-    cycles: list[int] = []
-    for chosen in _subsets_by_weight(weights):
-        if any(not chosen & cycle for cycle in cycles):
+    def blockers(v, y):
+        """None when (v, y) can become entry now; otherwise the states that
+        must lose a body step before it can, none when it never can."""
+        c, back, cycle = comp[v], False, None
+        seen, path, its = {y: 1}, [y], [iter(body[y])]  # 1 on the path, 2 done
+        while path:
+            for z in its[-1]:
+                if z == v:
+                    back = True
+                elif comp[z] != c:  # in any labelling with (v, y) entry, z sits in a loop
+                    if live[comp[z]]:
+                        return []
+                elif z in seen:
+                    if seen[z] == 1 and cycle is None:
+                        cycle = path[path.index(z):]
+                elif accepts[z]:
+                    return []
+                else:
+                    seen[z] = 1
+                    path.append(z)
+                    its.append(iter(body[z]))
+                    break
+            else:
+                seen[path.pop()] = 2
+                its.pop()
+        if cycle or not back:  # no way back fails for good, a cycle until it breaks
+            return cycle if back else []
+        for w in seen:
+            mark, todo = {w}, list(entry[w])
+            while todo:
+                t = todo.pop()
+                if t == v:
+                    return [*seen, *mark]
+                if t not in mark and comp[t] == c:
+                    mark.add(t)
+                    todo += body[t]
+        return None
+
+    # inner loops tend to go first: pairs from states discovered last
+    queue = deque(sorted(((v, y) for v in range(len(rows)) for y in body[v]
+                          if comp[y] == comp[v] and not accepts[y]), key=lambda p: -order[p[0]]))
+    queued, waiting = set(queue), [[] for _ in rows]
+    while queue:
+        v, y = pair = queue.popleft()
+        queued.discard(pair)
+        found = blockers(v, y) if y in body[v] else []
+        if found is not None:
+            for s in found:
+                waiting[s].append(pair)
             continue
-        for x, low, width, built in choices:
-            mask = chosen >> low & width
-            lists = built.get(mask)
-            if lists is None:
-                picked = {optional[low + k][1] for k in range(width.bit_length())
-                          if mask >> k & 1}
-                lists = built[mask] = (
-                    [y for y in succ[x] if y == x or y in picked],
-                    [y for y in succ[x] if y != x and y not in picked])
-            entry[x], body[x] = lists
-        found = _violation(_Layers(entry, body, accepts, rank, {}))
-        if found is None:
-            names = sys.states
-            return Labelling(frozenset(
-                (names[x], a, names[y]) for x, y in pairs
-                if y in entry[x] for a in actions[x, y]))
-        condition, witness = found
-        if condition == 1:
-            cycles.append(sum(1 << position[p] for p in zip(witness, witness[1:])))
-    return None
+        body[v].remove(y)
+        entry[v].append(y)
+        again = dict.fromkeys(p for p in waiting[v] if p not in queued)
+        queue += again
+        queued.update(again)
+        waiting[v] = []
+    lab = Labelling(frozenset((names[v], a, names[t]) for v, row in enumerate(rows)
+                              for a, t in row_support(row) if t in entry[v]))
+    return lab if check_well_layered(sys, lab) else None
 
 
 # ---------------------------------------------------------------------------

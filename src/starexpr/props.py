@@ -12,10 +12,10 @@ import json
 from collections import namedtuple
 
 from . import gen
-from .bisim import brute_bisim, decide_equiv, refine
-from .layering import check_well_layered, syntactic_labelling
+from .bisim import brute_bisim, decide_equiv, minimize, refine
+from .layering import check_well_layered, search_labelling, syntactic_labelling
 from .semantics import System, TICK, export_system, reachable, step
-from .solve import roundtrip, sterm_to_expr
+from .solve import canonical_solution, roundtrip, sterm_to_expr
 from .syntax import Act, Expr, Seq, Star, compute_U, parse, print_expr, term_text
 from .theory import (
     BTest, GuardSym, MVal, SVar, TheoryConfig, eta, eval_term, mval_map, reify, split, supp,
@@ -199,6 +199,19 @@ def check_layering(cfg: TheoryConfig, e: Expr) -> Failure | None:
     return None
 
 
+def check_labelling(cfg: TheoryConfig, e: Expr) -> Failure | None:
+    """Loop elimination labels e's reachable and minimized systems well
+    layered (the solver checks), and both root solutions are equivalent to e."""
+    sys, root = reachable(cfg, e)
+    msys, h = minimize(sys)
+    for s, x in ((sys, root), (msys, h[root])):
+        lab = search_labelling(s)
+        out = lab and canonical_solution(s, lab)[x]
+        if lab is None or not decide_equiv(cfg, out, e):
+            return Failure("labelling", "none found" if lab is None else f"got {print_expr(out)}")
+    return None
+
+
 def check_roundtrip(cfg: TheoryConfig, e: Expr) -> Failure | None:
     """The roundtrip of e is equivalent to e."""
     out = roundtrip(cfg, e)
@@ -216,4 +229,5 @@ SUITES = [
           lambda cfg, sys: check_oracle(sys), lambda sys: json.dumps(export_system(sys))),
     Suite("layering", 2, gen.rand_expr, check_layering, print_expr),
     Suite("roundtrip", 4, gen.rand_expr, check_roundtrip, print_expr),
+    Suite("labelling", 2, gen.rand_expr, check_labelling, print_expr),
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .bisim import decide_equiv, minimize
 from .errors import LayeringError
-from .layering import Labelling, _longest, _well_layered, syntactic_labelling
+from .layering import Labelling, _longest, _well_layered, search_labelling, syntactic_labelling
 from .semantics import State, System, TICK, reachable
 from .syntax import Act, Expr, Seq, Star, TOp
 from .theory import (
@@ -192,14 +192,17 @@ def roundtrip(cfg: TheoryConfig, e: Expr) -> Expr:
     syntactic labelling, solve, and return the expression for the root;
     always provably equivalent to e.
 
-    Where the image is ill layered, as the solver's own check finds, e's
-    reachable system is solved under its syntactic labelling instead, which
-    is always well layered.
+    Where the image is ill layered, as the solver's own check finds, the
+    minimized system is labelled by loop elimination instead.  It always
+    has a labelling, so finding none is a defect.
     """
     sys, root = reachable(cfg, e)
-    lab = syntactic_labelling(cfg, e, sys)
     msys, h = minimize(sys)
+    lab = image_labelling(syntactic_labelling(cfg, e, sys), h, msys)
     try:
-        return canonical_solution(msys, image_labelling(lab, h, msys))[h[root]]
-    except LayeringError:  # the image is ill layered: solve e's own system
-        return canonical_solution(sys, lab)[root]
+        return canonical_solution(msys, lab)[h[root]]
+    except LayeringError:  # the image is ill layered
+        lab = search_labelling(msys)
+    if lab is None:
+        raise RuntimeError("loop elimination found no labelling of a minimized system")
+    return canonical_solution(msys, lab)[h[root]]

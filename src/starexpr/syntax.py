@@ -16,7 +16,7 @@ Grammar (one expression per line or CLI argument, UTF-8):
     bool    := conj ('|' conj)* ; conj := lit ('&' lit)*
     lit     := '!' lit | 'true' | 'false' | TEST | '(' bool ')'
 
-Actions and tests are lowercase identifiers.  The loop term between braces
+Actions and tests are identifiers [a-z][a-z0-9_]*.  The loop term between braces
 uses the same branching operators over the reserved variables ``u`` and
 ``v`` (plus ``0`` and parentheses).  ``*{..}`` binds tighter than ``;``,
 which binds tighter than branching; two branching operators always need
@@ -47,6 +47,10 @@ class Expr:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        # by constructor arguments (each class's slots): the hash is computed anew
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
     def sort_key(self):
         if self._key is None:
@@ -193,6 +197,8 @@ def _sym_repr(sym):
 
 
 _PUNCT_SINGLE = set(";()]}&|!./")
+# identifiers are [a-z][a-z0-9_]*, read without a regular expression
+_IDENT_TAIL = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
 
 
 def _tokenize(text: str):
@@ -210,11 +216,9 @@ def _tokenize(text: str):
             toks.append(("int", text[i:j], i))
             i = j
             continue
-        if c.isalpha():
-            if not c.islower():
-                raise ParseError(f"identifiers are lowercase, got {c!r}", i)
-            j = i
-            while j < n and (text[j].islower() or text[j].isdigit() or text[j] == "_"):
+        if "a" <= c <= "z":
+            j = i + 1
+            while j < n and text[j] in _IDENT_TAIL:
                 j += 1
             toks.append(("ident", text[i:j], i))
             i = j
@@ -249,6 +253,8 @@ def _tokenize(text: str):
             toks.append(("punct", c, i))
             i += 1
             continue
+        if "A" <= c <= "Z":
+            raise ParseError(f"identifiers are lowercase, got {c!r}", i)
         raise ParseError(f"unexpected character {c!r}", i)
     toks.append(("eof", "", n))
     return toks

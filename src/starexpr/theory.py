@@ -505,6 +505,9 @@ class GuardSym:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        return GuardSym, (self.expr, self.mask)
+
 
 class ChoiceSym(Record):
     """Convex choice with probability p of taking the left branch."""
@@ -706,6 +709,9 @@ class MVal:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return MVal, (self.cfg, self.data)
 
     def __repr__(self):
         return f"MVal({self.cfg.kind}, {self.data!r})"

@@ -9,7 +9,7 @@ from functools import lru_cache
 import pytest
 
 from starexpr import gen
-from starexpr.bisim import brute_bisim, disjoint_union
+from starexpr.bisim import brute_bisim, refine
 from starexpr.layering import Labelling, check_well_layered
 from starexpr.semantics import State, System, TICK
 from starexpr.syntax import parse
@@ -171,6 +171,28 @@ def loop_chain_doc(units, selector="sl"):
         entry.append([x, "a", y])
     return {"theory": selector, "states": states, "root": "s0", "beta": beta,
             "labelling": {"entry": entry}}
+
+
+def disjoint_union(sys1: System, sys2: System) -> tuple[System, dict, dict]:
+    """Two systems over the same theory side by side, states renamed apart:
+    the union and the two renaming maps."""
+    assert sys1.cfg == sys2.cfg
+    left = {x: f"l:{x}" for x in sys1.states}
+    right = {x: f"r:{x}" for x in sys2.states}
+    n = len(sys1.states)
+    # targets sit at index 1 of every row layout; tick stays -1
+    shifted = [(row[0], tuple([t + n if t >= 0 else t for t in row[1]]), *row[2:])
+               for row in sys2.rows]
+    states = tuple(left.values()) + tuple(right.values())
+    return System.from_rows(sys1.cfg, states, sys1.rows + shifted), left, right
+
+
+def bisimilar(sys1, x1, sys2, x2) -> bool:
+    """Whether two states of two systems are equivalent, by refining their
+    union."""
+    union, left, right = disjoint_union(sys1, sys2)
+    part = refine(union)
+    return part[left[x1]] == part[right[x2]]
 
 
 def brute_bisimilar(sys1, x1, sys2, x2) -> bool:

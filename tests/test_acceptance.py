@@ -135,22 +135,19 @@ def test_criterion_6_split_identity():
 
 def test_criterion_7_well_layeredness():
     start = time.time()
-    done = total = searched = 0
+    done = total = 0
     for cfg in CONFIGS:
         for e in acc_corpus(cfg):
-            total += 1
+            total += 2
             if props.check_layering(cfg, e) is None:
                 done += 1
             msys, _ = minimize(reachable(cfg, e)[0])
-            if len(msys.states) <= 8 and len(msys.state_transitions()) <= 20:
-                searched += 1
-                total += 1
-                found = search_labelling(msys)
-                if found is not None and check_well_layered(msys, found).ok:
-                    done += 1
+            found = search_labelling(msys)
+            if found is not None and check_well_layered(msys, found).ok:
+                done += 1
     report(7, done == total,
            f"derived labellings verify and minimized systems re-label "
-           f"({done}/{total}, {searched} searched)",
+           f"({done}/{total})",
            300.0, time.time() - start)
 
 

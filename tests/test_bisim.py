@@ -5,12 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_bisimilar, sl_system, state_values
+from conftest import bisimilar, brute_bisimilar, disjoint_union, sl_system, state_values
 from starexpr import bisim, gen, props
-from starexpr.bisim import (
-    bisimilar, brute_bisim, decide_equiv, disjoint_union, minimize, refine,
-)
-from starexpr.errors import LimitExceededError, TheoryMismatchError
+from starexpr.bisim import brute_bisim, decide_equiv, minimize, refine
+from starexpr.errors import LimitExceededError
 from starexpr.semantics import (
     State, System, TICK, export_system, load_system, reachable,
 )
@@ -198,14 +196,6 @@ def test_flat_signatures_agree_with_mapped_values(cfg, rng):
             for y in sys_.states:
                 same = mapped[x] == mapped[y]
                 assert (sign(row[x], labels) == sign(row[y], labels)) == same
-
-
-def test_bisimilar_requires_matching_theories():
-    sys1, r1 = reachable(SL, parse("a", SL))
-    ca = parse_selector("ca")
-    sys2, r2 = reachable(ca, parse("a", ca))
-    with pytest.raises(TheoryMismatchError):
-        bisimilar(sys1, r1, sys2, r2)
 
 
 def test_bisimilar_examples():

@@ -77,6 +77,13 @@ def test_digits_that_are_not_decimal_are_parse_errors(capsys):
     assert (code, out, err) == (2, "", "error: unexpected character '²' (at position 6)\n")
 
 
+def test_non_ascii_identifiers_are_parse_errors(capsys):
+    code, out, err = invoke(capsys, "equiv", "--theory", "sl", "é", "é")
+    assert (code, out, err) == (2, "", "error: unexpected character 'é' (at position 0)\n")
+    code, out, err = invoke(capsys, "parse", "--theory", "sl", "é ; a²")
+    assert (code, out) == (2, "") and "(at position 0)" in err
+
+
 @pytest.mark.parametrize("tests", ["p,,q", "p,", ",p"])
 def test_empty_test_names_are_refused(tmp_path, capsys, tests):
     code, out, err = invoke(capsys, "equiv", "--theory", f"ga:tests={tests}", "a", "a")
@@ -192,13 +199,25 @@ def test_loop_free_roundtrips_print_their_input(capsys, selector, text):
     assert (code, out) == (0, f"{text}\nverified: bisimilar\n")
 
 
-def test_guard_bound_exit_code(tmp_path, capsys):
+def test_label_search_answers_past_twenty_transitions(tmp_path, capsys):
     beta = {f"s{i}": [[a, f"s{(i + 1) % 5}"] for a in "abcde"] for i in range(5)}
     doc = {"theory": "sl", "states": [f"s{i}" for i in range(5)], "beta": beta}
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
-    code, _, err = invoke(capsys, "label", "--search", str(path))
-    assert code == 3 and "limited" in err
+    code, out, err = invoke(capsys, "label", "--search", str(path))
+    assert (code, err) == (0, "")
+    path.write_text(out)
+    code, out, _ = invoke(capsys, "label", "--check", str(path))
+    assert (code, out) == (0, "ok\n")
+
+
+def test_roundtrip_without_a_labelling_of_the_collapse_exits_4(capsys, monkeypatch):
+    # the collapse of an expression always has a labelling: a search that
+    # finds none is a defect, never a reason to solve another system
+    from starexpr import solve
+    monkeypatch.setattr(solve, "search_labelling", lambda sys_: None)
+    code, out, err = invoke(capsys, "roundtrip", "--theory", "smod:nat", ILL_IMAGE)
+    assert (code, out) == (4, "") and err.startswith("error: internal error: RuntimeError")
 
 
 def test_deep_nesting_exits_bound_not_inequivalent(capsys):
@@ -289,7 +308,7 @@ def test_fuzz_reports_a_case_whose_check_raises(capsys, monkeypatch):
     # a documented error raised while checking a case fails that suite,
     # names the case and lets the later suites run
     def bounded(cfg, e):
-        raise LimitExceededError("labelling search is limited to 20 transitions, got 66")
+        raise LimitExceededError("13 tests exceed the limit of 12 (4096 atoms)")
 
     monkeypatch.setattr(props, "roundtrip", bounded)
     suites = {suite.name: suite for suite in props.SUITES}
@@ -300,7 +319,7 @@ def test_fuzz_reports_a_case_whose_check_raises(capsys, monkeypatch):
     assert out.splitlines() == [
         "FAIL roundtrip: LimitExceededError",
         f"  case: {print_expr(first)}",
-        "  detail: labelling search is limited to 20 transitions, got 66",
+        "  detail: 13 tests exceed the limit of 12 (4096 atoms)",
         "ok print-parse (4 cases)",
     ]
 
@@ -342,7 +361,7 @@ def test_fuzz_deterministic(capsys):
     code2, out2, _ = invoke(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
-    assert out1.count("ok ") == 6
+    assert out1.count("ok ") == 7
 
 
 def test_bad_document_values_exit_2(tmp_path, capsys):

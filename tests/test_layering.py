@@ -5,11 +5,12 @@ import sys
 import pytest
 
 from conftest import (
-    all_valid_labellings, corpus, ill_layered, loop_chain_doc, sl_chain_doc, sl_system,
+    ALL_SELECTORS, all_valid_labellings, corpus, ill_layered, loop_chain_doc, sl_chain_doc,
+    sl_system,
 )
 from starexpr import gen, layering, props
 from starexpr.bisim import minimize
-from starexpr.errors import LayeringError, LimitExceededError
+from starexpr.errors import LayeringError
 from starexpr.layering import (
     Labelling, check_well_layered, labelling_doc, labelling_from_doc,
     loops_around, measures, search_labelling, syntactic_labelling,
@@ -210,91 +211,106 @@ def test_search_exhausts_to_none():
     assert search_labelling(sys_) is None
 
 
-def test_search_prefers_fewer_entry_transitions():
+def test_search_finds_the_only_labelling_of_a_loop():
+    # (s1, b, s0) cannot be entry: s0 accepts and sits in its region
     sys_, root, syn = reach_with_labelling("(a;b) *{u+v} c")
-    lab = search_labelling(sys_)
-    assert check_well_layered(sys_, lab).ok
-    assert len(lab.entry) <= len(syn.entry)
+    assert all_valid_labellings(sys_) == [syn]
+    assert search_labelling(sys_) == syn
 
 
-def test_search_transition_guard():
+def test_search_has_no_transition_bound():
+    # 25 transitions on a five-state cycle: one of its pairs becomes entry
     sys_ = sl_system({
         f"s{i}": [(a, f"s{(i + 1) % 5}") for a in "abcde"] for i in range(5)
     })
-    with pytest.raises(LimitExceededError):
-        search_labelling(sys_)
+    lab = search_labelling(sys_)
+    assert check_well_layered(sys_, lab).ok
+    assert len({(x, y) for x, _, y in lab.entry}) == 1
+
+
+def test_search_keeps_loops_around_acyclic():
+    # without the test that no state of the region already loops around to
+    # v, elimination makes entry pairs whose loops run through each other,
+    # and the final check then finds no labelling where there is one
+    edges = {"s2": ["s4", "s6"], "s3": ["s5", "s6"], "s4": ["s2"], "s5": ["s8", "s4"],
+             "s6": ["s8", "s3"], "s8": ["s6"]}
+    sys_ = sl_system({x: [("a", y) for y in ys] for x, ys in edges.items()})
+    lab = search_labelling(sys_)
+    assert lab is not None and check_well_layered(sys_, lab).ok
 
 
 def test_search_succeeds_on_minimized_corpus(cfg):
+    # every expression's minimized system has a labelling
     for e in corpus(cfg.selector(), count=25):
         sys_, _ = reachable(cfg, e)
         msys, _ = minimize(sys_)
-        if len(msys.states) > 8 or len(msys.state_transitions()) > 20:
-            continue
         lab = search_labelling(msys)
         assert lab is not None, print_expr(e)
         assert check_well_layered(msys, lab).ok
 
 
-def test_search_finds_what_the_unfiltered_enumeration_finds(cfg, rng, monkeypatch):
+def _pair_count(sys_) -> int:
+    return len({(x, y) for x, _, y in sys_.state_transitions()})
+
+
+@pytest.mark.parametrize("selector", ALL_SELECTORS + ("smod:rat",))
+def test_search_finds_what_the_unfiltered_enumeration_finds(selector, rng):
+    # the search returns None exactly when no labelling exists, on
+    # expression systems and on random ones, which often have none
+    cfg = parse_selector(selector)
     systems = []
-    for e in corpus(cfg.selector()):
+    for e in corpus(selector):
         sys_, _ = reachable(cfg, e)
         systems += [sys_, minimize(sys_)[0]]
-    systems = [s for s in systems if len(s.state_transitions()) <= 20]
-    # random systems are often not well layered, so the search runs through
-    # every entry set; few transitions keep that quick
-    randoms = (gen.rand_system(rng, cfg, rng.randint(2, 6), ("a", "b")) for _ in range(30))
-    systems += [s for s in randoms if len(s.state_transitions()) <= 12]
-    checks = 0
-    violation = layering._violation
-
-    def counting(*args):
-        nonlocal checks
-        checks += 1
-        return violation(*args)
-
-    monkeypatch.setattr(layering, "_violation", counting)
-    found = [search_labelling(s) for s in systems]
-    filtered_checks, checks = checks, 0
-    monkeypatch.setattr(layering, "_entry_candidates",
-                        lambda pairs: [(x, y) for x, y in pairs if x != y])
-    assert [search_labelling(s) for s in systems] == found
-    assert filtered_checks <= checks
-    assert any(lab is not None for lab in found)
+    randoms = [gen.rand_system(rng, cfg, rng.randint(3, 6), ("a",)) for _ in range(60)]
+    systems = [s for s in systems if _pair_count(s) <= 12]
+    systems += [s for s in randoms if _pair_count(s) <= 10]
+    verdicts = []
+    for s in systems:
+        lab = search_labelling(s)
+        assert (lab is None) == (all_valid_labellings(s, limit=1) == [])
+        assert lab is None or check_well_layered(s, lab).ok
+        verdicts.append(lab is None)
+    assert verdicts.count(False) > 100 and verdicts.count(True) > 0
 
 
-def test_search_skips_entry_sets_that_keep_a_body_cycle(monkeypatch):
-    # the heaviest system of a seeded roundtrip corpus: most entry sets
-    # leave a cycle all-body, and every later set that keeps that cycle's
-    # pairs body fails as well, so it is skipped without a check
-    e = parse("(a ; a + ((c ; c + b) ; a) *{u + v} b) *{u + v} b *{v + u} c", SL)
-    msys = minimize(reachable(SL, e)[0])[0]
-    checks = 0
-    violation = layering._violation
+def test_search_labels_both_systems_of_random_expressions(cfg):
+    for e in corpus(cfg.selector(), count=25, size=16):
+        assert props.check_labelling(cfg, e) is None, print_expr(e)
 
-    def counting(*args):
-        nonlocal checks
-        checks += 1
-        return violation(*args)
 
-    monkeypatch.setattr(layering, "_violation", counting)
-    found = search_labelling(msys)
-    assert checks == 4150  # 14678 when every entry set was checked
-    # the same labelling as the first well-layered entry set in search order
-    actions: dict = {}
-    for x, a, y in msys.state_transitions():
-        actions.setdefault((x, y), []).append(a)
-    rank = {x: r for r, x in enumerate(sorted(msys.states))}
-    pairs = sorted(actions, key=lambda p: (rank[p[0]], rank[p[1]]))
-    loops = {(x, a, y) for (x, y), acts in actions.items() if x == y for a in acts}
-    optional = layering._entry_candidates(pairs)
-    for chosen in layering._subsets_by_weight([len(actions[p]) for p in optional]):
-        entry = loops | {(x, a, y) for k, (x, y) in enumerate(optional)
-                         if chosen >> k & 1 for a in actions[x, y]}
-        if check_well_layered(msys, Labelling(frozenset(entry))):
-            break
-    assert found == Labelling(frozenset(entry))
+def _search_steps(monkeypatch, doc) -> int:
+    """How many times the search starts walking a state's steps."""
+    steps = 0
+
+    def counting(items):
+        nonlocal steps
+        steps += 1
+        return iter(items)
+
+    sys_ = load_system(doc)
+    monkeypatch.setattr(layering, "iter", counting, raising=False)
+    assert search_labelling(sys_) is not None
+    monkeypatch.undo()
+    return steps
+
+
+def _silent_loop_chain(units) -> dict:
+    """`loop_chain_doc` without a labelling and without its final exit, so
+    that no state can reach acceptance."""
+    doc = dict(loop_chain_doc(units), labelling=None)
+    last = f"s{2 * units - 2}"
+    doc["beta"] = dict(doc["beta"], **{last: doc["beta"][last][:1]})
+    return doc
+
+
+@pytest.mark.parametrize("build", [lambda n: dict(loop_chain_doc(n), labelling=None),
+                                   _silent_loop_chain], ids=["accepting", "silent"])
+def test_search_work_grows_linearly_on_loop_chains(monkeypatch, build):
+    # a region walk stops at its component's edge, so every loop of the
+    # chain costs the same
+    small, large = (_search_steps(monkeypatch, build(n)) for n in (400, 800))
+    assert small >= 800 and large <= 2.5 * small
 
 
 def test_labelling_documents_round_trip():

@@ -195,8 +195,6 @@ def test_random_labellable_systems_solve(cfg, rng):
     solved = 0
     for _ in range(25):
         sys_ = gen.rand_system(rng, cfg, rng.randint(1, 4))
-        if len(sys_.state_transitions()) > 12:
-            continue
         lab = search_labelling(sys_)
         if lab is None:
             continue
@@ -318,20 +316,25 @@ def test_roundtrip_random(cfg, rng):
         assert props.check_roundtrip(cfg, e) is None, print_expr(e)
 
 
-def test_roundtrip_never_searches(cfg, monkeypatch):
+def _never_search(monkeypatch):
     def search(sys_):
         raise AssertionError("roundtrip searched for a labelling")
 
-    monkeypatch.setattr("starexpr.layering.search_labelling", search)
-    monkeypatch.setattr(solve, "search_labelling", search, raising=False)
+    monkeypatch.setattr(solve, "search_labelling", search)
+
+
+def test_roundtrip_never_searches(cfg, monkeypatch):
+    # the image of the syntactic labelling is the main path: it is well
+    # layered on every corpus input, so no labelling is searched for
+    _never_search(monkeypatch)
     for e in corpus(cfg.selector()):
         assert props.check_roundtrip(cfg, e) is None, print_expr(e)
 
 
 def test_roundtrip_returns_on_large_inputs(cfg):
-    # the first 21 draws at sizes 128 and 256: minimized systems far past
-    # the search bound, and the smod:nat size-128 draw 20, whose image
-    # labelling is ill layered
+    # the first 21 draws at sizes 128 and 256: minimized systems of up to
+    # hundreds of transitions, and the smod:nat size-128 draw 20, whose
+    # image labelling is ill layered
     for size in (128, 256):
         rng = random.Random(f"{cfg.selector()}:{size}")
         for _ in range(21):
@@ -339,15 +342,28 @@ def test_roundtrip_returns_on_large_inputs(cfg):
             assert decide_equiv(cfg, roundtrip(cfg, e), e), print_expr(e)
 
 
-def test_roundtrip_solves_its_own_system_where_the_image_is_ill_layered():
+def _smod_probe():
+    """The smod:nat size-128 draw 20, whose 32-state collapse is ill layered
+    under the image of its syntactic labelling."""
+    rng = random.Random("smod:nat:128")
+    draws = [gen.rand_expr(rng, parse_selector("smod:nat"), 128) for _ in range(21)]
+    return draws[20]
+
+
+@pytest.mark.parametrize("probe", ["ill-image", "size-128"])
+def test_roundtrip_solves_the_collapse_where_the_image_is_ill_layered(probe):
     cfg = parse_selector("smod:nat")
-    e = parse(ILL_IMAGE, cfg)
+    e = parse(ILL_IMAGE, cfg) if probe == "ill-image" else _smod_probe()
     sys_, root = reachable(cfg, e)
-    lab = syntactic_labelling(cfg, e, sys_)
     msys, h = minimize(sys_)
-    assert not check_well_layered(msys, image_labelling(lab, h, msys)).ok
+    image = image_labelling(syntactic_labelling(cfg, e, sys_), h, msys)
+    assert not check_well_layered(msys, image).ok
+    assert len(msys.states) == (5 if probe == "ill-image" else 32)
+    lab = search_labelling(msys)
+    phi = canonical_solution(msys, lab)
+    assert check_solution(msys, phi)
     out = roundtrip(cfg, e)
-    assert out == canonical_solution(sys_, lab)[root]
+    assert out == phi[h[root]]
     assert decide_equiv(cfg, out, e)
 
 
@@ -377,23 +393,20 @@ def test_guarded_roundtrip_output_stays_small():
     assert parse(print_expr(out), ga) == out
 
 
-def test_roundtrip_labels_past_the_search_bound():
-    # wide loop: the minimized system has more transitions than the search
-    # allows, and roundtrip, which labels it by the image of the syntactic
-    # labelling, never searches
-    from starexpr.errors import LimitExceededError
-    from starexpr.layering import search_labelling as search
-
+def test_roundtrip_labels_a_wide_loop_by_the_image(monkeypatch):
+    # eleven entry steps of one loop: roundtrip labels the minimized system
+    # by the image of the syntactic labelling, and the search labels it too
     terms = [f"(a{i} ; b{i})" for i in range(11)]
     body = terms[0]
     for t in terms[1:]:
         body = f"({body} + {t})"
     e = parse(f"({body}) *{{u+v}} d", SL)
     sys_, root = reachable(SL, e)
-    msys, _ = minimize(sys_)
+    msys, h = minimize(sys_)
     assert len(msys.state_transitions()) > 20
-    with pytest.raises(LimitExceededError):
-        search(msys)
+    phi = canonical_solution(msys, search_labelling(msys))
+    assert decide_equiv(SL, phi[h[root]], e)
+    _never_search(monkeypatch)
     out = roundtrip(SL, e)
     assert decide_equiv(SL, out, e)
 

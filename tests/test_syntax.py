@@ -89,6 +89,17 @@ def test_digits_that_are_not_decimal_fail_at_their_position():
     assert parse("٣ . a", nat) == parse("3 . a", nat)
 
 
+def test_identifiers_are_ascii():
+    # actions and tests are [a-z][a-z0-9_]*: a lowercase or digit character
+    # of another script ends the identifier or starts none
+    for text, position, char in (("é ; a²", 0, "é"), ("a²", 1, "²"), ("a ; bé", 5, "é")):
+        with pytest.raises(ParseError) as err:
+            parse(text, SL)
+        assert err.value.position == position
+        assert f"unexpected character {char!r}" in str(err.value)
+    assert parse("a_1 ; z9", SL) == Seq(Act("a_1"), Act("z9"))
+
+
 def test_unknown_test_rejected():
     ga = parse_selector("ga:tests=p")
     with pytest.raises(ParseError) as err:

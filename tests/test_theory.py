@@ -70,6 +70,28 @@ def test_values_pickled_under_another_hash_seed_keep_their_hash():
             assert twin == value and hash(twin) == hash(value) and twin in {value}
 
 
+def test_expressions_and_values_pickled_under_another_hash_seed_keep_their_hash():
+    # pickled by one process and loaded by another with a different hash
+    # seed, each equals its freshly built twin: expressions, guard symbols
+    # and values hash strings, so their cached hashes are computed anew
+    src = Path(__file__).resolve().parents[1] / "src"
+    build = ("from starexpr.semantics import step; from starexpr.syntax import parse; "
+             "from starexpr.theory import parse_selector; sl = parse_selector('sl'); "
+             "values = [parse('a ; b', sl), step(sl, parse('a + b', sl)), "
+             "parse('a *{u + v} b', sl), "
+             "parse('a +[p] b', parse_selector('ga:tests=p'))]; ")
+    dump = "import pickle, sys; " + build + "sys.stdout.buffer.write(pickle.dumps(values))"
+    load = ("import pickle, sys; " + build + "twins = pickle.loads(sys.stdin.buffer.read()); "
+            "print([t == v and hash(t) == hash(v) and t in {v} for t, v in zip(twins, values)])")
+
+    def run(seed, script, given=b""):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        return subprocess.run([sys.executable, "-c", script], env=env, input=given,
+                              capture_output=True, timeout=60, check=True).stdout
+
+    assert run("2", load, run("1", dump)) == b"[True, True, True, True]\n"
+
+
 def test_value_reprs():
     half = ChoiceSym(Fraction(1, 2))
     cases = [
