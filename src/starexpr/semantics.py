@@ -277,8 +277,8 @@ def load_system(doc) -> System:
         raise DocumentError("beta must be total on the declared states")
     targets = {x: i for i, x in enumerate(states)}
     targets["✓"] = -1
-    parse_row = cfg.theory.parse_row
-    rows = [parse_row(raw_beta[x], targets) for x in states]
+    parse_row, numbers = cfg.theory.parse_row, ({}, {})  # see `theory._parse_weighted`
+    rows = [parse_row(raw_beta[x], targets, numbers) for x in states]
     root = doc.get("root")
     if root is not None and (not isinstance(root, str) or root not in state_set):
         raise DocumentError(f"root {root!r} is not a state")

@@ -857,17 +857,18 @@ def pair_row(pairs) -> tuple[tuple, tuple]:
     return tuple(zip(*pairs))
 
 
-def weighted_row(labels, targets, weights) -> tuple:
-    """The row of parallel labels, targets and nonzero weights."""
+def weighted_row(labels, targets, weights, wkeys) -> tuple:
+    """The row of parallel labels, targets, nonzero weights and their
+    `weight_key`s."""
     labels = tuple(labels)
-    return (labels, tuple(targets), tuple(weights), tuple(map(weight_key, weights)),
-            len(set(labels)) == len(labels))
+    return labels, tuple(targets), tuple(weights), tuple(wkeys), len(set(labels)) == len(labels)
 
 
 def _weighted_row(entries) -> tuple:
     if not entries:
         return (), (), (), (), True
-    return weighted_row(*zip(*entries))
+    labels, targets, weights = zip(*entries)
+    return weighted_row(labels, targets, weights, map(weight_key, weights))
 
 
 def _guarded_columns(labels, targets, weights, wkeys, masks) -> tuple:
@@ -1039,7 +1040,8 @@ class Theory:
     ``split_data`` build from it; the row layout ``flat_rows``,
     ``row_value``, ``sign`` (a hashable signature of a row with relabelled
     targets, equal exactly when the relabelled values are), ``relabel_row``
-    and ``row_data``; the document codec ``parse_row``, ``row_doc`` and
+    and ``row_data``; the document codec ``parse_row`` (its ``numbers`` is
+    one document's memo, see `_parse_weighted`), ``row_doc`` and
     ``edge_labels``; and the samplers ``rand_binary_sym`` and ``rand_raw``.
     Every row keeps its labels and targets first (see `row_support`).
     """
@@ -1125,7 +1127,7 @@ class Nondeterministic(Theory):
     def row_data(self, row, order) -> list:
         return [(a, t) for a, _, t in sorted([(a, order[t], t) for a, t in zip(row[0], row[1])])]
 
-    def parse_row(self, raw, targets: dict[str, int]) -> tuple:
+    def parse_row(self, raw, targets: dict[str, int], numbers: tuple[dict, dict]) -> tuple:
         if not isinstance(raw, list):
             raise DocumentError(f"sl value must be a list, got {raw!r}")
         pairs = [_parse_pair(item, targets) for item in raw]
@@ -1218,8 +1220,8 @@ class Convex(_Weighted):
     split_data = staticmethod(_split_dist)
     rand_raw = staticmethod(_rand_dist)
 
-    def parse_row(self, raw, targets: dict[str, int]) -> tuple:
-        return weighted_row(*_parse_dist(raw, targets))
+    def parse_row(self, raw, targets: dict[str, int], numbers: tuple[dict, dict]) -> tuple:
+        return weighted_row(*_parse_dist(raw, targets, numbers))
 
     def row_doc(self, row, names):
         return _dist_doc(zip(row[0], [names[t] for t in row[1]], row[2]))
@@ -1243,14 +1245,13 @@ class Convex(_Weighted):
         return _guarded_row([(a, key(t), w, weight_key(w), m)
                              for d, m in data for (a, t), w in d])
 
-    def parse_branches(self, raws, targets) -> tuple[list, list]:
+    def parse_branches(self, raws, targets, numbers: tuple[dict, dict]) -> tuple[list, list]:
         """Per atom, its distribution's key (None if empty) and columns."""
         keys, dists = [], []
         for raw in raws:
-            acts, tgts, masses = _parse_dist(raw, targets)
-            wkeys = [(w._numerator, w._denominator) for w in masses]  # `weight_key`
+            acts, tgts, _, wkeys = dist = _parse_dist(raw, targets, numbers)
             keys.append(frozenset(zip(acts, tgts, wkeys)) if acts else None)
-            dists.append((acts, tgts, masses, wkeys))
+            dists.append(dist)
         return keys, dists
 
     def parsed_row(self, masks: dict, keys: list, dists: list) -> tuple:
@@ -1307,9 +1308,9 @@ class Semimodule(_Weighted):
         return (SOp(OPLUS, (U_VAR, V_VAR)), self.reify_data([kv for kv in data if is_left(kv[0])]),
                 self.reify_data([kv for kv in data if not is_left(kv[0])]))
 
-    def parse_row(self, raw, targets: dict[str, int]) -> tuple:
-        return weighted_row(*_parse_weighted(raw, targets, "w", self.semiring.parse_weight,
-                                             "weight"))
+    def parse_row(self, raw, targets: dict[str, int], numbers: tuple[dict, dict]) -> tuple:
+        return weighted_row(*_parse_weighted(raw, targets, numbers, "w",
+                                             self.semiring.parse_weight, "weight"))
 
     def row_doc(self, row, names):
         fmt = self.semiring.format
@@ -1369,7 +1370,7 @@ class Option:
         ((a, _, t, _),) = entries
         return a, t
 
-    def parse_branches(self, raws, targets) -> tuple[list, None]:
+    def parse_branches(self, raws, targets, numbers: tuple[dict, dict]) -> tuple[list, None]:
         return [None if raw is None else _parse_pair(raw, targets) for raw in raws], None
 
     def parsed_row(self, masks: dict, keys, dists) -> tuple:
@@ -1617,12 +1618,12 @@ class Guarded(Theory):
         ordered = self.inner.ordered_entries
         return [(ordered(d), m) for m, d in _by_mask(row[5], entries).items()]
 
-    def parse_row(self, raw, targets: dict[str, int]) -> tuple:
+    def parse_row(self, raw, targets: dict[str, int], numbers: tuple[dict, dict]) -> tuple:
         """Parse one atom-keyed value, grouping the atoms of each branch."""
         atoms, (atom_set, bits) = self.cfg.atoms, self.atom_index
         if not isinstance(raw, dict) or raw.keys() != atom_set:
             raise DocumentError(f"{self.cfg.kind} value must map every atom of {list(atoms)}")
-        keys, branches = self.inner.parse_branches(map(raw.__getitem__, atoms), targets)
+        keys, branches = self.inner.parse_branches(map(raw.__getitem__, atoms), targets, numbers)
         masks: dict = {}
         for key, bit in zip(keys, bits):
             if key is not None:
@@ -1696,11 +1697,15 @@ def _dist_doc(entries):
     return [{"p": str(mass), "a": a, "t": t} for a, t, mass in sorted(entries, key=_doc_key)]
 
 
+def _dangling(raw) -> DocumentError:
+    return DocumentError(f"dangling state reference: {raw!r}")
+
+
 def _parse_target(raw, targets: dict[str, int]) -> int:
     try:
         return targets[raw]
     except (KeyError, TypeError):
-        raise DocumentError(f"dangling state reference: {raw!r}") from None
+        raise _dangling(raw) from None
 
 
 def _parse_pair(raw, targets) -> tuple:
@@ -1729,39 +1734,71 @@ def _parse_mass(raw) -> Fraction:
     return mass
 
 
-def _parse_weighted(raw, targets, field: str, parse, what: str) -> tuple[list, list, list]:
-    """The parallel actions, targets and weights of a list of weighted
-    entries."""
+_ENTRY_KEYS = {field: frozenset((field, "a", "t")) for field in ("p", "w")}
+
+# The most number strings one document's memo keeps.  Documents repeat a
+# few numbers many times; storing a string costs more than a failed lookup,
+# so a document whose numbers do not repeat stops filling the memo here.
+_MEMO_SIZE = 1024
+
+
+def _parse_weighted(raw, targets, numbers: tuple[dict, dict], field: str, parse,
+                    what: str) -> tuple[list, list, list, list]:
+    """The parallel actions, targets, weights and weight keys of a list of
+    weighted entries.
+
+    ``numbers`` is one document's memo: two dicts from each number string
+    parsed so far, up to `_MEMO_SIZE` of them, to its weight and to the
+    weight's `weight_key`.  A document has one ``parse``.  Only parses that
+    succeed are kept, so a bad string raises wherever it appears.  The memo
+    is two dicts, not one of (weight, key) pairs: such a pair per distinct
+    number would live as long as the document's rows and start the cyclic
+    garbage collector more often."""
     if not isinstance(raw, list):
         raise DocumentError(f"expected a list of weighted entries, got {raw!r}")
-    keys = {field, "a", "t"}
+    keys = _ENTRY_KEYS[field]
+    weight_of, key_of = numbers
     acts: list = []
     tgts: list = []
     weights: list = []
+    wkeys: list = []
     seen: set = set()
     for item in raw:
         if not isinstance(item, dict) or item.keys() != keys:
             raise DocumentError(f"expected {{'{field}','a','t'}} entry, got {item!r}")
-        w = _parse_number(item[field], parse, what)
+        number = item[field]
+        if type(number) is str and number in weight_of:  # a list or dict is unhashable
+            w = weight_of[number]
+            k = key_of[number]
+        else:
+            w = _parse_number(number, parse, what)
+            k = weight_key(w)
+            if len(weight_of) < _MEMO_SIZE:
+                weight_of[number] = w
+                key_of[number] = k
         action = item["a"]
         if not isinstance(action, str):
             raise DocumentError(f"action must be a string, got {item!r}")
-        pair = (action, _parse_target(item["t"], targets))
+        try:
+            target = targets[item["t"]]
+        except (KeyError, TypeError):
+            raise _dangling(item["t"]) from None
+        pair = (action, target)
         if pair in seen:
             raise DocumentError(f"duplicate weighted pair: {item!r}")
         seen.add(pair)
         acts.append(action)
-        tgts.append(pair[1])
+        tgts.append(target)
         weights.append(w)
-    return acts, tgts, weights
+        wkeys.append(k)
+    return acts, tgts, weights, wkeys
 
 
-def _parse_dist(raw, targets) -> tuple[list, list, list]:
-    acts, tgts, masses = _parse_weighted(raw, targets, "p", _parse_mass, "probability")
+def _parse_dist(raw, targets, numbers: tuple[dict, dict]) -> tuple[list, list, list, list]:
+    dist = _parse_weighted(raw, targets, numbers, "p", _parse_mass, "probability")
     # the total num/den in integers; a Fraction only for the message
     num, den = 0, 1
-    for mass in masses:
-        n, d = mass._numerator, mass._denominator
+    for n, d in dist[3]:  # the masses' keys
         if d == den:
             num += n
         else:
@@ -1769,4 +1806,4 @@ def _parse_dist(raw, targets) -> tuple[list, list, list]:
             num, den = num * (lcm // den) + n * (lcm // d), lcm
     if num > den:
         raise DocumentError(f"total mass {Fraction(num, den)} exceeds 1")
-    return acts, tgts, masses
+    return dist

@@ -128,12 +128,28 @@ RATIONAL_EDGES = ["007/014", " 1/2", "1.5", "1_0/3", "\u0663/4"]
 NOT_RATIONAL_EDGES = ["\u00b2", "1/0", "", "/", "1/"]
 
 
+def _weighted_value(selector, entries):
+    """A value of (number, action) entries into s0; for ``gc`` with one
+    test, at atom 1."""
+    key = "w" if selector.startswith("smod") else "p"
+    value = [{key: raw, "a": a, "t": "s0"} for raw, a in entries]
+    return {"0": [], "1": value} if selector.startswith("gc") else value
+
+
 def weighted_doc(selector, raw):
     """A one-state document whose only entry carries the mass or weight
-    ``raw``; for ``gc`` with one test, at atom 1."""
-    entry = {"w" if selector.startswith("smod") else "p": raw, "a": "a", "t": "s0"}
-    value = {"0": [], "1": [entry]} if selector.startswith("gc") else [entry]
-    return {"theory": selector, "states": ["s0"], "beta": {"s0": value}}
+    ``raw``."""
+    return {"theory": selector, "states": ["s0"],
+            "beta": {"s0": _weighted_value(selector, [(raw, "a")])}}
+
+
+def repeated_doc(selector, raw):
+    """`weighted_doc`'s ``raw`` twice: in s0 after an entry of the number
+    "1", and alone in s1.  A load parses each number string once, so this
+    document must load, or fail, as `weighted_doc`'s does."""
+    return {"theory": selector, "states": ["s0", "s1"],
+            "beta": {"s0": _weighted_value(selector, [("1", "a"), (raw, "b")]),
+                     "s1": _weighted_value(selector, [(raw, "a")])}}
 
 
 def bad_entry_doc(selector, entry):

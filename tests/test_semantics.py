@@ -9,10 +9,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    BAD_ENTRIES, NOT_RATIONAL_EDGES, RATIONAL_EDGES, bad_entry_doc, sl_system, state_values,
-    weighted_doc,
+    BAD_ENTRIES, NOT_RATIONAL_EDGES, RATIONAL_EDGES, bad_entry_doc, repeated_doc, sl_system,
+    state_values, weighted_doc,
 )
-from starexpr import gen, props
+from starexpr import gen, props, theory
 from starexpr.errors import DocumentError
 from starexpr.semantics import (
     State, System, TICK, _pair_key, _step, export_dot, export_system, load_system,
@@ -264,20 +264,68 @@ def test_load_rejects_bad_masses_and_weights(selector, entry):
         load_system(bad_entry_doc(selector, entry))
 
 
+def _load_error(doc) -> str:
+    with pytest.raises(DocumentError) as err:
+        load_system(doc)
+    return str(err.value)
+
+
 @pytest.mark.parametrize("raw", NOT_RATIONAL_EDGES + ["-1/2"])
-@pytest.mark.parametrize("selector", ["ca", "smod:rat"])
+@pytest.mark.parametrize("selector", ["ca", "gc:tests=p", "smod:rat"])
 def test_load_rejects_strings_that_are_not_positive_rationals(selector, raw):
-    with pytest.raises(DocumentError):
-        load_system(weighted_doc(selector, raw))
+    text = _load_error(weighted_doc(selector, raw))
+    assert _load_error(repeated_doc(selector, raw)) == text
 
 
-@pytest.mark.parametrize("raw", [True, 1, 0.5])
+@pytest.mark.parametrize("raw", [True, 1, 0.5, None, ["1/2"], {}])
 @pytest.mark.parametrize("selector", ["ca", "gc:tests=p", "smod:rat", "smod:nat"])
 def test_load_refuses_masses_and_weights_that_are_not_strings(selector, raw):
     # a JSON number may have lost digits already: 0.1 is a binary fraction
-    with pytest.raises(DocumentError) as err:
-        load_system(weighted_doc(selector, raw))
-    assert str(err.value).endswith(f" {raw!r}: expected a string")
+    text = _load_error(weighted_doc(selector, raw))
+    assert text.endswith(f" {raw!r}: expected a string")
+    assert _load_error(repeated_doc(selector, raw)) == text
+
+
+@pytest.mark.parametrize("selector", ["ca", "gc:tests=p", "smod:rat"])
+def test_each_number_string_is_parsed_once_per_load(selector, monkeypatch):
+    """1000 entries of one number parse it once per `load_system` call:
+    the memo lasts one document, across its rows, and no longer."""
+    smod = selector.startswith("smod")
+    owner, name = (SEMIRINGS["rat"], "parse_weight") if smod else (theory, "_parse_mass")
+    calls = []
+    parse = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda raw: calls.append(raw) or parse(raw))
+    n = 500 if selector.startswith("gc") else 1000  # gc: two branches per state
+    states = [f"s{i}" for i in range(n)]
+    beta = {}
+    for i, x in enumerate(states):
+        value = [{"w" if smod else "p": "1/2", "a": "a", "t": states[i - 1]}]
+        if selector.startswith("gc"):
+            value = {"0": value, "1": [dict(value[0], t=states[i - 2])]}
+        beta[x] = value
+    doc = {"theory": selector, "states": states, "beta": beta}
+    sys_ = load_system(doc)
+    assert sum(len(row[0]) for row in sys_.rows) == 1000
+    assert {w for row in sys_.rows for w in row[2]} == {Fraction(1, 2)}
+    assert calls == ["1/2"]
+    load_system(doc)
+    assert calls == ["1/2", "1/2"]
+
+
+def test_numbers_past_the_memo_size_load_as_the_others(monkeypatch):
+    """A document keeps at most `_MEMO_SIZE` number strings: those past it
+    are parsed wherever they appear, to the same weights."""
+    size = theory._MEMO_SIZE
+    calls = []
+    parse = SEMIRINGS["rat"].parse_weight
+    monkeypatch.setattr(SEMIRINGS["rat"], "parse_weight",
+                        lambda raw: calls.append(raw) or parse(raw))
+    numbers = [f"{i}/7" for i in range(1, size + 3)]
+    beta = {"s0": [{"w": w, "a": f"a{i}", "t": "s0"} for i, w in enumerate(numbers)],
+            "s1": [{"w": w, "a": f"a{i}", "t": "s1"} for i, w in enumerate(numbers)]}
+    sys_ = load_system({"theory": "smod:rat", "states": ["s0", "s1"], "beta": beta})
+    assert [list(row[2]) for row in sys_.rows] == [[Fraction(w) for w in numbers]] * 2
+    assert calls == numbers + numbers[size:]
 
 
 @pytest.mark.parametrize("raw", RATIONAL_EDGES)
@@ -344,17 +392,19 @@ def test_weights_parse_as_three_separate_checks_do(name):
         assert _outcome(ring.parse_weight, raw) == expected, raw
         doc = {"theory": f"smod:{name}", "states": ["s0"],
                "beta": {"s0": [{"w": raw, "a": "a", "t": "s0"}]}}
+        # the same weight twice, after a good "1", loads or fails alike
+        repeated = repeated_doc(f"smod:{name}", raw)
         if not isinstance(raw, str):  # documents write weights as strings
-            with pytest.raises(DocumentError) as err:
-                load_system(doc)
-            assert str(err.value) == f"bad weight {raw!r}: expected a string"
+            text = f"bad weight {raw!r}: expected a string"
+            assert _load_error(doc) == _load_error(repeated) == text
         elif isinstance(expected[0], type) and issubclass(expected[0], Exception):
-            with pytest.raises(DocumentError) as err:
-                load_system(doc)
-            assert str(err.value) == f"bad weight {raw!r}: {expected[1]}"
+            text = f"bad weight {raw!r}: {expected[1]}"
+            assert _load_error(doc) == _load_error(repeated) == text
         else:
             w = load_system(doc).rows[0][2][0]
             assert (type(w), w) == expected
+            rows = load_system(repeated).rows
+            assert [(type(v), v) for v in (rows[0][2][1], rows[1][2][0])] == [expected] * 2
 
 
 def test_rational_weights_load_without_fraction_comparisons(monkeypatch):
@@ -381,11 +431,18 @@ def test_rational_weights_load_without_fraction_comparisons(monkeypatch):
 
 @pytest.mark.parametrize("selector, key", [("ca", "p"), ("smod:nat", "w")])
 def test_load_rejects_duplicate_weighted_pairs(selector, key):
-    entry = {key: "1/4" if key == "p" else "1", "a": "a", "t": "s0"}
+    number = "1/8" if key == "p" else "1"
+    entry = {key: number, "a": "a", "t": "s0"}
     doc = {"theory": selector, "states": ["s0"], "beta": {"s0": [entry, dict(entry)]}}
     with pytest.raises(DocumentError) as err:
         load_system(doc)
     assert "duplicate" in str(err.value)
+    # the first error in document order wins: the 4th entry duplicates the
+    # 2nd, and the 5th has a bad number
+    entries = [{key: number, "a": a, "t": "s0"} for a in "abc"]
+    entries += [dict(entries[1]), {key: "x", "a": "d", "t": "s0"}]
+    doc["beta"]["s0"] = entries
+    assert _load_error(doc) == f"duplicate weighted pair: {entries[3]!r}"
 
 
 def test_load_rejects_guard_constants_as_test_names():
