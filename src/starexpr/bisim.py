@@ -192,7 +192,7 @@ def minimize(sys: System) -> tuple[System, dict[str, str]]:
     rows = [relabel_row(sys.rows[x], labels) for x in first.values()]
     states = tuple(f"b{b}" for b in first)
     root = h[sys.root] if sys.root is not None else None
-    return System.from_rows(sys.cfg, states, rows, root=root), h
+    return System(sys.cfg, states, rows, root=root), h
 
 
 def decide_equiv(cfg: TheoryConfig, e1: Expr, e2: Expr) -> bool:

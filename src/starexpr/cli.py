@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys as _sys
 
 from .bisim import decide_equiv, minimize
@@ -138,9 +139,17 @@ def _cmd_label(args):
     return 0
 
 
+_ACTION = re.compile(r"[a-z][a-z0-9_]*")  # what the expression parser reads as an action
+
+
 def _cmd_solve(args):
     doc = _read_doc(args.document)
     sys_ = load_system(doc)
+    # the solution prints each action as itself, so it must read back as one
+    for a in dict.fromkeys(a for row in sys_.rows for a in row[0]):
+        if not _ACTION.fullmatch(a):
+            raise DocumentError(f"action {a!r} is not an identifier [a-z][a-z0-9_]*, "
+                                f"so solve cannot print it")
     if "labelling" not in doc:
         raise DocumentError("solve needs a system document with a 'labelling'")
     lab = labelling_from_doc(doc["labelling"], sys_)

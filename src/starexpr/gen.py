@@ -93,11 +93,13 @@ def rand_system(rng: random.Random, cfg: TheoryConfig, n_states: int,
     states = tuple(f"s{i}" for i in range(n_states))
     universe = [(a, TICK) for a in actions]
     universe += [(a, State(x)) for a in actions for x in states]
-    beta = {}
+    values = []
     for x in states:
         pool = rng.sample(universe, min(len(universe), rng.randint(2, 5)))
-        beta[x] = cfg.theory.rand_value(rng, pool)
-    return System(cfg, states, beta, root="s0")
+        values.append(cfg.theory.rand_value(rng, pool))
+    index = {x: i for i, x in enumerate(states)}
+    rows = cfg.theory.flat_rows(values, lambda t: -1 if t is TICK else index[t.sid])
+    return System(cfg, states, rows, root="s0")
 
 
 STANDARD_CONFIGS = (

@@ -12,8 +12,11 @@ Checking, loops-around, the measures, the search's result and the solver
 share one integer core (`_layers`): per state index, its entry and body
 targets in id order, read once from `System.rows`.  Its passes are
 iterative and linear in the system, except the loops-around relation, which
-costs its own size.  The search labels a system of any size by loop
-elimination, one entry pair at a time, and checks its result on that core.
+costs its own size.  One strongly connected component pass (`_components`)
+is the only graph traversal: the check, loop elimination and the syntactic
+labelling take what they need from it.  The search labels a system of any
+size by loop elimination, one entry pair at a time, and checks its result
+on that core.
 """
 
 from __future__ import annotations
@@ -66,62 +69,42 @@ def syntactic_labelling(cfg: TheoryConfig, e: Expr, sys: System) -> Labelling:
 
     Entry transitions are exactly: a loop stepping to itself because its body
     accepts; a loop stepping into a body remainder that can terminate; and
-    those two lifted through left factors of sequencing.
+    those two lifted through left factors of sequencing.  A remainder's
+    state stays under its loop until the remainder ticks, which lands back
+    on the loop's state, so the remainder can terminate exactly when its
+    state lies in the loop state's strongly connected component.
     """
     if sys.exprs is None:
         raise LayeringError("states lack expression provenance")
-    intern = {expr: sid for sid, expr in sys.exprs.items()}
-    present = set(sys.state_transitions())
-    term_cache: dict[Expr, bool] = {}
+    names, rows, exprs = sys.states, sys.rows, sys.exprs
+    intern = {exprs[x]: i for i, x in enumerate(names)}
+    comp = None  # the components, found when a remainder first needs them
     entry = set()
-    for sid, expr in sys.exprs.items():
-        for action, target in _entry_pairs(cfg, expr, term_cache):
-            tid = intern.get(target)
-            if tid is not None and (sid, action, tid) in present:
-                entry.add((sid, action, tid))
+    for i, x in enumerate(names):
+        pairs = _entry_pairs(cfg, exprs[x])
+        support = row_support(rows[i]) if pairs else ()
+        for action, target in pairs:
+            j = intern.get(target)
+            if j is None or (action, j) not in support:
+                continue
+            if j != i:  # a remainder's state, never the loop's own
+                if comp is None:
+                    comp = _components([[t for t in row[1] if t >= 0] for row in rows])[0]
+                if comp[j] != comp[i]:
+                    continue
+            entry.add((x, action, names[j]))
     return Labelling(frozenset(entry))
 
 
-def _entry_pairs(cfg, e, term_cache):
+def _entry_pairs(cfg, e):
+    """The (action, target) steps of e's outermost loop into itself or into
+    a body remainder, lifted through left factors of sequencing."""
     if isinstance(e, Star):
-        out = set()
-        for action, tgt in supp(step(cfg, e.body)):
-            if tgt is TICK:
-                out.add((action, e))
-            elif _terminates(cfg, tgt, term_cache):
-                out.add((action, Seq(tgt, e)))
-        return out
+        return [(action, e if tgt is TICK else Seq(tgt, e))
+                for action, tgt in supp(step(cfg, e.body))]
     if isinstance(e, Seq):
-        return {(action, Seq(f, e.right))
-                for action, f in _entry_pairs(cfg, e.left, term_cache)}
-    return set()
-
-
-def _terminates(cfg, e, cache) -> bool:
-    """Whether e can reach acceptance in one or more steps."""
-    if e in cache:
-        return cache[e]
-    seen = {e}
-    queue = deque([e])
-    found = False
-    while queue and not found:
-        x = queue.popleft()
-        if cache.get(x) is False:
-            continue  # nothing reachable from x ticks
-        for _, tgt in supp(step(cfg, x)):
-            if tgt is TICK:
-                found = True
-                break
-            if tgt not in seen:
-                seen.add(tgt)
-                queue.append(tgt)
-    if found:
-        cache[e] = True
-    else:
-        # the whole explored region is tick-free, so every node in it is too
-        for x in seen:
-            cache[x] = False
-    return found
+        return [(action, Seq(f, e.right)) for action, f in _entry_pairs(cfg, e.left)]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +159,9 @@ def _layers(sys: System, lab: Labelling) -> _Layers:
             extra.append((x, a, y))
         else:
             steps.setdefault(i, set()).add((a, j))
+    support = {i: row_support(rows[i]) for i in steps}
     for i, here in steps.items():
-        support = row_support(rows[i])
-        extra += [(sys.states[i], a, sys.states[j]) for a, j in here if (a, j) not in support]
+        extra += [(sys.states[i], a, sys.states[j]) for a, j in here - support[i]]
     if extra:
         raise ValueError(f"entry labels transitions absent from the system: {sorted(extra)}")
     rank = _ranks(sys.states)
@@ -191,42 +174,56 @@ def _layers(sys: System, lab: Labelling) -> _Layers:
             body.append(sorted({t for t in row[1] if t >= 0}, key=key))
         else:
             entry.append(sorted({t for _, t in here}, key=key))
-            body.append(sorted({t for a, t in row_support(row)
-                                if t >= 0 and (a, t) not in here}, key=key))
+            body.append(sorted({t for _, t in support[i] - here if t >= 0}, key=key))
     return _Layers(entry, body, [-1 in row[1] for row in rows], rank, steps)
 
 
-def _dfs(succ):
-    """Depth-first search from every node in index order, successors in
-    list order: (post-order, None) when the graph is acyclic, else (None,
-    the first cycle met as a closed path ``[y, ..., y]``)."""
-    colour = [0] * len(succ)  # 0 unseen, 1 on the path, 2 done
-    post = []
-    for start in range(len(succ)):
-        if colour[start]:
+def _components(succ):
+    """Strongly connected components by one iterative Tarjan pass from every
+    node in index order, successors in list order.  Returns each node's
+    component and discovery time, the nodes in the order their components
+    complete, and the first cycle met as a closed path ``[y, ..., y]`` (or
+    None).  A component is numbered by where it starts in that order, so in
+    an acyclic graph the order is a post-order and each node's component is
+    its place in it.  Until the first edge into the stack, the stack is the
+    current path, so the cycle is the one a plain depth-first search meets
+    first."""
+    n = len(succ)
+    comp, order, low, stack, done = [-1] * n, [-1] * n, [0] * n, [], []
+    tick, cycle = 0, None  # the next discovery time
+    for root in range(n):
+        if order[root] >= 0:
             continue
-        if not succ[start]:
-            colour[start] = 2
-            post.append(start)
-            continue
-        colour[start] = 1
-        path, its = [start], [iter(succ[start])]
-        while its:
-            for nxt in its[-1]:
-                c = colour[nxt]
-                if not c:
-                    colour[nxt] = 1
-                    path.append(nxt)
-                    its.append(iter(succ[nxt]))
+        path, its = [root], []
+        while path:
+            v = path[-1]
+            if order[v] < 0:
+                order[v] = low[v] = tick
+                tick += 1
+                stack.append(v)
+                its.append(iter(succ[v]))
+            for w in its[-1]:
+                if order[w] < 0:
+                    path.append(w)
                     break
-                if c == 1:
-                    return None, path[path.index(nxt):] + [nxt]
+                if comp[w] < 0:  # an edge into the stack
+                    if cycle is None:
+                        cycle = path[path.index(w):] + [w]
+                    if order[w] < low[v]:
+                        low[v] = order[w]
             else:
-                node = path.pop()
+                path.pop()
                 its.pop()
-                colour[node] = 2
-                post.append(node)
-    return post, None
+                if low[v] < order[v]:  # v's component starts below it on the path
+                    if low[v] < low[path[-1]]:
+                        low[path[-1]] = low[v]
+                else:  # v's component is the stack down to v
+                    c = len(done)
+                    while comp[v] < 0:
+                        w = stack.pop()
+                        comp[w] = c
+                        done.append(w)
+    return comp, order, done, cycle
 
 
 def _loops(layers: _Layers) -> list:
@@ -257,7 +254,7 @@ def _loops(layers: _Layers) -> list:
 def _violation(layers: _Layers):
     """The first violated condition with its witness in state indices, or
     None when the labelling is well layered."""
-    post, cycle = _dfs(layers.body)
+    comp, _, post, cycle = _components(layers.body)
     if cycle is not None:
         return 1, cycle
     layers.post = post
@@ -267,16 +264,13 @@ def _violation(layers: _Layers):
         layers.loop_post = []
         return None
     # condition 2: a loop member returns to x when a body step leads to x or
-    # to a member that returns; successors come first in post-order
-    pos = [0] * len(post)
-    for p, v in enumerate(post):
-        pos[v] = p
+    # to a member that returns; successors come first in post-order (comp)
     returns = [False] * len(post)
     failed = []
     for x, members in enumerate(loops):
         if not members:
             continue
-        for v in sorted(members, key=pos.__getitem__):
+        for v in sorted(members, key=comp.__getitem__):
             back = False
             for w in body[v]:
                 if w == x or returns[w]:
@@ -287,7 +281,7 @@ def _violation(layers: _Layers):
                    if y != x and not returns[y]]
     if failed:
         return 2, min(failed)[2:]
-    layers.loop_post, cycle = _dfs(loops)
+    layers.loop_post, cycle = _components(loops)[2:]
     if cycle is not None:
         return 3, cycle
     # condition 4: the first pair in id order where x loops around to an
@@ -362,40 +356,6 @@ def measures(sys: System, lab: Labelling) -> dict[str, tuple[int, int]]:
 # labelling by loop elimination
 
 
-def _components(succ, accepts):
-    """Strongly connected components (iterative Tarjan): each node's component
-    and discovery time, and per component whether it reaches acceptance."""
-    n = len(succ)
-    comp, order, low, live, stack = [-1] * n, [-1] * n, [0] * n, [], []
-    ticks = iter(range(n))  # discovery times
-    for root in range(n):
-        path, its = ([root] if order[root] < 0 else []), []
-        while path:
-            v = path[-1]
-            if order[v] < 0:
-                order[v] = low[v] = next(ticks)
-                stack.append(v)
-                its.append(iter(succ[v]))
-            for w in its[-1]:
-                if order[w] < 0:
-                    path.append(w)
-                    break
-                if comp[w] < 0:
-                    low[v] = min(low[v], order[w])
-            else:
-                path.pop()
-                its.pop()
-                if path:
-                    low[path[-1]] = min(low[path[-1]], low[v])
-                if low[v] == order[v]:  # v's component is the stack down to v
-                    live.append(False)
-                    while comp[v] < 0:
-                        w = stack.pop()
-                        comp[w] = len(live) - 1
-                        live[-1] = live[-1] or accepts[w] or any(live[comp[t]] for t in succ[w])
-    return comp, order, live
-
-
 def search_labelling(sys: System) -> Labelling | None:
     """Some well-layered labelling (not necessarily with the fewest entry
     steps) by loop elimination, or None when there is none.  Self-loops are
@@ -411,7 +371,11 @@ def search_labelling(sys: System) -> Labelling | None:
             for v, row in enumerate(rows)]
     entry = [[v] if v in row[1] else [] for v, row in enumerate(rows)]
     accepts = [-1 in row[1] for row in rows]
-    comp, order, live = _components(body, accepts)
+    comp, order, done, _ = _components(body)
+    live = [False] * len(rows)  # by component: whether it reaches acceptance
+    for w in done:  # a component completes after those it leads to
+        if not live[comp[w]] and (accepts[w] or any(live[comp[t]] for t in body[w])):
+            live[comp[w]] = True
 
     def blockers(v, y):
         """None when (v, y) can become entry now; otherwise the states that

@@ -138,26 +138,11 @@ class System:
     as immutable after construction.
     """
 
-    def __init__(self, cfg: TheoryConfig, states, beta: dict[str, MVal],
-                 root: str | None = None):
-        """A system from values over (action, State | TICK) pairs, which are
-        flattened into rows once."""
-        index = {x: i for i, x in enumerate(states)}
-
-        def key(tgt):
-            return -1 if tgt is TICK else index[tgt.sid]
-
-        rows = cfg.theory.flat_rows([beta[x] for x in states], key)
-        self.cfg, self.states, self.rows, self.root, self.exprs = \
-            cfg, tuple(states), rows, root, None
-
-    @classmethod
-    def from_rows(cls, cfg: TheoryConfig, states: tuple[str, ...], rows: list,
-                  root: str | None = None, exprs: dict[str, Expr] | None = None) -> System:
+    def __init__(self, cfg: TheoryConfig, states, rows: list, root: str | None = None,
+                 exprs: dict[str, Expr] | None = None):
         """A system from rows laid out as by the theory's ``flat_rows``."""
-        sys = cls.__new__(cls)
-        sys.cfg, sys.states, sys.rows, sys.root, sys.exprs = cfg, states, rows, root, exprs
-        return sys
+        self.cfg, self.states, self.rows, self.root, self.exprs = \
+            cfg, tuple(states), rows, root, exprs
 
     # Computed on first read; computing it twice gives equal results, so
     # sharing a system between threads stays safe.
@@ -225,8 +210,8 @@ def reachable_from(cfg: TheoryConfig, roots) -> tuple[System, list[str]]:
         return -1 if tgt is TICK else intern[tgt]
 
     states = tuple(f"s{i}" for i in range(len(order)))
-    sys = System.from_rows(cfg, states, cfg.theory.flat_rows(steps, key), root="s0",
-                           exprs=dict(zip(states, order)))
+    sys = System(cfg, states, cfg.theory.flat_rows(steps, key), root="s0",
+                 exprs=dict(zip(states, order)))
     return sys, [states[intern[r]] for r in roots]
 
 
@@ -282,7 +267,7 @@ def load_system(doc) -> System:
     root = doc.get("root")
     if root is not None and (not isinstance(root, str) or root not in state_set):
         raise DocumentError(f"root {root!r} is not a state")
-    return System.from_rows(cfg, states, rows, root=root)
+    return System(cfg, states, rows, root=root)
 
 
 # ---------------------------------------------------------------------------

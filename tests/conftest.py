@@ -68,15 +68,23 @@ def state_values(sys_: System) -> dict:
     return {x: sys_.cfg.theory.row_value(row, targets) for x, row in zip(sys_.states, sys_.rows)}
 
 
+def value_system(cfg: TheoryConfig, states, beta: dict, root=None) -> System:
+    """A system from each state's value over (action, State | TICK) pairs,
+    flattened into rows once."""
+    index = {x: i for i, x in enumerate(states)}
+    rows = cfg.theory.flat_rows([beta[x] for x in states],
+                                lambda t: -1 if t is TICK else index[t.sid])
+    return System(cfg, states, rows, root=root)
+
+
 def sl_system(edges, root=None) -> System:
     """Build a nondeterministic system from {state: [(action, 'state' | TICK)]}."""
     cfg = parse_selector("sl")
-    states = tuple(edges)
     beta = {
         x: cfg.theory.value([(a, TICK if t is TICK else State(t)) for a, t in pairs])
         for x, pairs in edges.items()
     }
-    return System(cfg, states, beta, root=root)
+    return value_system(cfg, tuple(edges), beta, root=root)
 
 
 # one small sl system and labelling for each violated condition 1-4
@@ -200,7 +208,7 @@ def disjoint_union(sys1: System, sys2: System) -> tuple[System, dict, dict]:
     shifted = [(row[0], tuple([t + n if t >= 0 else t for t in row[1]]), *row[2:])
                for row in sys2.rows]
     states = tuple(left.values()) + tuple(right.values())
-    return System.from_rows(sys1.cfg, states, sys1.rows + shifted), left, right
+    return System(sys1.cfg, states, sys1.rows + shifted), left, right
 
 
 def bisimilar(sys1, x1, sys2, x2) -> bool:

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import bisimilar, brute_bisimilar, disjoint_union, sl_system, state_values
+from conftest import (
+    bisimilar, brute_bisimilar, disjoint_union, sl_system, state_values, value_system,
+)
 from starexpr import bisim, gen, props
 from starexpr.bisim import brute_bisim, decide_equiv, minimize, refine
 from starexpr.errors import LimitExceededError
-from starexpr.semantics import (
-    State, System, TICK, export_system, load_system, reachable,
-)
+from starexpr.semantics import State, TICK, export_system, load_system, reachable
 from starexpr.solve import roundtrip
 from starexpr.syntax import parse
 from starexpr.theory import SEMIRINGS, MVal, Semiring, mval_map, parse_selector, register_semiring
@@ -117,7 +117,7 @@ def test_refine_with_cancelling_weights(zint, rng):
     # y and z are equivalent, so x's two transitions cancel and x is dead like w
     beta = {"x": val([("y", 1), ("z", -1)]), "y": val([("y", 2)]),
             "z": val([("z", 2)]), "w": val([])}
-    sys_ = System(zint, ("x", "y", "z", "w"), beta)
+    sys_ = value_system(zint, ("x", "y", "z", "w"), beta)
     assert refine(sys_) == brute_bisim(sys_) == {"x": 0, "y": 1, "z": 1, "w": 0}
     for _ in range(60):
         sys_ = gen.rand_system(rng, zint, rng.randint(1, 40), ("a",))
@@ -148,7 +148,7 @@ def _weighted_system(cfg, edges):
     beta = {x: MVal(cfg, frozenset(((a, TICK if t is TICK else State(t)), w)
                                    for (a, t), w in pairs.items()))
             for x, pairs in edges.items()}
-    return System(cfg, tuple(edges), beta)
+    return value_system(cfg, tuple(edges), beta)
 
 
 @pytest.mark.parametrize("selector", ["ca", "smod:rat"])
@@ -291,7 +291,7 @@ def test_quotient_rows_with_cancelling_weights(zint, rng):
 
     beta = {"x": val([("y", 1), ("z", -1)]), "y": val([("y", 2)]),
             "z": val([("z", 2)]), "w": val([])}
-    msys, h = _check_quotient_and_documents(System(zint, ("x", "y", "z", "w"), beta))
+    msys, h = _check_quotient_and_documents(value_system(zint, ("x", "y", "z", "w"), beta))
     # y and z merge, so x's two transitions cancel in its quotient row
     assert h["x"] == h["w"] and msys.rows[msys.index[h["x"]]] == ((), (), (), (), True)
     for _ in range(30):

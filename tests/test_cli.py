@@ -178,6 +178,35 @@ def test_solve_refuses_an_ill_layered_labelling(tmp_path, capsys, condition):
     assert (code, out, err) == (2, "", f"error: labelling is not well-layered: {verdict}\n")
 
 
+def _one_state_doc(*actions):
+    """A labelled, well-layered document: state x accepts on each action."""
+    return {"theory": "sl", "states": ["x"], "beta": {"x": [[a, "✓"] for a in actions]},
+            "labelling": {"entry": []}}
+
+
+@pytest.mark.parametrize("action", ["a ; b", "", "A", "a b", "b2 + c", "\u00e9"])
+def test_solve_refuses_actions_that_do_not_print_as_one(tmp_path, capsys, action):
+    # "a ; b" would print as a two-step process, "" as empty text and "A"
+    # as text the parser rejects; the first bad action is named
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_one_state_doc("a_1", action, "B")))
+    code, out, err = invoke(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: action {action!r} is not an identifier [a-z][a-z0-9_]*, "
+                   f"so solve cannot print it\n")
+    # commands that print no expressions take any action
+    for argv in (["minimize"], ["label", "--check"], ["label", "--search"]):
+        code, out, err = invoke(capsys, *argv, str(path))
+        assert (code, err) == (0, ""), argv
+
+
+def test_solve_prints_identifier_actions(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_one_state_doc("a_1", "z9")))
+    code, out, _ = invoke(capsys, "solve", str(path))
+    assert code == 0 and json.loads(out)["solution"] == {"x": "a_1 + z9"}
+
+
 def test_roundtrip_verdict(capsys):
     code, out, _ = invoke(capsys, "roundtrip", "--theory", "sl", "a *{u+v} b")
     assert code == 0

@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import state_values
+from conftest import state_values, value_system
 from starexpr import bisim, gen, layering, semantics, theory
 from starexpr.bisim import decide_equiv, minimize, refine
 from starexpr.layering import (
@@ -18,7 +18,7 @@ from starexpr.layering import (
     search_labelling, syntactic_labelling,
 )
 from starexpr.semantics import (
-    State, System, TICK, export_dot, export_system, load_system, reachable, step, step_doc,
+    State, TICK, export_dot, export_system, load_system, reachable, step, step_doc,
 )
 from starexpr.solve import canonical_solution, check_solution, roundtrip
 from starexpr.syntax import print_expr
@@ -162,7 +162,7 @@ def test_load_minimize_export_build_no_values(monkeypatch):
     # the counters see value work where it happens
     values = state_values(loaded)
     assert len(values) == 1000 and counts["State"] >= 1000
-    System(cfg, loaded.states, values)
+    value_system(cfg, loaded.states, values)
     assert counts["flat_rows"] == 1
     bisim._mapped_value(values[loaded.states[0]], part)
     assert counts["mval_map"] == 1
@@ -193,7 +193,7 @@ def _sparse_system(rng, cfg, n):
         pool = [("a", State(states[k + 1]) if k + 1 < n else TICK),
                 ("b", State(states[rng.randrange(k + 1)])), ("c", TICK)]
         beta[x] = cfg.theory.rand_value(rng, pool)
-    return System(cfg, states, beta, root="s0")
+    return value_system(cfg, states, beta, root="s0")
 
 
 def _two_loop_system(rng, cfg):
@@ -202,8 +202,8 @@ def _two_loop_system(rng, cfg):
     pools = {x: [(a, State(t)) for a, t in steps] + [("t", TICK)] for x, steps in {
         "x": [("a", "p"), ("a", "q")], "y": [("b", "q"), ("b", "p")],
         "p": [("c", "x"), ("d", "y")], "q": [("e", "x"), ("f", "y")]}.items()}
-    return System(cfg, tuple(pools), {x: cfg.theory.rand_value(rng, pool)
-                                       for x, pool in pools.items()})
+    return value_system(cfg, tuple(pools), {x: cfg.theory.rand_value(rng, pool)
+                                            for x, pool in pools.items()})
 
 
 def _synthesis_parts():

@@ -1,6 +1,10 @@
 """Entry/body labellings: derivation, checking, loops, measures, search."""
 
+import importlib.util
+import random
 import sys
+from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +19,10 @@ from starexpr.layering import (
     Labelling, check_well_layered, labelling_doc, labelling_from_doc,
     loops_around, measures, search_labelling, syntactic_labelling,
 )
-from starexpr.semantics import TICK, load_system, export_system, reachable
-from starexpr.syntax import parse, print_expr
-from starexpr.theory import parse_selector
+from starexpr.semantics import TICK, load_system, export_system, reachable, step
+from starexpr.solve import image_labelling
+from starexpr.syntax import Seq, Star, parse, print_expr
+from starexpr.theory import parse_selector, supp
 
 SL = parse_selector("sl")
 
@@ -66,6 +71,51 @@ def test_labelling_requires_provenance():
 def test_syntactic_labelling_well_layered_on_corpus(cfg):
     for e in corpus(cfg.selector(), count=40):
         assert props.check_layering(cfg, e) is None, print_expr(e)
+
+
+def _terminates(cfg, e) -> bool:
+    """Whether e can reach acceptance in one or more steps, by stepping."""
+    seen, queue = {e}, deque([e])
+    while queue:
+        for _, tgt in supp(step(cfg, queue.popleft())):
+            if tgt is TICK:
+                return True
+            if tgt not in seen:
+                seen.add(tgt)
+                queue.append(tgt)
+    return False
+
+
+def _reference_entry_pairs(cfg, e):
+    if isinstance(e, Star):
+        return {(a, e if tgt is TICK else Seq(tgt, e)) for a, tgt in supp(step(cfg, e.body))
+                if tgt is TICK or _terminates(cfg, tgt)}
+    if isinstance(e, Seq):
+        return {(a, Seq(f, e.right)) for a, f in _reference_entry_pairs(cfg, e.left)}
+    return set()
+
+
+def reference_syntactic_labelling(cfg, sys_) -> Labelling:
+    """The syntactic labelling's rule as stated, with a remainder's
+    termination found by stepping expressions rather than from the
+    system's components."""
+    intern = {expr: sid for sid, expr in sys_.exprs.items()}
+    present = set(sys_.state_transitions())
+    return Labelling(frozenset(
+        (sid, a, intern[target]) for sid, expr in sys_.exprs.items()
+        for a, target in _reference_entry_pairs(cfg, expr)
+        if target in intern and (sid, a, intern[target]) in present))
+
+
+@pytest.mark.parametrize("size", [32, 64, 128])
+def test_syntactic_labelling_matches_the_stepping_rule(cfg, size):
+    remainders = 0
+    for e in corpus(cfg.selector(), count=20, size=size):
+        sys_, _ = reachable(cfg, e)
+        lab = syntactic_labelling(cfg, e, sys_)
+        assert lab == reference_syntactic_labelling(cfg, sys_), print_expr(e)
+        remainders += sum(x != y for x, _, y in lab.entry)
+    assert remainders > 0
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +230,120 @@ def test_checks_and_measures_run_on_long_chains(doc):
     else:
         assert loops == frozenset()
         assert meas["s0"] == (0, n - 1)
+
+
+# ---------------------------------------------------------------------------
+# the component pass
+
+
+def reference_dfs(succ):
+    """A plain recursive depth-first search from every node in index order,
+    successors in list order: discovery times, the post-order, and the first
+    cycle met as a closed path ``[y, ..., y]`` (or None)."""
+    order, post, path, on_path = [-1] * len(succ), [], [], set()
+    cycle = None
+
+    def visit(v):
+        nonlocal cycle
+        order[v] = len(post) + len(path)  # each node found before is done or on the path
+        path.append(v)
+        on_path.add(v)
+        for w in succ[v]:
+            if w in on_path and cycle is None:
+                cycle = path[path.index(w):] + [w]
+            if order[w] < 0:
+                visit(w)
+        path.pop()
+        on_path.discard(v)
+        post.append(v)
+
+    for v in range(len(succ)):
+        if order[v] < 0:
+            visit(v)
+    return order, post, cycle
+
+
+def _reaches(succ):
+    """For every node, the set of nodes it reaches in zero or more steps."""
+    out = []
+    for v in range(len(succ)):
+        seen, todo = {v}, [v]
+        while todo:
+            for w in succ[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        out.append(seen)
+    return out
+
+
+def check_components(succ):
+    """`_components` against a recursive search and mutual reachability."""
+    comp, order, done, cycle = layering._components(succ)
+    ref_order, ref_post, ref_cycle = reference_dfs(succ)
+    assert (order, cycle) == (ref_order, ref_cycle)
+    if cycle is None:
+        # every component is one node, numbered by its place in post-order
+        assert done == ref_post and [comp[v] for v in done] == list(range(len(succ)))
+    assert sorted(done) == list(range(len(succ)))
+    reaches = _reaches(succ)
+    for v in range(len(succ)):
+        for w in range(len(succ)):
+            assert (comp[v] == comp[w]) == (w in reaches[v] and v in reaches[w])
+    # a component completes after every component it leads to
+    where = {v: p for p, v in enumerate(done)}
+    for v, targets in enumerate(succ):
+        for w in targets:
+            assert comp[v] == comp[w] or where[w] < where[v]
+
+
+def test_components_on_random_graphs_with_self_loops():
+    rng = random.Random(19)
+    cyclic = 0
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        density = rng.random() * 0.4
+        succ = [[w for w in rng.sample(range(n), n) if rng.random() < density]
+                for _ in range(n)]
+        check_components(succ)
+        cyclic += layering._components(succ)[3] is not None
+    assert 100 < cyclic < 600
+
+
+def _load_benchmark_inputs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def roundtrip_graphs():
+    """The graphs `roundtrip` runs the component pass on, for the
+    benchmark's seed-1 roundtrip corpus: the transition graph that the
+    syntactic labelling reads, and the body and loops-around graphs of
+    the reachable system under that labelling and of the collapse under
+    its image."""
+    graphs = []
+    for case in _load_benchmark_inputs().roundtrip_cases(1):
+        cfg = parse_selector(case["theory"])
+        e = parse(case["expr"], cfg)
+        sys_, _ = reachable(cfg, e)
+        graphs.append([[t for t in row[1] if t >= 0] for row in sys_.rows])
+        lab = syntactic_labelling(cfg, e, sys_)
+        msys, h = minimize(sys_)
+        for s, l in ((sys_, lab), (msys, image_labelling(lab, h, msys))):
+            layers = layering._layers(s, l)
+            graphs += [layers.body, layering._loops(layers)]
+    return graphs
+
+
+def test_components_on_the_roundtrip_corpus_graphs():
+    graphs = roundtrip_graphs()
+    assert len(graphs) == 5 * 2100
+    for succ in graphs:
+        check_components(succ)
+    assert sum(layering._components(g)[3] is not None for g in graphs) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ import pytest
 
 from conftest import (
     BAD_ENTRIES, NOT_RATIONAL_EDGES, RATIONAL_EDGES, bad_entry_doc, repeated_doc, sl_system,
-    state_values, weighted_doc,
+    state_values, value_system, weighted_doc,
 )
 from starexpr import gen, props, theory
 from starexpr.errors import DocumentError
 from starexpr.semantics import (
-    State, System, TICK, _pair_key, _step, export_dot, export_system, load_system,
+    State, TICK, _pair_key, _step, export_dot, export_system, load_system,
     reachable, step, step_doc,
 )
 from starexpr.syntax import Act, Seq, parse, print_expr
@@ -531,7 +531,7 @@ def test_dot_output_mentions_every_edge():
 
 def test_dot_weighted_edges_show_masses():
     ca = parse_selector("ca")
-    sys_ = System(ca, ("s0",), {"s0": ca.theory.value({("a", State("s0")): Fraction(1, 2),
-                                                   ("b", TICK): Fraction(1, 4)})})
+    value = ca.theory.value({("a", State("s0")): Fraction(1, 2), ("b", TICK): Fraction(1, 4)})
+    sys_ = value_system(ca, ("s0",), {"s0": value})
     dot = export_dot(sys_)
     assert "a 1/2" in dot and "b 1/4" in dot

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (
     ILL_IMAGE, ILL_LAYERED, all_valid_labellings, brute_bisimilar, corpus, ill_layered,
-    loop_chain_doc, sl_chain_doc, sl_system,
+    loop_chain_doc, sl_chain_doc, sl_system, value_system,
 )
 from starexpr import gen, props, solve
 from starexpr.bisim import decide_equiv, minimize
@@ -17,7 +17,7 @@ from starexpr.layering import (
     Labelling, check_well_layered, labelling_from_doc, measures, search_labelling,
     syntactic_labelling,
 )
-from starexpr.semantics import State, System, TICK, load_system, reachable
+from starexpr.semantics import State, TICK, load_system, reachable
 from starexpr.solve import (
     canonical_solution, check_solution, factorize, image_labelling, roundtrip, tau,
 )
@@ -62,7 +62,7 @@ def test_factorize_convex_state():
     ca = parse_selector("ca")
     beta = {"x": ca.theory.value({("a", State("x")): Fraction(1, 2),
                               ("b", TICK): Fraction(1, 2)})}
-    sys_ = System(ca, ("x",), beta)
+    sys_ = value_system(ca, ("x",), beta)
     lab = Labelling(frozenset({("x", "a", "x")}))
     s, t1, t2 = factorize(sys_, lab, "x")
     # full mass: no choice against 0 around the split
@@ -150,7 +150,7 @@ def test_one_state_convex_solution():
     ca = parse_selector("ca")
     beta = {"x": ca.theory.value({("a", State("x")): Fraction(1, 2),
                               ("b", TICK): Fraction(1, 2)})}
-    sys_ = System(ca, ("x",), beta)
+    sys_ = value_system(ca, ("x",), beta)
     lab = Labelling(frozenset({("x", "a", "x")}))
     phi = canonical_solution(sys_, lab)
     assert phi["x"] == parse("a *{u (+1/2) v} b", ca)
