@@ -10,7 +10,7 @@ expression, interning expressions as states.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import DocumentError
 from .syntax import Act, Expr, Seq, Star, TOp, print_expr, same_syntax
@@ -143,12 +143,18 @@ class System:
         """A system from rows laid out as by the theory's ``flat_rows``."""
         self.cfg, self.states, self.rows, self.root, self.exprs = \
             cfg, tuple(states), rows, root, exprs
+        self._index = None
 
-    # Computed on first read; computing it twice gives equal results, so
-    # sharing a system between threads stays safe.
-    @cached_property
+    # Computed on first read and kept, without the lock that
+    # `functools.cached_property` takes; computing it twice gives equal
+    # results, so sharing a system between threads stays safe.
+    @property
     def index(self) -> dict[str, int]:
-        return {x: i for i, x in enumerate(self.states)}
+        """Each state's position in ``states``."""
+        index = self._index
+        if index is None:
+            index = self._index = {x: i for i, x in enumerate(self.states)}
+        return index
 
     def state_transitions(self) -> list[tuple[str, str, str]]:
         """All state-to-state transitions (src, action, dst), canonically

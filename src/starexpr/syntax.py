@@ -269,11 +269,19 @@ class _Parser:
     def __init__(self, text: str, cfg: TheoryConfig):
         self.cfg = cfg
         self.ops = cfg.theory.ops  # the signature
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
         # one guard symbol per distinct guard expression, so that each
         # written guard's text is rendered once
         self.guards: dict = {}
+        # one node per repeated leaf, loop term text and loop, so that
+        # equal copies are one object and compare by identity; these live
+        # for one parse, like the guards
+        self.acts: dict[str, Act] = {}
+        self.zero = TOp(ZeroSym())
+        self.terms: dict[str, STerm] = {}  # by the text between '*{' and '}'
+        self.stars: dict[tuple, Star] = {}  # by the ids of its three parts
 
     def peek(self):
         return self.toks[self.pos]
@@ -326,18 +334,47 @@ class _Parser:
     def parse_star(self) -> Expr:
         e = self.parse_atom()
         while self.at("*{"):
-            self.next()
-            loop = self.parse_branch(self.parse_sterm_atom, SOp)
-            self.expect("}")
-            e = Star(e, loop, self.parse_atom())
+            loop = self.parse_loop_term()
+            exit = self.parse_atom()
+            key = (id(e), id(loop), id(exit))  # the star keeps its parts alive
+            star = self.stars.get(key)
+            if star is None:
+                star = self.stars[key] = Star(e, loop, exit)
+            e = star
         return e
+
+    def parse_loop_term(self) -> STerm:
+        """The term of a loop, from its '*{' through its '}'.  A loop term
+        holds no brace, so the first '}' ends it; a text met before is not
+        parsed again.  Only a term whose '}' was consumed is remembered, so
+        malformed input fails where it would without the memo."""
+        toks = self.toks
+        start = self.pos + 1
+        end = start
+        while toks[end][1] != "}" and toks[end][0] != "eof":
+            end += 1
+        text = None
+        if toks[end][1] == "}":
+            text = self.text[toks[start - 1][2] + 2:toks[end][2]]
+            loop = self.terms.get(text)
+            if loop is not None:
+                self.pos = end + 1
+                return loop
+        self.pos = start
+        loop = self.parse_branch(self.parse_sterm_atom, SOp)
+        self.expect("}")  # the '}' found above, so text is this term's
+        self.terms[text] = loop
+        return loop
 
     def parse_atom(self) -> Expr:
         kind, value, pos = self.next()
         if kind == "ident":
-            return Act(value)
+            act = self.acts.get(value)
+            if act is None:
+                act = self.acts[value] = Act(value)
+            return act
         if kind == "int" and value == "0":
-            return TOp(ZeroSym())
+            return self.zero
         if value == "(":  # five frames per level; the parse depth limit follows
             e = self.parse_branch(self.parse_seq, TOp)
             self.expect(")")

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,16 @@ def curated_for(cfg: TheoryConfig):
 def corpus(selector: str, count: int = 60, size: int = 8, seed: int = 77):
     cfg = parse_selector(selector)
     return tuple(curated_for(cfg)) + tuple(gen.corpus(cfg, count, size, seed))
+
+
+def benchmark_inputs():
+    """The benchmark's input generator, `perfbench/inputs.py`, loaded
+    read-only: its seeded cases are corpora the tests share."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(params=ALL_SELECTORS)

@@ -1,16 +1,14 @@
 """Entry/body labellings: derivation, checking, loops, measures, search."""
 
-import importlib.util
 import random
 import sys
 from collections import deque
-from pathlib import Path
 
 import pytest
 
 from conftest import (
-    ALL_SELECTORS, all_valid_labellings, corpus, ill_layered, loop_chain_doc, sl_chain_doc,
-    sl_system,
+    ALL_SELECTORS, all_valid_labellings, benchmark_inputs, corpus, ill_layered, loop_chain_doc,
+    sl_chain_doc, sl_system,
 )
 from starexpr import gen, layering, props
 from starexpr.bisim import minimize
@@ -310,14 +308,6 @@ def test_components_on_random_graphs_with_self_loops():
     assert 100 < cyclic < 600
 
 
-def _load_benchmark_inputs():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def roundtrip_graphs():
     """The graphs `roundtrip` runs the component pass on, for the
     benchmark's seed-1 roundtrip corpus: the transition graph that the
@@ -325,7 +315,7 @@ def roundtrip_graphs():
     the reachable system under that labelling and of the collapse under
     its image."""
     graphs = []
-    for case in _load_benchmark_inputs().roundtrip_cases(1):
+    for case in benchmark_inputs().roundtrip_cases(1):
         cfg = parse_selector(case["theory"])
         e = parse(case["expr"], cfg)
         sys_, _ = reachable(cfg, e)

@@ -189,6 +189,15 @@ def test_step_is_served_for_the_syntax_stepped():
     assert step(ga, e) is step(ga, e) and _step.cache_info().hits == hits + 2
 
 
+def test_index_maps_each_state_to_its_position(cfg, rng):
+    for _ in range(20):
+        sys_ = gen.rand_system(rng, cfg, rng.randint(1, 6))
+        index = sys_.index
+        assert list(index) == list(sys_.states)
+        assert all(sys_.states[i] == x for x, i in index.items())
+        assert sys_.index is index  # kept after the first read
+
+
 # ---------------------------------------------------------------------------
 # documents
 

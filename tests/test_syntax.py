@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from starexpr import gen, props, theory
+from conftest import benchmark_inputs
+from starexpr import cli, gen, props, semantics, theory
+from starexpr.bisim import decide_equiv
 from starexpr.errors import ParseError
+from starexpr.semantics import export_system, reachable
 from starexpr.syntax import (
     Act, Seq, Star, TOp, compute_U, parse, print_expr, star_height,
 )
@@ -151,14 +154,21 @@ def test_print_parse_round_trip_random(cfg, rng):
 
 
 def _unshared(e):
-    """A structurally equal tree that shares no node object."""
+    """A structurally equal tree that shares no node object, loop terms
+    included."""
     if isinstance(e, Act):
         return Act(e.name)
     if isinstance(e, TOp):
         return TOp(e.sym, [_unshared(a) for a in e.args])
     if isinstance(e, Seq):
         return Seq(_unshared(e.left), _unshared(e.right))
-    return Star(_unshared(e.body), e.loop, _unshared(e.exit))
+    return Star(_unshared(e.body), _unshared_term(e.loop), _unshared(e.exit))
+
+
+def _unshared_term(t):
+    if isinstance(t, SVar):
+        return SVar(t.name)
+    return SOp(t.sym, tuple(map(_unshared_term, t.args)))
 
 
 def test_print_shared_node_parenthesized_per_parent():
@@ -207,6 +217,79 @@ def test_parse_builds_one_guard_symbol_per_written_guard(monkeypatch):
     assert print_expr(e) == text
     assert e.body.args[0].sym is e.body.args[1].sym is e.loop.sym
     assert e.body.sym == e.exit.sym and e.body.sym is not e.exit.sym
+
+
+def test_parse_shares_repeated_actions_loop_terms_and_loops():
+    e = parse("a *{u + v} b ; a *{u + v} b", SL)
+    assert e.left is e.right
+    # where the loops differ, their repeated actions, loop term and 0s are
+    # still one object each
+    e = parse("a *{u + v} b ; (a ; 0) *{u + v} (0 + b)", SL)
+    first, second = e.left, e.right
+    assert first.body is second.body.left and first.exit is second.exit.args[1]
+    assert first.loop is second.loop
+    assert second.body.right is second.exit.args[0]
+
+
+def test_parse_shares_by_written_text():
+    # equal loop terms written differently stay two objects
+    e = parse("a *{u+v} b ; a *{u + v} b", SL)
+    assert e.left.loop == e.right.loop and e.left.loop is not e.right.loop
+    assert e.left == e.right and e.left is not e.right
+    # loops share only when their parts are one object: two parsed bodies
+    # (a ; b) are two
+    e = parse("(a ; b) *{u + v} c ; (a ; b) *{u + v} c", SL)
+    assert e.left.loop is e.right.loop
+    assert e.left == e.right and e.left is not e.right
+
+
+def test_parse_keeps_nothing_between_calls():
+    text = "a *{u + v} b ; a *{u + v} b ; 0"
+    e, f = parse(text, SL), parse(text, SL)
+    assert e == f
+    assert e.left is not f.left
+    assert e.left.body is not f.left.body and e.left.loop is not f.left.loop
+    assert e.right.right is not f.right.right
+
+
+def _same_outputs(cfg, e):
+    """The outputs that `print_expr` and `reach` give for a parsed
+    expression, and for an equal tree built without sharing."""
+    outputs = []
+    for tree in (e, _unshared(e)):
+        semantics._step.cache_clear()
+        outputs.append((print_expr(tree), export_system(reachable(cfg, tree)[0])))
+    return outputs[0] == outputs[1]
+
+
+def test_shared_parses_give_the_outputs_of_unshared_trees():
+    inputs = benchmark_inputs()
+    for case in inputs.equiv_cases(1):
+        cfg = parse_selector(case["theory"])
+        left, right = parse(case["left"], cfg), parse(case["right"], cfg)
+        assert _same_outputs(cfg, left) and _same_outputs(cfg, right)
+        semantics._step.cache_clear()
+        verdict = decide_equiv(cfg, left, right)
+        semantics._step.cache_clear()
+        assert verdict == decide_equiv(cfg, _unshared(left), _unshared(right)) == case["expected"]
+    for case in inputs.roundtrip_cases(1):
+        cfg = parse_selector(case["theory"])
+        assert _same_outputs(cfg, parse(case["expr"], cfg)), case["expr"]
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("a *{u + v} b ; c *{u + v+", "branching operators are non-associative", 24),
+    ("a *{u + v} b ; c *{u + v;", "expected '}', got ';'", 24),
+    ("a *{u + v} b ; c *{u + v}", "expected an expression, got ''", 25),
+    ("a *{u + v} b ; c *{u + v} %", "unexpected character '%'", 26),
+])
+def test_errors_after_a_repeated_loop_term(capsys, text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse(text, SL)
+    assert message in str(info.value) and info.value.position == position
+    assert cli.run(["parse", "--theory", "sl", text]) == 2
+    err = capsys.readouterr().err
+    assert message in err and f"(at position {position})" in err
 
 
 def test_symbols_hash_once(monkeypatch):
