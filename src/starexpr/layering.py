@@ -24,9 +24,9 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import DocumentError, LayeringError
-from .semantics import System, TICK, step
-from .syntax import Expr, Seq, Star
-from .theory import Record, TheoryConfig, _set, row_support, supp
+from .semantics import System, _loop_steps
+from .syntax import Expr
+from .theory import Record, TheoryConfig, _set, row_support
 
 
 class Labelling(Record):
@@ -74,37 +74,19 @@ def syntactic_labelling(cfg: TheoryConfig, e: Expr, sys: System) -> Labelling:
     on the loop's state, so the remainder can terminate exactly when its
     state lies in the loop state's strongly connected component.
     """
-    if sys.exprs is None:
+    if sys.provenance is None:
         raise LayeringError("states lack expression provenance")
-    names, rows, exprs = sys.states, sys.rows, sys.exprs
-    intern = {exprs[x]: i for i, x in enumerate(names)}
+    names, rows = sys.states, sys.rows
     comp = None  # the components, found when a remainder first needs them
     entry = set()
-    for i, x in enumerate(names):
-        pairs = _entry_pairs(cfg, exprs[x])
-        support = row_support(rows[i]) if pairs else ()
-        for action, target in pairs:
-            j = intern.get(target)
-            if j is None or (action, j) not in support:
+    for i, action, j in _loop_steps(sys):
+        if j != i:  # a remainder's state, never the loop's own
+            if comp is None:
+                comp = _components([[t for t in row[1] if t >= 0] for row in rows])[0]
+            if comp[j] != comp[i]:
                 continue
-            if j != i:  # a remainder's state, never the loop's own
-                if comp is None:
-                    comp = _components([[t for t in row[1] if t >= 0] for row in rows])[0]
-                if comp[j] != comp[i]:
-                    continue
-            entry.add((x, action, names[j]))
+        entry.add((names[i], action, names[j]))
     return Labelling(frozenset(entry))
-
-
-def _entry_pairs(cfg, e):
-    """The (action, target) steps of e's outermost loop into itself or into
-    a body remainder, lifted through left factors of sequencing."""
-    if isinstance(e, Star):
-        return [(action, e if tgt is TICK else Seq(tgt, e))
-                for action, tgt in supp(step(cfg, e.body))]
-    if isinstance(e, Seq):
-        return [(action, Seq(f, e.right)) for action, f in _entry_pairs(cfg, e.left)]
-    return []
 
 
 # ---------------------------------------------------------------------------

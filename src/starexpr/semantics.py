@@ -4,16 +4,15 @@ A system's transition function sends each state to a branching value over
 pairs (action, target), where a target is either another state or the
 acceptance marker tick.  Expressions carry a syntactic system structure via
 `step`; `reachable` carves out the finite subsystem generated by one
-expression, interning expressions as states.
+expression, interning its states as heads under stacks of continuations.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from functools import lru_cache
+from functools import reduce
 
 from .errors import DocumentError
-from .syntax import Act, Expr, Seq, Star, TOp, print_expr, same_syntax
+from .syntax import Act, Expr, Seq, Star, TOp, print_expr
 from .theory import (
     MVal, Record, TheoryConfig, _doc_key, _set, eta, eval_term, mval_map, parse_selector,
     row_support, supp,
@@ -66,6 +65,69 @@ class State(Record):
 
 # ---------------------------------------------------------------------------
 # the step function
+#
+# A state is a head, a subterm that is not a `Seq`, under a stack of
+# continuations c1 (the top), ..., ck: ``((head ; c1) ; ...) ; ck``.  It
+# moves by its head.  Each target of the head's step is tick, which pops the
+# stack, or a local target (head', c1', ..., cj'), read along its left
+# spine, which is pushed onto it.  An expression keeps its step
+# (``_local``) and, once explored from, its row (``_head``), as it keeps its
+# sort key: one of each, for the theory that last asked.  Computing either
+# twice gives an equal result, so expressions stay safe to share between
+# threads.  A loop names itself in them by `_LOOP`: a reference to itself
+# would be a cycle, which only the garbage collector frees.
+
+_LOOP = object()
+
+
+def _spine(e) -> tuple:
+    """e as a local target."""
+    conts = []
+    while type(e) is Seq:
+        conts.append(e.right)
+        e = e.left
+    return (e, *reversed(conts))
+
+
+def _under(cont):
+    """Relabel (a, tick) to (a, cont) and (a, local) to (a, local + (cont,))."""
+    alone = _spine(cont)
+    return lambda pair: (pair[0], alone if pair[1] is TICK else pair[1] + (cont,))
+
+
+def _closed(local, loop):
+    """A local target of ``loop``'s step, with the loop for `_LOOP`."""
+    return local if local is TICK or local[-1] is not _LOOP else local[:-1] + (loop,)
+
+
+def _local_step(cfg: TheoryConfig, e: Expr) -> MVal:
+    """e's step over (action, local target) pairs, once per expression and
+    theory."""
+    m = e._local
+    if m is not None and (m.cfg is cfg or m.cfg == cfg):
+        return m
+    if isinstance(e, Act):
+        m = eta(cfg, (e.name, TICK))
+    elif isinstance(e, TOp):
+        m = cfg.theory.apply(e.sym, [_value(cfg, child) for child in e.args])
+    elif isinstance(e, Seq):
+        if type(e.left) is Act:  # the common ``a ; rest`` steps to rest alone
+            m = eta(cfg, (e.left.name, _spine(e.right)))
+        else:
+            m = mval_map(_under(e.right), _value(cfg, e.left))
+    elif isinstance(e, Star):
+        m = eval_term(cfg, e.loop, {"u": mval_map(_under(_LOOP), _value(cfg, e.body)),
+                                    "v": _value(cfg, e.exit)})
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    e._local = m
+    return m
+
+
+def _value(cfg: TheoryConfig, e: Expr) -> MVal:
+    """e's step as the expressions around e read it: a loop for `_LOOP`."""
+    m = _local_step(cfg, e)
+    return mval_map(lambda pair: (pair[0], _closed(pair[1], e)), m) if type(e) is Star else m
 
 
 def step(cfg: TheoryConfig, e: Expr) -> MVal:
@@ -73,50 +135,53 @@ def step(cfg: TheoryConfig, e: Expr) -> MVal:
 
     Branching operators evaluate into the free algebra; sequencing pushes
     the continuation into every target; the loop former ties its body's
-    accepting branches back to itself through the loop term.
-
-    Steps are cached by expression equality, under which guards written
-    differently are equal; but a step's targets are built from the
-    expression stepped and print as it was written, so a cached step is
-    served only for the same syntax, and computed anew otherwise.
+    accepting branches back to itself through the loop term.  The targets
+    are built from the step e keeps, out of e's own parts, so they print as
+    e was written.
     """
-    source, m = _step(cfg, e)
-    if source is e or same_syntax(source, e):
-        return m
-    return _step_of(cfg, e)
+    return mval_map(lambda pair: pair if pair[1] is TICK
+                    else (pair[0], reduce(Seq, pair[1][1:], pair[1][0])), _value(cfg, e))
 
 
-@lru_cache(maxsize=1 << 17)
-def _step(cfg: TheoryConfig, e: Expr) -> tuple[Expr, MVal]:
-    return e, _step_of(cfg, e)
+def _as_head(cfg: TheoryConfig, e: Expr) -> tuple:
+    """(e's step, its distinct local targets, its row with their indices as
+    targets, their order or None, None or their orders by the stack's top),
+    kept on e."""
+    m = _local_step(cfg, e)
+    hd = e._head
+    if hd is None or hd[0] is not m:
+        index: dict = {}  # local targets numbered as met
+        row = cfg.theory.flat_rows([m], lambda t: index.setdefault(t, len(index)))[0]
+        pairs = sorted(row_support(row)) if len(index) > 1 else ()
+        order = None  # the actions order the targets unless two actions meet
+        if len({a for a, _ in pairs}) == len(pairs):
+            order = list(dict.fromkeys([t for _, t in pairs])) if pairs else list(index.values())
+        hd = e._head = (m, list(index), row, order, {} if order is None else None)
+    return hd
 
 
-def _step_of(cfg: TheoryConfig, e: Expr) -> MVal:
-    if isinstance(e, Act):
-        return eta(cfg, (e.name, TICK))
-    if isinstance(e, TOp):
-        return cfg.theory.apply(e.sym, [step(cfg, child) for child in e.args])
-    if isinstance(e, Seq):
-        return mval_map(_push(e.right), step(cfg, e.left))
-    if isinstance(e, Star):
-        env = {
-            "u": mval_map(_push(e), step(cfg, e.body)),
-            "v": step(cfg, e.exit),
-        }
-        return eval_term(cfg, e.loop, env)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _push(cont: Expr):
-    """Relabel (a, tick) to (a, cont) and (a, f) to (a, f;cont)."""
-
-    def f(pair):
-        action, tgt = pair
-        if tgt is TICK:
-            return (action, cont)
-        return (action, Seq(tgt, cont))
-
-    return f
+def _successor_order(hd: tuple, head: Expr, top, below) -> list[int]:
+    """The indices of the local targets of ``head`` in the order `_pair_key`
+    gives its state's targets under a stack with ``top`` (None: empty) and
+    ``below`` it (None: nothing).  The targets share the stack under top, or
+    under below once popped, so their top two levels order them.  Only
+    pairs alike in action and type of target need sort keys."""
+    groups = {}
+    for a, k in row_support(hd[2]):
+        t = hd[1][k]
+        if t is not TICK:
+            t = _closed(t, head)
+            t = reduce(Seq, t[1:], t[0])
+        if top is not None:
+            t = top if t is TICK else Seq(t, top)
+            t = t if below is None else Seq(t, below)
+        groups.setdefault((a, type(t).__name__), []).append((t, k))
+    order = []
+    for (a, _), group in sorted(groups.items()):
+        if len(group) > 1:
+            group.sort(key=lambda tk: _pair_key((a, tk[0])))
+        order += [k for _, k in group]
+    return list(dict.fromkeys(order))
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +198,21 @@ class System:
     ``row_value`` reads a row back as a value over (action, State | TICK)
     pairs.
 
-    ``exprs`` carries expression provenance when the system was built by
-    `reachable`; imported or minimized systems have none.  Treat instances
-    as immutable after construction.
+    ``provenance``, for a system built by `reachable`, holds each state's
+    head, stack id and head's `_as_head` record, and the stack cells
+    (continuation, stack id below; id 0 is the empty stack).  Treat
+    instances as immutable after construction.
     """
 
     def __init__(self, cfg: TheoryConfig, states, rows: list, root: str | None = None,
-                 exprs: dict[str, Expr] | None = None):
+                 provenance: tuple | None = None):
         """A system from rows laid out as by the theory's ``flat_rows``."""
-        self.cfg, self.states, self.rows, self.root, self.exprs = \
-            cfg, tuple(states), rows, root, exprs
-        self._index = None
+        self.cfg, self.states, self.rows, self.root, self.provenance = \
+            cfg, tuple(states), rows, root, provenance
+        self._index = self._exprs = None
 
     # Computed on first read and kept, without the lock that
-    # `functools.cached_property` takes; computing it twice gives equal
+    # `functools.cached_property` takes; computing them twice gives equal
     # results, so sharing a system between threads stays safe.
     @property
     def index(self) -> dict[str, int]:
@@ -156,6 +222,19 @@ class System:
             index = self._index = {x: i for i, x in enumerate(self.states)}
         return index
 
+    @property
+    def exprs(self) -> dict[str, Expr] | None:
+        """Each state's expression, its head under its stack, when the
+        system was built by `reachable`."""
+        if self._exprs is None and self.provenance is not None:
+            heads, stacks, cells, _ = self.provenance
+            conts = {0: ()}  # each stack's continuations, top first
+            for s in range(1, len(cells)):  # a cell comes after the stack below it
+                conts[s] = (cells[s][0], *conts[cells[s][1]])
+            self._exprs = {x: reduce(Seq, conts[s], e)
+                           for x, e, s in zip(self.states, heads, stacks)}
+        return self._exprs
+
     def state_transitions(self) -> list[tuple[str, str, str]]:
         """All state-to-state transitions (src, action, dst), canonically
         ordered; tick transitions are not included."""
@@ -164,6 +243,19 @@ class System:
         triples.sort()
         states = self.states
         return [(states[i], a, states[t]) for i, a, t in triples]
+
+
+def _loop_steps(sys: System):
+    """(state, action, target) index triples of a system built by
+    `reachable`: the steps that a state whose head is a loop takes through
+    its body, those whose local target runs the loop after it."""
+    heads, _, _, steps = sys.provenance
+    for i, (head, hd) in enumerate(zip(heads, steps)):
+        if type(head) is Star:
+            targets, row = hd[1], hd[2]
+            for a, k, j in zip(row[0], row[1], sys.rows[i][1]):
+                if targets[k] is not TICK and targets[k][-1] is _LOOP:
+                    yield i, a, j
 
 
 def _pair_key(pair):
@@ -176,8 +268,8 @@ def _pair_key(pair):
 def reachable(cfg: TheoryConfig, e: Expr) -> tuple[System, str]:
     """The smallest subsystem of the syntactic system containing e.
 
-    States are interned expressions (structural equality); ids are assigned
-    in breadth-first discovery order, so they are stable within a run.
+    States are expressions up to equality; ids are assigned in
+    breadth-first discovery order, so they are stable within a run.
     """
     sys, roots = reachable_from(cfg, (e,))
     return sys, roots[0]
@@ -188,37 +280,57 @@ def reachable_from(cfg: TheoryConfig, roots) -> tuple[System, list[str]]:
 
     Roots are explored breadth-first in the given order, so the first root
     is ``s0`` and is the system's root.  Returns the system and the state
-    id of each root (equal roots share one).  Successors are interned as
-    state indices straight into the rows.
+    id of each root (equal roots share one).  A state is a (head, stack id)
+    pair, and its row is its head's row with the local targets mapped to
+    states.  Stacks are cells interned for this exploration.
     """
-    intern: dict[Expr, int] = {}
-    order: list[Expr] = []
-    steps: list[MVal] = []
+    heads, stacks, steps, rows, cells = [], [], [], [], [None]
+    cell_ids: dict = {}  # (continuation, stack id below) -> stack id
+    intern: dict = {}  # (head, stack id) -> state index
+
+    def enter(local, s):
+        for cont in local[:0:-1]:
+            cell = (cont, s)
+            s = cell_ids.get(cell)
+            if s is None:
+                s = cell_ids[cell] = len(cells)
+                cells.append(cell)
+        i = intern.setdefault((local[0], s), len(heads))
+        if i == len(heads):
+            heads.append(local[0])
+            stacks.append(s)
+        return i
+
+    ids, i = [], 0
     for r in roots:
-        if r in intern:
-            continue
-        intern[r] = len(order)
-        order.append(r)
-        queue = deque([r])
-        while queue:
-            m = step(cfg, queue.popleft())
-            steps.append(m)
-            succ = supp(m)
-            if len(succ) > 1:  # one successor needs no sort key
-                succ = sorted(succ, key=_pair_key)
-            for _, tgt in succ:
-                if tgt is not TICK and tgt not in intern:
-                    intern[tgt] = len(order)
-                    order.append(tgt)
-                    queue.append(tgt)
+        ids.append(enter(_spine(r), 0))
+        while i < len(heads):
+            h, s = heads[i], stacks[i]
+            hd = h._head  # kept from an earlier exploration, or made now
+            if hd is None or hd[0] is not h._local or hd[0].cfg is not cfg:
+                hd = _as_head(cfg, h)
+            steps.append(hd)
+            i += 1
+            _, targets, row, order, orders = hd
+            top, tail = cells[s] if s else (None, 0)
+            if order is None:  # a top with the same sort key orders alike
+                ctx = (top.sort_key() if s else None, tail == 0)
+                order = orders.get(ctx)
+                if order is None:
+                    order = orders[ctx] = _successor_order(
+                        hd, h, top, cells[tail][0] if tail else None)
+            tmap = [-1] * len(targets)
+            for k in order:
+                local = targets[k]
+                if local is not TICK:
+                    tmap[k] = enter(_closed(local, h), s)
+                elif s:
+                    tmap[k] = enter(_spine(top), tail)
+            rows.append((row[0], tuple(map(tmap.__getitem__, row[1])), *row[2:]))
 
-    def key(tgt):
-        return -1 if tgt is TICK else intern[tgt]
-
-    states = tuple(f"s{i}" for i in range(len(order)))
-    sys = System(cfg, states, cfg.theory.flat_rows(steps, key), root="s0",
-                 exprs=dict(zip(states, order)))
-    return sys, [states[intern[r]] for r in roots]
+    states = tuple(f"s{i}" for i in range(len(heads)))
+    sys = System(cfg, states, rows, root="s0", provenance=(heads, stacks, cells, steps))
+    return sys, [states[i] for i in ids]
 
 
 # ---------------------------------------------------------------------------

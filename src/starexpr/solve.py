@@ -71,6 +71,8 @@ class _Solver:
         self.depth = _longest(layers.body, layers.post)
         self.order = _order(layers.rank)
         self.tau_memo: dict[tuple[int, int], Expr] = {}
+        # one `Act` per action, as `parse` keeps: each is stepped once
+        self.acts = {a: Act(a) for row in sys.rows for a in row[0]}
 
     def _star(self, i: int, left, right) -> Expr:
         """State i's split as a star, each loop-side support pair (a, t)
@@ -100,7 +102,7 @@ class _Solver:
         y), both finite as the labelling is well layered, falls from each
         detour to those it needs, since x loops around to y for a loop-side
         need (t, y) and y has a body step to t for an exit-side need (t, x)."""
-        memo = self.tau_memo
+        memo, act = self.tau_memo, self.acts
         root = (y, x)
         stack = [root]
         while stack:
@@ -119,18 +121,19 @@ class _Solver:
                 continue
             # y is no accepting state: x loops around to it
             memo[key] = self._star(
-                y, lambda a, t: Act(a) if t == y else Seq(Act(a), memo[t, y]),
-                lambda a, t: Act(a) if t == x else Seq(Act(a), memo[t, x]))
+                y, lambda a, t: act[a] if t == y else Seq(act[a], memo[t, y]),
+                lambda a, t: act[a] if t == x else Seq(act[a], memo[t, x]))
             stack.pop()
         return memo[root]
 
     def solve(self) -> SolutionMap:
         phi: list = [None] * len(self.sys.states)
+        act = self.acts
         order = sorted(range(len(phi)), key=self.depth.__getitem__)
         for x in order:
             phi[x] = self._star(
-                x, lambda a, t: Act(a) if t == x else Seq(Act(a), self.tau(t, x)),
-                lambda a, t: Act(a) if t < 0 else Seq(Act(a), phi[t]))
+                x, lambda a, t: act[a] if t == x else Seq(act[a], self.tau(t, x)),
+                lambda a, t: act[a] if t < 0 else Seq(act[a], phi[t]))
         names = self.sys.states
         return {names[x]: phi[x] for x in order}
 

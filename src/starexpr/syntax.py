@@ -40,7 +40,9 @@ from .theory import (
 
 
 class Expr:
-    __slots__ = ("_hash", "_key")
+    # _local and _head: the expression's step, and what exploring from it
+    # reads, kept by `semantics` as the sort key is
+    __slots__ = ("_hash", "_key", "_local", "_head")
 
     def __eq__(self, other):
         raise NotImplementedError
@@ -58,29 +60,6 @@ class Expr:
         return self._key
 
 
-def same_syntax(a, b) -> bool:
-    """Whether two expressions or loop terms are equal with their guards
-    written alike, so that they print alike.  Equality (``==``) holds
-    when guards hold at the same atoms, however they are written."""
-    if a is b:
-        return True
-    kind = type(a)
-    if kind is not type(b):
-        return False
-    if kind is Act or kind is SVar:
-        return a == b
-    if a._hash != b._hash:
-        return False
-    if kind is Seq:
-        return same_syntax(a.left, b.left) and same_syntax(a.right, b.right)
-    if kind is Star:
-        return (same_syntax(a.body, b.body) and same_syntax(a.loop, b.loop)
-                and same_syntax(a.exit, b.exit))
-    # TOp and SOp: an operator symbol and its arguments
-    return (a.sym == b.sym and (type(a.sym) is not GuardSym or a.sym.expr == b.sym.expr)
-            and all(map(same_syntax, a.args, b.args)))
-
-
 class Act(Expr):
     """A single action; emits its name and accepts."""
 
@@ -89,7 +68,7 @@ class Act(Expr):
     def __init__(self, name: str):
         self.name = name
         self._hash = hash(("act", name))
-        self._key = None
+        self._key = self._local = self._head = None
 
     def __eq__(self, other):
         return type(other) is Act and other.name == self.name
@@ -115,7 +94,7 @@ class TOp(Expr):
         self.sym = sym
         self.args = args
         self._hash = hash(("top", sym, args))
-        self._key = None
+        self._key = self._local = self._head = None
 
     def __eq__(self, other):
         return other is self or type(other) is TOp and other._hash == self._hash \
@@ -142,7 +121,7 @@ class Seq(Expr):
         self.left = left
         self.right = right
         self._hash = hash(("seq", left._hash, right._hash))
-        self._key = None
+        self._key = self._local = self._head = None
 
     def __eq__(self, other):
         return other is self or type(other) is Seq and other._hash == self._hash \
@@ -170,7 +149,7 @@ class Star(Expr):
         self.loop = loop
         self.exit = exit
         self._hash = hash(("star", body._hash, loop, exit._hash))
-        self._key = None
+        self._key = self._local = self._head = None
 
     def __eq__(self, other):
         return other is self or type(other) is Star and other._hash == self._hash \

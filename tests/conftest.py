@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import random
+from collections import deque
 from functools import lru_cache
 from pathlib import Path
 
@@ -13,9 +14,11 @@ import pytest
 from starexpr import gen
 from starexpr.bisim import brute_bisim, refine
 from starexpr.layering import Labelling, check_well_layered
-from starexpr.semantics import State, System, TICK
-from starexpr.syntax import parse
-from starexpr.theory import TheoryConfig, parse_selector
+from starexpr.semantics import State, System, TICK, _pair_key
+from starexpr.syntax import Act, Seq, Star, TOp, parse
+from starexpr.theory import (
+    GuardSym, SVar, TheoryConfig, eta, eval_term, mval_map, parse_selector, supp,
+)
 
 ALL_SELECTORS = gen.STANDARD_CONFIGS  # sl, ga x2, ca, gc, smod:nat, smod:bool
 
@@ -56,6 +59,88 @@ def benchmark_inputs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def nested_loops(d: int, text: bool = False):
+    """E_d of the nested loops E_0 = a, E_(k+1) = (a ; E_k ; c) *{u + v} b
+    in ``sl``, built from constructors, or as text; 2d+1 states."""
+    if text:
+        e = "a"
+        for _ in range(d):
+            e = f"(a ; {e} ; c) *{{u + v}} b"
+        return e
+    loop = parse("a *{u + v} b", parse_selector("sl")).loop
+    e = Act("a")
+    for _ in range(d):
+        e = Star(Seq(Act("a"), Seq(e, Act("c"))), loop, Act("b"))
+    return e
+
+
+# ---------------------------------------------------------------------------
+# a reference exploration: every state an expression, stepped whole
+
+
+def same_syntax(a, b) -> bool:
+    """Whether two expressions or loop terms are equal with their guards
+    written alike, so that they print alike.  Equality (``==``) holds
+    when guards hold at the same atoms, however they are written."""
+    if a is b:
+        return True
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is Act or kind is SVar:
+        return a == b
+    if hash(a) != hash(b):
+        return False
+    if kind is Seq:
+        return same_syntax(a.left, b.left) and same_syntax(a.right, b.right)
+    if kind is Star:
+        return (same_syntax(a.body, b.body) and same_syntax(a.loop, b.loop)
+                and same_syntax(a.exit, b.exit))
+    # TOp and SOp: an operator symbol and its arguments
+    return (a.sym == b.sym and (type(a.sym) is not GuardSym or a.sym.expr == b.sym.expr)
+            and all(map(same_syntax, a.args, b.args)))
+
+
+def reference_step(cfg: TheoryConfig, e):
+    """The step of an expression whose targets are whole expressions:
+    sequencing builds a `Seq` over every target of its left operand."""
+    def push(cont):
+        return lambda p: (p[0], cont if p[1] is TICK else Seq(p[1], cont))
+
+    if isinstance(e, Act):
+        return eta(cfg, (e.name, TICK))
+    if isinstance(e, TOp):
+        return cfg.theory.apply(e.sym, [reference_step(cfg, child) for child in e.args])
+    if isinstance(e, Seq):
+        return mval_map(push(e.right), reference_step(cfg, e.left))
+    return eval_term(cfg, e.loop, {"u": mval_map(push(e), reference_step(cfg, e.body)),
+                                   "v": reference_step(cfg, e.exit)})
+
+
+def reference_reachable(cfg: TheoryConfig, roots):
+    """Breadth-first exploration over whole expressions, each state's
+    successors in `element_sort_key` order: the system, each state's
+    expression, and each root's state id."""
+    intern, order, steps = {}, [], []
+    for r in roots:
+        if r in intern:
+            continue
+        intern[r] = len(order)
+        order.append(r)
+        queue = deque([r])
+        while queue:
+            m = reference_step(cfg, queue.popleft())
+            steps.append(m)
+            for _, tgt in sorted(supp(m), key=_pair_key):
+                if tgt is not TICK and tgt not in intern:
+                    intern[tgt] = len(order)
+                    order.append(tgt)
+                    queue.append(tgt)
+    states = tuple(f"s{i}" for i in range(len(order)))
+    rows = cfg.theory.flat_rows(steps, lambda t: -1 if t is TICK else intern[t])
+    return System(cfg, states, rows, root="s0"), order, [states[intern[r]] for r in roots]
 
 
 @pytest.fixture(params=ALL_SELECTORS)

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import (
     BAD_ENTRIES, ILL_IMAGE, ILL_LAYERED, NOT_RATIONAL_EDGES, bad_entry_doc, ill_layered,
-    loop_chain_doc, sl_chain_doc, weighted_doc,
+    loop_chain_doc, nested_loops, sl_chain_doc, weighted_doc,
 )
 from starexpr import gen, props
 from starexpr.cli import run
@@ -303,6 +303,30 @@ def test_parsing_nests_up_to_about_200_parentheses():
         assert done.returncode == expected, (depth, done.stderr)
         if expected == 3:
             assert done.stderr.startswith("error: input nests too deeply")
+
+
+def test_nested_loops_run_to_the_parsers_depth_limit():
+    # exploring, deciding and solving nested loops recurse less than
+    # parsing them: every command answers at the deepest nesting that
+    # parses, and one level deeper the parser exits 3
+    def code(command, d):
+        argv = [command, "--theory", "sl", nested_loops(d, text=True)]
+        if command == "equiv":
+            argv.append(argv[-1])
+        done = _fresh_cli(*argv, capture_output=True)
+        assert done.returncode in (0, 3), done.stderr
+        if done.returncode == 3:
+            assert done.stderr.startswith("error: input nests too deeply")
+        return done.returncode
+
+    deepest = 163  # on CPython 3.11 with its default recursion limit
+    while code("parse", deepest) != 0:
+        deepest -= 1
+    while code("parse", deepest + 1) == 0:
+        deepest += 1
+    assert deepest > 124  # where exploring stopped when states were stepped whole
+    for command in ("reach", "equiv", "roundtrip"):
+        assert (code(command, deepest), code(command, deepest + 1)) == (0, 3), command
 
 
 def test_a_closed_stdout_exits_2_without_a_traceback():

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (
     ALL_SELECTORS, all_valid_labellings, benchmark_inputs, corpus, ill_layered, loop_chain_doc,
-    sl_chain_doc, sl_system,
+    nested_loops, sl_chain_doc, sl_system,
 )
 from starexpr import gen, layering, props
 from starexpr.bisim import minimize
@@ -108,7 +108,8 @@ def reference_syntactic_labelling(cfg, sys_) -> Labelling:
 @pytest.mark.parametrize("size", [32, 64, 128])
 def test_syntactic_labelling_matches_the_stepping_rule(cfg, size):
     remainders = 0
-    for e in corpus(cfg.selector(), count=20, size=size):
+    nested = [nested_loops(size // 8)] if cfg.kind == "sl" else []
+    for e in [*corpus(cfg.selector(), count=20, size=size), *nested]:
         sys_, _ = reachable(cfg, e)
         lab = syntactic_labelling(cfg, e, sys_)
         assert lab == reference_syntactic_labelling(cfg, sys_), print_expr(e)

@@ -9,15 +9,18 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    BAD_ENTRIES, NOT_RATIONAL_EDGES, RATIONAL_EDGES, bad_entry_doc, repeated_doc, sl_system,
-    state_values, value_system, weighted_doc,
+    ALL_SELECTORS, BAD_ENTRIES, NOT_RATIONAL_EDGES, RATIONAL_EDGES, bad_entry_doc,
+    benchmark_inputs, corpus, nested_loops, reference_reachable, repeated_doc, same_syntax,
+    sl_system, state_values, value_system, weighted_doc,
 )
 from starexpr import gen, props, theory
+from starexpr.bisim import decide_equiv
 from starexpr.errors import DocumentError
 from starexpr.semantics import (
-    State, TICK, _pair_key, _step, export_dot, export_system, load_system,
-    reachable, step, step_doc,
+    State, TICK, _pair_key, export_dot, export_system, load_system,
+    reachable, reachable_from, step, step_doc,
 )
+from starexpr.solve import roundtrip
 from starexpr.syntax import Act, Seq, parse, print_expr
 from starexpr.theory import (
     SEMIRINGS, SOp, SVar, Semiring, element_sort_key, eta, eval_term, mval_map,
@@ -151,7 +154,6 @@ def _count_constructions(monkeypatch, classes):
 def test_step_builds_no_terms(selector, monkeypatch):
     cfg = parse_selector(selector)
     e = parse(TOP_HEAVY[selector], cfg)
-    _step.cache_clear()
     counts = _count_constructions(monkeypatch, (SOp, SVar))
     m = step(cfg, e)
     assert counts == {SOp: 0, SVar: 0}
@@ -166,7 +168,9 @@ def test_exploration_sorts_only_branching_successors(monkeypatch):
     monkeypatch.setattr(semantics, "_pair_key", lambda p: calls.append(p) or _pair_key(p))
     reachable(SL, parse("a ; b ; c ; d", SL))
     assert calls == []
-    reachable(SL, parse("(a + b) ; c", SL))  # positive control
+    reachable(SL, parse("(a + b) ; c", SL))  # the actions alone order the targets
+    assert calls == []
+    reachable(SL, parse("(a ; b) + (a ; c)", SL))  # positive control
     assert len(calls) == 2
 
 
@@ -178,15 +182,56 @@ def test_step_is_served_for_the_syntax_stepped():
                           ("a ; (b *{u +[p] v} c)", "a ; (b *{u +[!!p] v} c)")]:
         e1, e2 = parse(first, ga), parse(second, ga)
         assert e1 == e2 and step(ga, e1) == step(ga, e2)
-        for e, text in ((e1, first), (e2, second)):
+        for e, text in ((e1, first), (e2, second), (e1, first)):
             target = text.partition(" ; ")[2][1:-1]
             assert step_doc(ga, step(ga, e)) == {"0": ["a", target], "1": ["a", target]}
-    # the same expression is served from the cache
-    e = parse("a ; (b +[p] c)", ga)
-    _step.cache_clear()
-    step(ga, e)
-    hits = _step.cache_info().hits
-    assert step(ga, e) is step(ga, e) and _step.cache_info().hits == hits + 2
+        # so does each state's expression, whichever was explored first
+        for e, text in ((e2, second), (e1, first)):
+            assert print_expr(reachable(ga, e)[0].exprs["s1"]) == text.partition(" ; ")[2][1:-1]
+
+
+def _same_exploration(cfg, roots):
+    """Whether exploring the roots gives the reference's document, root
+    ids and state expressions, written alike."""
+    sys_, ids = reachable_from(cfg, roots)
+    ref, exprs, ref_ids = reference_reachable(cfg, roots)
+    return (export_system(sys_) == export_system(ref) and ids == ref_ids
+            and len(sys_.exprs) == len(exprs)
+            and all(map(same_syntax, sys_.exprs.values(), exprs)))
+
+
+@pytest.mark.parametrize("selector", ALL_SELECTORS)
+def test_exploration_matches_the_expression_reference(selector):
+    cfg = parse_selector(selector)
+    for e in corpus(selector):
+        assert _same_exploration(cfg, (e,)), print_expr(e)
+    for e in corpus(selector, count=20, size=64):
+        assert _same_exploration(cfg, (e,)), print_expr(e)
+
+
+def test_exploration_matches_the_expression_reference_on_benchmark_inputs():
+    inputs = benchmark_inputs()
+    for case in inputs.roundtrip_cases(1):
+        cfg = parse_selector(case["theory"])
+        e = parse(case["expr"], cfg)
+        assert _same_exploration(cfg, (e,)), case["expr"]
+        # the verification explores the output beside the input
+        assert _same_exploration(cfg, (roundtrip(cfg, e), e)), case["expr"]
+    for case in inputs.equiv_cases(1):
+        cfg = parse_selector(case["theory"])
+        roots = (parse(case["left"], cfg), parse(case["right"], cfg))
+        assert _same_exploration(cfg, roots), case["left"]
+
+
+def test_nested_loops_have_2d_plus_1_states():
+    # a state's stack grows with the nesting, but no step walks it: 800
+    # loops deep explore and solve within the default recursion limit
+    for d in (0, 1, 5, 40, 800):
+        e = nested_loops(d)
+        sys_, root = reachable(SL, e)
+        assert len(sys_.states) == 2 * d + 1 and root == "s0"
+    assert decide_equiv(SL, roundtrip(SL, e), e)
+    assert _same_exploration(SL, (nested_loops(12),))
 
 
 def test_index_maps_each_state_to_its_position(cfg, rng):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import benchmark_inputs
-from starexpr import cli, gen, props, semantics, theory
+from starexpr import cli, gen, props, theory
 from starexpr.bisim import decide_equiv
 from starexpr.errors import ParseError
 from starexpr.semantics import export_system, reachable
@@ -257,7 +257,6 @@ def _same_outputs(cfg, e):
     expression, and for an equal tree built without sharing."""
     outputs = []
     for tree in (e, _unshared(e)):
-        semantics._step.cache_clear()
         outputs.append((print_expr(tree), export_system(reachable(cfg, tree)[0])))
     return outputs[0] == outputs[1]
 
@@ -268,9 +267,7 @@ def test_shared_parses_give_the_outputs_of_unshared_trees():
         cfg = parse_selector(case["theory"])
         left, right = parse(case["left"], cfg), parse(case["right"], cfg)
         assert _same_outputs(cfg, left) and _same_outputs(cfg, right)
-        semantics._step.cache_clear()
         verdict = decide_equiv(cfg, left, right)
-        semantics._step.cache_clear()
         assert verdict == decide_equiv(cfg, _unshared(left), _unshared(right)) == case["expected"]
     for case in inputs.roundtrip_cases(1):
         cfg = parse_selector(case["theory"])
