@@ -25,6 +25,7 @@ parentheses between them.  Weights and probabilities are ``m`` or ``m/n``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -98,7 +99,7 @@ class TOp(Expr):
 
     def __eq__(self, other):
         return other is self or type(other) is TOp and other._hash == self._hash \
-            and other.sym == self.sym and other.args == self.args
+            and _equal(self, other)
 
     __hash__ = Expr.__hash__
 
@@ -125,7 +126,7 @@ class Seq(Expr):
 
     def __eq__(self, other):
         return other is self or type(other) is Seq and other._hash == self._hash \
-            and other.left == self.left and other.right == self.right
+            and _equal(self, other)
 
     __hash__ = Expr.__hash__
 
@@ -153,8 +154,7 @@ class Star(Expr):
 
     def __eq__(self, other):
         return other is self or type(other) is Star and other._hash == self._hash \
-            and other.body == self.body and other.loop == self.loop \
-            and other.exit == self.exit
+            and _equal(self, other)
 
     __hash__ = Expr.__hash__
 
@@ -163,6 +163,36 @@ class Star(Expr):
 
     def _make_key(self):
         return (3, self.body.sort_key(), term_sort_key(self.loop), self.exit.sort_key())
+
+
+def _equal(a: Expr, b: Expr) -> bool:
+    """Whether two expressions are equal, compared pair by pair from an
+    explicit stack, so that a long chain or deep nesting sets no recursion
+    depth.  Operator symbols and loop terms compare by their own ``==``."""
+    stack = [(a, b)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        x, y = pop()
+        if x is y:
+            continue
+        kind = type(x)
+        if type(y) is not kind or x._hash != y._hash:
+            return False
+        if kind is Seq:
+            push((x.right, y.right))
+            push((x.left, y.left))
+        elif kind is Star:
+            if x.loop != y.loop:
+                return False
+            push((x.exit, y.exit))
+            push((x.body, y.body))
+        elif kind is TOp:
+            if x.sym != y.sym:
+                return False
+            stack.extend(zip(x.args, y.args))
+        elif x.name != y.name:  # two actions
+            return False
+    return True
 
 
 def _sym_repr(sym):
@@ -174,69 +204,51 @@ def _sym_repr(sym):
 # ---------------------------------------------------------------------------
 # tokenizer
 
+# Tokens are found by one regular expression; they are kept as their texts,
+# and character positions are found again only to report an error.  A loop
+# term is one token, '*{' through its '}' as written, when each character
+# between them belongs to a token, so that the parser keys loop terms by
+# their written text and parses each text once.  An identifier in a term
+# ends where the tokenizer ends it (the lookahead), so one text has one
+# match and a '*{' with no '}' fails in time linear in what follows.
+_TOKEN = re.compile(
+    r"\*\{(?:[a-z][a-z0-9_]*(?![a-z0-9_])|\+\[?|[\s\d()\]&|!./;])*\}"
+    r"|[a-z][a-z0-9_]*|\d+|\*\{|\+\[?|\(\+\)?|[;()\]}&|!./]")
 
-_PUNCT_SINGLE = set(";()]}&|!./")
-# identifiers are [a-z][a-z0-9_]*, read without a regular expression
-_IDENT_TAIL = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
 
-
-def _tokenize(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdecimal():  # what int() reads; a digit such as '²' is not
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append(("int", text[i:j], i))
-            i = j
-            continue
-        if "a" <= c <= "z":
-            j = i + 1
-            while j < n and text[j] in _IDENT_TAIL:
-                j += 1
-            toks.append(("ident", text[i:j], i))
-            i = j
-            continue
-        if c == "*":
-            if i + 1 < n and text[i + 1] == "{":
-                toks.append(("punct", "*{", i))
-                i += 2
-                continue
-            raise ParseError("expected '{' after '*'", i)
-        if c == "+":
-            if i + 1 < n and text[i + 1] == "[":
-                toks.append(("punct", "+[", i))
-                i += 2
-            else:
-                toks.append(("punct", "+", i))
-                i += 1
-            continue
-        if c == "(":
-            if i + 1 < n and text[i + 1] == "+":
-                if i + 2 < n and text[i + 2] == ")":
-                    toks.append(("punct", "(+)", i))
-                    i += 3
-                else:
-                    toks.append(("punct", "(+", i))
-                    i += 2
-            else:
-                toks.append(("punct", "(", i))
-                i += 1
-            continue
-        if c in _PUNCT_SINGLE:
-            toks.append(("punct", c, i))
-            i += 1
-            continue
-        if "A" <= c <= "Z":
-            raise ParseError(f"identifiers are lowercase, got {c!r}", i)
-        raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(("eof", "", n))
+def _tokenize(text: str) -> list[str]:
+    """The texts of the tokens of ``text``, then '' for its end.  A digit is
+    what int() reads (str.isdecimal); a digit such as '²' is not."""
+    toks = _TOKEN.findall(text)
+    # the tokens cover every character but whitespace: compared first by
+    # their count of characters other than ' ', then of non-whitespace
+    joined = "".join(toks)
+    if len(joined) - joined.count(" ") != len(text) - text.count(" ") \
+            and len("".join(joined.split())) != len("".join(text.split())):
+        _reject_character(text)
+    toks.append("")
     return toks
+
+
+def _reject_character(text: str):
+    """Raise the ParseError for the first character outside every token."""
+    end = 0
+    for start, stop in [m.span() for m in _TOKEN.finditer(text)] + [(len(text), 0)]:
+        for i in range(end, start):
+            c = text[i]
+            if c.isspace():
+                continue
+            if c == "*":
+                raise ParseError("expected '{' after '*'", i)
+            if "A" <= c <= "Z":
+                raise ParseError(f"identifiers are lowercase, got {c!r}", i)
+            raise ParseError(f"unexpected character {c!r}", i)
+        end = stop
+
+
+def _shown(value: str) -> str:
+    # a loop term taken whole is reported as the token that opens it
+    return repr(value[:2] if value[:2] == "*{" else value)
 
 
 # each branching token: the symbol type the signature must hold, and its name
@@ -251,6 +263,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.term = None  # while a loop term's tokens are parsed: its token's index
         # one guard symbol per distinct guard expression, so that each
         # written guard's text is rendered once
         self.guards: dict = {}
@@ -258,12 +271,18 @@ class _Parser:
         # equal copies are one object and compare by identity; these live
         # for one parse, like the guards
         self.acts: dict[str, Act] = {}
-        self.zero = TOp(ZeroSym())
-        self.terms: dict[str, STerm] = {}  # by the text between '*{' and '}'
+        self.zero = None  # the one 0, made when first met
+        self.terms: dict[str, STerm] = {}  # by the loop term's token
         self.stars: dict[tuple, Star] = {}  # by the ids of its three parts
 
-    def peek(self):
-        return self.toks[self.pos]
+    def error(self, message, index) -> ParseError:
+        """The error at token ``index``, with its character position."""
+        spans = [m.span() for m in _TOKEN.finditer(self.text)]
+        if self.term is not None:  # a loop term's tokens, then its '}'
+            start, stop = spans[self.term]
+            spans = [m.span() for m in _TOKEN.finditer(self.text, start + 2, stop - 1)]
+            spans.append((stop - 1, stop))
+        return ParseError(message, spans[index][0] if index < len(spans) else len(self.text))
 
     def next(self):
         tok = self.toks[self.pos]
@@ -271,15 +290,9 @@ class _Parser:
         return tok
 
     def expect(self, text):
-        kind, value, pos = self.next()
+        value = self.next()
         if value != text:
-            raise ParseError(f"expected {text!r}, got {value!r}", pos)
-
-    def at(self, text):
-        return self.toks[self.pos][1] == text
-
-    def fail(self, message):
-        raise ParseError(message, self.peek()[2])
+            raise self.error(f"expected {text!r}, got {_shown(value)}", self.pos - 1)
 
     # -- expressions --------------------------------------------------------
 
@@ -292,8 +305,9 @@ class _Parser:
         if sym is None:
             return left
         out = node(sym, (left, self.parse_scaled(operand, node)))
-        if self.peek()[1] in _BRANCH_OPS:
-            self.fail("branching operators are non-associative; add parentheses")
+        if self.toks[self.pos] in _BRANCH_OPS:
+            raise self.error("branching operators are non-associative; add parentheses",
+                             self.pos)
         return out
 
     def parse_scaled(self, operand, node):
@@ -304,89 +318,99 @@ class _Parser:
         return operand()
 
     def parse_seq(self) -> Expr:
-        left = self.parse_star()
-        if self.at(";"):
-            self.next()
-            return Seq(left, self.parse_seq())
-        return left
-
-    def parse_star(self) -> Expr:
-        e = self.parse_atom()
-        while self.at("*{"):
-            loop = self.parse_loop_term()
-            exit = self.parse_atom()
-            key = (id(e), id(loop), id(exit))  # the star keeps its parts alive
-            star = self.stars.get(key)
-            if star is None:
-                star = self.stars[key] = Star(e, loop, exit)
-            e = star
+        """Units separated by ';', each an atom and the loops that follow
+        it (left-nested), read in a loop; the units nest to the right."""
+        toks = self.toks
+        units = []
+        while True:
+            e = self.parse_atom()
+            while toks[self.pos][:1] == "*":  # '*{', with its term or alone
+                loop = self.parse_loop_term()
+                exit = self.parse_atom()
+                key = (id(e), id(loop), id(exit))  # the star keeps its parts alive
+                star = self.stars.get(key)
+                if star is None:
+                    star = self.stars[key] = Star(e, loop, exit)
+                e = star
+            if toks[self.pos] != ";":
+                break
+            self.pos += 1
+            units.append(e)
+        for unit in reversed(units):
+            e = Seq(unit, e)
         return e
 
     def parse_loop_term(self) -> STerm:
-        """The term of a loop, from its '*{' through its '}'.  A loop term
-        holds no brace, so the first '}' ends it; a text met before is not
-        parsed again.  Only a term whose '}' was consumed is remembered, so
-        malformed input fails where it would without the memo."""
-        toks = self.toks
-        start = self.pos + 1
-        end = start
-        while toks[end][1] != "}" and toks[end][0] != "eof":
-            end += 1
-        text = None
-        if toks[end][1] == "}":
-            text = self.text[toks[start - 1][2] + 2:toks[end][2]]
-            loop = self.terms.get(text)
-            if loop is not None:
-                self.pos = end + 1
-                return loop
-        self.pos = start
-        loop = self.parse_branch(self.parse_sterm_atom, SOp)
-        self.expect("}")  # the '}' found above, so text is this term's
-        self.terms[text] = loop
+        """The term of a loop, from its '*{' through its '}'.  A term token
+        met before is not parsed again; a new one is parsed from its own
+        tokens, then its '}'.  A '*{' alone has no '}' after it, and is
+        parsed where it stands, to fail there."""
+        i = self.pos
+        tok = self.toks[i]
+        self.pos = i + 1
+        if tok == "*{":
+            loop = self.parse_branch(self.parse_sterm_atom, SOp)
+            self.expect("}")
+            return loop
+        loop = self.terms.get(tok)
+        if loop is None:
+            toks = self.toks
+            self.toks = _TOKEN.findall(tok, 2, len(tok) - 1)
+            self.toks.append("}")
+            self.pos, self.term = 0, i
+            loop = self.terms[tok] = self.parse_branch(self.parse_sterm_atom, SOp)
+            self.expect("}")
+            self.toks, self.pos, self.term = toks, i + 1, None
         return loop
 
     def parse_atom(self) -> Expr:
-        kind, value, pos = self.next()
-        if kind == "ident":
+        i = self.pos
+        value = self.toks[i]
+        self.pos = i + 1
+        if "a" <= value < "{":  # only identifiers start with 'a' to 'z'
             act = self.acts.get(value)
             if act is None:
                 act = self.acts[value] = Act(value)
             return act
-        if kind == "int" and value == "0":
+        if value == "0":
+            if self.zero is None:
+                self.zero = TOp(ZeroSym())
             return self.zero
-        if value == "(":  # five frames per level; the parse depth limit follows
+        if value == "(":  # four frames per level; the parse depth limit follows
             e = self.parse_branch(self.parse_seq, TOp)
             self.expect(")")
             return e
-        raise ParseError(f"expected an expression, got {value!r}", pos)
+        raise self.error(f"expected an expression, got {_shown(value)}", i)
 
     # -- loop terms ---------------------------------------------------------
 
     def parse_sterm_atom(self) -> STerm:
-        kind, value, pos = self.next()
-        if kind == "ident":
+        value = self.next()
+        if "a" <= value < "{":
             if value in ("u", "v"):
                 return SVar(value)
-            raise ParseError(f"loop terms may mention only u and v, got {value!r}", pos)
-        if kind == "int" and value == "0":
+            raise self.error(f"loop terms may mention only u and v, got {value!r}",
+                             self.pos - 1)
+        if value == "0":
             return SZERO
         if value == "(":
             t = self.parse_branch(self.parse_sterm_atom, SOp)
             self.expect(")")
             return t
-        raise ParseError(f"expected a loop term, got {value!r}", pos)
+        raise self.error(f"expected a loop term, got {_shown(value)}", self.pos - 1)
 
     # -- operators ----------------------------------------------------------
 
     def try_branch_op(self):
         """Consume a branching operator and return its symbol, or None."""
-        kind, value, pos = self.peek()
+        i = self.pos
+        value = self.toks[i]
         op = _BRANCH_OPS.get(value)
         if op is None:
             return None
-        self.next()
+        self.pos = i + 1
         if op[0] not in self.ops:
-            raise ParseError(f"{op[1]} is not in the {self.cfg.kind} signature", pos)
+            raise self.error(f"{op[1]} is not in the {self.cfg.kind} signature", i)
         if value == "+":
             return PLUS
         if value == "(+)":
@@ -400,82 +424,82 @@ class _Parser:
             return sym
         p = self.parse_fraction()
         if not (0 <= p <= 1):
-            raise ParseError(f"probability outside [0,1]: {p}", pos)
+            raise self.error(f"probability outside [0,1]: {p}", i)
         self.expect(")")
         return ChoiceSym(p)
 
     def parse_fraction(self) -> Fraction:
-        kind, value, pos = self.next()
-        if kind != "int":
-            raise ParseError(f"expected a number, got {value!r}", pos)
+        value = self.next()
+        if not value.isdecimal():
+            raise self.error(f"expected a number, got {_shown(value)}", self.pos - 1)
         num = int(value)
-        if self.at("/"):
-            self.next()
-            kind, value, pos = self.next()
-            if kind != "int" or int(value) == 0:
-                raise ParseError(f"expected a nonzero denominator, got {value!r}", pos)
+        if self.toks[self.pos] == "/":
+            self.pos += 1
+            value = self.next()
+            if not value.isdecimal() or int(value) == 0:
+                raise self.error(f"expected a nonzero denominator, got {_shown(value)}",
+                                 self.pos - 1)
             return Fraction(num, int(value))
         return Fraction(num)
 
     def try_weight_dot(self):
         """Weight followed by '.', or None (with no tokens consumed)."""
         start = self.pos
-        kind, value, pos = self.peek()
-        if kind != "int":
+        if not self.toks[start].isdecimal():
             return None
         frac = self.parse_fraction()
-        if not self.at("."):
+        if self.toks[self.pos] != ".":
             self.pos = start
             return None
-        self.next()
+        self.pos += 1
         try:
             return self.cfg.semiring.parse(str(frac))
         except ValueError as exc:
-            raise ParseError(str(exc), pos) from None
+            raise self.error(str(exc), start) from None
 
     # -- guards -------------------------------------------------------------
 
     def parse_bool(self):
         left = self.parse_bool_conj()
-        while self.at("|"):
-            self.next()
+        while self.toks[self.pos] == "|":
+            self.pos += 1
             left = BOr(left, self.parse_bool_conj())
         return left
 
     def parse_bool_conj(self):
         left = self.parse_bool_lit()
-        while self.at("&"):
-            self.next()
+        while self.toks[self.pos] == "&":
+            self.pos += 1
             left = BAnd(left, self.parse_bool_lit())
         return left
 
     def parse_bool_lit(self):
-        kind, value, pos = self.next()
+        value = self.next()
         if value == "!":
             return BNot(self.parse_bool_lit())
         if value == "(":
             b = self.parse_bool()
             self.expect(")")
             return b
-        if kind == "ident":
+        if "a" <= value < "{":
             if value == "true":
                 return BTrue()
             if value == "false":
                 return BFalse()
             if value not in self.cfg.tests:
-                raise ParseError(
-                    f"unknown test {value!r} (declared: {', '.join(self.cfg.tests) or 'none'})", pos)
+                raise self.error(f"unknown test {value!r} (declared: "
+                                 f"{', '.join(self.cfg.tests) or 'none'})", self.pos - 1)
             return BTest(value)
-        raise ParseError(f"expected a test expression, got {value!r}", pos)
+        raise self.error(f"expected a test expression, got {_shown(value)}", self.pos - 1)
 
 
 def parse(text: str, cfg: TheoryConfig) -> Expr:
     """Parse one expression; raises ParseError with a character position."""
     parser = _Parser(text, cfg)
     e = parser.parse_branch(parser.parse_seq, TOp)
-    kind, value, pos = parser.peek()
-    if kind != "eof":
-        raise ParseError(f"unexpected trailing input {value!r}", pos)
+    value = parser.toks[parser.pos]
+    if value:
+        raise parser.error(f"unexpected trailing input {_shown(value)}", parser.pos)
     return e
 
 

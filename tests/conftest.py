@@ -13,6 +13,7 @@ import pytest
 
 from starexpr import gen
 from starexpr.bisim import brute_bisim, refine
+from starexpr.errors import ParseError
 from starexpr.layering import Labelling, check_well_layered
 from starexpr.semantics import State, System, TICK, _pair_key
 from starexpr.syntax import Act, Seq, Star, TOp, parse
@@ -141,6 +142,76 @@ def reference_reachable(cfg: TheoryConfig, roots):
     states = tuple(f"s{i}" for i in range(len(order)))
     rows = cfg.theory.flat_rows(steps, lambda t: -1 if t is TICK else intern[t])
     return System(cfg, states, rows, root="s0"), order, [states[intern[r]] for r in roots]
+
+
+# ---------------------------------------------------------------------------
+# a reference tokenizer: one character at a time
+
+
+_PUNCT_SINGLE = set(";()]}&|!./")
+_IDENT_TAIL = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
+
+
+def reference_tokenize(text: str):
+    """(kind, text, character position) of each token, then ("eof", "",
+    len(text)); a character that starts no token raises the ParseError
+    that `parse` raises for it.  A digit is what int() reads."""
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            toks.append(("int", text[i:j], i))
+            i = j
+            continue
+        if "a" <= c <= "z":
+            j = i + 1
+            while j < n and text[j] in _IDENT_TAIL:
+                j += 1
+            toks.append(("ident", text[i:j], i))
+            i = j
+            continue
+        if c == "*":
+            if i + 1 < n and text[i + 1] == "{":
+                toks.append(("punct", "*{", i))
+                i += 2
+                continue
+            raise ParseError("expected '{' after '*'", i)
+        if c == "+":
+            if i + 1 < n and text[i + 1] == "[":
+                toks.append(("punct", "+[", i))
+                i += 2
+            else:
+                toks.append(("punct", "+", i))
+                i += 1
+            continue
+        if c == "(":
+            if i + 1 < n and text[i + 1] == "+":
+                if i + 2 < n and text[i + 2] == ")":
+                    toks.append(("punct", "(+)", i))
+                    i += 3
+                else:
+                    toks.append(("punct", "(+", i))
+                    i += 2
+            else:
+                toks.append(("punct", "(", i))
+                i += 1
+            continue
+        if c in _PUNCT_SINGLE:
+            toks.append(("punct", c, i))
+            i += 1
+            continue
+        if "A" <= c <= "Z":
+            raise ParseError(f"identifiers are lowercase, got {c!r}", i)
+        raise ParseError(f"unexpected character {c!r}", i)
+    toks.append(("eof", "", n))
+    return toks
 
 
 @pytest.fixture(params=ALL_SELECTORS)

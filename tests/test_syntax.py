@@ -1,12 +1,13 @@
 """Grammar, printing, and structural measures."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from conftest import benchmark_inputs
-from starexpr import cli, gen, props, theory
+from conftest import ALL_SELECTORS, benchmark_inputs, corpus, nested_loops, reference_tokenize
+from starexpr import cli, gen, props, syntax, theory
 from starexpr.bisim import decide_equiv
 from starexpr.errors import ParseError
 from starexpr.semantics import export_system, reachable
@@ -101,6 +102,102 @@ def test_identifiers_are_ascii():
         assert err.value.position == position
         assert f"unexpected character {char!r}" in str(err.value)
     assert parse("a_1 ; z9", SL) == Seq(Act("a_1"), Act("z9"))
+
+
+def _token_texts(text):
+    """`syntax._tokenize`'s tokens with their positions, each loop term taken
+    whole split into its '*{', the tokens between its braces and its '}'."""
+    matches = list(syntax._TOKEN.finditer(text))
+    assert syntax._tokenize(text) == [m.group() for m in matches] + [""]
+    out = []
+    for m in matches:
+        start, stop = m.span()
+        if stop - start > 2 and text[start:start + 2] == "*{":
+            out.append(("*{", start))
+            out += [(t.group(), t.start())
+                    for t in syntax._TOKEN.finditer(text, start + 2, stop - 1)]
+            out.append(("}", stop - 1))
+        else:
+            out.append((m.group(), start))
+    return out + [("", len(text))]
+
+
+def _tokenizer_texts():
+    for selector in ALL_SELECTORS:
+        for size in (8, 64):
+            yield from map(print_expr, corpus(selector, size=size))
+    for n in (1, 2, 50):
+        yield " ; ".join(["a"] * n)
+        yield " ; ".join(["a *{u + v} b"] * n)
+        yield nested_loops(n, text=True)
+    alphabet = ["a", "b", "z9", "a_1", "u", "v", "p", "0", "12", "/", ".", ";", "+", "[", "(",
+                ")", "]", "{", "}", "*", "*{", "+[", "(+", "&", "|", "!", " ", "\t", "\x1c",
+                "\u0663", "\u00b2", "B", "_", "\u00e9", "%"]
+    rng = random.Random(11)
+    for _ in range(3000):
+        yield "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 16)))
+
+
+def test_tokenizer_matches_the_reference_scanner():
+    # the same tokens at the same positions, the same kinds as the parser
+    # tells them apart, and the same error for a character that starts none
+    for text in _tokenizer_texts():
+        try:
+            expected = reference_tokenize(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as info:
+                syntax._tokenize(text)
+            assert (str(info.value), info.value.position) == (str(exc), exc.position), text
+            continue
+        assert _token_texts(text) == [(value, pos) for _, value, pos in expected], text
+        for kind, value, _ in expected:
+            assert ("a" <= value < "{") == (kind == "ident"), value
+            assert value.isdecimal() == (kind == "int"), value
+
+
+# (selector, text, message, position): one malformed input per place that
+# raises a ParseError, several of them inside or after a loop term taken
+# whole, whose positions are found again only when the error is raised
+PARSE_ERRORS = [
+    ("sl", "a *{u + v} b ; a * b", "expected '{' after '*'", 17),
+    ("sl", "a ; b ; B", "identifiers are lowercase, got 'B'", 8),
+    ("sl", "a ; b *{u + v} c ; %", "unexpected character '%'", 19),
+    ("sl", "a *{u % v} b + c + d", "unexpected character '%'", 6),
+    ("sl", "(a ; b *{u + v} c", "expected ')', got ''", 17),
+    ("sl", "a *{(u + v} b", "expected ')', got '}'", 10),
+    ("sl", "a *{u + v", "expected '}', got ''", 9),
+    ("sl", "a *{u *{ v} b", "expected '}', got '*{'", 6),
+    ("sl", "a + b *{u + v} c + d", "branching operators are non-associative; add parentheses",
+     17),
+    ("sl", "a *{u + v} b ; a *{u + v + 0} b",
+     "branching operators are non-associative; add parentheses", 25),
+    ("sl", "a ; *{u + v} b", "expected an expression, got '*{'", 4),
+    ("sl", "a\t;\x1c*{u\t+ v} b ; ;", "expected an expression, got '*{'", 4),
+    ("smod:nat", "\u0663 . a *{u (+) v} \u0663", "expected an expression, got '\u0663'", 17),
+    ("sl", "a *{u + v} b ; c *{u + w} b", "loop terms may mention only u and v, got 'w'", 23),
+    ("sl", "a *{u + v} b ; c *{u + ;} b", "expected a loop term, got ';'", 23),
+    ("sl", "a *{} b", "expected a loop term, got '}'", 4),
+    ("sl", "a *{u + v} b *{u + v} c *{u +", "expected a loop term, got ''", 29),
+    ("sl", "a *{u + v} b ; c +[p] b", "guarded choice is not in the sl signature", 17),
+    ("ca", "a *{u (+1/2) v} b ; c (+3/2) b", "probability outside [0,1]: 3/2", 22),
+    ("ca", "a *{u (+1/2) v} b ; c (+x) b", "expected a number, got 'x'", 24),
+    ("ca", "a *{u (+1/2) v} b ; c (+1/0) b", "expected a nonzero denominator, got '0'", 26),
+    ("smod:nat", "a *{u (+) v} b (+) 1/2 . c", "not a natural number: '1/2'", 19),
+    ("smod:bool", "a (+) 2 . c", "boolean weight must be 0 or 1, got '2'", 6),
+    ("ga:tests=p", "a *{u +[p] v} b ; c +[q] b", "unknown test 'q' (declared: p)", 22),
+    ("ga:tests=p", "a *{u +[p] v} b ; c +[p & ;] b", "expected a test expression, got ';'",
+     26),
+    ("sl", "a *{u + v} b ; c d", "unexpected trailing input 'd'", 17),
+    ("sl", "a ; b) *{u + v} c", "unexpected trailing input ')'", 5),
+]
+
+
+@pytest.mark.parametrize("selector, text, message, position", PARSE_ERRORS)
+def test_parse_error_messages_and_positions(selector, text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse(text, parse_selector(selector))
+    assert (str(info.value), info.value.position) == (f"{message} (at position {position})",
+                                                      position)
 
 
 def test_unknown_test_rejected():
@@ -325,6 +422,31 @@ def test_print_long_seq_chain():
     for _ in range(899):
         e = Seq(Act("a"), e)
     assert print_expr(e) == " ; ".join(["a"] * 900)
+
+
+def test_long_chains_and_deep_nesting_compare_without_recursing():
+    # a ';' spine parses in a loop, and equality walks an explicit stack:
+    # two separately parsed 5000-unit chains are equal and are decided
+    # equivalent in process, within the default recursion limit
+    text = " ; ".join(["a"] * 5000)
+    e, f = parse(text, SL), parse(text, SL)
+    assert e == f and e is not f and e.right is not f.right
+    assert decide_equiv(SL, e, f)
+    assert not decide_equiv(SL, e, parse(text + " ; z", SL))
+    unit = e
+    for _ in range(4999):
+        assert type(unit) is Seq and unit.left.name == "a"
+        unit = unit.right
+    assert unit == Act("a")
+
+    def branches(n):
+        e = Act("a")
+        for _ in range(n):
+            e = TOp(PLUS, (Act("a"), e))
+        return e
+
+    assert nested_loops(2000) == nested_loops(2000) != nested_loops(1999)
+    assert branches(5000) == branches(5000) != branches(4999)
 
 
 def test_star_height_examples():
