@@ -145,43 +145,31 @@ def step(cfg: TheoryConfig, e: Expr) -> MVal:
 
 def _as_head(cfg: TheoryConfig, e: Expr) -> tuple:
     """(e's step, its distinct local targets, its row with their indices as
-    targets, their order or None, None or their orders by the stack's top),
-    kept on e."""
+    targets, their order), kept on e.  The targets are ordered by action,
+    and those that share an action by `_target_key`, so a state's
+    successors are ordered by its head alone, whatever its stack."""
     m = _local_step(cfg, e)
     hd = e._head
     if hd is None or hd[0] is not m:
         index: dict = {}  # local targets numbered as met
         row = cfg.theory.flat_rows([m], lambda t: index.setdefault(t, len(index)))[0]
-        pairs = sorted(row_support(row)) if len(index) > 1 else ()
-        order = None  # the actions order the targets unless two actions meet
-        if len({a for a, _ in pairs}) == len(pairs):
-            order = list(dict.fromkeys([t for _, t in pairs])) if pairs else list(index.values())
-        hd = e._head = (m, list(index), row, order, {} if order is None else None)
+        targets, by_action = list(index), {}
+        for a, k in row_support(row):
+            by_action.setdefault(a, []).append(k)
+        order = []
+        for a in sorted(by_action):
+            ks = by_action[a]
+            if len(ks) > 1:
+                ks.sort(key=lambda k: _target_key(targets[k]))
+            order += ks
+        hd = e._head = (m, targets, row, list(dict.fromkeys(order)))
     return hd
 
 
-def _successor_order(hd: tuple, head: Expr, top, below) -> list[int]:
-    """The indices of the local targets of ``head`` in the order `_pair_key`
-    gives its state's targets under a stack with ``top`` (None: empty) and
-    ``below`` it (None: nothing).  The targets share the stack under top, or
-    under below once popped, so their top two levels order them.  Only
-    pairs alike in action and type of target need sort keys."""
-    groups = {}
-    for a, k in row_support(hd[2]):
-        t = hd[1][k]
-        if t is not TICK:
-            t = _closed(t, head)
-            t = reduce(Seq, t[1:], t[0])
-        if top is not None:
-            t = top if t is TICK else Seq(t, top)
-            t = t if below is None else Seq(t, below)
-        groups.setdefault((a, type(t).__name__), []).append((t, k))
-    order = []
-    for (a, _), group in sorted(groups.items()):
-        if len(group) > 1:
-            group.sort(key=lambda tk: _pair_key((a, tk[0])))
-        order += [k for _, k in group]
-    return list(dict.fromkeys(order))
+def _target_key(local) -> tuple:
+    """Tick first, then a local target by its parts' sort keys; `_LOOP`'s
+    key, (4,), is no expression's."""
+    return () if local is TICK else tuple((4,) if x is _LOOP else x.sort_key() for x in local)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +246,6 @@ def _loop_steps(sys: System):
                     yield i, a, j
 
 
-def _pair_key(pair):
-    """The order `element_sort_key` gives (action, target) pairs, computed
-    flat: actions are strings and targets are `Tick`, `State` or `Expr`."""
-    action, tgt = pair
-    return (action, type(tgt).__name__, tgt.sort_key())
-
-
 def reachable(cfg: TheoryConfig, e: Expr) -> tuple[System, str]:
     """The smallest subsystem of the syntactic system containing e.
 
@@ -278,8 +259,9 @@ def reachable(cfg: TheoryConfig, e: Expr) -> tuple[System, str]:
 def reachable_from(cfg: TheoryConfig, roots) -> tuple[System, list[str]]:
     """The smallest subsystem of the syntactic system containing every root.
 
-    Roots are explored breadth-first in the given order, so the first root
-    is ``s0`` and is the system's root.  Returns the system and the state
+    Roots are explored breadth-first in the given order, each state's
+    successors in its head's order, so the first root is ``s0`` and is
+    the system's root.  Returns the system and the state
     id of each root (equal roots share one).  A state is a (head, stack id)
     pair, and its row is its head's row with the local targets mapped to
     states.  Stacks are cells interned for this exploration.
@@ -311,14 +293,8 @@ def reachable_from(cfg: TheoryConfig, roots) -> tuple[System, list[str]]:
                 hd = _as_head(cfg, h)
             steps.append(hd)
             i += 1
-            _, targets, row, order, orders = hd
+            _, targets, row, order = hd
             top, tail = cells[s] if s else (None, 0)
-            if order is None:  # a top with the same sort key orders alike
-                ctx = (top.sort_key() if s else None, tail == 0)
-                order = orders.get(ctx)
-                if order is None:
-                    order = orders[ctx] = _successor_order(
-                        hd, h, top, cells[tail][0] if tail else None)
             tmap = [-1] * len(targets)
             for k in order:
                 local = targets[k]

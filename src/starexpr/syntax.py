@@ -56,9 +56,43 @@ class Expr:
         return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
     def sort_key(self):
-        if self._key is None:
-            self._key = self._make_key()
+        # each part without a key first, from an explicit stack, so that a
+        # long chain or deep nesting sets no recursion depth
+        stack = [self]
+        while self._key is None:
+            x = stack[-1]
+            kind = type(x)
+            todo = [p for p in ((x.left, x.right) if kind is Seq else (x.body, x.exit)
+                                if kind is Star else x.args if kind is TOp else ())
+                    if p._key is None]
+            if todo:
+                stack += todo
+            else:
+                x._key = x._make_key()
+                stack.pop()
         return self._key
+
+    def __repr__(self):
+        # one walk from an explicit stack of parts and texts still to write
+        out, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            kind = type(x)
+            if kind is str:
+                out.append(x)
+            elif kind is Seq:
+                stack += (")", x.right, ", ", x.left, "Seq(")
+            elif kind is Star:
+                stack += (")", x.exit, f", {term_text(x.loop)}, ", x.body, "Star(")
+            elif kind is TOp and x.args:
+                parts = [f"TOp({_sym_repr(x.sym)}, ["]
+                for a in x.args:
+                    parts += (a, ", ")
+                parts[-1] = "])"
+                stack += reversed(parts)
+            else:
+                out.append("TOp(0)" if kind is TOp else f"Act({x.name})")
+        return "".join(out)
 
 
 class Act(Expr):
@@ -75,9 +109,6 @@ class Act(Expr):
         return type(other) is Act and other.name == self.name
 
     __hash__ = Expr.__hash__
-
-    def __repr__(self):
-        return f"Act({self.name})"
 
     def _make_key(self):
         return (0, self.name)
@@ -103,12 +134,6 @@ class TOp(Expr):
 
     __hash__ = Expr.__hash__
 
-    def __repr__(self):
-        if not self.args:
-            return "TOp(0)"
-        inner = ", ".join(map(repr, self.args))
-        return f"TOp({_sym_repr(self.sym)}, [{inner}])"
-
     def _make_key(self):
         return (1, _sym_sort_key(self.sym), tuple(a.sort_key() for a in self.args))
 
@@ -129,9 +154,6 @@ class Seq(Expr):
             and _equal(self, other)
 
     __hash__ = Expr.__hash__
-
-    def __repr__(self):
-        return f"Seq({self.left!r}, {self.right!r})"
 
     def _make_key(self):
         return (2, self.left.sort_key(), self.right.sort_key())
@@ -157,9 +179,6 @@ class Star(Expr):
             and _equal(self, other)
 
     __hash__ = Expr.__hash__
-
-    def __repr__(self):
-        return f"Star({self.body!r}, {term_text(self.loop)}, {self.exit!r})"
 
     def _make_key(self):
         return (3, self.body.sort_key(), term_sort_key(self.loop), self.exit.sort_key())

@@ -15,10 +15,11 @@ from starexpr import gen
 from starexpr.bisim import brute_bisim, refine
 from starexpr.errors import ParseError
 from starexpr.layering import Labelling, check_well_layered
-from starexpr.semantics import State, System, TICK, _pair_key
+from starexpr.semantics import State, System, TICK
 from starexpr.syntax import Act, Seq, Star, TOp, parse
 from starexpr.theory import (
-    GuardSym, SVar, TheoryConfig, eta, eval_term, mval_map, parse_selector, supp,
+    GuardSym, SVar, TheoryConfig, element_sort_key, eta, eval_term, mval_map, parse_selector,
+    supp,
 )
 
 ALL_SELECTORS = gen.STANDARD_CONFIGS  # sl, ga x2, ca, gc, smod:nat, smod:bool
@@ -134,7 +135,7 @@ def reference_reachable(cfg: TheoryConfig, roots):
         while queue:
             m = reference_step(cfg, queue.popleft())
             steps.append(m)
-            for _, tgt in sorted(supp(m), key=_pair_key):
+            for _, tgt in sorted(supp(m), key=element_sort_key):
                 if tgt is not TICK and tgt not in intern:
                     intern[tgt] = len(order)
                     order.append(tgt)

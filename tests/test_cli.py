@@ -308,10 +308,9 @@ def test_parsing_nests_up_to_about_200_parentheses():
 
 
 def test_nested_loops_run_to_the_parsers_depth_limit():
-    # exploring, deciding, comparing and solving nested loops recurse less
-    # than parsing them: reach, equiv and roundtrip answer at the deepest
-    # nesting that parses, and one level deeper the parser exits 3; the
-    # parse command stops sooner, where printing its tree nests too deeply
+    # exploring, deciding, comparing, solving and writing a tree's repr
+    # recurse less than parsing nested loops: every command answers at the
+    # deepest nesting that parses, and one level deeper the parser exits 3
     def code(command, d):
         argv = [command, "--theory", "sl", nested_loops(d, text=True)]
         if command == "equiv":
@@ -323,7 +322,7 @@ def test_nested_loops_run_to_the_parsers_depth_limit():
         return done.returncode
 
     # on CPython 3.11 with its default recursion limit
-    deepest = {"parse": 165, "reach": 246, "equiv": 246, "roundtrip": 246}
+    deepest = {"parse": 246, "reach": 246, "equiv": 246, "roundtrip": 246}
     assert min(deepest.values()) >= 163  # where every command stopped before
     for command, d in deepest.items():
         assert (code(command, d), code(command, d + 1)) == (0, 3), command
@@ -338,6 +337,35 @@ def test_long_chains_decide_and_roundtrip_in_a_fresh_process():
     assert (done.returncode, done.stdout) == (0, "equivalent\n"), done.stderr
     done = _fresh_cli("roundtrip", "--theory", "sl", chain, capture_output=True)
     assert (done.returncode, done.stdout) == (0, f"{chain}\nverified: bisimilar\n"), done.stderr
+
+
+def test_successors_under_one_action_order_by_keys_up_to_a_prefix_limit():
+    # a head's targets under one action are ordered by their sort keys,
+    # which are built without recursion: two 3,000-unit chains that differ
+    # in their first unit order, explore and decide
+    x, y = " ; ".join(["a"] * 3000), " ; ".join(["b"] * 3000)
+    e = f"(a ; {x}) + (a ; {y})"
+    done = _fresh_cli("reach", "--theory", "sl", e, capture_output=True)
+    assert done.returncode == 0 and len(json.loads(done.stdout)["states"]) == 6001
+    done = _fresh_cli("equiv", "--theory", "sl", e, e, capture_output=True)
+    assert (done.returncode, done.stdout) == (0, "equivalent\n"), done.stderr
+    # but keys are nested tuples, which CPython compares recursively: two
+    # targets that agree on a long prefix nest too deeply, on CPython 3.11
+    # with its default recursion limit past 988 units
+    for n, expected in ((988, 0), (989, 3)):
+        chain = " ; ".join(["a"] * n)
+        f = f"(a ; {chain} ; c) + (a ; {chain} ; d)"
+        for argv in (("reach", f), ("equiv", f, f)):
+            done = _fresh_cli(argv[0], "--theory", "sl", *argv[1:], capture_output=True)
+            assert done.returncode == expected, (n, argv[0], done.stderr)
+
+
+def test_parse_writes_the_tree_of_a_long_chain():
+    # the parse command's repr walks the tree from an explicit stack
+    chain = " ; ".join(["a"] * 20_000)
+    done = _fresh_cli("parse", "--theory", "sl", chain, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "Seq(Act(a), " * 19_999 + "Act(a)" + ")" * 19_999 + "\n"
 
 
 def test_a_closed_stdout_exits_2_without_a_traceback():

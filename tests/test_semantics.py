@@ -17,13 +17,13 @@ from starexpr import gen, props, theory
 from starexpr.bisim import decide_equiv
 from starexpr.errors import DocumentError
 from starexpr.semantics import (
-    State, TICK, _pair_key, export_dot, export_system, load_system,
+    State, TICK, _target_key, export_dot, export_system, load_system,
     reachable, reachable_from, step, step_doc,
 )
 from starexpr.solve import roundtrip
 from starexpr.syntax import Act, Seq, parse, print_expr
 from starexpr.theory import (
-    SEMIRINGS, SOp, SVar, Semiring, element_sort_key, eta, eval_term, mval_map,
+    SEMIRINGS, SOp, SVar, Semiring, eta, eval_term, mval_map,
     parse_selector, register_semiring, reify, supp,
 )
 
@@ -118,19 +118,6 @@ def test_step_term_substitution_agrees_with_relabelling(cfg, rng):
         assert expected == step(cfg, star)
 
 
-def test_flat_pair_key_orders_as_element_sort_key(cfg):
-    # successors of corpus expressions and of every state reachable from
-    # them: Expr and Tick targets, then State targets
-    for e in gen.corpus(cfg, 60, 8, seed=13):
-        sys_, _ = reachable(cfg, e)
-        values = state_values(sys_)
-        for x in sys_.states:
-            for m in (step(cfg, sys_.exprs[x]), values[x]):
-                pairs = list(supp(m))
-                assert len({_pair_key(p) for p in pairs}) == len(pairs)
-                assert sorted(pairs, key=_pair_key) == sorted(pairs, key=element_sort_key)
-
-
 TOP_HEAVY = {
     "sl": "((a + b) + (c + 0)) *{u + v} ((a ; b) + (0 + c))",
     "ga:tests=p,q": "((a +[p] b) +[!q] (c +[p & q] 0)) *{u +[q] v} (a +[p] (b +[q] c))",
@@ -165,13 +152,28 @@ def test_exploration_sorts_only_branching_successors(monkeypatch):
     import starexpr.semantics as semantics
 
     calls = []
-    monkeypatch.setattr(semantics, "_pair_key", lambda p: calls.append(p) or _pair_key(p))
+    monkeypatch.setattr(semantics, "_target_key", lambda t: calls.append(t) or _target_key(t))
     reachable(SL, parse("a ; b ; c ; d", SL))
     assert calls == []
     reachable(SL, parse("(a + b) ; c", SL))  # the actions alone order the targets
     assert calls == []
     reachable(SL, parse("(a ; b) + (a ; c)", SL))  # positive control
     assert len(calls) == 2
+
+
+def test_successor_order_does_not_depend_on_the_stack():
+    # a state's successors are ordered by its head's own targets: the two
+    # a-successors of (a ; b) + (a ; c) keep their order under any stack
+    for text, first, second in [
+            ("(a ; b) + (a ; c)", "b", "c"),
+            ("((a ; b) + (a ; c)) ; d", "b ; d", "c ; d"),
+            ("(((a ; b) + (a ; c)) ; d) ; e", "(b ; d) ; e", "(c ; d) ; e")]:
+        exprs = reachable(SL, parse(text, SL))[0].exprs
+        assert (print_expr(exprs["s1"]), print_expr(exprs["s2"])) == (first, second), text
+    # and the state that a tick pops to comes first, whichever the stack's top
+    for top in ("d", "c *{u + v} d"):
+        exprs = reachable(SL, parse(f"(a + (a ; b)) ; ({top})", SL))[0].exprs
+        assert print_expr(exprs["s1"]) == top and exprs["s2"] == parse(f"b ; ({top})", SL)
 
 
 def test_step_is_served_for_the_syntax_stepped():
@@ -191,13 +193,28 @@ def test_step_is_served_for_the_syntax_stepped():
 
 
 def _same_exploration(cfg, roots):
-    """Whether exploring the roots gives the reference's document, root
-    ids and state expressions, written alike."""
+    """Whether exploring the roots gives the reference's system up to the
+    bijection that the state expressions, written alike, give: as many
+    states, each with the reference's row and each root with its id under
+    the bijection."""
     sys_, ids = reachable_from(cfg, roots)
     ref, exprs, ref_ids = reference_reachable(cfg, roots)
-    return (export_system(sys_) == export_system(ref) and ids == ref_ids
-            and len(sys_.exprs) == len(exprs)
-            and all(map(same_syntax, sys_.exprs.values(), exprs)))
+    where = {e: i for i, e in enumerate(exprs)}
+    rename = {}
+    for x, e in sys_.exprs.items():
+        i = where.get(e)
+        if i is None or not same_syntax(e, exprs[i]):
+            return False
+        rename[x] = ref.states[i]
+    if len(sys_.states) != len(ref.states) or len(set(rename.values())) != len(rename):
+        return False
+
+    def renamed(pair):
+        return pair if pair[1] is TICK else (pair[0], State(rename[pair[1].sid]))
+
+    values, ref_values = state_values(sys_), state_values(ref)
+    return [rename[x] for x in ids] == ref_ids and all(
+        mval_map(renamed, values[x]) == ref_values[rename[x]] for x in sys_.states)
 
 
 @pytest.mark.parametrize("selector", ALL_SELECTORS)

@@ -449,6 +449,36 @@ def test_long_chains_and_deep_nesting_compare_without_recursing():
     assert branches(5000) == branches(5000) != branches(4999)
 
 
+@pytest.mark.parametrize("selector, text, expected", [
+    ("sl", "(a + 0) ; b *{u + v} c", "Seq(TOp(+, [Act(a), TOp(0)]), Star(Act(b), u + v, Act(c)))"),
+    ("smod:nat", "2 . a (+) (b ; c) *{(2 . u) (+) v} 0",
+     "TOp((+), [TOp(2 ., [Act(a)]), Star(Seq(Act(b), Act(c)), 2 . u (+) v, TOp(0))])"),
+    ("ga:tests=p", "a +[p & !p] (b *{u +[p] v} c)",
+     "TOp(+[p & !p], [Act(a), Star(Act(b), u +[p] v, Act(c))])"),
+])
+def test_repr_writes_the_constructors(selector, text, expected):
+    assert repr(parse(text, parse_selector(selector))) == expected
+
+
+def test_long_chains_and_deep_nesting_key_and_repr_without_recursing():
+    # sort keys are filled children first, and repr is written, from an
+    # explicit stack: within the default recursion limit in process
+    e = parse(" ; ".join(["a"] * 5000), SL)
+    key = e.sort_key()
+    for _ in range(4999):
+        assert key[:2] == (2, (0, "a"))
+        key = key[2]
+    assert key == (0, "a")
+    assert repr(e) == "Seq(Act(a), " * 4999 + "Act(a)" + ")" * 4999
+    deep = nested_loops(2000)
+    key = deep.sort_key()
+    for _ in range(2000):  # each loop's key holds its body's, (a ; (E ; c))
+        assert key[0] == 3
+        key = key[1][2][1]
+    assert key == (0, "a")
+    assert repr(deep).count("Star(") == 2000
+
+
 def test_star_height_examples():
     assert star_height(parse("a", SL)) == 0
     assert star_height(parse("a *{u+v} b", SL)) == 1
