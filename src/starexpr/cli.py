@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys as _sys
 
 from .bisim import decide_equiv, minimize
@@ -23,7 +22,7 @@ from .layering import (
 from .semantics import export_dot, export_system, load_system, reachable, step, step_doc
 from .solve import canonical_solution, roundtrip
 from .syntax import parse, print_expr
-from .theory import TheoryConfig, parse_selector
+from .theory import _IDENT, TheoryConfig, parse_selector
 
 USAGE_EXIT, VERDICT_EXIT, BOUND_EXIT, INTERNAL_EXIT = 2, 1, 3, 4
 
@@ -139,15 +138,12 @@ def _cmd_label(args):
     return 0
 
 
-_ACTION = re.compile(r"[a-z][a-z0-9_]*")  # what the expression parser reads as an action
-
-
 def _cmd_solve(args):
     doc = _read_doc(args.document)
     sys_ = load_system(doc)
     # the solution prints each action as itself, so it must read back as one
     for a in dict.fromkeys(a for row in sys_.rows for a in row[0]):
-        if not _ACTION.fullmatch(a):
+        if not _IDENT.match(a):  # what the expression parser reads as an action
             raise DocumentError(f"action {a!r} is not an identifier [a-z][a-z0-9_]*, "
                                 f"so solve cannot print it")
     if "labelling" not in doc:

@@ -18,7 +18,7 @@ from .semantics import System, TICK, export_system, reachable, step
 from .solve import canonical_solution, roundtrip, sterm_to_expr
 from .syntax import Act, Expr, Seq, Star, compute_U, parse, print_expr, term_text
 from .theory import (
-    BTest, GuardSym, MVal, SVar, TheoryConfig, eta, eval_term, mval_map, reify, split, supp,
+    GuardSym, MVal, SVar, TheoryConfig, eta, eval_term, mval_map, reify, split, supp,
     term_variables,
 )
 
@@ -57,10 +57,9 @@ def _tree_fault(cfg: TheoryConfig, terms) -> str | None:
         if not isinstance(t.sym, GuardSym):
             stack += [(a, len(tests)) for a in t.args]
             continue
-        b = t.sym.expr
-        if not isinstance(b, BTest) or b.name not in tests:
+        if t.sym.guard not in tests:
             return f"guard {t.sym.text()} is not one test"
-        i = tests.index(b.name)
+        i = tests.index(t.sym.guard)
         if i <= after:
             return f"guard {t.sym.text()} out of declared order on a path"
         if t.sym.mask != holds[i]:

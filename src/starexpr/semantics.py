@@ -9,7 +9,7 @@ expression, interning its states as heads under stacks of continuations.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cmp_to_key, reduce
 
 from .errors import DocumentError
 from .syntax import Act, Expr, Seq, Star, TOp, print_expr
@@ -160,7 +160,7 @@ def _as_head(cfg: TheoryConfig, e: Expr) -> tuple:
         for a in sorted(by_action):
             ks = by_action[a]
             if len(ks) > 1:
-                ks.sort(key=lambda k: _target_key(targets[k]))
+                ks.sort(key=lambda k: _by_key(_target_key(targets[k])))
             order += ks
         hd = e._head = (m, targets, row, list(dict.fromkeys(order)))
     return hd
@@ -170,6 +170,32 @@ def _target_key(local) -> tuple:
     """Tick first, then a local target by its parts' sort keys; `_LOOP`'s
     key, (4,), is no expression's."""
     return () if local is TICK else tuple((4,) if x is _LOOP else x.sort_key() for x in local)
+
+
+def _compare(x: tuple, y: tuple) -> int:
+    """-1, 0 or 1 as sort key x orders before, with or after y, as tuples
+    compare, but from an explicit stack: keys nest as deeply as their
+    expressions, and CPython compares tuples recursively.  Each level is
+    walked from where it was left, and identical parts are equal without a
+    walk; a level whose parts are all equal orders the shorter first."""
+    walks = [(zip(x, y), len(x) - len(y))]
+    while walks:
+        for a, b in walks[-1][0]:
+            if a is b:
+                continue
+            if type(a) is tuple and type(b) is tuple:
+                walks.append((zip(a, b), len(a) - len(b)))
+                break
+            if a != b:
+                return -1 if a < b else 1
+        else:
+            d = walks.pop()[1]
+            if d:
+                return -1 if d < 0 else 1
+    return 0
+
+
+_by_key = cmp_to_key(_compare)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .theory import (
-    BAnd, BFalse, BNot, BOr, BTest, BTrue,
     ChoiceSym, GuardSym, OPLUS, OplusSym, PLUS, PlusSym, ScaleSym, SOp, STerm,
     SVar, SZERO, TheoryConfig, ZeroSym, term_sort_key, term_variables, _sym_sort_key,
 )
@@ -283,9 +282,8 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.term = None  # while a loop term's tokens are parsed: its token's index
-        # one guard symbol per distinct guard expression, so that each
-        # written guard's text is rendered once
-        self.guards: dict = {}
+        # one guard symbol per distinct guard, as built
+        self.guards: dict[tuple, GuardSym] = {}
         # one node per repeated leaf, loop term text and loop, so that
         # equal copies are one object and compare by identity; these live
         # for one parse, like the guards
@@ -435,11 +433,11 @@ class _Parser:
         if value == "(+)":
             return OPLUS
         if value == "+[":
-            b = self.parse_bool()
+            g = self.parse_bool()
             self.expect("]")
-            sym = self.guards.get(b)
+            sym = self.guards.get(g)
             if sym is None:
-                sym = self.guards[b] = self.cfg.theory.guard_sym(b)
+                sym = self.guards[g] = self.cfg.theory.guard_sym(g)
             return sym
         p = self.parse_fraction()
         if not (0 <= p <= 1):
@@ -477,39 +475,42 @@ class _Parser:
             raise self.error(str(exc), start) from None
 
     # -- guards -------------------------------------------------------------
+    # built as their parts by the theory's guard builders (`Guarded`)
 
     def parse_bool(self):
-        left = self.parse_bool_conj()
-        while self.toks[self.pos] == "|":
+        """'|' over '&' over literals, each level read in a loop."""
+        theory, toks = self.cfg.theory, self.toks
+        terms = []
+        while True:
+            parts = [self.parse_bool_lit()]
+            while toks[self.pos] == "&":
+                self.pos += 1
+                parts.append(self.parse_bool_lit())
+            terms.append(parts[0] if len(parts) == 1 else theory.guard_join("&", parts))
+            if toks[self.pos] != "|":
+                return terms[0] if len(terms) == 1 else theory.guard_join("|", terms)
             self.pos += 1
-            left = BOr(left, self.parse_bool_conj())
-        return left
-
-    def parse_bool_conj(self):
-        left = self.parse_bool_lit()
-        while self.toks[self.pos] == "&":
-            self.pos += 1
-            left = BAnd(left, self.parse_bool_lit())
-        return left
 
     def parse_bool_lit(self):
+        """A run of '!', read in a loop, then a test, a constant or a
+        parenthesized guard."""
+        start = self.pos
+        while self.toks[self.pos] == "!":
+            self.pos += 1
+        nots = self.pos - start
         value = self.next()
-        if value == "!":
-            return BNot(self.parse_bool_lit())
         if value == "(":
-            b = self.parse_bool()
+            g = self.parse_bool()
             self.expect(")")
-            return b
-        if "a" <= value < "{":
-            if value == "true":
-                return BTrue()
-            if value == "false":
-                return BFalse()
-            if value not in self.cfg.tests:
+        elif "a" <= value < "{":
+            g = self.cfg.theory.guard_atoms.get(value)
+            if g is None:
                 raise self.error(f"unknown test {value!r} (declared: "
                                  f"{', '.join(self.cfg.tests) or 'none'})", self.pos - 1)
-            return BTest(value)
-        raise self.error(f"expected a test expression, got {_shown(value)}", self.pos - 1)
+        else:
+            raise self.error(f"expected a test expression, got {_shown(value)}",
+                             self.pos - 1)
+        return self.cfg.theory.guard_not(g, nots) if nots else g
 
 
 def parse(text: str, cfg: TheoryConfig) -> Expr:

@@ -22,7 +22,7 @@ import operator
 import re
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd
 
 from .errors import (
@@ -325,7 +325,7 @@ def parse_selector(text: str) -> TheoryConfig:
 
 
 # ---------------------------------------------------------------------------
-# boolean guards over tests (ga / gc)
+# operator symbols and terms
 
 
 class _Constant(Record):
@@ -340,115 +340,6 @@ class _Constant(Record):
 
     def __hash__(self):
         return hash(())
-
-
-class BTrue(_Constant):
-    __slots__ = ()
-
-
-class BFalse(_Constant):
-    __slots__ = ()
-
-
-class BTest(Record):
-    __slots__ = ("name",)
-    _fields = __slots__
-
-    def __init__(self, name: str):
-        _set(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
-
-
-class BNot(Record):
-    __slots__ = ("arg",)
-    _fields = __slots__
-
-    def __init__(self, arg: BoolExpr):
-        _set(self, "arg", arg)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.arg == other.arg
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.arg,))
-
-
-class _Binary(Record):
-    """A guard connective over two guards."""
-
-    __slots__ = ("left", "right")
-    _fields = __slots__
-
-    def __init__(self, left: BoolExpr, right: BoolExpr):
-        _set(self, "left", left)
-        _set(self, "right", right)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.left, self.right))
-
-
-class BAnd(_Binary):
-    __slots__ = ()
-
-
-class BOr(_Binary):
-    __slots__ = ()
-
-
-BoolExpr = BTrue | BFalse | BTest | BNot | BAnd | BOr
-
-
-def mask_atoms(mask: int) -> list[int]:
-    """The indices of the atoms in a mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def bool_text(b: BoolExpr) -> str:
-    """Concrete syntax for guards, minimal parentheses (! > & > |)."""
-
-    def go(e, level):
-        if isinstance(e, BTrue):
-            return "true"
-        if isinstance(e, BFalse):
-            return "false"
-        if isinstance(e, BTest):
-            return e.name
-        if isinstance(e, BNot):
-            return "!" + go(e.arg, 3)
-        if isinstance(e, BOr):
-            text = f"{go(e.left, 1)} | {go(e.right, 2)}"
-            lvl = 1
-        elif isinstance(e, BAnd):
-            text = f"{go(e.left, 2)} & {go(e.right, 3)}"
-            lvl = 2
-        else:
-            raise TypeError(f"not a boolean expression: {e!r}")
-        return f"({text})" if lvl < level else text
-
-    return go(b, 0)
-
-
-# ---------------------------------------------------------------------------
-# operator symbols and terms
 
 
 class ZeroSym(_Constant):
@@ -467,27 +358,34 @@ class PlusSym(_Constant):
         return "+"
 
 
-class GuardSym:
-    """Guarded choice +_b.  ``mask`` holds the atoms at which b holds; two
-    guard symbols are equal when their masks are, regardless of how the
-    guard was written.  The text and the sort key are computed on first
-    use; they are the same every time, so sharing one symbol between
-    threads is safe."""
+def mask_atoms(mask: int) -> list[int]:
+    """The indices of the atoms in a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    __slots__ = ("expr", "mask", "_text", "_key", "_hash")
+
+class GuardSym:
+    """Guarded choice +_b.  ``guard`` is b's text, with minimal parentheses,
+    and ``mask`` holds the atoms at which b holds (`Guarded` builds both);
+    two guard symbols are equal when their masks are, regardless of how the
+    guard was written.  The sort key is computed on first use; it is the
+    same every time, so sharing one symbol between threads is safe."""
+
+    __slots__ = ("guard", "mask", "_key", "_hash")
     arity = 2
 
-    def __init__(self, expr: BoolExpr, mask: int):
-        self.expr = expr
+    def __init__(self, guard: str, mask: int):
+        self.guard = guard
         self.mask = mask
-        self._text = None
         self._key = None
         self._hash = hash(("guard", mask))
 
     def text(self):
-        if self._text is None:
-            self._text = f"+[{bool_text(self.expr)}]"
-        return self._text
+        return f"+[{self.guard}]"
 
     def sort_key(self) -> tuple[int, ...]:
         """The indices of the guard's atoms, ascending: guards order as the
@@ -497,7 +395,7 @@ class GuardSym:
         return self._key
 
     def __repr__(self):
-        return f"GuardSym({bool_text(self.expr)})"
+        return f"GuardSym({self.guard})"
 
     def __eq__(self, other):
         return isinstance(other, GuardSym) and other.mask == self.mask
@@ -506,7 +404,7 @@ class GuardSym:
         return self._hash
 
     def __reduce__(self):
-        return GuardSym, (self.expr, self.mask)
+        return GuardSym, (self.guard, self.mask)
 
 
 class ChoiceSym(Record):
@@ -1387,6 +1285,12 @@ class Option:
         return rng.choice(universe) if universe and rng.random() < 0.7 else None
 
 
+def _guard_text(g: tuple, level: int) -> str:
+    """A guard's text where its context needs ``level``: in parentheses
+    if it binds more loosely."""
+    return g[0] if g[1] >= level else f"({g[0]})"
+
+
 class Guarded(Theory):
     """guarded(X): boolean-guarded choice ``+[b]`` over the declared tests,
     on top of a branch theory X whose operators it applies atom by atom.
@@ -1410,27 +1314,29 @@ class Guarded(Theory):
         self.inner, self.weighted = inner, inner.weighted
         self.ops = {t: self._pointwise(op) for t, op in inner.ops.items()}  # atom by atom
         self.ops[GuardSym] = self._guard
+        # A guard is built as its parts: (its text with minimal parentheses,
+        # its precedence level, its mask), with levels 1 for '|', 2 for '&'
+        # and 3 for a test, a constant or a '!'.  These are the parts of
+        # ``true``, ``false`` and each test, by name, made here so that
+        # reading one costs no frames
+        self.guard_atoms = {"true": ("true", 3, cfg.full), "false": ("false", 3, 0),
+                            **{t: (t, 3, m) for t, m in zip(cfg.tests, self.test_masks)}}
 
-    def mask(self, b: BoolExpr) -> int:
-        """The mask of the atoms at which a guard holds, built from the
-        tests' masks with bit operations."""
-        full = self.cfg.full
-        if isinstance(b, BTrue):
-            return full
-        if isinstance(b, BFalse):
-            return 0
-        if isinstance(b, BTest):
-            return self.test_masks[self.cfg.tests.index(b.name)]
-        if isinstance(b, BNot):
-            return full ^ self.mask(b.arg)
-        if isinstance(b, BAnd):
-            return self.mask(b.left) & self.mask(b.right)
-        if isinstance(b, BOr):
-            return self.mask(b.left) | self.mask(b.right)
-        raise TypeError(f"not a boolean expression: {b!r}")
+    def guard_not(self, g: tuple, times: int = 1) -> tuple:
+        """``times`` '!' before a guard."""
+        mask = g[2] ^ self.cfg.full if times & 1 else g[2]
+        return "!" * times + _guard_text(g, 3), 3, mask
 
-    def guard_sym(self, b: BoolExpr) -> GuardSym:
-        return GuardSym(b, self.mask(b))
+    def guard_join(self, op: str, parts: list) -> tuple:
+        """``&`` or ``|`` over two or more guards, grouped to the left."""
+        level = 2 if op == "&" else 1
+        mask = reduce(operator.and_ if level == 2 else operator.or_, [g[2] for g in parts])
+        text = f" {op} ".join([_guard_text(parts[0], level)]
+                              + [_guard_text(g, level + 1) for g in parts[1:]])
+        return text, level, mask
+
+    def guard_sym(self, g: tuple) -> GuardSym:
+        return GuardSym(g[0], g[2])
 
     @cached_property
     def test_masks(self) -> tuple[int, ...]:
@@ -1452,8 +1358,8 @@ class Guarded(Theory):
     @cached_property
     def test_guards(self) -> tuple[GuardSym, ...]:
         """One guard symbol ``+[t]`` per test, shared by every decision tree
-        of the theory, so printing renders each guard once."""
-        return tuple(self.guard_sym(BTest(t)) for t in self.cfg.tests)
+        of the theory."""
+        return tuple(map(GuardSym, self.cfg.tests, self.test_masks))
 
     def _guard(self, sym: GuardSym, left, right):
         """The partition that takes ``left``'s branches at the atoms of the
@@ -1651,16 +1557,18 @@ class Guarded(Theory):
         return {(a, t): f"{a} [{','.join(text for _, text in sorted(p))}]"
                 for (a, t), p in parts.items()}
 
-    def rand_guard(self, rng, depth: int = 2) -> BoolExpr:
+    def rand_guard(self, rng, depth: int = 2) -> tuple:
+        """A random guard's parts."""
         tests = self.cfg.tests
         roll = rng.random()
         if depth == 0 or roll < 0.5:
             if tests and roll < 0.8:
-                return BTest(rng.choice(tests))
-            return rng.choice((BTrue(), BFalse()))
+                return self.guard_atoms[rng.choice(tests)]
+            return self.guard_atoms[rng.choice(("true", "false"))]
         left = self.rand_guard(rng, depth - 1)
         right = self.rand_guard(rng, depth - 1)
-        return rng.choice((BNot(left), BAnd(left, right), BOr(left, right)))
+        op = rng.choice("!&|")
+        return self.guard_not(left) if op == "!" else self.guard_join(op, [left, right])
 
     def rand_binary_sym(self, rng):
         """A guard, or half the time an operator of X if it has one."""

@@ -82,6 +82,11 @@ def nested_loops(d: int, text: bool = False):
 # a reference exploration: every state an expression, stepped whole
 
 
+def guard(cfg: TheoryConfig, text: str) -> GuardSym:
+    """The guard symbol of ``+[text]``, as the parser builds it."""
+    return parse(f"a +[{text}] b", cfg).sym
+
+
 def same_syntax(a, b) -> bool:
     """Whether two expressions or loop terms are equal with their guards
     written alike, so that they print alike.  Equality (``==``) holds
@@ -101,7 +106,7 @@ def same_syntax(a, b) -> bool:
         return (same_syntax(a.body, b.body) and same_syntax(a.loop, b.loop)
                 and same_syntax(a.exit, b.exit))
     # TOp and SOp: an operator symbol and its arguments
-    return (a.sym == b.sym and (type(a.sym) is not GuardSym or a.sym.expr == b.sym.expr)
+    return (a.sym == b.sym and (type(a.sym) is not GuardSym or a.sym.guard == b.sym.guard)
             and all(map(same_syntax, a.args, b.args)))
 
 

@@ -339,25 +339,50 @@ def test_long_chains_decide_and_roundtrip_in_a_fresh_process():
     assert (done.returncode, done.stdout) == (0, f"{chain}\nverified: bisimilar\n"), done.stderr
 
 
-def test_successors_under_one_action_order_by_keys_up_to_a_prefix_limit():
+def test_successors_under_one_action_order_by_keys_at_any_depth(monkeypatch):
     # a head's targets under one action are ordered by their sort keys,
-    # which are built without recursion: two 3,000-unit chains that differ
-    # in their first unit order, explore and decide
+    # which are built and compared without recursion: two 3,000-unit
+    # chains that differ in their first unit, or in the unit after a
+    # 3,000-unit equal prefix, explore alike under two hash seeds and decide
     x, y = " ; ".join(["a"] * 3000), " ; ".join(["b"] * 3000)
-    e = f"(a ; {x}) + (a ; {y})"
-    done = _fresh_cli("reach", "--theory", "sl", e, capture_output=True)
-    assert done.returncode == 0 and len(json.loads(done.stdout)["states"]) == 6001
-    done = _fresh_cli("equiv", "--theory", "sl", e, e, capture_output=True)
-    assert (done.returncode, done.stdout) == (0, "equivalent\n"), done.stderr
-    # but keys are nested tuples, which CPython compares recursively: two
-    # targets that agree on a long prefix nest too deeply, on CPython 3.11
-    # with its default recursion limit past 988 units
-    for n, expected in ((988, 0), (989, 3)):
-        chain = " ; ".join(["a"] * n)
-        f = f"(a ; {chain} ; c) + (a ; {chain} ; d)"
-        for argv in (("reach", f), ("equiv", f, f)):
-            done = _fresh_cli(argv[0], "--theory", "sl", *argv[1:], capture_output=True)
-            assert done.returncode == expected, (n, argv[0], done.stderr)
+    for e, states in ((f"(a ; {x}) + (a ; {y})", 6001),
+                      (f"(a ; {x} ; c) + (a ; {x} ; d)", 6003)):
+        outs = []
+        for seed in ("0", "1"):
+            monkeypatch.setenv("PYTHONHASHSEED", seed)
+            done = _fresh_cli("reach", "--theory", "sl", e, capture_output=True)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert outs[0] == outs[1] and len(json.loads(outs[0])["states"]) == states
+        done = _fresh_cli("equiv", "--theory", "sl", e, e, capture_output=True)
+        assert (done.returncode, done.stdout) == (0, "equivalent\n"), done.stderr
+
+
+def test_a_long_run_of_negations_parses_explores_and_roundtrips():
+    # a run of '!' is read in a loop; its text keeps every '!'
+    e = f"a +[{'!' * 5000}p] b"
+    done = _fresh_cli("parse", "--theory", "ga:tests=p", e, capture_output=True)
+    assert done.stdout == f"TOp(+[{'!' * 5000}p], [Act(a), Act(b)])\n", done.stderr
+    odd = f"a +[{'!' * 5001}p] b"
+    for argv in (("reach", e), ("roundtrip", e), ("equiv", e, "a +[p] b"),
+                 ("equiv", odd, "b +[p] a")):
+        done = _fresh_cli(argv[0], "--theory", "ga:tests=p", *argv[1:], capture_output=True)
+        assert done.returncode == 0, (argv, done.stderr)
+        if argv[0] == "equiv":
+            assert done.stdout == "equivalent\n", argv
+
+
+def test_guards_nest_up_to_the_parsers_depth_limit():
+    # on CPython 3.11 with its default recursion limit: two parser frames
+    # per level of parentheses in a guard
+    for depth, expected in ((493, 0), (494, 3)):
+        g = "(" * depth + "p" + ")" * depth
+        for command in ("reach", "roundtrip"):
+            done = _fresh_cli(command, "--theory", "ga:tests=p", f"a +[{g}] b",
+                              capture_output=True)
+            assert done.returncode == expected, (depth, command, done.stderr)
+            if expected == 3:
+                assert done.stderr.startswith("error: input nests too deeply")
 
 
 def test_parse_writes_the_tree_of_a_long_chain():

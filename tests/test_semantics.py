@@ -17,7 +17,7 @@ from starexpr import gen, props, theory
 from starexpr.bisim import decide_equiv
 from starexpr.errors import DocumentError
 from starexpr.semantics import (
-    State, TICK, _target_key, export_dot, export_system, load_system,
+    State, TICK, _compare, _target_key, export_dot, export_system, load_system,
     reachable, reachable_from, step, step_doc,
 )
 from starexpr.solve import roundtrip
@@ -159,6 +159,18 @@ def test_exploration_sorts_only_branching_successors(monkeypatch):
     assert calls == []
     reachable(SL, parse("(a ; b) + (a ; c)", SL))  # positive control
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("selector", ALL_SELECTORS)
+def test_key_comparison_agrees_with_tuple_comparison(selector):
+    # successor keys are compared from an explicit stack, in the order that
+    # CPython's recursive tuple comparison gives them
+    exprs = corpus(selector, count=40)
+    keys = [_target_key(TICK)] + [_target_key((e,)) for e in exprs] + \
+        [_target_key(pair) for pair in zip(exprs, exprs[1:])]
+    for a in keys:
+        for b in keys:
+            assert _compare(a, b) == (a > b) - (a < b), (a, b)
 
 
 def test_successor_order_does_not_depend_on_the_stack():

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ALL_SELECTORS, benchmark_inputs, corpus, nested_loops, reference_tokenize
-from starexpr import cli, gen, props, syntax, theory
+from conftest import (
+    ALL_SELECTORS, benchmark_inputs, corpus, guard, nested_loops, reference_tokenize,
+)
+from starexpr import cli, gen, props, syntax
 from starexpr.bisim import decide_equiv
 from starexpr.errors import ParseError
 from starexpr.semantics import export_system, reachable
@@ -15,7 +17,7 @@ from starexpr.syntax import (
     Act, Seq, Star, TOp, compute_U, parse, print_expr, star_height,
 )
 from starexpr.theory import (
-    BAnd, BTest, ChoiceSym, PLUS, SOp, SVar, SZERO, parse_selector,
+    ChoiceSym, GuardSym, PLUS, SOp, SVar, SZERO, parse_selector,
 )
 
 
@@ -282,21 +284,28 @@ def test_print_shared_node_parenthesized_per_parent():
 
 def test_print_renders_a_shared_guard_once(monkeypatch):
     ga = parse_selector("ga:tests=p,q")
-    e = TOp(ga.theory.guard_sym(BAnd(BTest("p"), BTest("q"))), (Act("a"), Act("b")))
+    e = TOp(guard(ga, "p & q"), (Act("a"), Act("b")))
     for _ in range(16):
         e = Seq(e, e)
-    calls = 0
-    bool_text = theory.bool_text
+    want = print_expr(_unshared(e))
+    # printing builds no guard text: it reads the guard's text, made when
+    # the guard was built, once for the one shared node
+    reads = 0
+    text = GuardSym.text
 
-    def counting(b):
-        nonlocal calls
-        calls += 1
-        return bool_text(b)
+    def counting(sym):
+        nonlocal reads
+        reads += 1
+        return text(sym)
 
-    monkeypatch.setattr(theory, "bool_text", counting)
-    text = print_expr(e)
-    assert calls == 1
-    assert text == print_expr(_unshared(e))
+    def building(*args):
+        raise AssertionError("printing built a guard")
+
+    monkeypatch.setattr(GuardSym, "text", counting)
+    for name in ("guard_not", "guard_join", "guard_sym"):
+        monkeypatch.setattr(type(ga.theory), name, building)
+    assert print_expr(e) == want
+    assert reads == 1
 
 
 def test_parse_builds_one_guard_symbol_per_written_guard(monkeypatch):

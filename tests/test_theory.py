@@ -12,13 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ALL_SELECTORS, NOT_RATIONAL_EDGES, RATIONAL_EDGES
+from conftest import ALL_SELECTORS, NOT_RATIONAL_EDGES, RATIONAL_EDGES, guard
 from starexpr import gen, props
 from starexpr.errors import LimitExceededError, TheoryMismatchError, UnboundVariableError
 from starexpr.layering import Labelling, LayerVerdict, _Layers
 from starexpr.semantics import State, TICK
 from starexpr.theory import (
-    BAnd, BFalse, BNot, BOr, BTest, BTrue, ChoiceSym, GuardSym, OPLUS, PLUS, SEMIRINGS, SOp, SVar,
+    ChoiceSym, GuardSym, OPLUS, PLUS, SEMIRINGS, SOp, SVar,
     SZERO, ScaleSym, TheoryConfig, ZERO, element_sort_key, eta, eval_term, mval_map,
     parse_rational, parse_selector, rand_prob, reify, row_support, split, supp, term_variables,
     weight_key,
@@ -47,8 +47,8 @@ def test_values_refuse_assignment():
 
 def test_values_copy_and_pickle():
     values = [parse_selector("ga:tests=p"), SOp(ChoiceSym(Fraction(1, 2)), (SVar("u"), SZERO)),
-              BAnd(BTest("p"), BTrue()), State("s0"), Labelling(frozenset({("s0", "a", "s0")})),
-              LayerVerdict(False, 3, ("s0",))]
+              guard(parse_selector("ga:tests=p"), "p & true"), State("s0"),
+              Labelling(frozenset({("s0", "a", "s0")})), LayerVerdict(False, 3, ("s0",))]
     for value in values:
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
@@ -100,11 +100,7 @@ def test_value_reprs():
          "atoms=('00', '01', '10', '11'))"),
         (parse_selector("smod:nat"),
          "TheoryConfig(kind='smod', tests=(), semiring=Semiring(nat), atoms=())"),
-        (BTrue(), "BTrue()"),
-        (BFalse(), "BFalse()"),
-        (BNot(BTest("p")), "BNot(arg=BTest(name='p'))"),
-        (BAnd(BTest("p"), BTrue()), "BAnd(left=BTest(name='p'), right=BTrue())"),
-        (BOr(BFalse(), BTest("q")), "BOr(left=BFalse(), right=BTest(name='q'))"),
+        (guard(parse_selector("ga:tests=p,q"), "((p) & !(q | true))"), "GuardSym(p & !(q | true))"),
         (OPLUS, "OplusSym()"),
         (ScaleSym(Fraction(2)), "ScaleSym(weight=Fraction(2, 1))"),
         (SOp(half, (SVar("u"), SZERO)),
@@ -127,12 +123,11 @@ def test_value_reprs():
 
 
 def test_values_compare_by_class_and_fields():
-    assert BAnd(BTrue(), BTrue()) != BOr(BTrue(), BTrue())
-    assert BTrue() != BFalse() and ZERO != PLUS and SVar("u") != State("u")
+    assert ZERO != PLUS and SVar("u") != State("u")
     assert SOp(ChoiceSym(Fraction(1, 2)), (SVar("u"), SZERO)) == \
         SOp(ChoiceSym(Fraction(2, 4)), (SVar("u"), SOp(ZERO)))
     assert hash(SVar("u")) == hash(("u",)) and hash(State("s")) == hash(("s",))
-    assert hash(BTrue()) == hash(ZERO) == hash(())
+    assert hash(ZERO) == hash(())
     # a config compares on kind, tests and semiring: its theory object is
     # built anew each time
     assert TheoryConfig("ga", ("p",)) == parse_selector("ga:tests=p")
@@ -242,7 +237,7 @@ def test_eval_ga_guard_selects_by_atom():
     # oracle: the if-then-else clause applied at each atom by hand;
     # with tests=(t,) the atoms are "0" (t fails) and "1" (t holds)
     ga = parse_selector("ga:tests=t")
-    t = SOp(ga.theory.guard_sym(BTest("t")), (SVar("u"), SVar("v")))
+    t = SOp(guard(ga, "t"), (SVar("u"), SVar("v")))
     got = eval_term(ga, t, {"u": eta(ga, "x"), "v": eta(ga, "y")})
     assert got == ga.theory.value(("y", "x"))
 
@@ -273,10 +268,10 @@ def test_probability_bounds():
 
 def test_guard_symbols_compare_by_atom_semantics():
     ga = parse_selector("ga:tests=p,q")
-    lhs = ga.theory.guard_sym(BTest("p"))
-    rhs = ga.theory.guard_sym(BNot(BNot(BTest("p"))))
+    lhs = guard(ga, "p")
+    rhs = guard(ga, "!!p")
     assert lhs == rhs and hash(lhs) == hash(rhs)
-    assert lhs != ga.theory.guard_sym(BAnd(BTest("p"), BTest("q")))
+    assert lhs != guard(ga, "p & q")
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +359,7 @@ def test_zero_test_guarded_algebra():
     ga0 = parse_selector("ga:tests=")
     assert ga0.atoms == ("",)
     assert parse_selector(ga0.selector()) == ga0
-    from starexpr.theory import BTrue
-    t = SOp(ga0.theory.guard_sym(BTrue()), (SVar("u"), SVar("v")))
+    t = SOp(guard(ga0, "true"), (SVar("u"), SVar("v")))
     got = eval_term(ga0, t, {"u": eta(ga0, "x"), "v": eta(ga0, "y")})
     assert got == eta(ga0, "x")
     m = ga0.theory.value(("y",))
@@ -465,10 +459,11 @@ def _axiom_instances(cfg, rng):
             ("assoc", SOp(PLUS, (x, SOp(PLUS, (y, z)))), SOp(PLUS, (SOp(PLUS, (x, y)), z))),
         ]
     if kind in ("ga", "gc"):
-        b = cfg.theory.guard_sym(cfg.theory.rand_guard(rng))
-        c = cfg.theory.guard_sym(cfg.theory.rand_guard(rng))
-        negb = cfg.theory.guard_sym(BNot(b.expr))
-        bandc = cfg.theory.guard_sym(BAnd(b.expr, c.expr))
+        th = cfg.theory
+        bp, cp = th.rand_guard(rng), th.rand_guard(rng)  # their parts
+        b, c = th.guard_sym(bp), th.guard_sym(cp)
+        negb = th.guard_sym(th.guard_not(bp))
+        bandc = th.guard_sym(th.guard_join("&", [bp, cp]))
         out += [
             ("guard-idem", SOp(b, (x, x)), x),
             ("guard-skew", SOp(b, (x, y)), SOp(negb, (y, x))),
@@ -554,13 +549,13 @@ def _check_reify_and_splits(cfg, m):
 def test_tree_checks_reject_unreduced_trees(monkeypatch):
     cfg = parse_selector("ga:tests=p,q")
     m = eta(cfg, "x")
-    p, q = (cfg.theory.guard_sym(BTest(t)) for t in "pq")
+    p, q = (guard(cfg, t) for t in "pq")
     bad = {
         "guard +[p] has equal branches": SOp(p, (SVar("x"), SVar("x"))),
         "guard +[p] out of declared order on a path": SOp(q, (SOp(p, (SVar("x"), SVar("x"))), SVar("x"))),
-        "guard +[p] holds at the wrong atoms": SOp(GuardSym(BTest("p"), q.mask),
+        "guard +[p] holds at the wrong atoms": SOp(GuardSym("p", q.mask),
                                                   (SVar("x"), SVar("x"))),
-        "guard +[p | q] is not one test": SOp(cfg.theory.guard_sym(BOr(BTest("p"), BTest("q"))),
+        "guard +[p | q] is not one test": SOp(guard(cfg, "p | q"),
                             (SVar("x"), SVar("x"))),
     }
     for name, t in bad.items():
@@ -611,7 +606,7 @@ def test_decision_tree_size_follows_the_tests_it_reads():
         half = len(cfg.atoms) // 2
         m = cfg.theory.value(["x"] * half + ["y"] * half)
         t = reify(m)
-        assert t == SOp(cfg.theory.guard_sym(BTest("t0")), (SVar("y"), SVar("x")))
+        assert t == SOp(guard(cfg, "t0"), (SVar("y"), SVar("x")))
         s, t1, t2 = split(m, lambda e: e == "x")
         assert (s, t1, t2) == (
             SOp(t.sym, (SVar("v"), SVar("u"))),
@@ -623,17 +618,16 @@ def test_decision_tree_size_follows_the_tests_it_reads():
 # guarded values as atom partitions, against a per-atom reference
 
 
-def _holds(b, atom, tests):
-    """A guard evaluated at one atom bitstring."""
-    if isinstance(b, BTest):
-        return atom[tests.index(b.name)] == "1"
-    if isinstance(b, BNot):
-        return not _holds(b.arg, atom, tests)
-    if isinstance(b, BAnd):
-        return _holds(b.left, atom, tests) and _holds(b.right, atom, tests)
-    if isinstance(b, BOr):
-        return _holds(b.left, atom, tests) or _holds(b.right, atom, tests)
-    return isinstance(b, BTrue)
+def _holds(text, cfg):
+    """Whether a guard holds at each atom, in atom order, read from its text
+    alone: as the Python expression it spells with not, and, or (which bind
+    as !, &, | do), each test named by its bit of the atom."""
+    python = text.replace("!", " not ").replace("&", " and ").replace("|", " or ")
+    code = compile(f"({python})", "<guard>", "eval")
+    return [bool(eval(code, {"__builtins__": {}},
+                      {"true": True, "false": False,
+                       **{t: bit == "1" for t, bit in zip(cfg.tests, atom)}}))
+            for atom in cfg.atoms]
 
 
 def _guarded_configs():
@@ -661,8 +655,7 @@ def _rand_per_atom(rng, cfg, universe):
     if rng.random() < 0.5:
         return [rng.choice(branches) for _ in cfg.atoms]
     g1, g2 = cfg.theory.rand_guard(rng), cfg.theory.rand_guard(rng)
-    return [branches[2 * _holds(g1, a, cfg.tests) + _holds(g2, a, cfg.tests)]
-            for a in cfg.atoms]
+    return [branches[2 * h1 + h2] for h1, h2 in zip(_holds(g1[0], cfg), _holds(g2[0], cfg))]
 
 
 def _map_branch(cfg, f, branch):
@@ -703,8 +696,7 @@ def test_guarded_partitions_agree_with_per_atom_values(rng):
             b = cfg.theory.rand_guard(rng)
             env = {"u": m, "v": other}
             got = eval_term(cfg, SOp(cfg.theory.guard_sym(b), (SVar("u"), SVar("v"))), env)
-            want = [x if _holds(b, a, cfg.tests) else y
-                    for a, x, y in zip(cfg.atoms, left, right)]
+            want = [x if h else y for h, x, y in zip(_holds(b[0], cfg), left, right)]
             assert got == cfg.theory.value(want)
             _check_partition_size(cfg, got, want)
             # convex choice atom by atom
@@ -742,5 +734,8 @@ def test_guard_masks_agree_with_per_atom_evaluation(rng):
     for cfg in _guarded_configs():
         for _ in range(20):
             b = cfg.theory.rand_guard(rng, depth=3)
-            want = sum(1 << i for i, a in enumerate(cfg.atoms) if _holds(b, a, cfg.tests))
+            want = sum(1 << i for i, h in enumerate(_holds(b[0], cfg)) if h)
             assert cfg.theory.guard_sym(b).mask == want
+            # the text reads back as itself, with the same mask
+            back = guard(cfg, b[0])
+            assert (back.guard, back.mask) == (b[0], want)
