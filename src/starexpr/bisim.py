@@ -50,22 +50,123 @@ def _predecessors(sys: System) -> list[list[int]]:
     return preds
 
 
-def refine(sys: System) -> Partition:
-    """The coarsest partition closed under one-step behaviour, computed by
-    splitting from the single-block partition.
+def _children_first(rows: list) -> list[int] | None:
+    """Every state, each after its successors other than itself; None as
+    soon as a depth-first search meets a longer cycle."""
+    n = len(rows)
+    mark = [0] * n  # 0 unseen, 1 on the search path, 2 placed
+    order: list[int] = []
+    for root in range(n):
+        if mark[root]:
+            continue
+        mark[root] = 1
+        path = [(root, iter(rows[root][1]))]
+        while path:
+            x, targets = path[-1]
+            for t in targets:
+                if t < 0 or t == x or mark[t] == 2:
+                    continue
+                if mark[t]:
+                    return None
+                mark[t] = 1
+                path.append((t, iter(rows[t][1])))
+                break
+            else:
+                path.pop()
+                mark[x] = 2
+                order.append(x)
+    return order
 
-    Splitting is incremental, processing the smaller half (Paige & Tarjan
+
+_OWN = -2  # a self-loop state's own label while it has no block yet
+
+
+def _refine_children_first(sys: System, order: list[int]) -> Partition | None:
+    """`refine` on a system whose only cycles are self-loops, in
+    `_children_first`'s order (Dovier, Piazza & Policriti 2004).  A state's
+    other successors have their final blocks when it is reached, so its
+    block is decided once.  A state without a self-loop joins the block
+    with its signature.  A state with one joins block c if, signed as a
+    member of c, it gives c's signature.  Where none of its other
+    successors is in c, both name c only through self-loops, so c was
+    opened by a self-loop state, and they still agree with each state's own
+    label read as ``_OWN``: one lookup among the keys of such blocks.
+    Otherwise c is the block of one of its other successors, and each of
+    those is tried.  Signatures are compared as in the round loop, so
+    weights that cancel are handled alike.
+
+    Each try signs the state's whole row, so a state with a self-loop and
+    k successor blocks could cost k times its k transitions.  For n states
+    and m transitions the tries may read at most (n + m) log2 n row entries
+    in all, the round loop's bound; past that the pass gives up (None) and
+    the round loop runs."""
+    rows, sign = sys.rows, sys.cfg.theory.sign
+    block = [0] * len(rows) + [-1]
+    budget = (len(rows) + sum(len(row[1]) for row in rows)) * len(rows).bit_length()
+    sigs: list = []  # block id -> the signature its states share
+    by_sig: dict = {}
+    by_own: dict = {}  # signature with the own label _OWN -> block it opened
+    for x in order:
+        row = rows[x]
+        if x not in row[1]:
+            s = sign(row, block)
+            b = by_sig.get(s)
+            if b is None:
+                b = by_sig[s] = len(sigs)
+                sigs.append(s)
+            block[x] = b
+            continue
+        block[x] = _OWN
+        own = sign(row, block)
+        b = by_own.get(own)
+        if b is None:
+            for b in {block[t] for t in row[1] if t >= 0 and t != x}:
+                budget -= len(row[1])
+                if budget < 0:
+                    return None
+                block[x] = b
+                if sign(row, block) == sigs[b]:
+                    break
+            else:
+                b = block[x] = len(sigs)
+                s = sign(row, block)
+                by_sig[s] = by_own[own] = b
+                sigs.append(s)
+        block[x] = b
+    return _dense(sys, block)
+
+
+def refine(sys: System) -> Partition:
+    """The coarsest partition closed under one-step behaviour.
+
+    When every cycle of the system is a self-loop, which a depth-first
+    search that stops at the first longer cycle finds out, each state is
+    classified once, after its successors (`_refine_children_first`).  A
+    state is signed once, or if it has a self-loop twice plus once per
+    block among its other successors that it tries: O(n + m) signing for
+    n states and m transitions while those tries stay few, and no rounds.
+    The tries are capped at the round loop's bound.  Deep sequences of
+    actions and loops have this property: on the benchmark (seed 1), every
+    equiv-deep system, 3,258 of the 4,200 roundtrip-corpus refinements and
+    none of the minimize-wide documents.
+
+    Otherwise blocks are split from the single-block partition.  Splitting
+    is incremental, processing the smaller half (Paige & Tarjan
     1987; Valmari & Franceschinis 2010).  Only "dirty" states, whose
     successors changed block since they were last signed, are re-signed;
     the clean states of a block still share the block's last signature.
     The largest part of a split block keeps its id, so a state moves at
     most log2(n) times.  After a round that moved over half the states,
     all states are re-signed, which is cheaper than walking predecessors.
-    For n states and m transitions the work is O((n + m) log n).
+    The work is O((n + m) log n).
 
     States are signed from the system's rows by the theory's ``sign``:
     targets are looked up in the list ``block``, whose last entry, at the
     tick target's index -1, is the tick's own block -1."""
+    order = _children_first(sys.rows)
+    part = None if order is None else _refine_children_first(sys, order)
+    if part is not None:
+        return part
     n = len(sys.states)
     rows, sign = sys.rows, sys.cfg.theory.sign
     block = [0] * n + [-1]

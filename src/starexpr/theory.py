@@ -466,11 +466,12 @@ OpSym = ZeroSym | PlusSym | GuardSym | ChoiceSym | OplusSym | ScaleSym
 
 
 class SVar(Record):
-    __slots__ = ("name",)
-    _fields = __slots__
+    __slots__ = ("name", "_vars")
+    _fields = ("name",)
 
     def __init__(self, name):
         _set(self, "name", name)
+        _set(self, "_vars", frozenset((name,)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -482,7 +483,7 @@ class SVar(Record):
 
 
 class SOp(Record):
-    __slots__ = ("sym", "args", "_hash")
+    __slots__ = ("sym", "args", "_hash", "_vars")
     _fields = ("sym", "args")
 
     def __init__(self, sym: OpSym, args: tuple[STerm, ...] = ()):
@@ -491,8 +492,10 @@ class SOp(Record):
                 f"operator {sym!r} expects {sym.arity} arguments, got {len(args)}")
         _set(self, "sym", sym)
         _set(self, "args", args)
-        # computed once: every `Star` hashes its loop term
+        # computed once: every `Star` hashes its loop term and checks its
+        # variables
         _set(self, "_hash", hash((sym, args)))
+        _set(self, "_vars", frozenset().union(*[a._vars for a in args]))
 
     def __eq__(self, other):
         if other is self:
@@ -513,13 +516,9 @@ STerm = SVar | SOp
 SZERO = SOp(ZERO)
 
 
-def term_variables(t: STerm) -> set:
-    if isinstance(t, SVar):
-        return {t.name}
-    out: set = set()
-    for a in t.args:
-        out |= term_variables(a)
-    return out
+def term_variables(t: STerm) -> frozenset:
+    """The names of the variables in t, kept by each term when built."""
+    return t._vars
 
 
 def term_sort_key(t: STerm):
@@ -1446,24 +1445,25 @@ class Guarded(Theory):
             parts[SZERO] = parts.get(SZERO, 0) | rest
         if len(parts) == 1:
             return next(iter(parts))
-        tests, guards, n = self.test_masks, self.test_guards, len(self.cfg.tests)
-        memo: dict = {}
+        return self._subtree(0, list(parts.items()), {})
 
-        def build(d: int, items: list) -> STerm:
-            if len(items) == 1:
-                return items[0][0]
-            low = items[0][1]
-            start = ((low & -low).bit_length() - 1) >> (n - d) << (n - d)
-            key = (d, frozenset((id(t), m >> start) for t, m in items))
-            node = memo.get(key)
-            if node is None:
-                on_mask = tests[d]
-                on = build(d + 1, [(t, m & on_mask) for t, m in items if m & on_mask])
-                off = build(d + 1, [(t, m & ~on_mask) for t, m in items if m & ~on_mask])
-                node = memo[key] = off if on is off else SOp(guards[d], (on, off))
-            return node
-
-        return build(0, list(parts.items()))
+    def _subtree(self, d: int, items: list, memo: dict) -> STerm:
+        """`tree`'s node for the atom range whose first d tests are decided,
+        over the (term, mask) pairs that hold some of its atoms.  A method,
+        not a closure over itself, so a tree's memo is freed by reference
+        counting, not left to the cyclic collector."""
+        if len(items) == 1:
+            return items[0][0]
+        low, shift = items[0][1], len(self.cfg.tests) - d
+        start = ((low & -low).bit_length() - 1) >> shift << shift
+        key = (d, frozenset((id(t), m >> start) for t, m in items))
+        node = memo.get(key)
+        if node is None:
+            on_mask = self.test_masks[d]
+            on = self._subtree(d + 1, [(t, m & on_mask) for t, m in items if m & on_mask], memo)
+            off = self._subtree(d + 1, [(t, m & ~on_mask) for t, m in items if m & ~on_mask], memo)
+            node = memo[key] = off if on is off else SOp(self.test_guards[d], (on, off))
+        return node
 
     def flat_rows(self, values: Iterable[MVal], key: Callable[[object], object]) -> list:
         row = self.inner.flat_row

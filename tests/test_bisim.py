@@ -124,22 +124,131 @@ def test_refine_with_cancelling_weights(zint, rng):
         assert refine(sys_) == fixpoint_refine(sys_)
 
 
+def _signing(monkeypatch, sys_):
+    """`refine`'s partition of sys_, its `sign` calls and the row entries
+    they read."""
+    calls = read = 0
+    signer = type(sys_.cfg.theory)
+    sign = signer.sign
+
+    def counting(theory, row, labels):
+        nonlocal calls, read
+        calls += 1
+        read += len(row[1])
+        return sign(theory, row, labels)
+
+    with monkeypatch.context() as m:
+        m.setattr(signer, "sign", counting)
+        part = refine(sys_)
+    return part, calls, read
+
+
 def test_refine_work_is_near_linear_on_a_chain(monkeypatch):
     n = 1600
     chain = sl_system({f"s{i}": [("a", f"s{i + 1}" if i + 1 < n else TICK)]
                        for i in range(n)})
-    calls = 0
-    signer = type(chain.cfg.theory)
-    sign = signer.sign
-
-    def counting(*sign_args):
-        nonlocal calls
-        calls += 1
-        return sign(*sign_args)
-
-    monkeypatch.setattr(signer, "sign", counting)
-    assert len(set(refine(chain).values())) == n
+    # the round loop's work; a chain alone takes the children-first pass
+    monkeypatch.setattr(bisim, "_children_first", lambda rows: None)
+    part, calls, _ = _signing(monkeypatch, chain)
+    assert len(set(part.values())) == n
     assert n <= calls <= 4 * n
+
+
+def _self_loop_dag(rng, cfg, n, actions=("a",)):
+    """A random system whose only cycles are self-loops: each state's
+    targets are itself, later states in a hidden order, and the tick; the
+    states are listed in a shuffled order."""
+    hidden = [f"s{i}" for i in range(n)]
+    beta = {}
+    for i, x in enumerate(hidden):
+        universe = [(a, t) for a in actions
+                    for t in [TICK] + [State(y) for y in hidden[i:i + 4]]]
+        pool = rng.sample(universe, rng.randint(1, min(4, len(universe))))
+        beta[x] = cfg.theory.rand_value(rng, pool)
+    states = list(hidden)
+    rng.shuffle(states)
+    return value_system(cfg, tuple(states), beta)
+
+
+def _round_loop(sys_, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(bisim, "_children_first", lambda rows: None)
+        return refine(sys_)
+
+
+def _check_children_first(cfg, rng, monkeypatch):
+    for i in range(40):
+        sys_ = _self_loop_dag(rng, cfg, rng.randint(1, 30), ("a",) if i % 2 else ("a", "b"))
+        assert bisim._children_first(sys_.rows) is not None
+        part = refine(sys_)
+        assert part == _round_loop(sys_, monkeypatch) == fixpoint_refine(sys_)
+
+
+def test_children_first_pass_equals_the_round_loop(cfg, rng, monkeypatch):
+    _check_children_first(cfg, rng, monkeypatch)
+
+
+def test_children_first_pass_with_cancelling_weights(zint, rng, monkeypatch):
+    _check_children_first(zint, rng, monkeypatch)
+
+
+def test_a_two_cycle_joins_a_self_loop_state_through_the_round_loop():
+    sys_ = sl_system({"x": [("a", "y")], "y": [("a", "x")], "z": [("a", "z")]})
+    assert bisim._children_first(sys_.rows) is None
+    assert refine(sys_) == brute_bisim(sys_) == {"x": 0, "y": 0, "z": 0}
+
+
+def test_a_self_loop_state_joins_the_block_of_a_successor():
+    # x's signature names y's block twice, through y and through itself
+    sys_ = sl_system({"x": [("a", "x"), ("a", "y")], "y": [("a", "y")],
+                      "w": [("a", "w"), ("b", TICK)]})
+    assert bisim._children_first(sys_.rows) is not None
+    assert refine(sys_) == brute_bisim(sys_) == {"x": 0, "y": 0, "w": 1}
+
+
+@pytest.mark.parametrize("unit, most", [("a", 1), ("a *{u + v} b", 3)])
+def test_children_first_pass_signs_each_state_a_bounded_number_of_times(
+        monkeypatch, unit, most):
+    n = 1000
+    sys_, _ = reachable(SL, parse(" ; ".join([unit] * n), SL))
+    assert len(sys_.states) == n
+    monkeypatch.setattr(bisim, "_predecessors", None)  # a second round would call it
+    part, calls, _ = _signing(monkeypatch, sys_)
+    assert len(set(part.values())) == n
+    assert (calls == n) if most == 1 else (calls <= most * n)
+
+
+def test_a_self_loop_state_over_many_blocks_falls_back_to_the_round_loop(monkeypatch):
+    # x tries each of its k successors' blocks, each try signing its k + 1
+    # transitions: the pass gives up after (n + m) log2 n entries
+    k = 600
+    edges = {"x": [("a", "x")] + [("a", f"y{i}") for i in range(k)]}
+    edges.update({f"y{i}": [(f"b{i}", TICK)] for i in range(k)})
+    sys_ = sl_system(edges)
+    order = bisim._children_first(sys_.rows)
+    assert order is not None
+    assert bisim._refine_children_first(sys_, order) is None
+    part, _, read = _signing(monkeypatch, sys_)
+    assert len(set(part.values())) == k + 1
+    n, m = k + 1, 2 * k + 1
+    assert read <= 3 * (n + m) * n.bit_length()
+
+
+def test_the_search_stops_at_the_first_longer_cycle():
+    seen = set()
+
+    class Rows(list):
+        def __getitem__(self, i):
+            seen.add(i)
+            return super().__getitem__(i)
+
+    # s0 <-> s1, then a long chain that the search need not visit
+    n = 500
+    edges = {"s0": [("a", "s1")], "s1": [("a", "s0")]}
+    edges.update({f"s{i}": [("a", f"s{i + 1}" if i + 1 < n else TICK)] for i in range(2, n)})
+    sys_ = sl_system(edges)
+    assert bisim._children_first(Rows(sys_.rows)) is None
+    assert seen == {0, 1}
 
 
 def _weighted_system(cfg, edges):

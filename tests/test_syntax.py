@@ -17,7 +17,7 @@ from starexpr.syntax import (
     Act, Seq, Star, TOp, compute_U, parse, print_expr, star_height,
 )
 from starexpr.theory import (
-    ChoiceSym, GuardSym, PLUS, SOp, SVar, SZERO, parse_selector,
+    ChoiceSym, GuardSym, PLUS, SOp, SVar, SZERO, parse_selector, term_variables,
 )
 
 
@@ -39,6 +39,19 @@ def test_parse_star_ca():
     e = parse("a *{u (+1/2) v} b", CA)
     loop = SOp(ChoiceSym(Fraction(1, 2)), (SVar("u"), SVar("v")))
     assert e == Star(Act("a"), loop, Act("b"))
+
+
+def test_a_loop_term_may_mention_only_u_and_v():
+    # each term keeps its variables, so a deep loop term is checked at once
+    u, v = SVar("u"), SVar("v")
+    deep = v
+    for _ in range(5000):
+        deep = SOp(PLUS, (u, deep))
+    assert term_variables(deep) == {"u", "v"}
+    assert Star(Act("a"), deep, Act("b")).loop is deep
+    for bad in (SVar("w"), SOp(PLUS, (u, SVar("w"))), SOp(PLUS, (deep, SVar(("a", "x"))))):
+        with pytest.raises(ValueError, match=r"^loop term may mention only u and v$"):
+            Star(Act("a"), bad, Act("b"))
 
 
 def test_print_examples():

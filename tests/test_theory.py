@@ -1,6 +1,7 @@
 """Free-algebra values: units, evaluation, support, reification, splitting."""
 
 import copy
+import gc
 import itertools
 import os
 import pickle
@@ -577,6 +578,22 @@ def test_ga_reify_and_split_on_every_value_of_three_tests():
     cfg = parse_selector("ga:tests=p,q,r")
     for data in itertools.product((None, "x", "y"), repeat=len(cfg.atoms)):
         _check_reify_and_splits(cfg, cfg.theory.value(data))
+
+
+def test_reify_and_split_leave_no_cyclic_garbage():
+    # a decision tree's memo, nodes and keys are freed by reference counting
+    cfg = parse_selector("ga:tests=p,q")
+    m = cfg.theory.value(("x", None, "y", "x"))
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert reify(m) != SZERO
+        assert split(m, lambda e: e == "x")[1] != SZERO
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_gc_reify_and_split_on_every_value_of_two_tests():
